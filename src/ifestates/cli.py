@@ -76,6 +76,23 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
+# Exception -> (exit code, message prefix), first match wins: ResonanceError
+# and LinAlgError are ValueErrors too.
+_EXIT_TABLE = (
+    ((ResonanceError,), EXIT_RESONANCE, "resonance: "),
+    ((np.linalg.LinAlgError, FloatingPointError), EXIT_NUMERICAL_FAILURE, "numerical failure: "),
+    ((ValueError, OSError, KeyError, TypeError), EXIT_INPUT_ERROR, ""),
+)
+_FAILURES = tuple(t for types, _, _ in _EXIT_TABLE for t in types)
+
+
+def _fail(exc: Exception, where: str = "") -> int:
+    """Report one of the ``_FAILURES`` on stderr and return its exit code."""
+    code, prefix = next((c, p) for types, c, p in _EXIT_TABLE if isinstance(exc, types))
+    print(f"error: {prefix}{where}{exc}", file=sys.stderr)
+    return code
+
+
 def _claim(name: str, residual: float, tolerance: float) -> dict:
     residual = float(residual)
     tolerance = float(tolerance)
@@ -183,9 +200,8 @@ def cmd_sectors(args) -> int:
         target = out_dir / (item.stem + ".report.json") if out_dir else None
         try:
             code = _sectors_single(item, args, target)
-        except (ValueError, OSError) as exc:
-            print(f"error: {item}: {exc}", file=sys.stderr)
-            code = EXIT_INPUT_ERROR
+        except _FAILURES as exc:
+            code = _fail(exc, f"{item}: ")
         worst = max(worst, code)
     return worst
 
@@ -536,18 +552,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     try:
         return args.func(args)
-    except ResonanceError as exc:
-        print(f"error: resonance: {exc}", file=sys.stderr)
-        return EXIT_RESONANCE
-    except np.linalg.LinAlgError as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_FAILURE
-    except FloatingPointError as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_FAILURE
-    except (ValueError, OSError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except _FAILURES as exc:
+        return _fail(exc)
 
 
 def entrypoint() -> None:

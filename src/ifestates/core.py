@@ -15,6 +15,7 @@ so the two routes can be cross-checked against each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -56,8 +57,13 @@ CLUSTER_TOL = 1e-8
 NUMERICAL_ZERO_RTOL = 1e-12
 
 
-def _is_numerically_zero(op, scale: float) -> bool:
-    return spectral_norm(op) <= NUMERICAL_ZERO_RTOL * max(1.0, scale)
+# Safety factor of the emptiness certificate in ife_sectors, applied on top
+# of its roundoff allowances (see _provably_empty).
+_CERTIFICATE_SAFETY = 10.0
+
+
+def _is_numerically_zero(norm: float, scale: float) -> bool:
+    return norm <= NUMERICAL_ZERO_RTOL * max(1.0, scale)
 
 
 @dataclass(frozen=True)
@@ -66,7 +72,9 @@ class BipartiteSystem:
 
     ``h_a`` acts on the first factor (dimension ``dim_a``), ``h_b`` on the
     second (``dim_b``), and ``h_i`` on the full ``dim_a * dim_b`` product
-    space.  All three must be Hermitian within ``hermitian_rtol``.
+    space.  All three must be finite and Hermitian within ``hermitian_rtol``.
+    The system keeps read-only copies, so factorizations computed from it
+    can be cached on it and shared by every routine that takes it.
     """
 
     dim_a: int
@@ -75,6 +83,7 @@ class BipartiteSystem:
     h_b: np.ndarray
     h_i: np.ndarray
     hermitian_rtol: InitVar[float] = HERMITIAN_RTOL
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self, hermitian_rtol):
         if self.dim_a < 1 or self.dim_b < 1:
@@ -89,6 +98,8 @@ class BipartiteSystem:
                 raise ValueError(
                     f"{name} has dimension {op.shape[0]}, expected {dim}"
                 )
+            op = op.copy(order="K")
+            op.flags.writeable = False
             object.__setattr__(self, name, op)
 
     @property
@@ -145,6 +156,14 @@ class IfeDecomposition:
         return np.hstack([s.basis for s in self.sectors])
 
 
+def _cluster_ranges(values, tol: float) -> list[tuple[int, int]]:
+    """Index ranges of the single-linkage clusters of an ascending 1-d array."""
+    if len(values) == 0:
+        return []
+    cuts = [0, *(np.flatnonzero(np.diff(values) > tol) + 1).tolist(), len(values)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
 def cluster_values(values, tol: float) -> list[float]:
     """Single-linkage clustering of a 1-d real array; returns cluster means.
 
@@ -152,32 +171,110 @@ def cluster_values(values, tol: float) -> list[float]:
     a degenerate eigenvalue split by roundoff yields a single candidate.
     """
     values = np.sort(np.asarray(values, dtype=float))
-    if values.size == 0:
-        return []
-    out = []
-    start = 0
-    for i in range(1, values.size):
-        if values[i] - values[i - 1] > tol:
-            out.append(float(values[start:i].mean()) + 0.0)
-            start = i
-    out.append(float(values[start:].mean()) + 0.0)
-    return out
+    return [float(values[lo:hi].mean()) + 0.0 for lo, hi in _cluster_ranges(values, tol)]
 
 
-def _interaction_clusters(sys: BipartiteSystem):
+def _interaction_spectrum(sys: BipartiteSystem):
+    """Ascending eigenvalues of the coupling and the tolerance that clusters them."""
     w = np.linalg.eigvalsh(sys.h_i)
     smax = float(np.abs(w).max()) if w.size else 0.0
-    return cluster_values(w, CLUSTER_TOL * max(1.0, smax))
+    return w, CLUSTER_TOL * max(1.0, smax)
 
 
-def _commutator_and_kernel(sys: BipartiteSystem, rel_tol: float):
-    """Commutator [H_0, H_I], its numerical-zero flag, and its kernel."""
-    h0 = build_h0(sys)
-    comm = commutator(h0, sys.h_i)
-    comm_scale = 2.0 * spectral_norm(h0) * spectral_norm(sys.h_i)
-    is_zero = _is_numerically_zero(comm, comm_scale)
-    kernel = np.eye(sys.dim, dtype=complex) if is_zero else null_space(comm, rel_tol)
-    return comm, is_zero, kernel
+@dataclass(frozen=True)
+class _Commutator:
+    """[H_0, H_I] of one system with its norm, numerical-zero flag and kernel."""
+
+    h0: np.ndarray
+    comm: np.ndarray
+    norm: float
+    is_zero: bool
+    kernel: np.ndarray
+
+
+def _commutator_and_kernel(sys: BipartiteSystem, rel_tol: float) -> _Commutator:
+    """Commutator [H_0, H_I] and its kernel, computed once per (system, rel_tol).
+
+    The result is cached on ``sys`` with read-only arrays, so every routine
+    that takes the same system shares one commutator and one kernel SVD.
+    """
+    key = ("commutator", rel_tol)
+    if key not in sys._cache:
+        h0 = build_h0(sys)
+        comm = commutator(h0, sys.h_i)
+        norm = spectral_norm(comm)
+        is_zero = _is_numerically_zero(norm, 2.0 * spectral_norm(h0) * spectral_norm(sys.h_i))
+        kernel = np.eye(sys.dim, dtype=complex) if is_zero else null_space(comm, rel_tol)
+        for array in (h0, comm, kernel):
+            array.flags.writeable = False
+        sys._cache[key] = _Commutator(h0, comm, norm, is_zero, kernel)
+    return sys._cache[key]
+
+
+def _provably_empty(sys: BipartiteSystem, com: _Commutator, w, tol: float,
+                    alphas, rel_tol: float) -> list[bool]:
+    """Flag the coupling clusters whose IFE sector is provably empty.
+
+    ``w``/``tol`` are the eigenvalues and tolerance that produced ``alphas``.
+    Nothing is flagged when the commutator is numerically zero, since the
+    stacked route then has no commutator block.
+    The stacked route of :func:`ife_sectors` takes the kernel of
+    ``S = [A; B]`` with ``A = (H_I - alpha I) / s_A`` and ``B = C / s_B``,
+    where ``C = [H_0, H_I]`` and ``s_X = max(1, ||X||)``.  It keeps the
+    singular vectors at or below ``rel_tol * sigma_max(S) <= sqrt(2) rel_tol``,
+    so the sector is empty whenever ``sigma_min(S)`` exceeds that cutoff.
+
+    Lower bound.  Let ``H_I = V diag(w) V^H``, let ``V_c`` hold the ``m``
+    cluster columns and ``V_o`` the rest, let ``g`` be the distance from
+    ``alpha`` to the nearest eigenvalue outside the cluster, and let
+    ``sigma = sigma_min(C V_c)``, the smallest singular value of the
+    ``d x m`` block of ``C V``.  A unit vector ``x = V_c y + V_o z`` with
+    ``t = ||z||`` has ``||A x|| >= a t`` and
+    ``||B x|| >= b sqrt(1 - t^2) - k t >= b (1 - t) - k t``, where
+    ``a = g / s_A``, ``b = sigma / s_B`` and ``k = ||C|| / s_B``.  The first
+    bound wins for ``t >= tau`` and the second for ``t <= tau`` with
+    ``tau = b / (a + b + k)``, so ``sigma_min(S) >= a b / (a + b + k)``.
+
+    Roundoff.  ``eigh`` is backward stable: the computed ``w`` are the exact
+    eigenvalues of a Hermitian ``H'`` with
+    ``||H_I - H'|| <= eta = ||H_I - H_I^H||_F + u max(1, max|w|)``, and the
+    computed ``V`` lies within ``u`` of an exact eigenvector matrix of
+    ``H'``, where ``u = 10 d eps``.  So ``g`` and ``s_A`` are
+    taken from the spectrum of ``H'`` (``s_A`` widened by ``eta``),
+    ``sigma`` is lowered by ``u ||C||``, and the bound by ``eta / s_A``
+    (the step from ``H'`` back to ``H_I``).  A cluster is flagged only when
+    the result exceeds ``sqrt(2) (10 rel_tol + u)``: ten times the cutoff
+    plus the stacked SVD's own roundoff.  Clusters that span the whole
+    spectrum, or whose index ranges differ between ``eigvalsh`` (which
+    fixed ``alphas``) and ``eigh``, are never flagged.
+    """
+    if com.is_zero:
+        return [False] * len(alphas)
+    ranges = _cluster_ranges(w, tol)
+    w_vec, v = np.linalg.eigh(sys.h_i)
+    if _cluster_ranges(w_vec, tol) != ranges:
+        return [False] * len(alphas)
+    u = _CERTIFICATE_SAFETY * sys.dim * np.finfo(float).eps
+    eta = float(np.linalg.norm(sys.h_i - sys.h_i.conj().T)) + u * max(1.0, float(np.abs(w_vec).max()))
+    s_b = max(1.0, com.norm)
+    k = com.norm / s_b
+    cutoff = math.sqrt(2.0) * (_CERTIFICATE_SAFETY * rel_tol + u)
+    comm_v = com.comm @ v
+    flags = []
+    for alpha, (lo, hi) in zip(alphas, ranges):
+        below = alpha - w_vec[lo - 1] if lo > 0 else math.inf
+        above = w_vec[hi] - alpha if hi < w_vec.size else math.inf
+        gap = max(0.0, min(below, above))
+        if math.isinf(gap):
+            flags.append(False)
+            continue
+        spread = max(abs(w_vec[0] - alpha), abs(w_vec[-1] - alpha))
+        a = gap / max(1.0, spread + eta)
+        sigma = float(np.linalg.svd(comm_v[:, lo:hi], compute_uv=False)[-1])
+        b = max(0.0, sigma - u * com.norm) / s_b
+        bound = a * b / (a + b + k) - eta / max(1.0, spread - eta)
+        flags.append(bool(bound > cutoff))
+    return flags
 
 
 def ife_sectors(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDecomposition:
@@ -187,23 +284,33 @@ def ife_sectors(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDe
     the common kernel of ``h_i - alpha I`` and the commutator
     ``[H_0, H_I]``; empty intersections are dropped.  Constraint operators
     that are numerically zero impose no constraint.
+
+    One eigendecomposition of the coupling first certifies most empty
+    clusters (see :func:`_provably_empty`); only the remaining clusters pay
+    for the SVD of the stacked ``2d x d`` constraint matrix.  The
+    certificate only skips clusters that the stacked SVD would drop, so the
+    result is the same as without it, bit for bit.
     """
     dim = sys.dim
-    comm, comm_is_zero, kernel = _commutator_and_kernel(sys, rel_tol)
+    com = _commutator_and_kernel(sys, rel_tol)
     hi_norm = spectral_norm(sys.h_i)
+    w, tol = _interaction_spectrum(sys)
+    alphas = cluster_values(w, tol)
     eye = np.eye(dim)
     sectors = []
-    for alpha in _interaction_clusters(sys):
+    for alpha, skip in zip(alphas, _provably_empty(sys, com, w, tol, alphas, rel_tol)):
+        if skip:
+            continue
         shifted = sys.h_i - alpha * eye
         ops = []
-        if not _is_numerically_zero(shifted, max(hi_norm, abs(alpha))):
+        if not _is_numerically_zero(spectral_norm(shifted), max(hi_norm, abs(alpha))):
             ops.append(shifted)
-        if not comm_is_zero:
-            ops.append(comm)
+        if not com.is_zero:
+            ops.append(com.comm)
         basis = intersect_kernels(ops, rel_tol) if ops else eye.astype(complex)
         if basis.shape[1] > 0:
             sectors.append(IfeSector(alpha, basis))
-    return IfeDecomposition(tuple(sectors), kernel)
+    return IfeDecomposition(tuple(sectors), com.kernel)
 
 
 def ife_sectors_oracle(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDecomposition:
@@ -215,6 +322,7 @@ def ife_sectors_oracle(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -
     ``(H_I - alpha I) H_0^n`` spans exactly the blocks
     ``(H_I - alpha I) P_k`` (the Vandermonde matrix of the distinct
     ``mu_k`` is invertible), which avoids forming ill-scaled matrix powers.
+    Only the reported commutator kernel comes from the commutator.
     """
     dim = sys.dim
     h0 = build_h0(sys)
@@ -223,33 +331,25 @@ def ife_sectors_oracle(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -
     tol0 = CLUSTER_TOL * max(1.0, smax0)
 
     # w0 is ascending, so degenerate clusters are contiguous index ranges.
-    projectors = []
-    start = 0
-    for i in range(1, w0.size + 1):
-        if i == w0.size or w0[i] - w0[i - 1] > tol0:
-            vk = v0[:, start:i]
-            projectors.append(vk @ vk.conj().T)
-            start = i
+    projectors = [v0[:, lo:hi] @ v0[:, lo:hi].conj().T for lo, hi in _cluster_ranges(w0, tol0)]
 
     hi_norm = spectral_norm(sys.h_i)
     eye = np.eye(dim)
     sectors = []
-    for alpha in _interaction_clusters(sys):
+    for alpha in cluster_values(*_interaction_spectrum(sys)):
         shifted = sys.h_i - alpha * eye
-        if _is_numerically_zero(shifted, max(hi_norm, abs(alpha))):
+        if _is_numerically_zero(spectral_norm(shifted), max(hi_norm, abs(alpha))):
             basis = eye.astype(complex)
         else:
             basis = intersect_kernels([shifted @ p for p in projectors], rel_tol)
         if basis.shape[1] > 0:
             sectors.append(IfeSector(alpha, basis))
-    _, _, kernel = _commutator_and_kernel(sys, rel_tol)
-    return IfeDecomposition(tuple(sectors), kernel)
+    return IfeDecomposition(tuple(sectors), _commutator_and_kernel(sys, rel_tol).kernel)
 
 
 def ife_exists(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> bool:
     """True iff Ker[H_0, H_I] is nontrivial (existence of IFE states)."""
-    _, _, kernel = _commutator_and_kernel(sys, rel_tol)
-    return kernel.shape[1] > 0
+    return _commutator_and_kernel(sys, rel_tol).kernel.shape[1] > 0
 
 
 def classify_pure(psi, sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL):
@@ -271,15 +371,15 @@ def classify_pure(psi, sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL):
         raise ValueError(f"state is not normalized: ||psi|| = {nrm!r}")
 
     alpha = float(np.vdot(psi, sys.h_i @ psi).real)
-    comm, comm_is_zero, _ = _commutator_and_kernel(sys, rel_tol)
+    com = _commutator_and_kernel(sys, rel_tol)
     hi_norm = spectral_norm(sys.h_i)
 
-    if _is_numerically_zero(sys.h_i, 1.0):
+    if _is_numerically_zero(hi_norm, 1.0):
         eig_ok = True
     else:
         eig_ok = float(np.linalg.norm(sys.h_i @ psi - alpha * psi)) <= rel_tol * hi_norm
-    if comm_is_zero:
+    if com.is_zero:
         comm_ok = True
     else:
-        comm_ok = float(np.linalg.norm(comm @ psi)) <= rel_tol * spectral_norm(comm)
+        comm_ok = float(np.linalg.norm(com.comm @ psi)) <= rel_tol * com.norm
     return alpha if (eig_ok and comm_ok) else None

@@ -53,8 +53,15 @@ def hermiticity_defect(a) -> float:
 
 
 def require_hermitian(a, rel_tol: float = HERMITIAN_RTOL, name: str = "operator") -> np.ndarray:
-    """Return ``a`` as a complex matrix, raising if it is not Hermitian."""
+    """Return ``a`` as a complex matrix, raising if it is not finite and Hermitian.
+
+    The error names the operator by ``name``.  Non-finite entries are
+    rejected first: they would turn the defect into NaN, which passes any
+    threshold comparison.
+    """
     a = as_operator(a)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries")
     defect = hermiticity_defect(a)
     if defect > rel_tol:
         raise ValueError(

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import BipartiteSystem
+from .linalg import require_hermitian
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
@@ -164,12 +165,7 @@ def load_system(path) -> tuple[BipartiteSystem, str | None]:
             raise ValueError(
                 f"{path}: field {name!r} has dimension {m.shape[0]}, expected {dim}"
             )
-        defect = float(np.abs(m - m.conj().T).max() / max(1.0, np.linalg.norm(m)))
-        if defect > FILE_HERMITIAN_RTOL:
-            raise ValueError(
-                f"{path}: field {name!r} is not Hermitian (relative defect {defect:.3e})"
-            )
-        mats[name] = m
+        mats[name] = require_hermitian(m, FILE_HERMITIAN_RTOL, name=f"{path}: field {name!r}")
 
     label = data.get("label")
     if label is not None and not isinstance(label, str):

@@ -29,13 +29,12 @@ from .core import (
     BipartiteSystem,
     IfeDecomposition,
     IfeSector,
-    build_h0,
+    _commutator_and_kernel,
     build_total,
     ife_sectors,
 )
 from .linalg import (
     DEFAULT_REL_TOL,
-    commutator,
     kron,
     max_principal_angle,
     null_space,
@@ -364,14 +363,14 @@ def verify_spin_star_claims(p: SpinStarParams, rel_tol: float = DEFAULT_REL_TOL)
         raise ResonanceError("claims are only defined off resonance (omega0 != omega)")
 
     sys = build_spin_star(p)
-    h0 = build_h0(sys)
+    com = _commutator_and_kernel(sys, rel_tol)  # shared with ife_sectors below
+    h0 = com.h0
     h = build_total(sys)
-    comm = commutator(h0, sys.h_i)
 
     angle_tol = 1e-7
     claims = []
 
-    ker_comm = null_space(comm, rel_tol)
+    ker_comm = com.kernel
     ker_hi = null_space(sys.h_i, rel_tol)
     if ker_comm.shape[1] == ker_hi.shape[1]:
         resid = max_principal_angle(ker_comm, ker_hi)

@@ -79,6 +79,17 @@ class TestSectors:
     def test_missing_file_exit_one(self, tmp_path):
         assert run_cli("sectors", str(tmp_path / "absent.json")) == 1
 
+    @pytest.mark.parametrize("field, value", [("h_i", float("nan")), ("h_a", float("inf"))])
+    def test_non_finite_field_exit_one(self, star_file, tmp_path, capsys, field, value):
+        # rejected at load with the field named, not exit 2 from an SVD
+        doc = json.loads(open(star_file, encoding="utf-8").read())
+        doc[field][0][0][0] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("sectors", str(path)) == 1
+        err = capsys.readouterr().err
+        assert f"field '{field}' has non-finite entries" in err
+
     def test_batch_mode(self, data_dir, tmp_path):
         batch = tmp_path / "batch"
         batch.mkdir()
@@ -89,6 +100,47 @@ class TestSectors:
         assert code == 3  # worst exit among files
         assert json.loads((out_dir / "a.report.json").read_text())["exit_code"] == 0
         assert json.loads((out_dir / "b.report.json").read_text())["exit_code"] == 3
+
+    def test_batch_mode_follows_exit_table(self, data_dir, tmp_path, monkeypatch, capsys):
+        import ifestates.cli as cli
+        from ifestates import ResonanceError
+
+        raised = {
+            "linalg": np.linalg.LinAlgError("SVD did not converge"),
+            "float": FloatingPointError("overflow"),
+            "resonance": ResonanceError("omega0 == omega"),
+        }
+        real_load = cli.load_system
+
+        def load(path):
+            if path.stem in raised:
+                raise raised[path.stem]
+            return real_load(path)
+
+        monkeypatch.setattr(cli, "load_system", load)
+
+        def run_batch(*names):
+            batch = tmp_path / "-".join(names)
+            batch.mkdir()
+            for name in names:
+                if name == "malformed":
+                    (batch / "malformed.json").write_text("{", encoding="utf-8")
+                else:
+                    shutil.copy(data_dir / "system_spin_star_n2.json", batch / f"{name}.json")
+            return run_cli("sectors", str(batch), "--batch", "--out", str(batch / "reports")), batch
+
+        assert run_batch("ok", "malformed")[0] == 1
+        assert run_batch("ok", "linalg", "malformed")[0] == 2
+        assert run_batch("ok", "float")[0] == 2
+        capsys.readouterr()
+        code, batch = run_batch("linalg", "malformed", "ok", "resonance")
+        assert code == 5  # the worst code over the files
+        err = capsys.readouterr().err
+        assert f"error: numerical failure: {batch / 'linalg.json'}: SVD did not converge" in err
+        assert f"error: {batch / 'malformed.json'}: " in err
+        assert f"error: resonance: {batch / 'resonance.json'}: omega0 == omega" in err
+        # files after a failure are still processed
+        assert json.loads((batch / "reports" / "ok.report.json").read_text())["exit_code"] == 0
 
     def test_golden_report(self, star_file, data_dir, tmp_path):
         out = tmp_path / "report.json"

@@ -1,25 +1,42 @@
 import warnings
+from math import comb
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ifestates.core as core
 from ifestates import (
     BipartiteSystem,
+    SpinStarParams,
     build_h0,
+    build_spin_star,
     build_total,
     classify_pure,
     ife_exists,
     ife_sectors,
     ife_sectors_oracle,
+    spin_star_ife_basis,
 )
-from ifestates.core import cluster_values
-from ifestates.linalg import commutator, intersect_kernels, propagator, subspace_equal
+from ifestates.core import CLUSTER_TOL, NUMERICAL_ZERO_RTOL, cluster_values
+from ifestates.linalg import (
+    DEFAULT_REL_TOL,
+    commutator,
+    intersect_kernels,
+    max_principal_angle,
+    propagator,
+    spectral_norm,
+    subspace_equal,
+)
 
 from helpers import (
+    DIM_PAIRS,
     commuting_system,
     diagonal_multisector_system,
     generic_system,
+    random_hermitian,
     random_state,
     subspace_zero_system,
 )
@@ -204,6 +221,171 @@ class TestIfeSectors:
         dec = ife_sectors(sys_)
         assert dec.commutator_kernel.shape[1] == 6
         assert sum(s.dimension for s in dec.sectors) == 6
+
+
+def stacked_route_sectors(sys_, rel_tol=DEFAULT_REL_TOL):
+    """Reference: the stacked kernel intersection run on every coupling cluster.
+
+    This is the direct route with no emptiness certificate; each cluster
+    gets the same constraint operators and scaling as in ife_sectors.
+    """
+    h0 = build_h0(sys_)
+    comm = commutator(h0, sys_.h_i)
+    hi_norm = spectral_norm(sys_.h_i)
+    comm_scale = 2.0 * spectral_norm(h0) * hi_norm
+    comm_is_zero = spectral_norm(comm) <= NUMERICAL_ZERO_RTOL * max(1.0, comm_scale)
+    w = np.linalg.eigvalsh(sys_.h_i)
+    eye = np.eye(sys_.dim)
+    out = []
+    for alpha in cluster_values(w, CLUSTER_TOL * max(1.0, float(np.abs(w).max()))):
+        shifted = sys_.h_i - alpha * eye
+        ops = []
+        if spectral_norm(shifted) > NUMERICAL_ZERO_RTOL * max(1.0, hi_norm, abs(alpha)):
+            ops.append(shifted)
+        if not comm_is_zero:
+            ops.append(comm)
+        basis = intersect_kernels(ops, rel_tol) if ops else eye.astype(complex)
+        if basis.shape[1]:
+            out.append((alpha, basis))
+    return out
+
+
+def assert_same_as_stacked_route(sys_, rel_tol=DEFAULT_REL_TOL):
+    dec = ife_sectors(sys_, rel_tol)
+    reference = stacked_route_sectors(sys_, rel_tol)
+    assert dec.alphas == tuple(alpha for alpha, _ in reference)
+    for sector, (_, basis) in zip(dec.sectors, reference):
+        assert np.array_equal(sector.basis, basis)
+    return dec
+
+
+def near_commuting_system(dim_a, dim_b, rng, strength):
+    """Commuting system plus a coupling perturbation of the given strength."""
+    base = commuting_system(dim_a, dim_b, rng, conjugate=False)
+    h_i = base.h_i + strength * random_hermitian(dim_a * dim_b, rng)
+    return BipartiteSystem(dim_a, dim_b, base.h_a, base.h_b, h_i)
+
+
+def near_cutoff_system(k, seed, gap, alpha=0.5, rel_tol=DEFAULT_REL_TOL):
+    """System whose coupling cluster at ``alpha`` sits near the kernel cutoff.
+
+    The cluster is the single coupling eigenvector
+    ``v = cos(theta) e0 + sin(theta) e1`` over diagonal free parts.  With
+    ``v_perp`` the rotated ``e1``, ``[H_0, H_I] v`` is
+    ``-(mu1 - mu0) sin(theta) cos(theta) (H_I - alpha) v_perp``, whose norm is
+    linear in ``theta`` for small angles; theta is tuned so that
+    ``||[H_0, H_I] v|| = 10**k * rel_tol * ||[H_0, H_I]||``.  The rest of the
+    coupling has its spectrum at ``alpha + gap`` and above; a wide gap makes
+    the certificate's lower bound tight to within a factor of about two.
+    """
+    rng = np.random.default_rng(seed)
+    h_a, h_b = np.diag([0.0, 1.3]), np.diag([0.0, 0.4, 0.9])
+    rest = random_hermitian(5, rng, scale=2.0)
+    rest += (alpha + gap - np.linalg.eigvalsh(rest).min()) * np.eye(5)
+    e = np.eye(6, dtype=complex)
+
+    def build(theta):
+        v = np.cos(theta) * e[:, 0] + np.sin(theta) * e[:, 1]
+        others = np.column_stack([-np.sin(theta) * e[:, 0] + np.cos(theta) * e[:, 1], e[:, 2:]])
+        h_i = alpha * np.outer(v, v.conj()) + others @ rest @ others.conj().T
+        return BipartiteSystem(2, 3, h_a, h_b, 0.5 * (h_i + h_i.conj().T)), v
+
+    theta = 1e-6
+    for _ in range(4):
+        sys_, v = build(theta)
+        comm = commutator(build_h0(sys_), sys_.h_i)
+        theta *= 10.0 ** k * rel_tol * spectral_norm(comm) / np.linalg.norm(comm @ v)
+    return build(theta)[0]
+
+
+class TestEmptinessCertificate:
+    """ife_sectors skips provably empty clusters and must match the stacked route."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        family=st.sampled_from(["commuting", "conjugated", "subspace_zero", "generic", "near"]),
+        dims=st.sampled_from(DIM_PAIRS),
+        seed=st.integers(0, 2**32 - 1),
+        strength_exp=st.integers(-14, -2),
+    )
+    def test_bit_identical_to_stacked_route(self, family, dims, seed, strength_exp):
+        rng = np.random.default_rng(seed)
+        if family == "near":
+            sys_ = near_commuting_system(*dims, rng, 10.0 ** strength_exp)
+        elif family in ("commuting", "conjugated"):
+            sys_ = commuting_system(*dims, rng, conjugate=family == "conjugated")
+        else:
+            sys_ = {"subspace_zero": subspace_zero_system, "generic": generic_system}[family](*dims, rng)
+        assert_same_as_stacked_route(sys_)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("gap", [2.0, 100.0])
+    @pytest.mark.parametrize("k", [-1, -0.3, 0, 1, 2, 3, 4])
+    def test_near_cutoff_cluster_never_dropped(self, k, gap, seed, monkeypatch):
+        sys_ = near_cutoff_system(k, seed, gap)
+        stacked_calls = []
+        original = core.intersect_kernels
+        monkeypatch.setattr(
+            core, "intersect_kernels",
+            lambda ops, rel_tol: stacked_calls.append(1) or original(ops, rel_tol),
+        )
+        dec = assert_same_as_stacked_route(sys_)
+        if k < 0:
+            # inside the cutoff: the stacked route keeps the cluster
+            assert dec.alphas == pytest.approx((0.5,))
+            assert dec.sectors[0].dimension == 1
+        if k >= 4:
+            # far outside it: the certificate proves every cluster empty
+            assert dec.n_sectors == 0 and not stacked_calls
+
+    def test_spin_star_stacks_only_the_zero_cluster(self, monkeypatch):
+        p = SpinStarParams(5, 1.0, 0.7, (1.0, 1.37, 1.74, 2.11, 2.48))
+        sys_ = build_spin_star(p)
+        stacked_alphas = []
+        original = core.intersect_kernels
+        monkeypatch.setattr(
+            core, "intersect_kernels",
+            lambda ops, rel_tol: stacked_alphas.append(ops[0][0, 0].real) or original(ops, rel_tol),
+        )
+        dec = ife_sectors(sys_)
+        assert stacked_alphas == [pytest.approx(0.0, abs=1e-12)]
+        assert dec.alphas == pytest.approx((0.0,), abs=1e-12)
+        assert dec.sectors[0].dimension == 2 * comb(5, 2)
+
+    def test_spin_star_n7(self):
+        p = SpinStarParams(7, 1.0, 0.7, tuple(1.0 + 0.37 * i for i in range(7)))
+        dec = ife_sectors(build_spin_star(p))
+        assert dec.n_sectors == 1
+        assert dec.sectors[0].alpha == pytest.approx(0.0, abs=1e-10)
+        assert dec.sectors[0].dimension == 70 == 2 * comb(7, 3)
+        analytic = spin_star_ife_basis(p).sectors[0].basis
+        assert max_principal_angle(analytic, dec.sectors[0].basis) <= 1e-7
+
+
+class TestSharedFactorization:
+    def test_commutator_formed_once_per_system(self, monkeypatch):
+        formed = []
+        original = core.commutator
+        monkeypatch.setattr(core, "commutator", lambda a, b: formed.append(1) or original(a, b))
+        sys_ = subspace_zero_system(2, 3, np.random.default_rng(30))
+        dec = ife_sectors(sys_)
+        oracle = ife_sectors_oracle(sys_)
+        assert ife_exists(sys_)
+        assert classify_pure(dec.sectors[0].basis[:, 0], sys_) == pytest.approx(0.0, abs=1e-12)
+        assert len(formed) == 1
+        assert oracle.commutator_kernel is dec.commutator_kernel
+        ife_sectors(sys_, 1e-9)  # another cutoff gives another kernel
+        assert len(formed) == 2
+
+    def test_operators_are_private_read_only_copies(self):
+        h_i = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        sys_ = BipartiteSystem(2, 2, SZ, SZ, h_i)
+        h_i[0, 0] = 7.0
+        assert sys_.h_i[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            sys_.h_i[0, 0] = 7.0
+        with pytest.raises(ValueError):
+            ife_sectors(sys_).commutator_kernel[0, 0] = 7.0
 
 
 class TestOracle:

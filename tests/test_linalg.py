@@ -238,3 +238,11 @@ class TestHermitianCheck:
         a[0, 1] = 1e-6
         with pytest.raises(ValueError, match="not Hermitian"):
             require_hermitian(a)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # NaN would pass a plain `defect > tol` comparison; inf - inf is NaN
+        a = SZ.copy()
+        a[1, 1] = bad
+        with pytest.raises(ValueError, match="h_x has non-finite entries"):
+            require_hermitian(a, name="h_x")

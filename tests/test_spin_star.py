@@ -283,6 +283,16 @@ class TestVerifyClaims:
         dec = spin_star_ife_basis(p)
         assert dec.sectors[0].basis.shape[1] == 6  # 2 * (1 + 2)
 
+    def test_commutator_shared_with_sector_computation(self, monkeypatch):
+        import ifestates.core as core
+
+        formed = []
+        original = core.commutator
+        monkeypatch.setattr(core, "commutator", lambda a, b: formed.append(1) or original(a, b))
+        claims = verify_spin_star_claims(SpinStarParams(3, 0.3, 1.1, (0.5, 1.0, 0.25)))
+        assert all(c.passed for c in claims)
+        assert len(formed) == 1
+
     def test_h0_eigenvalue_of_top_state(self, star_params_n2, star_system_n2):
         # |+> (x) A_+|1,1> is an H_0 eigenvector at omega0 + 2 omega
         block = next(
