@@ -25,6 +25,7 @@ from .dynamics import (
     evolve_pure,
     ife_deviation_trace,
     time_grid,
+    trace_pure_states,
 )
 from .linalg import (
     commutator,
@@ -78,6 +79,7 @@ __all__ = [
     "evolve_pure",
     "ife_deviation_trace",
     "time_grid",
+    "trace_pure_states",
     "commutator",
     "hermitian_eig",
     "intersect_kernels",

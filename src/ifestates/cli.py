@@ -30,7 +30,7 @@ from .core import (
     ife_sectors,
     ife_sectors_oracle,
 )
-from .dynamics import EvolutionReport, covariance_trace, energy_trace, ife_deviation_trace, time_grid
+from .dynamics import time_grid, trace_pure_states
 from .linalg import DEFAULT_REL_TOL, max_principal_angle, spectral_norm
 from .mixed import (
     block_structure_residuals,
@@ -210,26 +210,42 @@ def cmd_sectors(args) -> int:
 # verify
 
 
-def _verify_vectors(system, vectors, times, tol, labels) -> tuple[list, list, float]:
+def _verify_vectors(system, states, times, tol, labels) -> tuple[list, list]:
+    """Claims and traces of the columns of ``states``, each at its own ``<psi|H_I|psi>``."""
+    alphas = [float(np.vdot(psi, system.h_i @ psi).real) for psi in states.T]
+    reports = trace_pure_states(
+        system, states, times, alphas=alphas, energies=True,
+        observables=(system.h_a, system.h_b),
+    )
     claims, traces = [], []
-    overall = 0.0
-    for j, psi in enumerate(vectors):
-        alpha = float(np.vdot(psi, system.h_i @ psi).real)
-        dev = ife_deviation_trace(system, psi, alpha, times)
-        energy = energy_trace(system, psi, times)
-        cov = covariance_trace(system, psi, system.h_a, system.h_b, times)
-        merged = EvolutionReport(
-            times=dev.times,
-            deviation=dev.deviation,
-            energy_a=energy.energy_a,
-            energy_b=energy.energy_b,
-            covariance=cov.covariance,
-            max_deviation=dev.max_deviation,
+    for j, (alpha, report) in enumerate(zip(alphas, reports)):
+        traces.append(_trace_lists(report, {"vector": j, "alpha": alpha, "label": labels[j]}))
+        claims.append(_claim(f"ife_evolution_{labels[j]}", report.max_deviation, tol))
+    return claims, traces
+
+
+def _density_matrix(value, system) -> np.ndarray:
+    """A validated density matrix of the system's dimension."""
+    rho = check_density_matrix(value)
+    if rho.shape[0] != system.dim:
+        raise CliInputError(
+            f"state dimension {rho.shape[0]} does not match system dimension {system.dim}"
         )
-        traces.append(_trace_lists(merged, {"vector": j, "alpha": alpha, "label": labels[j]}))
-        claims.append(_claim(f"ife_evolution_{labels[j]}", dev.max_deviation, tol))
-        overall = max(overall, dev.max_deviation)
-    return claims, traces, overall
+    return rho
+
+
+def _density_matrix_trace(system, rho, times) -> tuple[np.ndarray, dict]:
+    """Deviation of ``rho`` from free evolution, and its report trace entry."""
+    dev = mixed_deviation_trace(rho, system, times)
+    e_a, e_b = mixed_energy_trace(rho, system, times)
+    return dev, {
+        "vector": 0,
+        "label": "density_matrix",
+        "times": [float(t) for t in times],
+        "deviation": [float(v) for v in dev],
+        "energy_a": [float(v) for v in e_a],
+        "energy_b": [float(v) for v in e_b],
+    }
 
 
 def cmd_verify(args) -> int:
@@ -253,24 +269,12 @@ def cmd_verify(args) -> int:
             if abs(nrm - 1.0) > 1e-10:
                 raise CliInputError(f"state vector is not normalized: ||psi|| = {nrm!r}")
             tol = args.tol if args.tol is not None else 1e-9 * np.sqrt(system.dim)
-            claims, traces, _ = _verify_vectors(system, [psi], times, tol, ["state"])
+            claims, traces = _verify_vectors(system, psi[:, None], times, tol, ["state"])
         else:
-            rho = check_density_matrix(state["value"])
-            if rho.shape[0] != system.dim:
-                raise CliInputError(
-                    f"state dimension {rho.shape[0]} does not match system dimension {system.dim}"
-                )
+            rho = _density_matrix(state["value"], system)
             tol = args.tol if args.tol is not None else 1e-8 * system.dim
-            dev = mixed_deviation_trace(rho, system, times)
-            e_a, e_b = mixed_energy_trace(rho, system, times)
-            traces = [{
-                "vector": 0,
-                "label": "density_matrix",
-                "times": [float(t) for t in times],
-                "deviation": [float(v) for v in dev],
-                "energy_a": [float(v) for v in e_a],
-                "energy_b": [float(v) for v in e_b],
-            }]
+            dev, trace = _density_matrix_trace(system, rho, times)
+            traces = [trace]
             claims = [_claim("ife_evolution_density_matrix", float(dev.max()), tol)]
     elif args.sector is not None:
         dec = ife_sectors(system, DEFAULT_REL_TOL)
@@ -281,9 +285,7 @@ def cmd_verify(args) -> int:
         basis = dec.sectors[args.sector].basis
         tol = args.tol if args.tol is not None else 1e-9 * np.sqrt(system.dim)
         labels = [f"sector{args.sector}_vector{j}" for j in range(basis.shape[1])]
-        claims, traces, _ = _verify_vectors(
-            system, [basis[:, j] for j in range(basis.shape[1])], times, tol, labels,
-        )
+        claims, traces = _verify_vectors(system, basis, times, tol, labels)
     else:
         raise CliInputError("one of --state or --sector is required")
 
@@ -405,29 +407,17 @@ def cmd_mixed(args) -> int:
         state = load_state(args.state)
         if state["kind"] != "rho":
             raise CliInputError(f"{args.state}: 'rho' field required for mixed checks")
-        rho = check_density_matrix(state["value"])
-        if rho.shape[0] != system.dim:
-            raise CliInputError(
-                f"state dimension {rho.shape[0]} does not match system dimension {system.dim}"
-            )
+        rho = _density_matrix(state["value"], system)
         digest += "," + sha256_digest(args.state)
         block_tol = args.tol if args.tol is not None else 1e-8 * float(np.linalg.norm(rho))
         outside, cross = block_structure_residuals(rho, dec)
-        dev = mixed_deviation_trace(rho, system, times)
-        e_a, e_b = mixed_energy_trace(rho, system, times)
+        dev, trace = _density_matrix_trace(system, rho, times)
+        traces = [trace]
         claims = [
             _claim("sector_support", outside, block_tol),
             _claim("cross_sector_coherence", cross, block_tol),
             _claim("dynamical_deviation", float(dev.max()), deviation_tol),
         ]
-        traces = [{
-            "vector": 0,
-            "label": "density_matrix",
-            "times": [float(t) for t in times],
-            "deviation": [float(v) for v in dev],
-            "energy_a": [float(v) for v in e_a],
-            "energy_b": [float(v) for v in e_b],
-        }]
         code = EXIT_OK if all(c["pass"] for c in claims) else EXIT_NOT_IFE
         report = _report(
             "mixed", digest,

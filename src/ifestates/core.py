@@ -211,6 +211,22 @@ def _commutator_and_kernel(sys: BipartiteSystem, rel_tol: float) -> _Commutator:
     return sys._cache[key]
 
 
+def _eig(sys: BipartiteSystem, free: bool = False):
+    """``hermitian_eig`` of ``H`` (or of ``H_0`` when ``free``), once per system.
+
+    Cached on ``sys`` with read-only arrays, so the tracers and the oracle
+    share one factorization of each Hamiltonian.  No commutator is
+    involved, so the oracle's sectors stay independent of the direct route.
+    """
+    key = ("eig", free)
+    if key not in sys._cache:
+        w, v = hermitian_eig(build_h0(sys) if free else build_total(sys))
+        w.flags.writeable = False
+        v.flags.writeable = False
+        sys._cache[key] = (w, v)
+    return sys._cache[key]
+
+
 def _provably_empty(sys: BipartiteSystem, com: _Commutator, w, tol: float,
                     alphas, rel_tol: float) -> list[bool]:
     """Flag the coupling clusters whose IFE sector is provably empty.
@@ -325,8 +341,7 @@ def ife_sectors_oracle(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -
     Only the reported commutator kernel comes from the commutator.
     """
     dim = sys.dim
-    h0 = build_h0(sys)
-    w0, v0 = hermitian_eig(h0)
+    w0, v0 = _eig(sys, free=True)
     smax0 = float(np.abs(w0).max()) if w0.size else 0.0
     tol0 = CLUSTER_TOL * max(1.0, smax0)
 

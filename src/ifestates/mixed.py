@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BipartiteSystem, IfeDecomposition, build_h0, build_total
+from .core import BipartiteSystem, IfeDecomposition, _eig
 from .dynamics import time_grid
-from .linalg import as_operator, hermitian_eig, kron, require_hermitian
+from .linalg import as_operator, kron, require_hermitian
 
 __all__ = [
     "check_density_matrix",
@@ -43,6 +43,14 @@ def check_density_matrix(rho, hermitian_rtol: float = 1e-12,
     return rho
 
 
+def _state_operator(rho, dim: int) -> np.ndarray:
+    """``rho`` as a complex matrix, raising unless it acts on a ``dim``-dimensional space."""
+    rho = as_operator(rho)
+    if rho.shape[0] != dim:
+        raise ValueError(f"state has dimension {rho.shape[0]}, expected {dim}")
+    return rho
+
+
 @dataclass(frozen=True)
 class SectorBlockForm:
     """Compression of a state onto the sector bases.
@@ -65,10 +73,7 @@ class SectorBlockForm:
 
 def project_to_sectors(rho, dec: IfeDecomposition) -> SectorBlockForm:
     """Sector coefficient matrices B_k^H rho B_k plus residual diagnostics."""
-    rho = as_operator(rho)
-    dim = dec.commutator_kernel.shape[0]
-    if rho.shape[0] != dim:
-        raise ValueError(f"state has dimension {rho.shape[0]}, expected {dim}")
+    rho = _state_operator(rho, dec.commutator_kernel.shape[0])
     bases = [s.basis for s in dec.sectors]
     blocks = tuple(b.conj().T @ rho @ b for b in bases)
     inside = sum((float(np.trace(p).real) for p in blocks), 0.0)
@@ -90,12 +95,8 @@ def block_structure_residuals(rho, dec: IfeDecomposition) -> tuple[float, float]
     ``outside_norm`` is the Frobenius norm of everything rho carries
     outside the union of the sectors, coherences included.
     """
-    rho = as_operator(rho)
     total = dec.total_basis()
-    if rho.shape[0] != total.shape[0]:
-        raise ValueError(
-            f"state has dimension {rho.shape[0]}, expected {total.shape[0]}"
-        )
+    rho = _state_operator(rho, total.shape[0])
     compressed = total.conj().T @ rho @ total
     inside = total @ compressed @ total.conj().T
     outside = float(np.linalg.norm(rho - inside))
@@ -147,10 +148,10 @@ def random_ife_mixed(dec: IfeDecomposition, weights, seed: int) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
-def _phase_conjugations(h, rho, times):
-    w, v = hermitian_eig(h)
+def _phase_conjugations(spectrum, rho, times):
+    """exp(-i h t) rho exp(i h t) for each grid time, from the cached ``(w, v)`` of h."""
+    w, v = spectrum
     rho_eig = v.conj().T @ rho @ v
-    times = np.asarray(times, dtype=float)
     for t in times:
         phases = np.exp(-1j * w * t)
         yield v @ (np.outer(phases, phases.conj()) * rho_eig) @ v.conj().T
@@ -159,11 +160,9 @@ def _phase_conjugations(h, rho, times):
 def mixed_deviation_trace(rho, sys: BipartiteSystem, times=None) -> np.ndarray:
     """Frobenius distance between full and free conjugation at each time."""
     times = time_grid() if times is None else np.asarray(times, dtype=float)
-    rho = as_operator(rho)
-    if rho.shape[0] != sys.dim:
-        raise ValueError(f"state has dimension {rho.shape[0]}, expected {sys.dim}")
-    full = _phase_conjugations(build_total(sys), rho, times)
-    free = _phase_conjugations(build_h0(sys), rho, times)
+    rho = _state_operator(rho, sys.dim)
+    full = _phase_conjugations(_eig(sys), rho, times)
+    free = _phase_conjugations(_eig(sys, free=True), rho, times)
     return np.array([float(np.linalg.norm(a - b)) for a, b in zip(full, free)])
 
 
@@ -175,11 +174,11 @@ def mixed_deviation(rho, sys: BipartiteSystem, times=None) -> float:
 def mixed_energy_trace(rho, sys: BipartiteSystem, times=None) -> tuple[np.ndarray, np.ndarray]:
     """Subsystem energies Tr(rho(t) H_A (x) I), Tr(rho(t) I (x) H_B)."""
     times = time_grid() if times is None else np.asarray(times, dtype=float)
-    rho = as_operator(rho)
+    rho = _state_operator(rho, sys.dim)
     op_a = kron(sys.h_a, np.eye(sys.dim_b))
     op_b = kron(np.eye(sys.dim_a), sys.h_b)
     e_a, e_b = [], []
-    for evolved in _phase_conjugations(build_total(sys), rho, times):
+    for evolved in _phase_conjugations(_eig(sys), rho, times):
         e_a.append(float(np.trace(evolved @ op_a).real))
         e_b.append(float(np.trace(evolved @ op_b).real))
     return np.array(e_a), np.array(e_b)

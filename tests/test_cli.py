@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 import subprocess
@@ -354,3 +355,76 @@ class TestParserContract:
         )
         assert proc.returncode == 0
         assert '"schema_version": "ife-report/1"' in proc.stdout
+
+
+@pytest.fixture()
+def multisector_file(tmp_path):
+    """Commuting 2x4 system, rotated by local unitaries, with sectors of
+    dimensions 5, 2 and 1 (coupling eigenvalues -1, 0.5 and 2)."""
+    from ifestates import BipartiteSystem
+    from ifestates.serialize import save_system
+
+    from helpers import random_unitary
+
+    rng = np.random.default_rng(40)
+    u_a, u_b = random_unitary(2, rng), random_unitary(4, rng)
+    u = np.kron(u_a, u_b)
+    d_i = np.array([-1.0, 0.5, -1.0, 2.0, -1.0, 0.5, -1.0, -1.0])
+    sys_ = BipartiteSystem(
+        2, 4,
+        (u_a * np.array([1.0, -1.0])) @ u_a.conj().T,
+        (u_b * np.array([0.5, -0.5, 1.5, 0.0])) @ u_b.conj().T,
+        (u * d_i) @ u.conj().T,
+    )
+    path = tmp_path / "multisector.json"
+    save_system(sys_, path)
+    return str(path)
+
+
+@pytest.fixture()
+def eigh_calls(monkeypatch):
+    calls = []
+    original = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(1) or original(a, *args, **kw))
+    return calls
+
+
+class TestOneFactorization:
+    """verify and mixed diagonalize H and H_0 once per system."""
+
+    def test_verify_sector_eigh_count_independent_of_dimension(self, multisector_file,
+                                                                eigh_calls, tmp_path):
+        dims, counts = [], []
+        for k in range(3):
+            out = tmp_path / f"sector{k}.json"
+            assert run_cli("verify", multisector_file, "--sector", str(k), "--steps", "5",
+                           "--out", str(out)) == 0
+            dims.append(len(json.loads(out.read_text())["claims"]))
+            counts.append(len(eigh_calls))
+            eigh_calls.clear()
+        assert sorted(dims) == [1, 2, 5]
+        assert max(counts) <= 2 and len(set(counts)) == 1
+
+    def test_mixed_samples_eigh_count_independent_of_samples(self, star_file, eigh_calls, tmp_path):
+        counts = []
+        for samples in ("1", "5"):
+            assert run_cli("mixed", star_file, "--samples", samples, "--steps", "5",
+                           "--out", str(tmp_path / f"m{samples}.json")) == 0
+            counts.append(len(eigh_calls))
+            eigh_calls.clear()
+        assert counts[0] == counts[1]
+
+    def test_csv_rows_match_report_traces(self, multisector_file, tmp_path):
+        out, csv_path = tmp_path / "report.json", tmp_path / "traces.csv"
+        assert run_cli("verify", multisector_file, "--sector", "0", "--steps", "7",
+                       "--out", str(out), "--csv", str(csv_path)) == 0
+        keys = ("deviation", "energy_a", "energy_b", "covariance")
+        expected = [["vector", "time", *keys]]
+        for block in json.loads(out.read_text())["traces"]:
+            for k, t in enumerate(block["times"]):
+                expected.append([str(block["vector"]), format(t, ".17g"),
+                                 *(format(block[key][k], ".17g") for key in keys)])
+        with open(csv_path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert rows == expected
+        assert len(rows) == 1 + 5 * 7

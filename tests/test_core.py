@@ -377,6 +377,24 @@ class TestSharedFactorization:
         ife_sectors(sys_, 1e-9)  # another cutoff gives another kernel
         assert len(formed) == 2
 
+    def test_oracle_shares_the_cached_free_spectrum(self, monkeypatch):
+        from ifestates import ife_deviation_trace, time_grid
+
+        factorized = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: factorized.append(a.copy()) or original(a))
+        sys_ = subspace_zero_system(2, 3, np.random.default_rng(31))
+        psi = np.eye(6, dtype=complex)[:, 0]
+        ife_deviation_trace(sys_, psi, 0.0, time_grid(1.0, 3))  # caches eigh(H) and eigh(H_0)
+        before = len(factorized)
+        oracle = ife_sectors_oracle(sys_)
+        assert len(factorized) == before == 2
+        assert np.array_equal(factorized[1], build_h0(sys_))
+        assert oracle.sectors and oracle.alphas == pytest.approx(ife_sectors(sys_).alphas)
+        _, v0 = core._eig(sys_, free=True)
+        with pytest.raises(ValueError):
+            v0[0, 0] = 7.0
+
     def test_operators_are_private_read_only_copies(self):
         h_i = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
         sys_ = BipartiteSystem(2, 2, SZ, SZ, h_i)

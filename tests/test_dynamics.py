@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ifestates import (
     FreeInvarianceError,
+    SpinStarParams,
+    build_h0,
+    build_spin_star,
     build_total,
     covariance_trace,
     energy_trace,
@@ -11,10 +16,19 @@ from ifestates import (
     ife_sectors,
     spin_star_ife_basis,
     time_grid,
+    trace_pure_states,
 )
+from ifestates.linalg import kron
 from ifestates.spin_star import PAULI_Z, total_sz
 
-from helpers import diagonal_multisector_system, random_hermitian, random_state
+from helpers import (
+    DIM_PAIRS,
+    commuting_system,
+    diagonal_multisector_system,
+    generic_system,
+    random_hermitian,
+    random_state,
+)
 
 
 class TestTimeGrid:
@@ -163,3 +177,126 @@ class TestCovarianceTrace:
         h = build_total(star_system_n2)
         for t in time_grid(10.0, 11):
             assert abs(np.linalg.norm(ev(h, psi, t)) - 1.0) <= 1e-10
+
+
+def reference_traces(sys_, psi, alpha, times):
+    """Deviation, energies and covariance as three one-state tracers computed
+    them: each tracer diagonalizes its generators and evolves psi again."""
+
+    def evolved(h):
+        w, v = np.linalg.eigh(h)
+        coeff = v.conj().T @ psi
+        return v @ (np.exp(-1j * np.outer(w, times)) * coeff[:, None])
+
+    def expectation(states, op):
+        return np.einsum("ik,ij,jk->k", states.conj(), op, states).real
+
+    eye_a, eye_b = np.eye(sys_.dim_a), np.eye(sys_.dim_b)
+    free = evolved(build_h0(sys_)) * np.exp(-1j * float(alpha) * times)[None, :]
+    deviation = np.linalg.norm(evolved(build_total(sys_)) - free, axis=0)
+    states = evolved(build_total(sys_))
+    energy_a = expectation(states, kron(sys_.h_a, eye_b))
+    energy_b = expectation(states, kron(eye_a, sys_.h_b))
+    states = evolved(build_total(sys_))
+    covariance = (expectation(states, kron(sys_.h_a, sys_.h_b))
+                  - expectation(states, kron(sys_.h_a, eye_b))
+                  * expectation(states, kron(eye_a, sys_.h_b)))
+    return deviation, energy_a, energy_b, covariance
+
+
+def drawn_system(family, dims, rng):
+    if family == "commuting":
+        return commuting_system(*dims, rng, conjugate=True)
+    if family == "star":
+        n = int(rng.integers(1, 4))
+        return build_spin_star(SpinStarParams(
+            n, 1.0, float(rng.uniform(0.3, 2.0)), tuple(rng.uniform(0.5, 4.0, n)),
+        ))
+    return generic_system(*dims, rng)
+
+
+class TestTracePureStates:
+    """The one-factorization tracer against the three-tracer composition."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        family=st.sampled_from(["commuting", "star", "generic"]),
+        dims=st.sampled_from(DIM_PAIRS),
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 6),
+        t_max=st.sampled_from([0.0, 0.7, 10.0]),
+        steps=st.integers(1, 12),
+        fortran=st.booleans(),
+    )
+    @example(family="star", dims=(2, 2), seed=0, m=3, t_max=10.0, steps=1, fortran=True)
+    def test_bit_identical_to_three_tracers(self, family, dims, seed, m, t_max, steps, fortran):
+        rng = np.random.default_rng(seed)
+        sys_ = drawn_system(family, dims, rng)
+        z = rng.standard_normal((sys_.dim, m)) + 1j * rng.standard_normal((sys_.dim, m))
+        states = z / np.linalg.norm(z, axis=0)
+        if fortran:  # the layout of sector bases
+            states = np.asfortranarray(states)
+        times = time_grid(t_max, steps)
+        alphas = [float(np.vdot(psi, sys_.h_i @ psi).real) for psi in states.T]
+
+        reports = trace_pure_states(
+            sys_, states, times, alphas=alphas, energies=True,
+            observables=(sys_.h_a, sys_.h_b),
+        )
+        assert len(reports) == m
+        for j, report in enumerate(reports):
+            psi = states[:, j]
+            deviation, energy_a, energy_b, covariance = reference_traces(sys_, psi, alphas[j], times)
+            assert np.array_equal(report.deviation, deviation)
+            assert report.max_deviation == deviation.max()
+            assert np.array_equal(report.energy_a, energy_a)
+            assert np.array_equal(report.energy_b, energy_b)
+            assert np.array_equal(report.covariance, covariance)
+            # the one-state wrappers give the same bits
+            assert np.array_equal(ife_deviation_trace(sys_, psi, alphas[j], times).deviation, deviation)
+            single = energy_trace(sys_, psi, times)
+            assert np.array_equal(single.energy_a, energy_a)
+            assert np.array_equal(single.energy_b, energy_b)
+            cov = covariance_trace(sys_, psi, sys_.h_a, sys_.h_b, times).covariance
+            assert np.array_equal(cov, covariance)
+
+    def test_only_requested_traces_are_filled(self, star_system_n2):
+        psi = random_state(8, np.random.default_rng(9))
+        (report,) = trace_pure_states(star_system_n2, psi, time_grid(1.0, 4), energies=True)
+        assert report.deviation is None and report.covariance is None
+        assert report.energy_a.shape == (4,)
+
+    def test_rejects_unnormalized_column(self, star_system_n2):
+        states = np.zeros((8, 2), dtype=complex)
+        states[0, 0] = 1.0
+        states[1, 1] = 2.0
+        with pytest.raises(ValueError, match="not normalized"):
+            trace_pure_states(star_system_n2, states, time_grid(1.0, 3))
+
+    def test_rejects_alpha_count_mismatch(self, star_system_n2):
+        states = np.eye(8, 2, dtype=complex)
+        with pytest.raises(ValueError, match="alphas"):
+            trace_pure_states(star_system_n2, states, time_grid(1.0, 3), alphas=[0.0])
+
+    def test_free_invariance_checked_before_evolving(self, star_system_n2, monkeypatch):
+        bad = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        calls = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or original(a))
+        with pytest.raises(FreeInvarianceError):
+            trace_pure_states(star_system_n2, np.eye(8, 3, dtype=complex), time_grid(1.0, 3),
+                              observables=(bad, star_system_n2.h_b))
+        assert not calls
+
+    def test_spectra_factorized_once_per_system(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or original(a))
+        sys_ = commuting_system(2, 3, np.random.default_rng(11))
+        times = time_grid(2.0, 5)
+        states = np.eye(6, 4, dtype=complex)
+        for _ in range(3):
+            trace_pure_states(sys_, states, times, alphas=[0.0] * 4, energies=True,
+                              observables=(sys_.h_a, sys_.h_b))
+            ife_deviation_trace(sys_, states[:, 0], 0.0, times)
+        assert len(calls) == 2  # H and H_0, shared by every later trace

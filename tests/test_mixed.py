@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from ifestates import (
+    build_h0,
+    build_total,
     check_density_matrix,
     classify_pure,
     ife_sectors,
@@ -12,9 +14,10 @@ from ifestates import (
     spin_star_ife_basis,
     time_grid,
 )
+from ifestates.linalg import kron
 from ifestates.mixed import mixed_deviation_trace, mixed_energy_trace
 
-from helpers import diagonal_multisector_system, random_state
+from helpers import commuting_system, diagonal_multisector_system, random_state
 
 
 @pytest.fixture(scope="module")
@@ -198,3 +201,50 @@ class TestConsistencyInvariants:
         e_a, e_b = mixed_energy_trace(rho, star_system_n2, time_grid())
         assert np.abs(e_a - e_a[0]).max() <= 1e-9
         assert np.abs(e_b - e_b[0]).max() <= 1e-9
+
+
+def reference_phase_conjugations(h, rho, times):
+    """exp(-iht) rho exp(iht) with h diagonalized on every call, as before
+    the spectra were cached."""
+    w, v = np.linalg.eigh(h)
+    rho_eig = v.conj().T @ rho @ v
+    for t in times:
+        phases = np.exp(-1j * w * t)
+        yield v @ (np.outer(phases, phases.conj()) * rho_eig) @ v.conj().T
+
+
+class TestSharedSpectra:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_to_per_call_factorization(self, seed):
+        rng = np.random.default_rng(seed)
+        sys_ = commuting_system(2, 3, rng)
+        z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        rho = z @ z.conj().T
+        rho /= np.trace(rho).real
+        times = time_grid(3.0, 7)
+        full = list(reference_phase_conjugations(build_total(sys_), rho, times))
+        free = list(reference_phase_conjugations(build_h0(sys_), rho, times))
+        expected = np.array([float(np.linalg.norm(a - b)) for a, b in zip(full, free)])
+        assert np.array_equal(mixed_deviation_trace(rho, sys_, times), expected)
+        op_a = kron(sys_.h_a, np.eye(3))
+        op_b = kron(np.eye(2), sys_.h_b)
+        e_a, e_b = mixed_energy_trace(rho, sys_, times)
+        assert np.array_equal(e_a, [float(np.trace(r @ op_a).real) for r in full])
+        assert np.array_equal(e_b, [float(np.trace(r @ op_b).real) for r in full])
+
+    def test_samples_share_one_factorization(self, diag_dec, monkeypatch):
+        # a fresh copy of diag_system, whose spectra other tests may have cached
+        sys_ = diagonal_multisector_system(np.random.default_rng(100), 2, 3)
+        calls = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or original(a))
+        weights = np.full(diag_dec.n_sectors, 1.0 / diag_dec.n_sectors)
+        for seed in range(4):
+            rho = random_ife_mixed(diag_dec, weights, seed)
+            mixed_deviation_trace(rho, sys_, time_grid(1.0, 3))
+            mixed_energy_trace(rho, sys_, time_grid(1.0, 3))
+        assert len(calls) == 2  # H and H_0
+
+    def test_energy_trace_checks_dimension(self, diag_system):
+        with pytest.raises(ValueError, match="state has dimension 4, expected 6"):
+            mixed_energy_trace(np.eye(4) / 4.0, diag_system, time_grid(1.0, 3))
