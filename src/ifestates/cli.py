@@ -27,11 +27,12 @@ import numpy as np
 from . import __version__
 from .core import (
     CLUSTER_TOL,
+    _coupling_norm,
     ife_sectors,
     ife_sectors_oracle,
 )
 from .dynamics import time_grid, trace_pure_states
-from .linalg import DEFAULT_REL_TOL, max_principal_angle, spectral_norm
+from .linalg import DEFAULT_REL_TOL, max_principal_angle
 from .mixed import (
     block_structure_residuals,
     check_density_matrix,
@@ -366,7 +367,7 @@ def cmd_oracle_diff(args) -> int:
         abs(direct.n_sectors - oracle.n_sectors),
         0.0,
     )]
-    alpha_tol = CLUSTER_TOL * max(1.0, spectral_norm(system.h_i))
+    alpha_tol = CLUSTER_TOL * max(1.0, _coupling_norm(system))
     for k in range(min(direct.n_sectors, oracle.n_sectors)):
         s1, s2 = direct.sectors[k], oracle.sectors[k]
         claims.append(_claim(f"sector_{k}_alpha_match", abs(s1.alpha - s2.alpha), alpha_tol))

@@ -10,7 +10,15 @@ mutually orthogonal sectors, one per interaction eigenvalue ``alpha``:
 :func:`ife_sectors` computes the sectors from that kernel intersection;
 :func:`ife_sectors_oracle` recomputes them from the independent
 power-chain characterization ``N_alpha = cap_n Ker((H_I - alpha I) H_0^n)``
-so the two routes can be cross-checked against each other.
+so the two routes can be cross-checked against each other.  The oracle
+never forms the commutator: the chain's stacked constraint matrix is block
+diagonal in the eigenbasis of ``H_0``, so it takes one thin SVD of
+``(H_I - alpha I) V0_k`` per eigenspace ``k`` of ``H_0`` and keeps the
+stack's global cutoff ``rel_tol * sigma_max``.
+
+Factorizations and norms that several routines need (``eigh`` of ``H`` and
+``H_0``, ``eigvalsh``/``eigh`` and ``||.||`` of ``H_I``, the commutator and
+its kernel) are computed once per system and cached read-only on it.
 """
 
 from __future__ import annotations
@@ -174,11 +182,44 @@ def cluster_values(values, tol: float) -> list[float]:
     return [float(values[lo:hi].mean()) + 0.0 for lo, hi in _cluster_ranges(values, tol)]
 
 
+def _cached(sys: BipartiteSystem, key, compute):
+    """``compute()`` once per system and key; cached arrays are read-only.
+
+    A tuple result has each of its arrays made read-only.  Every routine
+    that takes the same system then shares one result of the same call on
+    the same array, so sharing changes no bits.
+    """
+    if key not in sys._cache:
+        value = compute()
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                item.flags.writeable = False
+        sys._cache[key] = value
+    return sys._cache[key]
+
+
+def _coupling_norm(sys: BipartiteSystem) -> float:
+    """``||H_I||``, once per system."""
+    return _cached(sys, "coupling_norm", lambda: spectral_norm(sys.h_i))
+
+
 def _interaction_spectrum(sys: BipartiteSystem):
-    """Ascending eigenvalues of the coupling and the tolerance that clusters them."""
-    w = np.linalg.eigvalsh(sys.h_i)
-    smax = float(np.abs(w).max()) if w.size else 0.0
-    return w, CLUSTER_TOL * max(1.0, smax)
+    """Ascending eigenvalues of the coupling and the tolerance that clusters them.
+
+    Computed once per system with ``eigvalsh``; these values fix the alphas
+    of both sector routes.
+    """
+    def compute():
+        w = np.linalg.eigvalsh(sys.h_i)
+        smax = float(np.abs(w).max()) if w.size else 0.0
+        return w, CLUSTER_TOL * max(1.0, smax)
+
+    return _cached(sys, "coupling_spectrum", compute)
+
+
+def _coupling_eig(sys: BipartiteSystem):
+    """``eigh(H_I)`` as ``(w, v)``, once per system (emptiness certificate)."""
+    return _cached(sys, "coupling_eig", lambda: tuple(np.linalg.eigh(sys.h_i)))
 
 
 @dataclass(frozen=True)
@@ -203,7 +244,7 @@ def _commutator_and_kernel(sys: BipartiteSystem, rel_tol: float) -> _Commutator:
         h0 = build_h0(sys)
         comm = commutator(h0, sys.h_i)
         norm = spectral_norm(comm)
-        is_zero = _is_numerically_zero(norm, 2.0 * spectral_norm(h0) * spectral_norm(sys.h_i))
+        is_zero = _is_numerically_zero(norm, 2.0 * spectral_norm(h0) * _coupling_norm(sys))
         kernel = np.eye(sys.dim, dtype=complex) if is_zero else null_space(comm, rel_tol)
         for array in (h0, comm, kernel):
             array.flags.writeable = False
@@ -218,13 +259,8 @@ def _eig(sys: BipartiteSystem, free: bool = False):
     share one factorization of each Hamiltonian.  No commutator is
     involved, so the oracle's sectors stay independent of the direct route.
     """
-    key = ("eig", free)
-    if key not in sys._cache:
-        w, v = hermitian_eig(build_h0(sys) if free else build_total(sys))
-        w.flags.writeable = False
-        v.flags.writeable = False
-        sys._cache[key] = (w, v)
-    return sys._cache[key]
+    return _cached(sys, ("eig", free),
+                   lambda: hermitian_eig(build_h0(sys) if free else build_total(sys)))
 
 
 def _provably_empty(sys: BipartiteSystem, com: _Commutator, w, tol: float,
@@ -267,7 +303,7 @@ def _provably_empty(sys: BipartiteSystem, com: _Commutator, w, tol: float,
     if com.is_zero:
         return [False] * len(alphas)
     ranges = _cluster_ranges(w, tol)
-    w_vec, v = np.linalg.eigh(sys.h_i)
+    w_vec, v = _coupling_eig(sys)
     if _cluster_ranges(w_vec, tol) != ranges:
         return [False] * len(alphas)
     u = _CERTIFICATE_SAFETY * sys.dim * np.finfo(float).eps
@@ -309,7 +345,7 @@ def ife_sectors(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDe
     """
     dim = sys.dim
     com = _commutator_and_kernel(sys, rel_tol)
-    hi_norm = spectral_norm(sys.h_i)
+    hi_norm = _coupling_norm(sys)
     w, tol = _interaction_spectrum(sys)
     alphas = cluster_values(w, tol)
     eye = np.eye(dim)
@@ -338,25 +374,55 @@ def ife_sectors_oracle(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -
     ``(H_I - alpha I) H_0^n`` spans exactly the blocks
     ``(H_I - alpha I) P_k`` (the Vandermonde matrix of the distinct
     ``mu_k`` is invertible), which avoids forming ill-scaled matrix powers.
-    Only the reported commutator kernel comes from the commutator.
+
+    The sector is the kernel of the stack ``S = [(H_I - alpha I) P_k / s_k]_k``
+    with ``s_k = max(1, ||(H_I - alpha I) P_k||)``.  The ``P_k`` are
+    orthogonal and sum to ``I``, so ``S^H S = sum_k P_k (H_I - alpha I)^2 P_k
+    / s_k^2`` is block diagonal in the eigenbasis ``V0`` of ``H_0``.  With
+    ``V0_k`` the columns of eigenspace ``k`` and ``B_k = (H_I - alpha I) V0_k``
+    (``d x n_k``, and ``||B_k|| = ||(H_I - alpha I) P_k||``):
+
+    * the singular values of ``S`` are the union of those of ``B_k / s_k``;
+    * ``Ker S`` is the direct sum of the ``V0_k Ker(B_k / s_k)``.
+
+    So each eigenspace takes one thin SVD of ``B_k`` (eigenspaces of equal
+    size share one batched ``numpy.linalg.svd`` call).  The cutoff is the
+    one a kernel of the stack would use: a direction is kept when its
+    singular value is at or below ``rel_tol * max_k sigma_max(B_k / s_k)``.
+    ``H_I - alpha I`` counts as numerically zero, and the whole space is
+    the sector, when ``max_k sigma_max(B_k) = ||H_I - alpha I||`` (``V0`` is
+    unitary) is at roundoff level.  ``eigh(H_0)`` comes from the per-system
+    cache and ``[H_0, H_I]`` is never formed; only the reported commutator
+    kernel comes from the commutator.
     """
-    dim = sys.dim
     w0, v0 = _eig(sys, free=True)
     smax0 = float(np.abs(w0).max()) if w0.size else 0.0
-    tol0 = CLUSTER_TOL * max(1.0, smax0)
-
     # w0 is ascending, so degenerate clusters are contiguous index ranges.
-    projectors = [v0[:, lo:hi] @ v0[:, lo:hi].conj().T for lo, hi in _cluster_ranges(w0, tol0)]
-
-    hi_norm = spectral_norm(sys.h_i)
-    eye = np.eye(dim)
+    # Eigenspaces of equal size n form one (K, n) array of column indices,
+    # so a single batched SVD call factorizes all K of their blocks.
+    by_size = {}
+    for lo, hi in _cluster_ranges(w0, CLUSTER_TOL * max(1.0, smax0)):
+        by_size.setdefault(hi - lo, []).append(np.arange(lo, hi))
+    groups = [np.array(g) for g in by_size.values()]
+    hv = sys.h_i @ v0
+    hi_norm = _coupling_norm(sys)
     sectors = []
     for alpha in cluster_values(*_interaction_spectrum(sys)):
-        shifted = sys.h_i - alpha * eye
-        if _is_numerically_zero(spectral_norm(shifted), max(hi_norm, abs(alpha))):
-            basis = eye.astype(complex)
+        shifted_v0 = hv - alpha * v0
+        svds = [np.linalg.svd(np.moveaxis(shifted_v0[:, g], 0, 1), full_matrices=False)[1:]
+                for g in groups]
+        if _is_numerically_zero(max(s[:, 0].max() for s, _ in svds), max(hi_norm, abs(alpha))):
+            basis = np.eye(sys.dim, dtype=complex)
         else:
-            basis = intersect_kernels([shifted @ p for p in projectors], rel_tol)
+            scaled = [s / np.maximum(1.0, s[:, :1]) for s, _ in svds]
+            cutoff = rel_tol * max(s[:, 0].max() for s in scaled)
+            kernels = [
+                v0[:, cols] @ vh_k[rank:].conj().T
+                for g, s, (_, vh) in zip(groups, scaled, svds)
+                for cols, vh_k, rank in zip(g, vh, (s > cutoff).sum(axis=1))
+                if rank < len(cols)
+            ]
+            basis = np.hstack(kernels) if kernels else np.zeros((sys.dim, 0), dtype=complex)
         if basis.shape[1] > 0:
             sectors.append(IfeSector(alpha, basis))
     return IfeDecomposition(tuple(sectors), _commutator_and_kernel(sys, rel_tol).kernel)
@@ -387,7 +453,7 @@ def classify_pure(psi, sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL):
 
     alpha = float(np.vdot(psi, sys.h_i @ psi).real)
     com = _commutator_and_kernel(sys, rel_tol)
-    hi_norm = spectral_norm(sys.h_i)
+    hi_norm = _coupling_norm(sys)
 
     if _is_numerically_zero(hi_norm, 1.0):
         eig_ok = True

@@ -119,7 +119,8 @@ def null_space(a, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     m, n = a.shape
     if m == 0 or n == 0:
         return np.eye(n, dtype=complex)
-    _, s, vh = np.linalg.svd(a)
+    # Rows >= cols: the thin SVD already has every right singular vector.
+    _, s, vh = np.linalg.svd(a, full_matrices=m < n)
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         return np.eye(n, dtype=complex)

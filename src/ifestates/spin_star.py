@@ -30,6 +30,7 @@ from .core import (
     IfeDecomposition,
     IfeSector,
     _commutator_and_kernel,
+    _coupling_norm,
     build_total,
     ife_sectors,
 )
@@ -381,7 +382,7 @@ def verify_spin_star_claims(p: SpinStarParams, rel_tol: float = DEFAULT_REL_TOL)
     ))
 
     dec = ife_sectors(sys, rel_tol)
-    alpha_tol = CLUSTER_TOL * max(1.0, spectral_norm(sys.h_i))
+    alpha_tol = CLUSTER_TOL * max(1.0, _coupling_norm(sys))
     if dec.n_sectors == 1:
         resid = abs(dec.sectors[0].alpha)
     else:

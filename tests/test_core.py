@@ -598,3 +598,227 @@ class TestCommutatorKernelInvarianceProbe:
                 f"{candidates[:3]}",
                 stacklevel=1,
             )
+
+
+def star_system(n, rng):
+    gammas = tuple(rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0]) for _ in range(n))
+    return build_spin_star(SpinStarParams(n, 1.0, 0.7, gammas))
+
+
+def free_eigenspaces(sys_):
+    """Eigenvector blocks V0_k of H_0, clustered as in the oracle."""
+    w0, v0 = np.linalg.eigh(build_h0(sys_))
+    ranges = core._cluster_ranges(w0, CLUSTER_TOL * max(1.0, float(np.abs(w0).max())))
+    return [v0[:, lo:hi] for lo, hi in ranges]
+
+
+def oracle_stack(sys_, alpha):
+    """The stacked matrix ``[(H_I - alpha) P_k / s_k]_k`` that the oracle avoids forming."""
+    shifted = sys_.h_i - alpha * np.eye(sys_.dim)
+    return np.vstack([
+        shifted @ v @ v.conj().T / max(1.0, spectral_norm(shifted @ v)) for v in free_eigenspaces(sys_)
+    ])
+
+
+def stacked_projector_sectors(sys_, rel_tol=DEFAULT_REL_TOL):
+    """Reference: the oracle as a stacked kernel of every ``(H_I - alpha) P_k``."""
+    projectors = [v @ v.conj().T for v in free_eigenspaces(sys_)]
+    hi_norm = spectral_norm(sys_.h_i)
+    w = np.linalg.eigvalsh(sys_.h_i)
+    eye = np.eye(sys_.dim)
+    out = []
+    for alpha in cluster_values(w, CLUSTER_TOL * max(1.0, float(np.abs(w).max()))):
+        shifted = sys_.h_i - alpha * eye
+        if spectral_norm(shifted) <= NUMERICAL_ZERO_RTOL * max(1.0, hi_norm, abs(alpha)):
+            basis = eye.astype(complex)
+        else:
+            basis = intersect_kernels([shifted @ p for p in projectors], rel_tol)
+        if basis.shape[1]:
+            out.append((alpha, basis))
+    return out
+
+
+def oracle_near_cutoff_system(k, seed, gap, alpha=0.5, rel_tol=DEFAULT_REL_TOL):
+    """Nondegenerate ``H_0`` with a coupling eigenvector near ``e0`` at ``alpha``.
+
+    The coupling eigenvector ``v = cos(theta) e0 + sin(theta) e1`` leaves
+    the first eigenspace of ``H_0`` by an angle ``theta``; theta is tuned so
+    that the stacked oracle matrix has ``sigma_min / sigma_max = 10**k rel_tol``,
+    which puts the sector's one direction just inside (k < 0) or just
+    outside (k > 0) the kernel cutoff.
+    """
+    rng = np.random.default_rng(seed)
+    h_a, h_b = np.diag([0.0, 1.3]), np.diag([0.0, 0.4, 0.9])
+    rest = random_hermitian(5, rng, scale=2.0)
+    rest += (alpha + gap - np.linalg.eigvalsh(rest).min()) * np.eye(5)
+    e = np.eye(6, dtype=complex)
+
+    def build(theta):
+        v = np.cos(theta) * e[:, 0] + np.sin(theta) * e[:, 1]
+        others = np.column_stack([-np.sin(theta) * e[:, 0] + np.cos(theta) * e[:, 1], e[:, 2:]])
+        h_i = alpha * np.outer(v, v.conj()) + others @ rest @ others.conj().T
+        return BipartiteSystem(2, 3, h_a, h_b, 0.5 * (h_i + h_i.conj().T))
+
+    theta = 1e-6
+    for _ in range(4):
+        s = np.linalg.svd(oracle_stack(build(theta), alpha), compute_uv=False)
+        theta *= 10.0 ** k * rel_tol * s[0] / s[-1]
+    return build(theta)
+
+
+class TestBlockDiagonalOracle:
+    """The oracle takes one thin SVD per H_0 eigenspace instead of the stack."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        family=st.sampled_from(["conjugated", "commuting", "subspace_zero", "generic", "star"]),
+        dims=st.sampled_from(DIM_PAIRS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_stacked_projector_route(self, family, dims, seed):
+        rng = np.random.default_rng(seed)
+        if family == "star":
+            sys_ = star_system(1 + seed % 4, rng)
+        elif family in ("commuting", "conjugated"):
+            sys_ = commuting_system(*dims, rng, conjugate=family == "conjugated")
+        else:
+            sys_ = {"subspace_zero": subspace_zero_system, "generic": generic_system}[family](*dims, rng)
+        dec = ife_sectors_oracle(sys_)
+        reference = stacked_projector_sectors(sys_)
+        assert dec.alphas == tuple(alpha for alpha, _ in reference)
+        for sector, (_, basis) in zip(dec.sectors, reference):
+            assert sector.dimension == basis.shape[1]
+            assert max_principal_angle(sector.basis, basis) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_block_singular_values_are_those_of_the_stack(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        maker = [commuting_system, subspace_zero_system, generic_system][seed % 3]
+        sys_ = maker(*DIM_PAIRS[seed], rng)
+        blocks = free_eigenspaces(sys_)
+        for alpha in cluster_values(*core._interaction_spectrum(sys_)):
+            shifted = sys_.h_i - alpha * np.eye(sys_.dim)
+            union = np.concatenate([
+                np.linalg.svd(shifted @ v, compute_uv=False) / max(1.0, spectral_norm(shifted @ v))
+                for v in blocks
+            ])
+            want = np.linalg.svd(oracle_stack(sys_, alpha), compute_uv=False)
+            assert union.size == want.size == sys_.dim
+            assert np.allclose(np.sort(union), np.sort(want), rtol=0.0, atol=1e-12 * want[0])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("gap", [2.0, 100.0])
+    @pytest.mark.parametrize("k", [-1, -0.3, 0.3, 1])
+    def test_global_cutoff_near_the_boundary(self, k, gap, seed):
+        sys_ = oracle_near_cutoff_system(k, seed, gap)
+        dec = ife_sectors_oracle(sys_)
+        reference = stacked_projector_sectors(sys_)
+        assert dec.alphas == tuple(alpha for alpha, _ in reference)
+        assert [s.dimension for s in dec.sectors] == [b.shape[1] for _, b in reference]
+        if k < 0:
+            assert dec.alphas == pytest.approx((0.5,)) and dec.sectors[0].dimension == 1
+        else:
+            assert dec.n_sectors == 0
+
+    def test_never_factorizes_more_than_d_rows(self, monkeypatch):
+        shapes = []
+        original = np.linalg.svd
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or original(a, *args, **kw),
+        )
+        rng = np.random.default_rng(41)
+        for sys_ in (star_system(3, rng), commuting_system(2, 4, rng), subspace_zero_system(3, 3, rng)):
+            shapes.clear()
+            dec = ife_sectors_oracle(sys_)
+            assert dec.n_sectors > 0
+            # a batched call factorizes a stack of matrices with shape[-2] rows each
+            assert shapes and max(shape[-2] for shape in shapes) <= sys_.dim
+
+    def test_bases_never_use_the_commutator(self, monkeypatch):
+        def forbidden(*_):
+            raise AssertionError("the oracle formed [H_0, H_I]")
+
+        monkeypatch.setattr(core, "commutator", forbidden)
+        # only the reported commutator kernel comes from the commutator
+        monkeypatch.setattr(core, "_commutator_and_kernel", lambda sys_, rel_tol: core._Commutator(
+            None, None, 0.0, True, np.eye(sys_.dim, dtype=complex)))
+        systems = [
+            [commuting_system, subspace_zero_system, generic_system][k % 3](2, 4, np.random.default_rng(5000 + k))
+            for k in range(9)
+        ]
+        systems.append(star_system(2, np.random.default_rng(42)))
+        for sys_ in systems:
+            literal = TestLiteralPowerChain.literal_sectors(sys_)
+            dec = ife_sectors_oracle(sys_)
+            assert dec.n_sectors == len(literal)
+            for sector, (alpha, basis) in zip(dec.sectors, literal):
+                assert sector.alpha == pytest.approx(alpha, abs=1e-8)
+                assert subspace_equal(sector.basis, basis, 1e-7)
+
+
+class TestCouplingCache:
+    """eigvalsh, eigh and the norm of H_I are computed once per system."""
+
+    def test_each_coupling_factorization_runs_once(self, monkeypatch):
+        sys_ = subspace_zero_system(2, 3, np.random.default_rng(30))
+        calls = []
+
+        def counting(name, fn):
+            return lambda a, *args, **kw: (a is sys_.h_i and calls.append(name)) or fn(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        monkeypatch.setattr(core, "spectral_norm", counting("norm", core.spectral_norm))
+        dec = ife_sectors(sys_)
+        ife_sectors_oracle(sys_)
+        classify_pure(dec.sectors[0].basis[:, 0], sys_)
+        assert sorted(calls) == ["eigh", "eigvalsh", "norm"]
+
+    def test_cached_values_are_read_only_and_unchanged(self):
+        sys_ = subspace_zero_system(3, 3, np.random.default_rng(31))
+        ife_sectors(sys_)
+        w, tol = core._interaction_spectrum(sys_)
+        w_vec, v = core._coupling_eig(sys_)
+        fresh_w_vec, fresh_v = np.linalg.eigh(sys_.h_i)
+        assert np.array_equal(w, np.linalg.eigvalsh(sys_.h_i))
+        assert tol == CLUSTER_TOL * max(1.0, float(np.abs(w).max()))
+        assert np.array_equal(w_vec, fresh_w_vec) and np.array_equal(v, fresh_v)
+        assert core._coupling_norm(sys_) == spectral_norm(sys_.h_i)
+        for array in (w, w_vec, v):
+            with pytest.raises(ValueError):
+                array[0] = 7.0
+
+    def test_oracle_diff_cli_norms_the_coupling_once(self, data_dir, tmp_path, monkeypatch):
+        from ifestates.cli import main as cli_main
+
+        norms, spectra = [], []
+        original_norm, original_eigvalsh = core.spectral_norm, np.linalg.eigvalsh
+        # the system's own read-only h_i, not a shifted copy of it
+        monkeypatch.setattr(
+            core, "spectral_norm",
+            lambda a: (a.flags.writeable or norms.append(a.copy())) or original_norm(a),
+        )
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(1) or original_eigvalsh(a))
+        path = data_dir / "system_spin_star_n2.json"
+        assert cli_main(["oracle-diff", str(path), "--out", str(tmp_path / "r.json")]) == 0
+        h_i = build_spin_star(SpinStarParams(2, 1.0, 0.7, (3.0, 4.0))).h_i
+        assert sum(np.array_equal(a, h_i) for a in norms) == 1
+        assert len(spectra) == 1
+
+
+class TestThinNullSpace:
+    @pytest.mark.parametrize("shape", [(4, 4), (8, 3), (3, 8), (32, 16), (16, 32), (48, 48), (96, 24), (5, 1)])
+    @pytest.mark.parametrize("rank_drop", [0, 1, 3])
+    def test_bit_identical_to_full_svd(self, shape, rank_drop):
+        from ifestates.linalg import null_space
+
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1] * 10 + rank_drop)
+        m, n = shape
+        r = max(1, min(m, n) - rank_drop)
+        a = (rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))) @ (
+            rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n)))
+        _, s, vh = np.linalg.svd(a)
+        want = vh[int(np.sum(s > DEFAULT_REL_TOL * s[0])):].conj().T
+        got = null_space(a)
+        assert np.array_equal(got, want)
+        assert got.shape[1] == n - r
