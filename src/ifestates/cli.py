@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import math
 import sys
 import time
 from pathlib import Path
@@ -75,6 +76,42 @@ class _Parser(argparse.ArgumentParser):
     # the numerical-failure code; route usage errors through the input path.
     def error(self, message):
         raise CliInputError(message)
+
+
+# argparse ``type=`` validators.  argparse reports an ArgumentTypeError as
+# "argument --opt: <message>" through _Parser.error, so a bad value exits 1
+# with the option named, before any file is read.
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _positive_finite(text: str) -> float:
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _finite_list(text: str) -> tuple[float, ...]:
+    return tuple(_finite(item) for item in text.split(","))
 
 
 # Exception -> (exit code, message prefix), first match wins: ResonanceError
@@ -318,11 +355,7 @@ def _params_digest(params: SpinStarParams) -> str:
 
 def cmd_spin_star(args) -> int:
     started = time.perf_counter()
-    try:
-        gammas = tuple(float(g) for g in args.gammas.split(","))
-    except ValueError as exc:
-        raise CliInputError(f"--gammas must be a comma-separated float list: {exc}") from exc
-    params = SpinStarParams(args.n, args.omega0, args.omega, gammas)
+    params = SpinStarParams(args.n, args.omega0, args.omega, args.gammas)
     dec = spin_star_ife_basis(params)
 
     claims = None
@@ -483,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sectors", help="compute IFE sectors of a system file")
     p.add_argument("input", help="system JSON file (or directory with --batch)")
-    p.add_argument("--tol", type=float, default=DEFAULT_REL_TOL, help="relative kernel cutoff")
+    p.add_argument("--tol", type=_positive_finite, default=DEFAULT_REL_TOL, help="relative kernel cutoff")
     p.add_argument("--include-bases", action="store_true", help="embed sector bases in the report")
     p.add_argument("--batch", action="store_true", help="process every *.json file in a directory")
     p.add_argument("--out", help="report path (directory in batch mode); default stdout")
@@ -494,9 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--state", help="state JSON file (vector or density matrix)")
     group.add_argument("--sector", type=int, help="verify every basis vector of this sector index")
-    p.add_argument("--t-max", type=float, default=10.0, help="end of the time grid")
+    p.add_argument("--t-max", type=_finite, default=10.0, help="end of the time grid")
     p.add_argument("--steps", type=int, default=101, help="number of grid points")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_positive_finite, default=None,
                    help="deviation threshold (default 1e-9*sqrt(dim), or 1e-8*dim for density matrices)")
     p.add_argument("--out", help="report path; default stdout")
     p.add_argument("--csv", help="also write traces as CSV to this path")
@@ -504,29 +537,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spin-star", help="closed-form spin-star IFE basis and claim checks")
     p.add_argument("--n", type=int, required=True, help="number of bath spins")
-    p.add_argument("--omega0", type=float, required=True, help="central-spin splitting")
-    p.add_argument("--omega", type=float, required=True, help="bath-spin splitting")
-    p.add_argument("--gammas", required=True, help="comma-separated couplings, e.g. 3,4")
+    p.add_argument("--omega0", type=_finite, required=True, help="central-spin splitting")
+    p.add_argument("--omega", type=_finite, required=True, help="bath-spin splitting")
+    p.add_argument("--gammas", type=_finite_list, required=True,
+                   help="comma-separated couplings, e.g. 3,4")
     p.add_argument("--check-all", action="store_true", help="verify all structural claims")
-    p.add_argument("--tol", type=float, default=DEFAULT_REL_TOL, help="relative kernel cutoff")
+    p.add_argument("--tol", type=_positive_finite, default=DEFAULT_REL_TOL, help="relative kernel cutoff")
     p.add_argument("--out", help="report path; default stdout")
     p.set_defaults(func=cmd_spin_star)
 
     p = sub.add_parser("oracle-diff", help="compare both IFE sector computations")
     p.add_argument("input", help="system JSON file")
-    p.add_argument("--tol", type=float, default=DEFAULT_REL_TOL, help="relative kernel cutoff")
+    p.add_argument("--tol", type=_positive_finite, default=DEFAULT_REL_TOL, help="relative kernel cutoff")
     p.add_argument("--out", help="report path; default stdout")
     p.set_defaults(func=cmd_oracle_diff)
 
     p = sub.add_parser("mixed", help="sector-block checks for density matrices")
     p.add_argument("input", help="system JSON file")
     p.add_argument("--state", help="density-matrix JSON file; omit to run the sampling self-check")
-    p.add_argument("--samples", type=int, default=10, help="number of sampled states")
+    p.add_argument("--samples", type=_at_least_one, default=10, help="number of sampled states")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help=f"seed for the sampling mode (default {DEFAULT_SEED})")
-    p.add_argument("--t-max", type=float, default=10.0, help="end of the time grid")
+    p.add_argument("--t-max", type=_finite, default=10.0, help="end of the time grid")
     p.add_argument("--steps", type=int, default=101, help="number of grid points")
-    p.add_argument("--tol", type=float, default=None, help="block-structure tolerance")
+    p.add_argument("--tol", type=_positive_finite, default=None, help="block-structure tolerance")
     p.add_argument("--out", help="report path; default stdout")
     p.add_argument("--csv", help="also write traces as CSV to this path")
     p.set_defaults(func=cmd_mixed)

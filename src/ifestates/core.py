@@ -7,8 +7,12 @@ mutually orthogonal sectors, one per interaction eigenvalue ``alpha``:
 
     N_alpha = Ker(H_I - alpha I)  intersect  Ker [H_0, H_I]
 
-:func:`ife_sectors` computes the sectors from that kernel intersection;
-:func:`ife_sectors_oracle` recomputes them from the independent
+Both routes start from one eigendecomposition ``H_I = V diag(w) V^H``, which
+fixes the clusters of the coupling spectrum and their means, the alphas.
+:func:`ife_sectors` evaluates the intersection directly: the first kernel
+is spanned by a cluster's eigenvectors ``V_alpha``, so
+``N_alpha = V_alpha Ker([H_0, H_I] V_alpha)``, one thin kernel per cluster.
+:func:`ife_sectors_oracle` recomputes the sectors from the independent
 power-chain characterization ``N_alpha = cap_n Ker((H_I - alpha I) H_0^n)``
 so the two routes can be cross-checked against each other.  The oracle
 never forms the commutator: the chain's stacked constraint matrix is block
@@ -16,14 +20,13 @@ diagonal in the eigenbasis of ``H_0``, so it takes one thin SVD of
 ``(H_I - alpha I) V0_k`` per eigenspace ``k`` of ``H_0`` and keeps the
 stack's global cutoff ``rel_tol * sigma_max``.
 
-Factorizations and norms that several routines need (``eigh`` of ``H`` and
-``H_0``, ``eigvalsh``/``eigh`` and ``||.||`` of ``H_I``, the commutator and
-its kernel) are computed once per system and cached read-only on it.
+Factorizations that several routines need (``eigh`` of ``H``, ``H_0`` and
+``H_I``, the commutator and its kernel) are computed once per system and
+cached read-only on it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -33,10 +36,10 @@ from .linalg import (
     HERMITIAN_RTOL,
     commutator,
     hermitian_eig,
-    intersect_kernels,
     kron,
     null_space,
     require_hermitian,
+    require_rel_tol,
     spectral_norm,
 )
 
@@ -63,11 +66,6 @@ CLUSTER_TOL = 1e-8
 # by conjugation comes out at roundoff level, not exactly zero, and a cutoff
 # relative to its own sigma_max would then see a full-rank matrix.
 NUMERICAL_ZERO_RTOL = 1e-12
-
-
-# Safety factor of the emptiness certificate in ife_sectors, applied on top
-# of its roundoff allowances (see _provably_empty).
-_CERTIFICATE_SAFETY = 10.0
 
 
 def _is_numerically_zero(norm: float, scale: float) -> bool:
@@ -198,28 +196,26 @@ def _cached(sys: BipartiteSystem, key, compute):
     return sys._cache[key]
 
 
-def _coupling_norm(sys: BipartiteSystem) -> float:
-    """``||H_I||``, once per system."""
-    return _cached(sys, "coupling_norm", lambda: spectral_norm(sys.h_i))
-
-
-def _interaction_spectrum(sys: BipartiteSystem):
-    """Ascending eigenvalues of the coupling and the tolerance that clusters them.
-
-    Computed once per system with ``eigvalsh``; these values fix the alphas
-    of both sector routes.
-    """
-    def compute():
-        w = np.linalg.eigvalsh(sys.h_i)
-        smax = float(np.abs(w).max()) if w.size else 0.0
-        return w, CLUSTER_TOL * max(1.0, smax)
-
-    return _cached(sys, "coupling_spectrum", compute)
-
-
 def _coupling_eig(sys: BipartiteSystem):
-    """``eigh(H_I)`` as ``(w, v)``, once per system (emptiness certificate)."""
+    """``eigh(H_I)`` as ``(w, v)``: the one factorization of the coupling, once per system."""
     return _cached(sys, "coupling_eig", lambda: tuple(np.linalg.eigh(sys.h_i)))
+
+
+def _coupling_norm(sys: BipartiteSystem) -> float:
+    """``||H_I|| = max|w|``, read off the cached spectrum."""
+    return float(np.abs(_coupling_eig(sys)[0]).max())
+
+
+def _coupling_clusters(sys: BipartiteSystem) -> list[tuple[float, tuple[int, int]]]:
+    """``(alpha, (lo, hi))`` for each cluster of the cached coupling spectrum ``w``.
+
+    Eigenvalues closer than ``CLUSTER_TOL * max(1, ||H_I||)`` share a
+    cluster; ``alpha`` is the mean of ``w[lo:hi]`` and ``V[:, lo:hi]`` spans
+    its eigenspace.  Both sector routes take their alphas from here.
+    """
+    w, _ = _coupling_eig(sys)
+    tol = CLUSTER_TOL * max(1.0, _coupling_norm(sys))
+    return list(zip(cluster_values(w, tol), _cluster_ranges(w, tol)))
 
 
 @dataclass(frozen=True)
@@ -263,103 +259,38 @@ def _eig(sys: BipartiteSystem, free: bool = False):
                    lambda: hermitian_eig(build_h0(sys) if free else build_total(sys)))
 
 
-def _provably_empty(sys: BipartiteSystem, com: _Commutator, w, tol: float,
-                    alphas, rel_tol: float) -> list[bool]:
-    """Flag the coupling clusters whose IFE sector is provably empty.
-
-    ``w``/``tol`` are the eigenvalues and tolerance that produced ``alphas``.
-    Nothing is flagged when the commutator is numerically zero, since the
-    stacked route then has no commutator block.
-    The stacked route of :func:`ife_sectors` takes the kernel of
-    ``S = [A; B]`` with ``A = (H_I - alpha I) / s_A`` and ``B = C / s_B``,
-    where ``C = [H_0, H_I]`` and ``s_X = max(1, ||X||)``.  It keeps the
-    singular vectors at or below ``rel_tol * sigma_max(S) <= sqrt(2) rel_tol``,
-    so the sector is empty whenever ``sigma_min(S)`` exceeds that cutoff.
-
-    Lower bound.  Let ``H_I = V diag(w) V^H``, let ``V_c`` hold the ``m``
-    cluster columns and ``V_o`` the rest, let ``g`` be the distance from
-    ``alpha`` to the nearest eigenvalue outside the cluster, and let
-    ``sigma = sigma_min(C V_c)``, the smallest singular value of the
-    ``d x m`` block of ``C V``.  A unit vector ``x = V_c y + V_o z`` with
-    ``t = ||z||`` has ``||A x|| >= a t`` and
-    ``||B x|| >= b sqrt(1 - t^2) - k t >= b (1 - t) - k t``, where
-    ``a = g / s_A``, ``b = sigma / s_B`` and ``k = ||C|| / s_B``.  The first
-    bound wins for ``t >= tau`` and the second for ``t <= tau`` with
-    ``tau = b / (a + b + k)``, so ``sigma_min(S) >= a b / (a + b + k)``.
-
-    Roundoff.  ``eigh`` is backward stable: the computed ``w`` are the exact
-    eigenvalues of a Hermitian ``H'`` with
-    ``||H_I - H'|| <= eta = ||H_I - H_I^H||_F + u max(1, max|w|)``, and the
-    computed ``V`` lies within ``u`` of an exact eigenvector matrix of
-    ``H'``, where ``u = 10 d eps``.  So ``g`` and ``s_A`` are
-    taken from the spectrum of ``H'`` (``s_A`` widened by ``eta``),
-    ``sigma`` is lowered by ``u ||C||``, and the bound by ``eta / s_A``
-    (the step from ``H'`` back to ``H_I``).  A cluster is flagged only when
-    the result exceeds ``sqrt(2) (10 rel_tol + u)``: ten times the cutoff
-    plus the stacked SVD's own roundoff.  Clusters that span the whole
-    spectrum, or whose index ranges differ between ``eigvalsh`` (which
-    fixed ``alphas``) and ``eigh``, are never flagged.
-    """
-    if com.is_zero:
-        return [False] * len(alphas)
-    ranges = _cluster_ranges(w, tol)
-    w_vec, v = _coupling_eig(sys)
-    if _cluster_ranges(w_vec, tol) != ranges:
-        return [False] * len(alphas)
-    u = _CERTIFICATE_SAFETY * sys.dim * np.finfo(float).eps
-    eta = float(np.linalg.norm(sys.h_i - sys.h_i.conj().T)) + u * max(1.0, float(np.abs(w_vec).max()))
-    s_b = max(1.0, com.norm)
-    k = com.norm / s_b
-    cutoff = math.sqrt(2.0) * (_CERTIFICATE_SAFETY * rel_tol + u)
-    comm_v = com.comm @ v
-    flags = []
-    for alpha, (lo, hi) in zip(alphas, ranges):
-        below = alpha - w_vec[lo - 1] if lo > 0 else math.inf
-        above = w_vec[hi] - alpha if hi < w_vec.size else math.inf
-        gap = max(0.0, min(below, above))
-        if math.isinf(gap):
-            flags.append(False)
-            continue
-        spread = max(abs(w_vec[0] - alpha), abs(w_vec[-1] - alpha))
-        a = gap / max(1.0, spread + eta)
-        sigma = float(np.linalg.svd(comm_v[:, lo:hi], compute_uv=False)[-1])
-        b = max(0.0, sigma - u * com.norm) / s_b
-        bound = a * b / (a + b + k) - eta / max(1.0, spread - eta)
-        flags.append(bool(bound > cutoff))
-    return flags
-
-
 def ife_sectors(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDecomposition:
     """IFE sectors via the kernel-intersection characterization.
 
-    For each clustered eigenvalue ``alpha`` of the coupling, the sector is
-    the common kernel of ``h_i - alpha I`` and the commutator
-    ``[H_0, H_I]``; empty intersections are dropped.  Constraint operators
-    that are numerically zero impose no constraint.
-
-    One eigendecomposition of the coupling first certifies most empty
-    clusters (see :func:`_provably_empty`); only the remaining clusters pay
-    for the SVD of the stacked ``2d x d`` constraint matrix.  The
-    certificate only skips clusters that the stacked SVD would drop, so the
-    result is the same as without it, bit for bit.
+    With ``H_I = V diag(w) V^H``, ``Ker(H_I - alpha I)`` is spanned by the
+    eigenvectors ``V[:, lo:hi]`` of the coupling cluster at ``alpha``, so the
+    sector is ``V[:, lo:hi] Ker(C V[:, lo:hi])`` with ``C = [H_0, H_I]``:
+    one thin SVD of the ``d x m`` block of ``C V / max(1, ||C||)`` per
+    cluster, with ``C V`` formed once.  A direction is kept when its
+    singular value is at or below ``rel_tol * sigma_ref``, where
+    ``sigma_ref = max(a / max(1, a), ||C|| / max(1, ||C||))`` and
+    ``a = ||H_I - alpha I|| = max(|w_0 - alpha|, |w_{d-1} - alpha|)``.
+    ``sigma_ref`` bounds the largest singular value of the stacked
+    constraint ``[(H_I - alpha I) / max(1, a); C / max(1, ||C||)]`` from
+    below, within a factor ``sqrt(2)``.  A numerically zero commutator
+    imposes no constraint, so the sector is the whole cluster eigenspace.
+    Clusters with an empty kernel are dropped.
     """
-    dim = sys.dim
+    require_rel_tol(rel_tol)
     com = _commutator_and_kernel(sys, rel_tol)
-    hi_norm = _coupling_norm(sys)
-    w, tol = _interaction_spectrum(sys)
-    alphas = cluster_values(w, tol)
-    eye = np.eye(dim)
+    w, v = _coupling_eig(sys)
+    if not com.is_zero:
+        scale = max(1.0, com.norm)
+        comm_v = com.comm @ v / scale
     sectors = []
-    for alpha, skip in zip(alphas, _provably_empty(sys, com, w, tol, alphas, rel_tol)):
-        if skip:
-            continue
-        shifted = sys.h_i - alpha * eye
-        ops = []
-        if not _is_numerically_zero(spectral_norm(shifted), max(hi_norm, abs(alpha))):
-            ops.append(shifted)
-        if not com.is_zero:
-            ops.append(com.comm)
-        basis = intersect_kernels(ops, rel_tol) if ops else eye.astype(complex)
+    for alpha, (lo, hi) in _coupling_clusters(sys):
+        if com.is_zero:
+            basis = v[:, lo:hi].copy()
+        else:
+            a = max(abs(w[0] - alpha), abs(w[-1] - alpha))
+            cutoff = rel_tol * max(a / max(1.0, a), com.norm / scale)
+            _, s, vh = np.linalg.svd(comm_v[:, lo:hi], full_matrices=False)
+            basis = v[:, lo:hi] @ vh[np.sum(s > cutoff):].conj().T
         if basis.shape[1] > 0:
             sectors.append(IfeSector(alpha, basis))
     return IfeDecomposition(tuple(sectors), com.kernel)
@@ -374,6 +305,12 @@ def ife_sectors_oracle(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -
     ``(H_I - alpha I) H_0^n`` spans exactly the blocks
     ``(H_I - alpha I) P_k`` (the Vandermonde matrix of the distinct
     ``mu_k`` is invertible), which avoids forming ill-scaled matrix powers.
+
+    ``H_I`` here is the cluster-snapped coupling ``V diag(w_bar) V^H``, each
+    eigenvalue replaced by the mean of its cluster (the alpha it belongs
+    to), so an eigenvalue split below ``CLUSTER_TOL`` is one eigenvalue in
+    both routes.  It differs from ``sys.h_i`` by at most the cluster
+    tolerance.
 
     The sector is the kernel of the stack ``S = [(H_I - alpha I) P_k / s_k]_k``
     with ``s_k = max(1, ||(H_I - alpha I) P_k||)``.  The ``P_k`` are
@@ -391,10 +328,11 @@ def ife_sectors_oracle(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -
     singular value is at or below ``rel_tol * max_k sigma_max(B_k / s_k)``.
     ``H_I - alpha I`` counts as numerically zero, and the whole space is
     the sector, when ``max_k sigma_max(B_k) = ||H_I - alpha I||`` (``V0`` is
-    unitary) is at roundoff level.  ``eigh(H_0)`` comes from the per-system
-    cache and ``[H_0, H_I]`` is never formed; only the reported commutator
-    kernel comes from the commutator.
+    unitary) is at roundoff level.  ``eigh(H_0)`` and ``eigh(H_I)`` come
+    from the per-system cache and ``[H_0, H_I]`` is never formed; only the
+    reported commutator kernel comes from the commutator.
     """
+    require_rel_tol(rel_tol)
     w0, v0 = _eig(sys, free=True)
     smax0 = float(np.abs(w0).max()) if w0.size else 0.0
     # w0 is ascending, so degenerate clusters are contiguous index ranges.
@@ -404,10 +342,13 @@ def ife_sectors_oracle(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -
     for lo, hi in _cluster_ranges(w0, CLUSTER_TOL * max(1.0, smax0)):
         by_size.setdefault(hi - lo, []).append(np.arange(lo, hi))
     groups = [np.array(g) for g in by_size.values()]
-    hv = sys.h_i @ v0
+    _, v = _coupling_eig(sys)
+    clusters = _coupling_clusters(sys)
+    w_bar = np.concatenate([np.full(hi - lo, alpha) for alpha, (lo, hi) in clusters])
+    hv = (v * w_bar) @ (v.conj().T @ v0)
     hi_norm = _coupling_norm(sys)
     sectors = []
-    for alpha in cluster_values(*_interaction_spectrum(sys)):
+    for alpha, _ in clusters:
         shifted_v0 = hv - alpha * v0
         svds = [np.linalg.svd(np.moveaxis(shifted_v0[:, g], 0, 1), full_matrices=False)[1:]
                 for g in groups]

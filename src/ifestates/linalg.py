@@ -9,6 +9,8 @@ concurrently.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -17,6 +19,7 @@ __all__ = [
     "as_operator",
     "hermiticity_defect",
     "require_hermitian",
+    "require_rel_tol",
     "spectral_norm",
     "kron",
     "commutator",
@@ -70,6 +73,16 @@ def require_hermitian(a, rel_tol: float = HERMITIAN_RTOL, name: str = "operator"
     return a
 
 
+def require_rel_tol(rel_tol) -> None:
+    """Raise unless the kernel cutoff ``rel_tol`` is a positive finite number.
+
+    ``NaN <= 0`` is False, so a plain sign check would let NaN through and
+    every singular value would then count as zero.
+    """
+    if not (rel_tol > 0 and math.isfinite(rel_tol)):
+        raise ValueError("rel_tol must be a positive finite number")
+
+
 def spectral_norm(a) -> float:
     """Largest singular value; 0 for empty matrices."""
     a = np.asarray(a, dtype=complex)
@@ -111,8 +124,7 @@ def null_space(a, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     is at or below ``rel_tol * sigma_max``.  A zero matrix (sigma_max = 0)
     has the full space as its kernel.  ``a`` may be rectangular.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
+    require_rel_tol(rel_tol)
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")

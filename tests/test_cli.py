@@ -279,7 +279,7 @@ class TestOracleDiff:
     def test_fat_tolerance_can_mismatch(self, data_dir, tmp_path):
         # with an absurd cutoff the two routes keep different directions
         code = run_cli("oracle-diff", str(data_dir / "system_no_ife.json"),
-                       "--tol", "0.1", "--out", str(tmp_path / "r.json"))
+                       "--tol", "0.5", "--out", str(tmp_path / "r.json"))
         assert code == 6
 
     def test_golden_report(self, star_file, data_dir, tmp_path):
@@ -348,6 +348,29 @@ class TestParserContract:
         assert exc.value.code == 0
         assert "ifestates" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("option, argv", [
+        ("--t-max", ["verify", "{star}", "--sector", "0", "--t-max", "nan"]),
+        ("--t-max", ["mixed", "{star}", "--t-max", "inf"]),
+        ("--tol", ["sectors", "{star}", "--tol", "nan"]),
+        ("--tol", ["sectors", "{star}", "--tol", "0"]),
+        ("--tol", ["oracle-diff", "{star}", "--tol", "inf"]),
+        ("--tol", ["verify", "{star}", "--sector", "0", "--tol", "-1"]),
+        ("--tol", ["mixed", "{star}", "--tol", "nan"]),
+        ("--tol", ["spin-star", "--n", "2", "--omega0", "1", "--omega", "0.7", "--gammas", "3,4",
+                   "--tol=-1e-10"]),
+        ("--omega0", ["spin-star", "--n", "2", "--omega0", "nan", "--omega", "0.7", "--gammas", "3,4"]),
+        ("--omega", ["spin-star", "--n", "2", "--omega0", "1", "--omega=-inf", "--gammas", "3,4"]),
+        ("--gammas", ["spin-star", "--n", "2", "--omega0", "1", "--omega", "0.7", "--gammas", "3,nan"]),
+        ("--samples", ["mixed", "{star}", "--samples", "0"]),
+        ("--samples", ["mixed", "{star}", "--samples", "-1"]),
+    ])
+    def test_invalid_numeric_option_exit_one(self, option, argv, star_file, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = [star_file if a == "{star}" else a for a in argv]
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert f"argument {option}: must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_console_entry_point(self, star_file):
         proc = subprocess.run(
             [sys.executable, "-m", "ifestates.cli", "sectors", star_file],
@@ -383,14 +406,17 @@ def multisector_file(tmp_path):
 
 @pytest.fixture()
 def eigh_calls(monkeypatch):
+    """Hermitian factorizations: calls of numpy.linalg.eigh and eigvalsh."""
     calls = []
-    original = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(1) or original(a, *args, **kw))
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, *args, fn=original, **kw: calls.append(1) or fn(a, *args, **kw))
     return calls
 
 
 class TestOneFactorization:
-    """verify and mixed diagonalize H and H_0 once per system."""
+    """verify and mixed diagonalize H, H_0 and H_I once per system."""
 
     def test_verify_sector_eigh_count_independent_of_dimension(self, multisector_file,
                                                                 eigh_calls, tmp_path):
@@ -403,7 +429,7 @@ class TestOneFactorization:
             counts.append(len(eigh_calls))
             eigh_calls.clear()
         assert sorted(dims) == [1, 2, 5]
-        assert max(counts) <= 2 and len(set(counts)) == 1
+        assert max(counts) <= 3 and len(set(counts)) == 1
 
     def test_mixed_samples_eigh_count_independent_of_samples(self, star_file, eigh_calls, tmp_path):
         counts = []

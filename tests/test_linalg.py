@@ -124,6 +124,11 @@ class TestNullSpace:
         with pytest.raises(ValueError, match="rel_tol"):
             null_space(np.eye(2), rel_tol=0.0)
 
+    @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), -1e-10])
+    def test_rejects_non_finite_or_negative_tol(self, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol must be a positive finite number"):
+            null_space(np.eye(3), rel_tol)
+
 
 class TestIntersectKernels:
     def test_identity_empty(self):
