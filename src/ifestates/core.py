@@ -8,7 +8,8 @@ mutually orthogonal sectors, one per interaction eigenvalue ``alpha``:
     N_alpha = Ker(H_I - alpha I)  intersect  Ker [H_0, H_I]
 
 Both routes start from one eigendecomposition ``H_I = V diag(w) V^H``, which
-fixes the clusters of the coupling spectrum and their means, the alphas.
+fixes the clusters of the coupling spectrum and their means, the alphas,
+and both work on the cluster-snapped coupling ``V diag(w_bar) V^H``.
 :func:`ife_sectors` evaluates the intersection directly: the first kernel
 is spanned by a cluster's eigenvectors ``V_alpha``, so
 ``N_alpha = V_alpha Ker([H_0, H_I] V_alpha)``, one thin kernel per cluster.
@@ -215,7 +216,22 @@ def _coupling_clusters(sys: BipartiteSystem) -> list[tuple[float, tuple[int, int
     """
     w, _ = _coupling_eig(sys)
     tol = CLUSTER_TOL * max(1.0, _coupling_norm(sys))
-    return list(zip(cluster_values(w, tol), _cluster_ranges(w, tol)))
+    return [(float(w[lo:hi].mean()) + 0.0, (lo, hi)) for lo, hi in _cluster_ranges(w, tol)]
+
+
+def _snapped_coupling(sys: BipartiteSystem) -> np.ndarray:
+    """``V diag(w_bar) V^H``: ``H_I`` with each eigenvalue snapped to its cluster's alpha.
+
+    Every sector decision uses it, so a split below ``CLUSTER_TOL`` is one
+    eigenvalue everywhere.  It is ``sys.h_i`` when no eigenvalue moves.
+    """
+    def compute():
+        w, v = _coupling_eig(sys)
+        clusters = _coupling_clusters(sys)
+        w_bar = np.concatenate([np.full(hi - lo, alpha) for alpha, (lo, hi) in clusters])
+        return sys.h_i if np.array_equal(w_bar, w) else (v * w_bar) @ v.conj().T
+
+    return _cached(sys, "coupling_snapped", compute)
 
 
 @dataclass(frozen=True)
@@ -230,7 +246,7 @@ class _Commutator:
 
 
 def _commutator_and_kernel(sys: BipartiteSystem, rel_tol: float) -> _Commutator:
-    """Commutator [H_0, H_I] and its kernel, computed once per (system, rel_tol).
+    """Commutator [H_0, H_I] (snapped coupling) and its kernel, once per (system, rel_tol).
 
     The result is cached on ``sys`` with read-only arrays, so every routine
     that takes the same system shares one commutator and one kernel SVD.
@@ -238,7 +254,7 @@ def _commutator_and_kernel(sys: BipartiteSystem, rel_tol: float) -> _Commutator:
     key = ("commutator", rel_tol)
     if key not in sys._cache:
         h0 = build_h0(sys)
-        comm = commutator(h0, sys.h_i)
+        comm = commutator(h0, _snapped_coupling(sys))
         norm = spectral_norm(comm)
         is_zero = _is_numerically_zero(norm, 2.0 * spectral_norm(h0) * _coupling_norm(sys))
         kernel = np.eye(sys.dim, dtype=complex) if is_zero else null_space(comm, rel_tol)
@@ -264,15 +280,14 @@ def ife_sectors(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDe
 
     With ``H_I = V diag(w) V^H``, ``Ker(H_I - alpha I)`` is spanned by the
     eigenvectors ``V[:, lo:hi]`` of the coupling cluster at ``alpha``, so the
-    sector is ``V[:, lo:hi] Ker(C V[:, lo:hi])`` with ``C = [H_0, H_I]``:
-    one thin SVD of the ``d x m`` block of ``C V / max(1, ||C||)`` per
-    cluster, with ``C V`` formed once.  A direction is kept when its
-    singular value is at or below ``rel_tol * sigma_ref``, where
+    sector is ``V[:, lo:hi] Ker(C V[:, lo:hi])`` with ``C = [H_0, H_I]`` of
+    the snapped coupling: one thin SVD of the ``d x m`` block of
+    ``C V / max(1, ||C||)`` per cluster, with ``C V`` formed once.  A
+    direction is kept when its singular value is at or below
+    ``rel_tol * sigma_ref``, where
     ``sigma_ref = max(a / max(1, a), ||C|| / max(1, ||C||))`` and
-    ``a = ||H_I - alpha I|| = max(|w_0 - alpha|, |w_{d-1} - alpha|)``.
-    ``sigma_ref`` bounds the largest singular value of the stacked
-    constraint ``[(H_I - alpha I) / max(1, a); C / max(1, ||C||)]`` from
-    below, within a factor ``sqrt(2)``.  A numerically zero commutator
+    ``a = ||H_I - alpha I|| = max(|w_0 - alpha|, |w_{d-1} - alpha|)``
+    (README, "Numerical conventions").  A numerically zero commutator
     imposes no constraint, so the sector is the whole cluster eigenspace.
     Clusters with an empty kernel are dropped.
     """
@@ -306,11 +321,7 @@ def ife_sectors_oracle(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -
     ``(H_I - alpha I) P_k`` (the Vandermonde matrix of the distinct
     ``mu_k`` is invertible), which avoids forming ill-scaled matrix powers.
 
-    ``H_I`` here is the cluster-snapped coupling ``V diag(w_bar) V^H``, each
-    eigenvalue replaced by the mean of its cluster (the alpha it belongs
-    to), so an eigenvalue split below ``CLUSTER_TOL`` is one eigenvalue in
-    both routes.  It differs from ``sys.h_i`` by at most the cluster
-    tolerance.
+    ``H_I`` here is the cluster-snapped coupling, as in :func:`ife_sectors`.
 
     The sector is the kernel of the stack ``S = [(H_I - alpha I) P_k / s_k]_k``
     with ``s_k = max(1, ||(H_I - alpha I) P_k||)``.  The ``P_k`` are
@@ -342,13 +353,10 @@ def ife_sectors_oracle(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -
     for lo, hi in _cluster_ranges(w0, CLUSTER_TOL * max(1.0, smax0)):
         by_size.setdefault(hi - lo, []).append(np.arange(lo, hi))
     groups = [np.array(g) for g in by_size.values()]
-    _, v = _coupling_eig(sys)
-    clusters = _coupling_clusters(sys)
-    w_bar = np.concatenate([np.full(hi - lo, alpha) for alpha, (lo, hi) in clusters])
-    hv = (v * w_bar) @ (v.conj().T @ v0)
+    hv = _snapped_coupling(sys) @ v0
     hi_norm = _coupling_norm(sys)
     sectors = []
-    for alpha, _ in clusters:
+    for alpha, _ in _coupling_clusters(sys):
         shifted_v0 = hv - alpha * v0
         svds = [np.linalg.svd(np.moveaxis(shifted_v0[:, g], 0, 1), full_matrices=False)[1:]
                 for g in groups]
@@ -379,9 +387,10 @@ def classify_pure(psi, sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL):
 
     The candidate ``alpha = <psi|H_I|psi>`` is accepted when psi is an
     eigenvector of the coupling at that value and lies in the commutator
-    kernel, both within ``rel_tol`` relative to the operator norms.  For
-    systems whose commutator is nonzero only through roundoff, membership
-    via :func:`ife_sectors` is the more robust test.
+    kernel, both within ``rel_tol`` relative to the operator norms.  ``H_I``
+    is the snapped coupling, as in :func:`ife_sectors`.  For systems whose
+    commutator is nonzero only through roundoff, membership via
+    :func:`ife_sectors` is the more robust test.
     """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.shape[0] != sys.dim:
@@ -392,14 +401,15 @@ def classify_pure(psi, sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL):
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"state is not normalized: ||psi|| = {nrm!r}")
 
-    alpha = float(np.vdot(psi, sys.h_i @ psi).real)
+    h_psi = _snapped_coupling(sys) @ psi
+    alpha = float(np.vdot(psi, h_psi).real)
     com = _commutator_and_kernel(sys, rel_tol)
     hi_norm = _coupling_norm(sys)
 
     if _is_numerically_zero(hi_norm, 1.0):
         eig_ok = True
     else:
-        eig_ok = float(np.linalg.norm(sys.h_i @ psi - alpha * psi)) <= rel_tol * hi_norm
+        eig_ok = float(np.linalg.norm(h_psi - alpha * psi)) <= rel_tol * hi_norm
     if com.is_zero:
         comm_ok = True
     else:

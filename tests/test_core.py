@@ -242,8 +242,9 @@ def snapped_coupling(sys_):
 
 
 def commutator_with_zero_flag(sys_):
+    """``[H_0, H_bar_I]`` of the cluster-snapped coupling and its numerical-zero flag."""
     h0 = build_h0(sys_)
-    comm = commutator(h0, sys_.h_i)
+    comm = commutator(h0, snapped_coupling(sys_))
     scale = 2.0 * spectral_norm(h0) * spectral_norm(sys_.h_i)
     return comm, spectral_norm(comm) <= NUMERICAL_ZERO_RTOL * max(1.0, scale)
 
@@ -253,8 +254,8 @@ def stacked_route_sectors(sys_, rel_tol=DEFAULT_REL_TOL):
 
     Each cluster's sector is the kernel of ``[(H_I - alpha I); [H_0, H_I]]``,
     each block scaled by ``1 / max(1, sigma_max)``, with numerically zero
-    blocks left out.  ``H_I - alpha I`` uses the cluster-snapped coupling,
-    so a cluster's eigenvalue spread below ``CLUSTER_TOL`` counts as zero.
+    blocks left out.  Both blocks use the cluster-snapped coupling, so a
+    cluster's eigenvalue spread below ``CLUSTER_TOL`` counts as zero.
     """
     comm, comm_is_zero = commutator_with_zero_flag(sys_)
     hi_norm = spectral_norm(sys_.h_i)
@@ -285,8 +286,11 @@ def rank_decisions_well_posed(sys_, rel_tol=DEFAULT_REL_TOL):
     by at most sqrt(2)), and a kept subspace is separated from the dropped
     directions by enough that the SVD's roundoff (about 1e-16) turns it by
     at most about 1e-11.  Closer to the cutoff, two correct kernel
-    computations may differ in dimension or by large angles: a
-    near-commuting coupling at strength 1e-11 to 1e-6 is such a case.
+    computations may differ in dimension or by large angles: the stack
+    mixes ``V_c`` with neighbouring eigenvectors through ``C``, so its
+    singular values are not the block's.  Near-commuting couplings at
+    strength 1e-11 to 1e-6 are such cases; there the kernels were seen to
+    turn apart by up to 1.6e-6.
     """
     comm, comm_is_zero = commutator_with_zero_flag(sys_)
     w, v = np.linalg.eigh(sys_.h_i)
@@ -368,6 +372,15 @@ class TestEmptinessCertificate:
         strength_exp=st.integers(-14, -2),
     )
     def test_matches_stacked_route(self, family, dims, seed, strength_exp):
+        """Same alphas and dimensions, angles <= 1e-10, where the rank decisions are well posed.
+
+        The filter skips every system with a singular value between a
+        tenth of the cutoff and 1e-5.  For the ``near`` family that removes
+        nearly all draws at strengths 1e-11 to 1e-6, most at 1e-5 and about
+        a third at 1e-12; on 40 draws a decade it kept none at 1e-11 to
+        1e-6.  The cutoff itself is probed by
+        ``test_near_cutoff_cluster_never_dropped``.
+        """
         rng = np.random.default_rng(seed)
         if family == "near":
             sys_ = near_commuting_system(*dims, rng, 10.0 ** strength_exp)
@@ -897,6 +910,23 @@ def dimensions(dec):
     return [s.dimension for s in dec.sectors]
 
 
+def mixing_split_system(split, seed, alpha=0.5):
+    """A coupling degeneracy split by ``split`` whose eigenvectors mix eigenspaces of H_0.
+
+    On ``span{e0, e1}`` (free energies 0 and 0.4) the coupling has
+    eigenvalues ``alpha`` and ``alpha + split`` with rotated eigenvectors,
+    so ``[H_0, H_I]`` mixes ``e0`` and ``e1`` at order ``split``; a generic
+    coupling on the rest keeps the commutator well away from zero.
+    """
+    rng = np.random.default_rng(seed)
+    pair = random_unitary(2, rng)
+    h_i = np.zeros((6, 6), dtype=complex)
+    h_i[:2, :2] = (pair * [alpha, alpha + split]) @ pair.conj().T
+    rest = random_hermitian(4, rng)
+    h_i[2:, 2:] = rest + (alpha + 2.0 - np.linalg.eigvalsh(rest).min()) * np.eye(4)
+    return BipartiteSystem(2, 3, np.diag([0.0, 1.3]), np.diag([0.0, 0.4, 0.9]), h_i)
+
+
 ROUTES = pytest.mark.parametrize("route", [ife_sectors, ife_sectors_oracle])
 FAMILIES = st.sampled_from(["commuting", "conjugated", "subspace_zero", "generic", "star"])
 
@@ -972,6 +1002,28 @@ class TestSectorInvariants:
             path = Path(tmp) / "split.json"
             save_system(sys_, path)
             assert cli_main(["oracle-diff", str(path), "--out", str(Path(tmp) / "r.json")]) == 0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("split", [1e-13, 1e-11, 3e-10, 1e-9, 3e-9])
+    def test_split_mixing_free_eigenspaces_lands_in_one_sector(self, split, seed, tmp_path):
+        # the split cluster spans {e0, e1} in both routes, inside the
+        # reported commutator kernel, and classify_pure accepts any state in it
+        from ifestates.cli import main as cli_main
+        from ifestates.serialize import save_system
+
+        sys_ = mixing_split_system(split, seed)
+        pair = np.eye(6, dtype=complex)[:, :2]
+        for route in (ife_sectors, ife_sectors_oracle):
+            dec = route(sys_)
+            assert dec.alphas == pytest.approx((0.5,), abs=1e-8)
+            assert dimensions(dec) == [2]
+            assert subspace_equal(dec.sectors[0].basis, pair, 1e-7)
+            kernel = dec.commutator_kernel
+            assert spectral_norm(pair - kernel @ (kernel.conj().T @ pair)) <= 1e-8
+        psi = pair @ np.array([1.0, 1.0j]) / np.sqrt(2.0)
+        assert classify_pure(psi, sys_) == pytest.approx(dec.alphas[0], abs=1e-12)
+        save_system(sys_, tmp_path / "split.json")
+        assert cli_main(["oracle-diff", str(tmp_path / "split.json"), "--out", str(tmp_path / "r.json")]) == 0
 
 
 class TestRelTolValidation:
