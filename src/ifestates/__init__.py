@@ -22,7 +22,6 @@ from .dynamics import (
     FreeInvarianceError,
     covariance_trace,
     energy_trace,
-    evolve_pure,
     ife_deviation_trace,
     time_grid,
     trace_pure_states,
@@ -34,7 +33,6 @@ from .linalg import (
     kron,
     max_principal_angle,
     null_space,
-    propagator,
     subspace_equal,
 )
 from .mixed import (
@@ -76,7 +74,6 @@ __all__ = [
     "FreeInvarianceError",
     "covariance_trace",
     "energy_trace",
-    "evolve_pure",
     "ife_deviation_trace",
     "time_grid",
     "trace_pure_states",
@@ -86,7 +83,6 @@ __all__ = [
     "kron",
     "max_principal_angle",
     "null_space",
-    "propagator",
     "subspace_equal",
     "SectorBlockForm",
     "check_density_matrix",

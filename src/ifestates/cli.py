@@ -250,7 +250,7 @@ def cmd_sectors(args) -> int:
 
 def _verify_vectors(system, states, times, tol, labels) -> tuple[list, list]:
     """Claims and traces of the columns of ``states``, each at its own ``<psi|H_I|psi>``."""
-    alphas = [float(np.vdot(psi, system.h_i @ psi).real) for psi in states.T]
+    alphas = [float(a) for a in (states.conj() * (system.h_i @ states)).sum(axis=0).real]
     reports = trace_pure_states(
         system, states, times, alphas=alphas, energies=True,
         observables=(system.h_a, system.h_b),

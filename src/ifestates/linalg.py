@@ -30,7 +30,6 @@ __all__ = [
     "cross_gram_singular_values",
     "subspace_equal",
     "max_principal_angle",
-    "propagator",
 ]
 
 # Relative singular-value cutoff used by every kernel computation.
@@ -231,8 +230,3 @@ def max_principal_angle(b1, b2) -> float:
     s = max(one_way(b1, b2), one_way(b2, b1))
     return float(np.arcsin(min(1.0, s)))
 
-
-def propagator(h, t: float) -> np.ndarray:
-    """Unitary exp(-i h t) of a Hermitian generator, via eigendecomposition."""
-    w, v = hermitian_eig(h)
-    return (v * np.exp(-1j * w * float(t))) @ v.conj().T

@@ -5,6 +5,11 @@ Hamiltonian exactly when it is block diagonal across the IFE sectors:
 supported on the union of the sector subspaces with no coherence between
 different sectors.  This module recognizes that structure, draws random
 states that have it, and measures the dynamical deviation directly.
+
+The dynamical traces work in the eigenbases of ``H = V diag(w) V^H`` and
+``H_0 = V0 diag(w0) V0^H``, cached on the system: ``rho(t)`` is
+``V (P(t) o rho~) V^H`` with ``rho~ = V^H rho V`` and the phase matrix
+``P(t) = p p^H``, ``p = exp(-i w t)`` (``o`` is the entrywise product).
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BipartiteSystem, IfeDecomposition, _eig
-from .dynamics import time_grid
-from .linalg import as_operator, kron, require_hermitian
+from .dynamics import _apply_local, _eig_overlap, time_grid
+from .linalg import as_operator, require_hermitian
 
 __all__ = [
     "check_density_matrix",
@@ -148,22 +153,36 @@ def random_ife_mixed(dec: IfeDecomposition, weights, seed: int) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
-def _phase_conjugations(spectrum, rho, times):
-    """exp(-i h t) rho exp(i h t) for each grid time, from the cached ``(w, v)`` of h."""
-    w, v = spectrum
-    rho_eig = v.conj().T @ rho @ v
-    for t in times:
-        phases = np.exp(-1j * w * t)
-        yield v @ (np.outer(phases, phases.conj()) * rho_eig) @ v.conj().T
+def _eigenbasis_state(rho, sys: BipartiteSystem, free: bool = False):
+    """``(w, rho~)``: the spectrum of ``H`` (``H_0`` when ``free``) and ``V^H rho V``."""
+    w, v = _eig(sys, free)
+    return w, v.conj().T @ rho @ v
+
+
+def _phase_matrix(w, t: float) -> np.ndarray:
+    """``P(t) = p p^H`` with ``p = exp(-i w t)``."""
+    p = np.exp(-1j * w * t)
+    return np.outer(p, p.conj())
 
 
 def mixed_deviation_trace(rho, sys: BipartiteSystem, times=None) -> np.ndarray:
-    """Frobenius distance between full and free conjugation at each time."""
+    """Frobenius distance between full and free conjugation at each time.
+
+    ``||rho(t) - rho_0(t)||_F = ||P(t) o rho~ - W (P0(t) o rho~0) W^H||_F``
+    in the eigenbasis of ``H``, with ``rho~0 = V0^H rho V0`` and
+    ``W = V^H V0``: two matrix products per time step.
+    """
     times = time_grid() if times is None else np.asarray(times, dtype=float)
     rho = _state_operator(rho, sys.dim)
-    full = _phase_conjugations(_eig(sys), rho, times)
-    free = _phase_conjugations(_eig(sys, free=True), rho, times)
-    return np.array([float(np.linalg.norm(a - b)) for a, b in zip(full, free)])
+    w, rho_eig = _eigenbasis_state(rho, sys)
+    w0, rho0_eig = _eigenbasis_state(rho, sys, free=True)
+    overlap = _eig_overlap(sys)
+    overlap_h = overlap.conj().T
+    return np.array([
+        float(np.linalg.norm(_phase_matrix(w, t) * rho_eig
+                             - overlap @ (_phase_matrix(w0, t) * rho0_eig) @ overlap_h))
+        for t in times
+    ])
 
 
 def mixed_deviation(rho, sys: BipartiteSystem, times=None) -> float:
@@ -172,13 +191,18 @@ def mixed_deviation(rho, sys: BipartiteSystem, times=None) -> float:
 
 
 def mixed_energy_trace(rho, sys: BipartiteSystem, times=None) -> tuple[np.ndarray, np.ndarray]:
-    """Subsystem energies Tr(rho(t) H_A (x) I), Tr(rho(t) I (x) H_B)."""
+    """Subsystem energies Tr(rho(t) H_A (x) I), Tr(rho(t) I (x) H_B).
+
+    ``Tr(rho(t) O) = p(t)^T (rho~ o O~^T) p(t)^*`` with ``O~ = V^H O V``,
+    so the whole grid is one ``T x d x d`` product per observable.
+    """
     times = time_grid() if times is None else np.asarray(times, dtype=float)
     rho = _state_operator(rho, sys.dim)
-    op_a = kron(sys.h_a, np.eye(sys.dim_b))
-    op_b = kron(np.eye(sys.dim_a), sys.h_b)
-    e_a, e_b = [], []
-    for evolved in _phase_conjugations(_eig(sys), rho, times):
-        e_a.append(float(np.trace(evolved @ op_a).real))
-        e_b.append(float(np.trace(evolved @ op_b).real))
-    return np.array(e_a), np.array(e_b)
+    w, rho_eig = _eigenbasis_state(rho, sys)
+    v = _eig(sys)[1]
+    phases = np.exp(-1j * np.outer(times, w))  # row k is p(t_k)
+    energies = []
+    for op_v in (_apply_local(sys, v, op_a=sys.h_a), _apply_local(sys, v, op_b=sys.h_b)):
+        weights = rho_eig * (v.conj().T @ op_v).T
+        energies.append(((phases @ weights) * phases.conj()).sum(axis=1).real)
+    return energies[0], energies[1]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ifestates import BipartiteSystem
+from ifestates.linalg import hermitian_eig
 
 # Dimension pairs with product <= 16, mixed shapes.
 DIM_PAIRS = [(2, 2), (2, 3), (3, 3), (2, 4), (4, 4), (2, 6), (3, 5), (2, 8), (2, 5), (4, 3)]
@@ -25,6 +26,24 @@ def random_hermitian(dim, rng, scale=1.0):
 def random_state(dim, rng):
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return z / np.linalg.norm(z)
+
+
+def propagator(h, t):
+    """Unitary exp(-i h t) of a Hermitian generator, via eigendecomposition.
+
+    A one-time reference for the tracers, which never form a propagator.
+    """
+    w, v = hermitian_eig(h)
+    return (v * np.exp(-1j * w * float(t))) @ v.conj().T
+
+
+def evolve_pure(h, psi, t):
+    """exp(-i h t) |psi> for a Hermitian generator and a unit vector."""
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    nrm = float(np.linalg.norm(psi))
+    if abs(nrm - 1.0) > 1e-10:
+        raise ValueError(f"state is not normalized: ||psi|| = {nrm!r}")
+    return propagator(h, t) @ psi
 
 
 def commuting_system(dim_a, dim_b, rng, conjugate=True):

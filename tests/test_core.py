@@ -29,7 +29,6 @@ from ifestates.linalg import (
     commutator,
     intersect_kernels,
     max_principal_angle,
-    propagator,
     spectral_norm,
     subspace_equal,
 )
@@ -39,6 +38,7 @@ from helpers import (
     commuting_system,
     diagonal_multisector_system,
     generic_system,
+    propagator,
     random_hermitian,
     random_state,
     random_unitary,

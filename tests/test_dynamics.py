@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -11,20 +12,21 @@ from ifestates import (
     build_total,
     covariance_trace,
     energy_trace,
-    evolve_pure,
     ife_deviation_trace,
     ife_sectors,
     spin_star_ife_basis,
     time_grid,
     trace_pure_states,
 )
-from ifestates.linalg import kron
+from ifestates.dynamics import _CHUNK_ENTRIES
+from ifestates.linalg import kron, spectral_norm
 from ifestates.spin_star import PAULI_Z, total_sz
 
 from helpers import (
     DIM_PAIRS,
     commuting_system,
     diagonal_multisector_system,
+    evolve_pure,
     generic_system,
     random_hermitian,
     random_state,
@@ -172,11 +174,9 @@ class TestCovarianceTrace:
     def test_unitarity_along_grid(self, star_system_n2):
         rng = np.random.default_rng(7)
         psi = random_state(8, rng)
-        from ifestates import evolve_pure as ev
-
         h = build_total(star_system_n2)
         for t in time_grid(10.0, 11):
-            assert abs(np.linalg.norm(ev(h, psi, t)) - 1.0) <= 1e-10
+            assert abs(np.linalg.norm(evolve_pure(h, psi, t)) - 1.0) <= 1e-10
 
 
 def reference_traces(sys_, psi, alpha, times):
@@ -215,6 +215,30 @@ def drawn_system(family, dims, rng):
     return generic_system(*dims, rng)
 
 
+def agreement_tol(sys_):
+    """Blocked products change only the last bits of a trace: its roundoff
+    scales with the observables, whose largest is ``h_a (x) h_b``."""
+    return 1e-13 * max(1.0, spectral_norm(sys_.h_a)) * max(1.0, spectral_norm(sys_.h_b))
+
+
+def random_unit_columns(dim, m, rng):
+    z = rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))
+    return z / np.linalg.norm(z, axis=0)
+
+
+def assert_agrees_with_references(sys_, states, times, alphas, reports):
+    atol = agreement_tol(sys_)
+    assert len(reports) == states.shape[1]
+    for j, report in enumerate(reports):
+        deviation, energy_a, energy_b, covariance = reference_traces(
+            sys_, states[:, j], alphas[j], times)
+        assert_allclose(report.deviation, deviation, rtol=0, atol=atol)
+        assert report.max_deviation == report.deviation.max()
+        assert_allclose(report.energy_a, energy_a, rtol=0, atol=atol)
+        assert_allclose(report.energy_b, energy_b, rtol=0, atol=atol)
+        assert_allclose(report.covariance, covariance, rtol=0, atol=atol)
+
+
 class TestTracePureStates:
     """The one-factorization tracer against the three-tracer composition."""
 
@@ -229,11 +253,10 @@ class TestTracePureStates:
         fortran=st.booleans(),
     )
     @example(family="star", dims=(2, 2), seed=0, m=3, t_max=10.0, steps=1, fortran=True)
-    def test_bit_identical_to_three_tracers(self, family, dims, seed, m, t_max, steps, fortran):
+    def test_agrees_with_three_tracers(self, family, dims, seed, m, t_max, steps, fortran):
         rng = np.random.default_rng(seed)
         sys_ = drawn_system(family, dims, rng)
-        z = rng.standard_normal((sys_.dim, m)) + 1j * rng.standard_normal((sys_.dim, m))
-        states = z / np.linalg.norm(z, axis=0)
+        states = random_unit_columns(sys_.dim, m, rng)
         if fortran:  # the layout of sector bases
             states = np.asfortranarray(states)
         times = time_grid(t_max, steps)
@@ -243,22 +266,54 @@ class TestTracePureStates:
             sys_, states, times, alphas=alphas, energies=True,
             observables=(sys_.h_a, sys_.h_b),
         )
-        assert len(reports) == m
-        for j, report in enumerate(reports):
+        assert_agrees_with_references(sys_, states, times, alphas, reports)
+        atol = agreement_tol(sys_)
+        for j in range(m):
             psi = states[:, j]
             deviation, energy_a, energy_b, covariance = reference_traces(sys_, psi, alphas[j], times)
-            assert np.array_equal(report.deviation, deviation)
-            assert report.max_deviation == deviation.max()
-            assert np.array_equal(report.energy_a, energy_a)
-            assert np.array_equal(report.energy_b, energy_b)
-            assert np.array_equal(report.covariance, covariance)
-            # the one-state wrappers give the same bits
-            assert np.array_equal(ife_deviation_trace(sys_, psi, alphas[j], times).deviation, deviation)
+            # the one-state wrappers agree with the references too
+            single = ife_deviation_trace(sys_, psi, alphas[j], times).deviation
+            assert_allclose(single, deviation, rtol=0, atol=atol)
             single = energy_trace(sys_, psi, times)
-            assert np.array_equal(single.energy_a, energy_a)
-            assert np.array_equal(single.energy_b, energy_b)
+            assert_allclose(single.energy_a, energy_a, rtol=0, atol=atol)
+            assert_allclose(single.energy_b, energy_b, rtol=0, atol=atol)
             cov = covariance_trace(sys_, psi, sys_.h_a, sys_.h_b, times).covariance
-            assert np.array_equal(cov, covariance)
+            assert_allclose(cov, covariance, rtol=0, atol=atol)
+
+    def test_agrees_with_three_tracers_across_chunks(self):
+        # two full chunks of columns under the budget and a partial third
+        rng = np.random.default_rng(14)
+        sys_ = commuting_system(4, 4, rng)
+        times = time_grid(10.0, 101)
+        per_chunk = _CHUNK_ENTRIES // (sys_.dim * times.size)
+        assert per_chunk >= 2
+        states = random_unit_columns(sys_.dim, 2 * per_chunk + per_chunk // 2, rng)
+        assert sys_.dim * states.shape[1] * times.size > 2 * _CHUNK_ENTRIES
+        alphas = [float(np.vdot(psi, sys_.h_i @ psi).real) for psi in states.T]
+        reports = trace_pure_states(
+            sys_, states, times, alphas=alphas, energies=True,
+            observables=(sys_.h_a, sys_.h_b),
+        )
+        assert_agrees_with_references(sys_, states, times, alphas, reports)
+
+    @pytest.mark.parametrize("family", ["commuting", "star", "generic"])
+    def test_one_state_wrappers_agree_with_batch_columns(self, family):
+        rng = np.random.default_rng(15)
+        sys_ = drawn_system(family, (2, 4), rng)
+        times = time_grid(4.0, 9)
+        states = random_unit_columns(sys_.dim, 5, rng)
+        alphas = rng.uniform(-1.0, 1.0, 5)
+        batch = trace_pure_states(sys_, states, times, alphas=alphas, energies=True,
+                                  observables=(sys_.h_a, sys_.h_b))
+        atol = agreement_tol(sys_)
+        for j, psi in enumerate(states.T):
+            single = ife_deviation_trace(sys_, psi, alphas[j], times)
+            assert_allclose(single.deviation, batch[j].deviation, rtol=0, atol=atol)
+            single = energy_trace(sys_, psi, times)
+            assert_allclose(single.energy_a, batch[j].energy_a, rtol=0, atol=atol)
+            assert_allclose(single.energy_b, batch[j].energy_b, rtol=0, atol=atol)
+            single = covariance_trace(sys_, psi, sys_.h_a, sys_.h_b, times)
+            assert_allclose(single.covariance, batch[j].covariance, rtol=0, atol=atol)
 
     def test_only_requested_traces_are_filled(self, star_system_n2):
         psi = random_state(8, np.random.default_rng(9))

@@ -9,13 +9,12 @@ from ifestates.linalg import (
     max_principal_angle,
     null_space,
     orthonormal_columns,
-    propagator,
     require_hermitian,
     spectral_norm,
     subspace_equal,
 )
 
-from helpers import random_hermitian, random_unitary
+from helpers import propagator, random_hermitian, random_unitary
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from ifestates import (
     build_h0,
@@ -14,7 +15,7 @@ from ifestates import (
     spin_star_ife_basis,
     time_grid,
 )
-from ifestates.linalg import kron
+from ifestates.linalg import kron, spectral_norm
 from ifestates.mixed import mixed_deviation_trace, mixed_energy_trace
 
 from helpers import commuting_system, diagonal_multisector_system, random_state
@@ -215,7 +216,7 @@ def reference_phase_conjugations(h, rho, times):
 
 class TestSharedSpectra:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_bit_identical_to_per_call_factorization(self, seed):
+    def test_agrees_with_per_call_factorization(self, seed):
         rng = np.random.default_rng(seed)
         sys_ = commuting_system(2, 3, rng)
         z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
@@ -225,12 +226,14 @@ class TestSharedSpectra:
         full = list(reference_phase_conjugations(build_total(sys_), rho, times))
         free = list(reference_phase_conjugations(build_h0(sys_), rho, times))
         expected = np.array([float(np.linalg.norm(a - b)) for a, b in zip(full, free)])
-        assert np.array_equal(mixed_deviation_trace(rho, sys_, times), expected)
+        # the eigenbasis formulas change only the last bits
+        atol = 1e-13 * max(1.0, spectral_norm(sys_.h_a)) * max(1.0, spectral_norm(sys_.h_b))
+        assert_allclose(mixed_deviation_trace(rho, sys_, times), expected, rtol=0, atol=atol)
         op_a = kron(sys_.h_a, np.eye(3))
         op_b = kron(np.eye(2), sys_.h_b)
         e_a, e_b = mixed_energy_trace(rho, sys_, times)
-        assert np.array_equal(e_a, [float(np.trace(r @ op_a).real) for r in full])
-        assert np.array_equal(e_b, [float(np.trace(r @ op_b).real) for r in full])
+        assert_allclose(e_a, [float(np.trace(r @ op_a).real) for r in full], rtol=0, atol=atol)
+        assert_allclose(e_b, [float(np.trace(r @ op_b).real) for r in full], rtol=0, atol=atol)
 
     def test_samples_share_one_factorization(self, diag_dec, monkeypatch):
         # a fresh copy of diag_system, whose spectra other tests may have cached
