@@ -20,7 +20,6 @@ from ifestates import BipartiteSystem, SpinStarParams, build_spin_star, random_i
 from ifestates.cli import main as cli_main
 from ifestates.serialize import (
     canonical_dumps,
-    matrix_to_pairs,
     save_density_matrix,
     save_state_vector,
     save_system,
@@ -77,9 +76,9 @@ def main() -> int:
     bad = {
         "dim_a": 2,
         "dim_b": 2,
-        "h_a": matrix_to_pairs(np.eye(2)),
-        "h_b": matrix_to_pairs(np.eye(2)),
-        "h_i": matrix_to_pairs(lopsided),
+        "h_a": np.eye(2, dtype=complex),
+        "h_b": np.eye(2, dtype=complex),
+        "h_i": lopsided,
         "label": "h_i deliberately non-Hermitian",
     }
     write_canonical(bad, DATA / "system_bad_hermitian.json")

@@ -46,11 +46,17 @@ from .serialize import (
     canonical_dumps,
     load_state,
     load_system,
-    matrix_to_pairs,
     sha256_digest,
     write_canonical,
 )
-from .spin_star import ResonanceError, SpinStarParams, spin_star_ife_basis, verify_spin_star_claims
+from .spin_star import (
+    ResonanceError,
+    SpinStarParams,
+    _require_off_resonance,
+    dressed_blocks,
+    spin_star_ife_basis,
+    verify_spin_star_claims,
+)
 
 __all__ = ["main", "entrypoint"]
 
@@ -171,18 +177,18 @@ def _sector_payload(dec, include_bases: bool) -> list[dict]:
     for sector in dec.sectors:
         entry = {"alpha": float(sector.alpha), "dimension": sector.dimension}
         if include_bases:
-            entry["basis"] = matrix_to_pairs(sector.basis)
+            entry["basis"] = np.asarray(sector.basis, dtype=complex)
         payload.append(entry)
     return payload
 
 
 def _trace_lists(report, extra=None) -> dict:
     out = dict(extra or {})
-    out["times"] = [float(t) for t in report.times]
+    out["times"] = np.asarray(report.times, dtype=float)
     for key in ("deviation", "energy_a", "energy_b", "covariance"):
         values = getattr(report, key)
         if values is not None:
-            out[key] = [float(v) for v in values]
+            out[key] = np.asarray(values, dtype=float)
     return out
 
 
@@ -279,10 +285,10 @@ def _density_matrix_trace(system, rho, times) -> tuple[np.ndarray, dict]:
     return dev, {
         "vector": 0,
         "label": "density_matrix",
-        "times": [float(t) for t in times],
-        "deviation": [float(v) for v in dev],
-        "energy_a": [float(v) for v in e_a],
-        "energy_b": [float(v) for v in e_b],
+        "times": np.asarray(times, dtype=float),
+        "deviation": np.asarray(dev, dtype=float),
+        "energy_a": np.asarray(e_a, dtype=float),
+        "energy_b": np.asarray(e_b, dtype=float),
     }
 
 
@@ -356,12 +362,15 @@ def _params_digest(params: SpinStarParams) -> str:
 def cmd_spin_star(args) -> int:
     started = time.perf_counter()
     params = SpinStarParams(args.n, args.omega0, args.omega, args.gammas)
-    dec = spin_star_ife_basis(params)
+    # Resonance first: the dressing rejects negative couplings with exit 1.
+    _require_off_resonance(params)
+    blocks = dressed_blocks(params)
+    dec = spin_star_ife_basis(params, blocks)
 
     claims = None
     code = EXIT_OK
     if args.check_all:
-        results = verify_spin_star_claims(params, args.tol)
+        results = verify_spin_star_claims(params, args.tol, blocks)
         claims = [_claim(r.name, r.residual, r.tolerance) for r in results]
         if not all(c["pass"] for c in claims):
             code = EXIT_MISMATCH

@@ -6,6 +6,14 @@ Serialization is canonical: keys sorted, two-space indentation, floats
 printed with 17 significant digits, trailing newline.  Canonically
 formatted files therefore survive a parse/serialize round trip
 byte-identically.
+
+Besides dicts, lists, strings, numbers, booleans and None, a document may
+hold numpy arrays as leaves: float64 vectors (1-D), emitted as their
+``tolist()``, and complex128 vectors or matrices (1-D or 2-D), emitted as
+``[re, im]`` pairs in the layout above.  An array leaf gives exactly the
+bytes of its list form; each row is formatted by one ``%`` over a
+``%.17g`` template, the same conversion ``format(x, ".17g")`` makes.  Any
+other dtype or number of dimensions raises TypeError.
 """
 
 from __future__ import annotations
@@ -24,9 +32,7 @@ __all__ = [
     "REPORT_SCHEMA_VERSION",
     "canonical_dumps",
     "write_canonical",
-    "matrix_to_pairs",
     "pairs_to_matrix",
-    "vector_to_pairs",
     "pairs_to_vector",
     "sha256_digest",
     "load_system",
@@ -42,10 +48,44 @@ REPORT_SCHEMA_VERSION = "ife-report/1"
 FILE_HERMITIAN_RTOL = 1e-10
 
 
+def _non_finite(x: float) -> ValueError:
+    return ValueError(f"non-finite value {x!r} cannot be serialized")
+
+
 def _format_float(x: float) -> str:
     if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x!r} cannot be serialized")
+        raise _non_finite(x)
     return format(float(x), ".17g")
+
+
+def _bracketed(items: list[str], indent: int) -> str:
+    """Canonical list text around already laid-out ``items`` at ``indent``."""
+    if not items:
+        return "[]"
+    pad = "  " * indent
+    inner = ",\n".join(pad + "  " + item for item in items)
+    return f"[\n{inner}\n{pad}]"
+
+
+def _array_text(arr: np.ndarray, indent: int) -> str:
+    """Text of a float64 vector or a complex128 vector or matrix, as its list form."""
+    if arr.dtype == np.float64 and arr.ndim == 1:
+        floats = arr
+    elif arr.dtype == np.complex128 and arr.ndim in (1, 2):
+        # Interleaved (re, im) per entry: the order of the [re, im] pairs.
+        floats = np.ascontiguousarray(arr).view(np.float64)
+    else:
+        raise TypeError(f"cannot serialize array of dtype {arr.dtype} with {arr.ndim} dimensions")
+    if not np.isfinite(floats).all():
+        raise _non_finite(float(floats[~np.isfinite(floats)][0]))
+    if arr.dtype == np.float64:
+        return _bracketed(["%.17g"] * arr.size, indent) % tuple(floats.tolist())
+    depth = indent + arr.ndim
+    pair = _bracketed(["%.17g", "%.17g"], depth)
+    row = _bracketed([pair] * arr.shape[-1], depth - 1)
+    if arr.ndim == 1:
+        return row % tuple(floats.tolist())
+    return _bracketed([row % tuple(values) for values in floats.tolist()], indent)
 
 
 def _canonical(obj, out: list, indent: int) -> None:
@@ -73,6 +113,8 @@ def _canonical(obj, out: list, indent: int) -> None:
             _canonical(item, out, indent + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "]")
+    elif isinstance(obj, np.ndarray):
+        out.append(_array_text(obj, indent))
     elif isinstance(obj, (bool, np.bool_)) or obj is None:
         out.append(json.dumps(bool(obj) if obj is not None else None))
     elif isinstance(obj, (int, np.integer)):
@@ -97,31 +139,25 @@ def write_canonical(obj, path) -> None:
     Path(path).write_text(canonical_dumps(obj), encoding="utf-8")
 
 
-def matrix_to_pairs(m) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+def _pair_array(data, field: str, what: str, ndim: int) -> np.ndarray:
+    """float64 array of a field that must be ``what``: ``ndim`` axes, the last of length 2."""
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        # Strings, ragged nesting and integers beyond float range.
+        raise ValueError(f"field {field!r} must be {what}: {exc}") from None
+    if arr.ndim != ndim or arr.shape[-1] != 2 or (ndim == 3 and arr.shape[0] != arr.shape[1]):
+        raise ValueError(f"field {field!r} must be {what}, got shape {arr.shape}")
+    return arr
 
 
 def pairs_to_matrix(data, field: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(
-            f"field {field!r} must be a square matrix of [re, im] pairs, got shape {arr.shape}"
-        )
+    arr = _pair_array(data, field, "a square matrix of [re, im] pairs", 3)
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def vector_to_pairs(v) -> list:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    return [[float(x.real), float(x.imag)] for x in v]
-
-
 def pairs_to_vector(data, field: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(
-            f"field {field!r} must be a list of [re, im] pairs, got shape {arr.shape}"
-        )
+    arr = _pair_array(data, field, "a list of [re, im] pairs", 2)
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -129,12 +165,31 @@ def sha256_digest(path) -> str:
     return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _load_json(path):
+def _holds_bool(value) -> bool:
+    if isinstance(value, list):
+        return any(map(_holds_bool, value))
+    return value is True or value is False
+
+
+def _load_object(path, pair_fields: tuple[str, ...]) -> dict:
+    """The top-level object of a system or state file.
+
+    numpy reads a JSON ``true`` as 1.0, so a boolean inside one of the
+    ``pair_fields`` is rejected here.  One can occur only where the text
+    holds a ``true`` or ``false`` token, so the fields are scanned only then.
+    """
     text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: top-level value must be an object")
+    if "true" in text or "false" in text:
+        for field in pair_fields:
+            if _holds_bool(data.get(field)):
+                raise ValueError(f"{path}: field {field!r} holds a boolean, not a number")
+    return data
 
 
 def _require(data: dict, field: str, path):
@@ -143,24 +198,30 @@ def _require(data: dict, field: str, path):
     return data[field]
 
 
+def _decode(codec, value, field: str, path) -> np.ndarray:
+    """``codec(value, field)`` with the file named in any error."""
+    try:
+        return codec(value, field)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_system(path) -> tuple[BipartiteSystem, str | None]:
     """Read a system file, validating shapes and Hermiticity per field.
 
     Returns the system and its optional label.  Any defect is reported as
     a ValueError naming the offending field.
     """
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: top-level value must be an object")
+    data = _load_object(path, ("h_a", "h_b", "h_i"))
     dim_a = _require(data, "dim_a", path)
     dim_b = _require(data, "dim_b", path)
     for name, value in (("dim_a", dim_a), ("dim_b", dim_b)):
-        if not isinstance(value, int) or value < 1:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise ValueError(f"{path}: field {name!r} must be a positive integer")
 
     mats = {}
     for name, dim in (("h_a", dim_a), ("h_b", dim_b), ("h_i", dim_a * dim_b)):
-        m = pairs_to_matrix(_require(data, name, path), name)
+        m = _decode(pairs_to_matrix, _require(data, name, path), name, path)
         if m.shape[0] != dim:
             raise ValueError(
                 f"{path}: field {name!r} has dimension {m.shape[0]}, expected {dim}"
@@ -179,9 +240,9 @@ def save_system(sys: BipartiteSystem, path, label: str | None = None) -> None:
     doc = {
         "dim_a": sys.dim_a,
         "dim_b": sys.dim_b,
-        "h_a": matrix_to_pairs(sys.h_a),
-        "h_b": matrix_to_pairs(sys.h_b),
-        "h_i": matrix_to_pairs(sys.h_i),
+        "h_a": np.asarray(sys.h_a, dtype=complex),
+        "h_b": np.asarray(sys.h_b, dtype=complex),
+        "h_i": np.asarray(sys.h_i, dtype=complex),
     }
     if label is not None:
         doc["label"] = label
@@ -196,31 +257,29 @@ def load_state(path) -> dict:
     (normalization, density-matrix axioms) is left to the caller so it can
     map failures onto its own error contract.
     """
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: top-level value must be an object")
+    data = _load_object(path, ("vector", "rho"))
     has_vec = "vector" in data
     has_rho = "rho" in data
     if has_vec == has_rho:
         raise ValueError(f"{path}: exactly one of 'vector' or 'rho' is required")
     if has_vec:
-        value = pairs_to_vector(data["vector"], "vector")
+        value = _decode(pairs_to_vector, data["vector"], "vector", path)
         kind = "vector"
     else:
-        value = pairs_to_matrix(data["rho"], "rho")
+        value = _decode(pairs_to_matrix, data["rho"], "rho", path)
         kind = "rho"
     return {"kind": kind, "value": value, "label": data.get("label")}
 
 
 def save_state_vector(psi, path, label: str | None = None) -> None:
-    doc = {"vector": vector_to_pairs(psi)}
+    doc = {"vector": np.asarray(psi, dtype=complex).reshape(-1)}
     if label is not None:
         doc["label"] = label
     write_canonical(doc, path)
 
 
 def save_density_matrix(rho, path, label: str | None = None) -> None:
-    doc = {"rho": matrix_to_pairs(rho)}
+    doc = {"rho": np.asarray(rho, dtype=complex)}
     if label is not None:
         doc["label"] = label
     write_canonical(doc, path)

@@ -283,6 +283,17 @@ def _canonical_subspace_basis(basis: np.ndarray) -> np.ndarray:
     return np.column_stack(chosen)
 
 
+def _ladder_kernel(ladder: np.ndarray, n: int, m2: int) -> np.ndarray:
+    """Canonical orthonormal basis of Ker(ladder) within the 2 S_z = ``m2`` sector."""
+    sz2 = _site_sz_signs(n).sum(axis=1).astype(int)  # 2 * S_z per product state
+    sector = np.flatnonzero(sz2 == m2)
+    inner = null_space(ladder[:, sector])
+
+    full = np.zeros((2 ** n, inner.shape[1]), dtype=complex)
+    full[sector, :] = inner
+    return _canonical_subspace_basis(full)
+
+
 def weight_basis(n: int, r: float, which: str = "highest") -> np.ndarray:
     """Orthonormal basis of the highest- or lowest-weight states |r, +-r, nu>.
 
@@ -292,17 +303,9 @@ def weight_basis(n: int, r: float, which: str = "highest") -> np.ndarray:
     two_r = _check_r(n, r)
     if which not in ("highest", "lowest"):
         raise ValueError(f"which must be 'highest' or 'lowest', got {which!r}")
-    m2 = two_r if which == "highest" else -two_r
-    ladder = total_splus(n) if which == "highest" else total_sminus(n)
-
-    sz2 = _site_sz_signs(n).sum(axis=1).astype(int)  # 2 * S_z per product state
-    sector = np.flatnonzero(sz2 == m2)
-    reduced = ladder[:, sector]
-    inner = null_space(reduced)
-
-    full = np.zeros((2 ** n, inner.shape[1]), dtype=complex)
-    full[sector, :] = inner
-    return _canonical_subspace_basis(full)
+    if which == "highest":
+        return _ladder_kernel(total_splus(n), n, two_r)
+    return _ladder_kernel(total_sminus(n), n, -two_r)
 
 
 def dressed_blocks(p: SpinStarParams) -> list[DressedBasis]:
@@ -311,12 +314,14 @@ def dressed_blocks(p: SpinStarParams) -> list[DressedBasis]:
     Blocks with different branch or different r are exactly orthogonal
     (distinct sigma_z or S_z eigenvalues); within a block the dressed
     vectors are re-orthonormalized because the dressing is not unitary.
+    Each branch builds its ladder operator once, for all r.
     """
+    n = p.n_spins
     blocks = []
-    for branch, which in (("plus", "highest"), ("minus", "lowest")):
+    for branch, ladder, sign in (("plus", total_splus(n), 1), ("minus", total_sminus(n), -1)):
         dressing = dressing_operator(p, branch)
-        for r in admissible_r(p.n_spins):
-            undressed = weight_basis(p.n_spins, r, which)
+        for r in admissible_r(n):
+            undressed = _ladder_kernel(ladder, n, sign * _check_r(n, r))
             vectors = orthonormal_columns(dressing @ undressed)
             blocks.append(DressedBasis(branch, r, vectors))
     return blocks
@@ -331,24 +336,36 @@ def _embed_block(block: DressedBasis) -> np.ndarray:
     return kron(central, block.vectors)
 
 
-def spin_star_ife_basis(p: SpinStarParams) -> IfeDecomposition:
-    """Closed-form IFE decomposition: one sector at alpha = 0.
-
-    The basis is the union over branches and total-spin values r of the
-    embedded dressed blocks; its dimension is 2 * sum_r multiplicity(r).
-    Off resonance this also equals the commutator kernel.
-    """
+def _require_off_resonance(p: SpinStarParams) -> None:
+    """Raise :class:`ResonanceError` when omega0 == omega."""
     if p.omega0 == p.omega:
         raise ResonanceError(
             "omega0 == omega: commutator kernel is the whole space and the "
             "closed-form basis does not apply; use ife_sectors on the built system"
         )
-    basis = np.hstack([_embed_block(b) for b in dressed_blocks(p)])
+
+
+def spin_star_ife_basis(p: SpinStarParams, blocks: list[DressedBasis] | None = None) -> IfeDecomposition:
+    """Closed-form IFE decomposition: one sector at alpha = 0.
+
+    The basis is the union over branches and total-spin values r of the
+    embedded dressed blocks; its dimension is 2 * sum_r multiplicity(r).
+    Off resonance this also equals the commutator kernel.  ``blocks`` is
+    ``dressed_blocks(p)`` when the caller already has it.
+    """
+    _require_off_resonance(p)
+    if blocks is None:
+        blocks = dressed_blocks(p)
+    basis = np.hstack([_embed_block(b) for b in blocks])
     sector = IfeSector(0.0, basis)
     return IfeDecomposition((sector,), basis)
 
 
-def verify_spin_star_claims(p: SpinStarParams, rel_tol: float = DEFAULT_REL_TOL) -> list[ClaimResult]:
+def verify_spin_star_claims(
+    p: SpinStarParams,
+    rel_tol: float = DEFAULT_REL_TOL,
+    blocks: list[DressedBasis] | None = None,
+) -> list[ClaimResult]:
     """Check every structural claim of the closed-form solution numerically.
 
     1. Ker[H_0, H_I] coincides with Ker H_I.
@@ -359,9 +376,12 @@ def verify_spin_star_claims(p: SpinStarParams, rel_tol: float = DEFAULT_REL_TOL)
 
     Subspace claims are scored by largest principal angle (1.0 on dimension
     mismatch); eigenvector residuals are relative to the norm of H.
+    ``blocks`` is ``dressed_blocks(p)`` when the caller already has it.
     """
     if p.omega0 == p.omega:
         raise ResonanceError("claims are only defined off resonance (omega0 != omega)")
+    if blocks is None:
+        blocks = dressed_blocks(p)
 
     sys = build_spin_star(p)
     com = _commutator_and_kernel(sys, rel_tol)  # shared with ife_sectors below
@@ -391,7 +411,7 @@ def verify_spin_star_claims(p: SpinStarParams, rel_tol: float = DEFAULT_REL_TOL)
         "single_sector_alpha_zero", resid, alpha_tol, dec.n_sectors == 1 and resid <= alpha_tol,
     ))
 
-    analytic = spin_star_ife_basis(p).sectors[0].basis
+    analytic = spin_star_ife_basis(p, blocks).sectors[0].basis
     if dec.n_sectors == 1 and dec.sectors[0].dimension == analytic.shape[1]:
         resid = max_principal_angle(analytic, dec.sectors[0].basis)
     else:
@@ -403,7 +423,7 @@ def verify_spin_star_claims(p: SpinStarParams, rel_tol: float = DEFAULT_REL_TOL)
     h_norm = spectral_norm(h)
     eig_tol = 1e-9
     worst = 0.0
-    for block in dressed_blocks(p):
+    for block in blocks:
         sign = 1.0 if block.branch == "plus" else -1.0
         energy = sign * (p.omega0 + 2.0 * block.r * p.omega)
         vecs = _embed_block(block)

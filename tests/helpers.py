@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from ifestates import BipartiteSystem
@@ -44,6 +47,58 @@ def evolve_pure(h, psi, t):
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"state is not normalized: ||psi|| = {nrm!r}")
     return propagator(h, t) @ psi
+
+
+def matrix_to_pairs(m):
+    """Nested ``[re, im]`` list form of a complex matrix, entry by entry.
+
+    The list-form reference for the array leaves of the canonical emitter.
+    """
+    m = np.asarray(m, dtype=complex)
+    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+
+def vector_to_pairs(v):
+    """``[re, im]`` list form of a complex vector, entry by entry."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    return [[float(x.real), float(x.imag)] for x in v]
+
+
+# Malformed numeric fields, each an edit of a file under tests/data:
+# (case id, file, field, index, value) sets ``doc[field][index...] = value``,
+# or the whole field when ``index`` is empty.  Each must be rejected on load
+# with the file and the field named.  A boolean 1 or 0 stands where the
+# number 1 or 0 is, so only its type is wrong.
+MALFORMED_FIELDS = [
+    ("ragged_pair", "system_spin_star_n2.json", "h_i", (0, 0), [0.0, 0.0, 0.0]),
+    ("ragged_row", "system_spin_star_n2.json", "h_i", (1,), [[0.0, 0.0]]),
+    ("string_entry", "system_spin_star_n2.json", "h_a", (0, 0, 0), "a"),
+    ("true_entry", "system_spin_star_n2.json", "h_a", (0, 0, 0), True),
+    ("false_entry", "system_spin_star_n2.json", "h_a", (0, 1, 0), False),
+    ("integer_beyond_float", "system_spin_star_n2.json", "h_a", (0, 1, 0), 10 ** 400),
+    ("true_dim_a", "system_spin_star_n2.json", "dim_a", (), True),
+    ("true_dim_b", "system_spin_star_n2.json", "dim_b", (), True),
+    ("pair_shape", "system_spin_star_n2.json", "h_b", (), [[1.0, 0.0]]),
+    ("vector_string", "state_ife_n2.json", "vector", (1, 0), "a"),
+    ("vector_ragged", "state_ife_n2.json", "vector", (1,), [0.6, 0.0, 0.0]),
+    ("vector_false", "state_ife_n2.json", "vector", (0, 0), False),
+    ("vector_shape", "state_ife_n2.json", "vector", (), [[[0.6, 0.0]]]),
+    ("rho_ragged", "rho_ife_n2.json", "rho", (0,), [[0.0, 0.0]]),
+]
+
+
+def edited_copy(src, dst, field, index, value):
+    """Write the JSON file ``src`` to ``dst`` with one field edited; return ``dst``."""
+    doc = json.loads(Path(src).read_text(encoding="utf-8"))
+    if index:
+        target = doc[field]
+        for i in index[:-1]:
+            target = target[i]
+        target[index[-1]] = value
+    else:
+        doc[field] = value
+    Path(dst).write_text(json.dumps(doc), encoding="utf-8")
+    return dst
 
 
 def commuting_system(dim_a, dim_b, rng, conjugate=True):

@@ -10,6 +10,8 @@ import pytest
 from ifestates.cli import main
 from ifestates.serialize import canonical_dumps
 
+from helpers import MALFORMED_FIELDS, edited_copy
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -90,6 +92,18 @@ class TestSectors:
         assert run_cli("sectors", str(path)) == 1
         err = capsys.readouterr().err
         assert f"field '{field}' has non-finite entries" in err
+
+    @pytest.mark.parametrize("case, name, field, index, value", MALFORMED_FIELDS,
+                             ids=[c[0] for c in MALFORMED_FIELDS])
+    def test_malformed_field_exit_one(self, star_file, data_dir, tmp_path, capsys,
+                                      case, name, field, index, value):
+        path = edited_copy(data_dir / name, tmp_path / "bad.json", field, index, value)
+        if name.startswith("system"):
+            argv = ["sectors", str(path)]
+        else:
+            argv = ["verify", star_file, "--state", str(path)]
+        assert run_cli(*argv) == 1
+        assert f"error: {path}: field {field!r}" in capsys.readouterr().err
 
     def test_batch_mode(self, data_dir, tmp_path):
         batch = tmp_path / "batch"
@@ -234,6 +248,32 @@ class TestSpinStar:
                        "--gammas", "3,4")
         assert code == 5
         assert "resonance" in capsys.readouterr().err
+
+    def test_resonance_checked_before_dressing(self, capsys):
+        # the dressing rejects a negative coupling with exit 1; resonance wins
+        code = run_cli("spin-star", "--n", "2", "--omega0", "1.0", "--omega", "1.0",
+                       "--gammas=-3,4", "--check-all")
+        assert code == 5
+        assert "resonance" in capsys.readouterr().err
+
+    def test_dressed_blocks_built_once_per_call(self, monkeypatch, tmp_path):
+        import ifestates.cli as cli
+        import ifestates.spin_star as spin_star
+
+        calls = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, **k: calls.append(name) or original(*a, **k))
+
+        for name in ("dressed_blocks", "total_splus", "total_sminus"):
+            counted(spin_star, name)
+        counted(cli, "dressed_blocks")
+        code = run_cli("spin-star", "--n", "4", "--omega0", "1.0", "--omega", "0.7",
+                       "--gammas", "1,1.2,0.8,1.5", "--check-all", "--out", str(tmp_path / "r.json"))
+        assert code == 0
+        assert sorted(calls) == ["dressed_blocks", "total_sminus", "total_splus"]
 
     def test_bad_gammas_exit_one(self):
         assert run_cli("spin-star", "--n", "2", "--omega0", "1.0", "--omega", "0.7",

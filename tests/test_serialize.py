@@ -1,23 +1,78 @@
 import json
+import re
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ifestates.serialize import (
     canonical_dumps,
     load_state,
     load_system,
-    matrix_to_pairs,
     pairs_to_matrix,
     pairs_to_vector,
     save_density_matrix,
     save_state_vector,
     save_system,
+)
+
+from helpers import (
+    MALFORMED_FIELDS,
+    edited_copy,
+    generic_system,
+    matrix_to_pairs,
+    random_hermitian,
     vector_to_pairs,
 )
 
-from helpers import generic_system, random_hermitian
+# Edge values of the 17-digit format: signed zero, subnormals down to the
+# smallest, the largest finite doubles, integer-valued floats.
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+    1.7976931348623157e308, -1.7976931348623157e308,
+    1.0, -3.0, 2.0 ** 53, 1e16, 123456789.0,
+]
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS))
+
+
+def _floats(shape):
+    return hnp.arrays(np.float64, shape, elements=FLOATS)
+
+
+@st.composite
+def _complex_arrays(draw, shape):
+    arr = np.empty(shape, dtype=complex)
+    arr.real = draw(_floats(shape))
+    arr.imag = draw(_floats(shape))
+    return arr
+
+
+@st.composite
+def _report_pairs(draw):
+    """A report-like document with array leaves, and the same with list leaves."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    basis = draw(_complex_arrays((rows, cols)))
+    vector = draw(_complex_arrays((draw(st.integers(0, 6)),)))
+    times = draw(_floats(draw(st.integers(0, 8))))
+    deviation = draw(_floats(times.shape))
+    alpha = draw(FLOATS)
+    doc = {
+        "sectors": [{"alpha": alpha, "dimension": cols, "basis": basis}],
+        "transposed": basis.T,
+        "traces": [{"vector": 0, "label": "x", "times": times, "deviation": deviation}],
+        "state": {"vector": vector},
+    }
+    ref = {
+        "sectors": [{"alpha": alpha, "dimension": cols, "basis": matrix_to_pairs(basis)}],
+        "transposed": matrix_to_pairs(basis.T),
+        "traces": [{"vector": 0, "label": "x", "times": times.tolist(),
+                    "deviation": deviation.tolist()}],
+        "state": {"vector": vector_to_pairs(vector)},
+    }
+    return doc, ref
 
 
 class TestCanonicalJson:
@@ -50,6 +105,70 @@ class TestCanonicalJson:
 
     def test_trailing_newline(self):
         assert canonical_dumps([1]).endswith("\n")
+
+
+class TestArrayLeaves:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(pair=_report_pairs())
+    def test_bytes_equal_list_form(self, pair):
+        doc, ref = pair
+        assert canonical_dumps(doc) == canonical_dumps(ref)
+
+    @pytest.mark.parametrize("arr, ref", [
+        (np.zeros(0), []),
+        (np.zeros(0, dtype=complex), []),
+        (np.zeros((0, 3), dtype=complex), []),
+        (np.zeros((2, 0), dtype=complex), [[], []]),
+        (np.array(EDGE_FLOATS), EDGE_FLOATS),
+        (np.array([complex(-0.0, -0.0), complex(0.0, 5e-324)]), [[-0.0, -0.0], [0.0, 5e-324]]),
+    ])
+    def test_empty_and_edge_arrays(self, arr, ref):
+        assert canonical_dumps({"a": [arr]}) == canonical_dumps({"a": [ref]})
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    def test_percent_format_is_format_17g(self, x):
+        assert "%.17g" % x == format(x, ".17g")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("make", [
+        lambda x: np.array([1.0, x]),
+        lambda x: np.array([[1.0, complex(x, 0.0)]]),
+        lambda x: np.array([2j, complex(0.5, x)]),
+    ], ids=["float", "complex_real", "complex_imag"])
+    def test_non_finite_rejected(self, make, bad):
+        with pytest.raises(ValueError, match=re.escape(f"non-finite value {bad!r} cannot")):
+            canonical_dumps({"x": make(bad)})
+
+    @pytest.mark.parametrize("arr", [
+        np.array([True, False]),
+        np.array([1, 2]),
+        np.array([1.0, "a"], dtype=object),
+        np.array([1.0, 2.0], dtype=np.float32),
+        np.array([1.0 + 0j], dtype=np.complex64),
+        np.zeros((2, 2)),
+        np.zeros((2, 2, 2), dtype=complex),
+        np.array(1.0),
+    ], ids=["bool", "int", "object", "float32", "complex64", "float64_2d", "complex_3d", "0d"])
+    def test_other_arrays_rejected(self, arr):
+        with pytest.raises(TypeError, match="cannot serialize array"):
+            canonical_dumps({"x": arr})
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize("case, name, field, index, value", MALFORMED_FIELDS,
+                             ids=[c[0] for c in MALFORMED_FIELDS])
+    def test_file_and_field_named(self, data_dir, tmp_path, case, name, field, index, value):
+        path = edited_copy(data_dir / name, tmp_path / "bad.json", field, index, value)
+        load = load_system if name.startswith("system") else load_state
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}: field {field!r}")
+
+    def test_boolean_word_in_label_is_no_defect(self, data_dir, tmp_path):
+        path = edited_copy(data_dir / "system_spin_star_n2.json", tmp_path / "s.json",
+                           "label", (), "true or false")
+        assert load_system(path)[1] == "true or false"
 
 
 class TestPairCodecs:

@@ -293,6 +293,13 @@ class TestVerifyClaims:
         assert all(c.passed for c in claims)
         assert len(formed) == 1
 
+    def test_given_blocks_give_identical_claims_and_basis(self):
+        p = SpinStarParams(4, 1.0, 0.7, (1.0, 1.2, 0.8, 1.5))
+        blocks = dressed_blocks(p)
+        assert verify_spin_star_claims(p, blocks=blocks) == verify_spin_star_claims(p)
+        assert np.array_equal(spin_star_ife_basis(p, blocks).sectors[0].basis,
+                              spin_star_ife_basis(p).sectors[0].basis)
+
     def test_h0_eigenvalue_of_top_state(self, star_params_n2, star_system_n2):
         # |+> (x) A_+|1,1> is an H_0 eigenvector at omega0 + 2 omega
         block = next(
