@@ -28,8 +28,6 @@ from .dynamics import (
 )
 from .linalg import (
     commutator,
-    hermitian_eig,
-    intersect_kernels,
     kron,
     max_principal_angle,
     null_space,
@@ -78,8 +76,6 @@ __all__ = [
     "time_grid",
     "trace_pure_states",
     "commutator",
-    "hermitian_eig",
-    "intersect_kernels",
     "kron",
     "max_principal_angle",
     "null_space",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import math
 import sys
@@ -33,7 +34,7 @@ from .core import (
     ife_sectors_oracle,
 )
 from .dynamics import time_grid, trace_pure_states
-from .linalg import DEFAULT_REL_TOL, max_principal_angle
+from .linalg import DEFAULT_REL_TOL, max_principal_angle, require_unit_states
 from .mixed import (
     block_structure_residuals,
     check_density_matrix,
@@ -106,14 +107,17 @@ def _positive_finite(text: str) -> float:
     return value
 
 
-def _at_least_one(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _integer_at_least(minimum: int):
+    """A validator for integers >= ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return value
+    return parse
 
 
 def _finite_list(text: str) -> tuple[float, ...]:
@@ -268,16 +272,6 @@ def _verify_vectors(system, states, times, tol, labels) -> tuple[list, list]:
     return claims, traces
 
 
-def _density_matrix(value, system) -> np.ndarray:
-    """A validated density matrix of the system's dimension."""
-    rho = check_density_matrix(value)
-    if rho.shape[0] != system.dim:
-        raise CliInputError(
-            f"state dimension {rho.shape[0]} does not match system dimension {system.dim}"
-        )
-    return rho
-
-
 def _density_matrix_trace(system, rho, times) -> tuple[np.ndarray, dict]:
     """Deviation of ``rho`` from free evolution, and its report trace entry."""
     dev = mixed_deviation_trace(rho, system, times)
@@ -304,18 +298,12 @@ def cmd_verify(args) -> int:
         state = load_state(args.state)
         digest += "," + sha256_digest(args.state)
         if state["kind"] == "vector":
-            psi = state["value"]
-            if psi.shape[0] != system.dim:
-                raise CliInputError(
-                    f"state dimension {psi.shape[0]} does not match system dimension {system.dim}"
-                )
-            nrm = float(np.linalg.norm(psi))
-            if abs(nrm - 1.0) > 1e-10:
-                raise CliInputError(f"state vector is not normalized: ||psi|| = {nrm!r}")
+            psi = require_unit_states(state["value"], system.dim)
             tol = args.tol if args.tol is not None else 1e-9 * np.sqrt(system.dim)
-            claims, traces = _verify_vectors(system, psi[:, None], times, tol, ["state"])
+            claims, traces = _verify_vectors(system, psi, times, tol, ["state"])
         else:
-            rho = _density_matrix(state["value"], system)
+            # mixed_deviation_trace checks the dimension
+            rho = check_density_matrix(state["value"])
             tol = args.tol if args.tol is not None else 1e-8 * system.dim
             dev, trace = _density_matrix_trace(system, rho, times)
             traces = [trace]
@@ -450,7 +438,8 @@ def cmd_mixed(args) -> int:
         state = load_state(args.state)
         if state["kind"] != "rho":
             raise CliInputError(f"{args.state}: 'rho' field required for mixed checks")
-        rho = _density_matrix(state["value"], system)
+        # block_structure_residuals checks the dimension
+        rho = check_density_matrix(state["value"])
         digest += "," + sha256_digest(args.state)
         block_tol = args.tol if args.tol is not None else 1e-8 * float(np.linalg.norm(rho))
         outside, cross = block_structure_residuals(rho, dec)
@@ -515,7 +504,9 @@ def cmd_mixed(args) -> int:
 # ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="ifestates",
         description="Interaction-free evolving states of bipartite quantum systems.",
@@ -537,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--state", help="state JSON file (vector or density matrix)")
     group.add_argument("--sector", type=int, help="verify every basis vector of this sector index")
     p.add_argument("--t-max", type=_finite, default=10.0, help="end of the time grid")
-    p.add_argument("--steps", type=int, default=101, help="number of grid points")
+    p.add_argument("--steps", type=_integer_at_least(1), default=101, help="number of grid points")
     p.add_argument("--tol", type=_positive_finite, default=None,
                    help="deviation threshold (default 1e-9*sqrt(dim), or 1e-8*dim for density matrices)")
     p.add_argument("--out", help="report path; default stdout")
@@ -545,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spin-star", help="closed-form spin-star IFE basis and claim checks")
-    p.add_argument("--n", type=int, required=True, help="number of bath spins")
+    p.add_argument("--n", type=_integer_at_least(1), required=True, help="number of bath spins")
     p.add_argument("--omega0", type=_finite, required=True, help="central-spin splitting")
     p.add_argument("--omega", type=_finite, required=True, help="bath-spin splitting")
     p.add_argument("--gammas", type=_finite_list, required=True,
@@ -564,11 +555,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mixed", help="sector-block checks for density matrices")
     p.add_argument("input", help="system JSON file")
     p.add_argument("--state", help="density-matrix JSON file; omit to run the sampling self-check")
-    p.add_argument("--samples", type=_at_least_one, default=10, help="number of sampled states")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p.add_argument("--samples", type=_integer_at_least(1), default=10, help="number of sampled states")
+    p.add_argument("--seed", type=_integer_at_least(0), default=DEFAULT_SEED,
                    help=f"seed for the sampling mode (default {DEFAULT_SEED})")
     p.add_argument("--t-max", type=_finite, default=10.0, help="end of the time grid")
-    p.add_argument("--steps", type=int, default=101, help="number of grid points")
+    p.add_argument("--steps", type=_integer_at_least(1), default=101, help="number of grid points")
     p.add_argument("--tol", type=_positive_finite, default=None, help="block-structure tolerance")
     p.add_argument("--out", help="report path; default stdout")
     p.add_argument("--csv", help="also write traces as CSV to this path")

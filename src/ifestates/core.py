@@ -35,12 +35,13 @@ import numpy as np
 from .linalg import (
     DEFAULT_REL_TOL,
     HERMITIAN_RTOL,
+    as_operator,
     commutator,
-    hermitian_eig,
     kron,
     null_space,
     require_hermitian,
     require_rel_tol,
+    require_unit_states,
     spectral_norm,
 )
 
@@ -79,9 +80,11 @@ class BipartiteSystem:
 
     ``h_a`` acts on the first factor (dimension ``dim_a``), ``h_b`` on the
     second (``dim_b``), and ``h_i`` on the full ``dim_a * dim_b`` product
-    space.  All three must be finite and Hermitian within ``hermitian_rtol``.
-    The system keeps read-only copies, so factorizations computed from it
-    can be cached on it and shared by every routine that takes it.
+    space.  All three must be finite and Hermitian within ``hermitian_rtol``;
+    this is the only check of a system's matrices.  The system keeps
+    read-only copies of their Hermitian parts, so every operator built from
+    them is Hermitian without a further check, and factorizations computed
+    from it can be cached on it and shared by every routine that takes it.
     """
 
     dim_a: int
@@ -100,12 +103,10 @@ class BipartiteSystem:
             ("h_b", self.h_b, self.dim_b),
             ("h_i", self.h_i, self.dim_a * self.dim_b),
         ):
-            op = require_hermitian(op, hermitian_rtol, name=name)
+            op = as_operator(op)
             if op.shape[0] != dim:
-                raise ValueError(
-                    f"{name} has dimension {op.shape[0]}, expected {dim}"
-                )
-            op = op.copy(order="K")
+                raise ValueError(f"field {name!r} has dimension {op.shape[0]}, expected {dim}")
+            op = require_hermitian(op, hermitian_rtol, name=f"field {name!r}").copy(order="K")
             op.flags.writeable = False
             object.__setattr__(self, name, op)
 
@@ -265,14 +266,14 @@ def _commutator_and_kernel(sys: BipartiteSystem, rel_tol: float) -> _Commutator:
 
 
 def _eig(sys: BipartiteSystem, free: bool = False):
-    """``hermitian_eig`` of ``H`` (or of ``H_0`` when ``free``), once per system.
+    """``eigh`` of ``H`` (or of ``H_0`` when ``free``), once per system.
 
     Cached on ``sys`` with read-only arrays, so the tracers and the oracle
     share one factorization of each Hamiltonian.  No commutator is
     involved, so the oracle's sectors stay independent of the direct route.
     """
     return _cached(sys, ("eig", free),
-                   lambda: hermitian_eig(build_h0(sys) if free else build_total(sys)))
+                   lambda: tuple(np.linalg.eigh(build_h0(sys) if free else build_total(sys))))
 
 
 def ife_sectors(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDecomposition:
@@ -392,15 +393,7 @@ def classify_pure(psi, sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL):
     commutator is nonzero only through roundoff, membership via
     :func:`ife_sectors` is the more robust test.
     """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape[0] != sys.dim:
-        raise ValueError(
-            f"state has dimension {psi.shape[0]}, expected {sys.dim}"
-        )
-    nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError(f"state is not normalized: ||psi|| = {nrm!r}")
-
+    psi = require_unit_states(np.asarray(psi).reshape(-1), sys.dim)[:, 0]
     h_psi = _snapped_coupling(sys) @ psi
     alpha = float(np.vdot(psi, h_psi).real)
     com = _commutator_and_kernel(sys, rel_tol)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BipartiteSystem, _cached, _eig
-from .linalg import require_hermitian, spectral_norm
+from .linalg import require_hermitian, require_unit_states, spectral_norm
 
 __all__ = [
     "FreeInvarianceError",
@@ -72,22 +72,6 @@ def _one_state(psi) -> np.ndarray:
     return np.asarray(psi, dtype=complex).reshape(-1)
 
 
-def _unit_columns(states, dim: int) -> np.ndarray:
-    """``states`` as a ``dim x m`` complex block of unit columns; 1-d is one column."""
-    states = np.asarray(states, dtype=complex)
-    if states.ndim == 1:
-        states = states[:, None]
-    if states.ndim != 2:
-        raise ValueError(f"expected a state vector or a block of state columns, got shape {states.shape}")
-    if states.shape[0] != dim:
-        raise ValueError(f"state has dimension {states.shape[0]}, expected {dim}")
-    norms = np.linalg.norm(states, axis=0)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-10)
-    if bad.size:
-        raise ValueError(f"state is not normalized: ||psi|| = {float(norms[bad[0]])!r}")
-    return states
-
-
 def _eig_overlap(sys: BipartiteSystem) -> np.ndarray:
     """``W = V^H V0``: the eigenbasis of ``H_0`` in that of ``H``, once per system."""
     return _cached(sys, "eig_overlap", lambda: _eig(sys)[1].conj().T @ _eig(sys, free=True)[1])
@@ -129,20 +113,26 @@ def _real_expectations(bra: np.ndarray, applied: np.ndarray, shape, what: str) -
 
 
 def _free_invariant_pair(sys: BipartiteSystem, o_a, o_b):
-    """Validated observables; raises :class:`FreeInvarianceError` unless both are free-invariant."""
-    o_a = require_hermitian(o_a, name="o_a")
-    o_b = require_hermitian(o_b, name="o_b")
+    """Validated observables; raises :class:`FreeInvarianceError` unless both are free-invariant.
+
+    The system's own ``h_a`` (``h_b``) was checked when the system was built
+    and commutes with itself, so it is passed through as is.
+    """
+    pair = []
     for name, op, h_free in (("o_a", o_a, sys.h_a), ("o_b", o_b, sys.h_b)):
-        if op.shape != h_free.shape:
-            raise ValueError(f"{name} has shape {op.shape}, expected {h_free.shape}")
-        defect = spectral_norm(op @ h_free - h_free @ op)
-        scale = max(1.0, spectral_norm(op) * spectral_norm(h_free))
-        if defect > 1e-10 * scale:
-            raise FreeInvarianceError(
-                f"{name} does not commute with its free Hamiltonian "
-                f"(relative defect {defect / scale:.3e}); covariance constancy does not apply"
-            )
-    return o_a, o_b
+        if op is not h_free:
+            op = require_hermitian(op, name=name)
+            if op.shape != h_free.shape:
+                raise ValueError(f"{name} has shape {op.shape}, expected {h_free.shape}")
+            defect = spectral_norm(op @ h_free - h_free @ op)
+            scale = max(1.0, spectral_norm(op) * spectral_norm(h_free))
+            if defect > 1e-10 * scale:
+                raise FreeInvarianceError(
+                    f"{name} does not commute with its free Hamiltonian "
+                    f"(relative defect {defect / scale:.3e}); covariance constancy does not apply"
+                )
+        pair.append(op)
+    return pair
 
 
 def trace_pure_states(sys: BipartiteSystem, states, times, *, alphas=None,
@@ -181,7 +171,7 @@ def trace_pure_states(sys: BipartiteSystem, states, times, *, alphas=None,
     ``1e-13 * max(1, ||h_a||) * max(1, ||h_b||)``, not to the last bit.
     """
     times = np.asarray(times, dtype=float)
-    states = _unit_columns(states, sys.dim)
+    states = require_unit_states(states, sys.dim)
     m = states.shape[1]
     if alphas is not None and len(alphas) != m:
         raise ValueError(f"expected {m} alphas (one per state), got {len(alphas)}")

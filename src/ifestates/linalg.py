@@ -20,14 +20,12 @@ __all__ = [
     "hermiticity_defect",
     "require_hermitian",
     "require_rel_tol",
+    "require_unit_states",
     "spectral_norm",
     "kron",
     "commutator",
-    "hermitian_eig",
     "null_space",
-    "intersect_kernels",
     "orthonormal_columns",
-    "cross_gram_singular_values",
     "subspace_equal",
     "max_principal_angle",
 ]
@@ -55,11 +53,13 @@ def hermiticity_defect(a) -> float:
 
 
 def require_hermitian(a, rel_tol: float = HERMITIAN_RTOL, name: str = "operator") -> np.ndarray:
-    """Return ``a`` as a complex matrix, raising if it is not finite and Hermitian.
+    """The Hermitian part ``(a + a^H) / 2`` of ``a``, raising unless ``a`` is finite and Hermitian.
 
     The error names the operator by ``name``.  Non-finite entries are
     rejected first: they would turn the defect into NaN, which passes any
-    threshold comparison.
+    threshold comparison.  Exactly Hermitian input comes back with the same
+    bits; otherwise the result is exactly Hermitian (``x + y`` and ``y + x``
+    round alike), so no later check or factorization sees the defect.
     """
     a = as_operator(a)
     if not np.isfinite(a).all():
@@ -69,7 +69,7 @@ def require_hermitian(a, rel_tol: float = HERMITIAN_RTOL, name: str = "operator"
         raise ValueError(
             f"{name} is not Hermitian: relative defect {defect:.3e} exceeds {rel_tol:.1e}"
         )
-    return a
+    return a if defect == 0.0 else 0.5 * (a + a.conj().T)
 
 
 def require_rel_tol(rel_tol) -> None:
@@ -80,6 +80,25 @@ def require_rel_tol(rel_tol) -> None:
     """
     if not (rel_tol > 0 and math.isfinite(rel_tol)):
         raise ValueError("rel_tol must be a positive finite number")
+
+
+def require_unit_states(states, dim: int) -> np.ndarray:
+    """``states`` as a ``dim x m`` complex block of unit columns; a 1-d vector is one column.
+
+    Each column's norm must be within ``1e-10`` of 1.
+    """
+    states = np.asarray(states, dtype=complex)
+    if states.ndim == 1:
+        states = states[:, None]
+    if states.ndim != 2:
+        raise ValueError(f"expected a state vector or a block of state columns, got shape {states.shape}")
+    if states.shape[0] != dim:
+        raise ValueError(f"state has dimension {states.shape[0]}, expected {dim}")
+    norms = np.linalg.norm(states, axis=0)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-10)
+    if bad.size:
+        raise ValueError(f"state is not normalized: ||psi|| = {float(norms[bad[0]])!r}")
+    return states
 
 
 def spectral_norm(a) -> float:
@@ -104,18 +123,6 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def hermitian_eig(a, rel_tol: float = HERMITIAN_RTOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors as orthonormal columns, so that ``a @ v[:, k] ==
-    w[k] * v[:, k]`` up to roundoff.
-    """
-    a = require_hermitian(a, rel_tol)
-    w, v = np.linalg.eigh(a)
-    return w, v
-
-
 def null_space(a, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     """Orthonormal basis of the numerical kernel of ``a``.
 
@@ -137,26 +144,6 @@ def null_space(a, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
         return np.eye(n, dtype=complex)
     rank = int(np.sum(s > rel_tol * smax))
     return vh[rank:].conj().T
-
-
-def intersect_kernels(ops, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
-    """Orthonormal basis of the common kernel of all operators in ``ops``.
-
-    The operators are stacked vertically, each block scaled by
-    ``1 / max(1, sigma_max(op))`` so that no single operator dominates the
-    cutoff, and the kernel of the stack is returned.
-    """
-    ops = [as_operator(op) for op in ops]
-    if not ops:
-        raise ValueError("intersect_kernels needs at least one operator")
-    dim = ops[0].shape[0]
-    for op in ops[1:]:
-        if op.shape[0] != dim:
-            raise ValueError(
-                f"dimension mismatch in intersect_kernels: {op.shape[0]} vs {dim}"
-            )
-    blocks = [op / max(1.0, spectral_norm(op)) for op in ops]
-    return null_space(np.vstack(blocks), rel_tol)
 
 
 def orthonormal_columns(m) -> np.ndarray:
@@ -186,26 +173,19 @@ def _check_same_ambient(b1, b2):
     return b1, b2
 
 
-def cross_gram_singular_values(b1, b2) -> np.ndarray:
-    """Singular values of B1^H B2 (cosines of the principal angles)."""
-    b1, b2 = _check_same_ambient(b1, b2)
-    if b1.shape[1] == 0 or b2.shape[1] == 0:
-        return np.zeros(0)
-    return np.linalg.svd(b1.conj().T @ b2, compute_uv=False)
-
-
 def subspace_equal(b1, b2, tol: float = 1e-8) -> bool:
     """True iff the two orthonormal bases span the same subspace.
 
     Requires equal dimension and every singular value of the cross-Gram
-    matrix within ``tol`` of 1.
+    matrix ``B1^H B2`` (the cosines of the principal angles) within ``tol``
+    of 1.
     """
     b1, b2 = _check_same_ambient(b1, b2)
     if b1.shape[1] != b2.shape[1]:
         return False
     if b1.shape[1] == 0:
         return True
-    s = cross_gram_singular_values(b1, b2)
+    s = np.linalg.svd(b1.conj().T @ b2, compute_uv=False)
     return bool(np.all(np.abs(1.0 - s) <= tol))
 
 

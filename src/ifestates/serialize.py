@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import BipartiteSystem
-from .linalg import require_hermitian
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
@@ -207,10 +206,10 @@ def _decode(codec, value, field: str, path) -> np.ndarray:
 
 
 def load_system(path) -> tuple[BipartiteSystem, str | None]:
-    """Read a system file, validating shapes and Hermiticity per field.
+    """Read a system file; :class:`BipartiteSystem` checks its matrices.
 
     Returns the system and its optional label.  Any defect is reported as
-    a ValueError naming the offending field.
+    a ValueError naming the file and the offending field.
     """
     data = _load_object(path, ("h_a", "h_b", "h_i"))
     dim_a = _require(data, "dim_a", path)
@@ -218,21 +217,15 @@ def load_system(path) -> tuple[BipartiteSystem, str | None]:
     for name, value in (("dim_a", dim_a), ("dim_b", dim_b)):
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise ValueError(f"{path}: field {name!r} must be a positive integer")
-
-    mats = {}
-    for name, dim in (("h_a", dim_a), ("h_b", dim_b), ("h_i", dim_a * dim_b)):
-        m = _decode(pairs_to_matrix, _require(data, name, path), name, path)
-        if m.shape[0] != dim:
-            raise ValueError(
-                f"{path}: field {name!r} has dimension {m.shape[0]}, expected {dim}"
-            )
-        mats[name] = require_hermitian(m, FILE_HERMITIAN_RTOL, name=f"{path}: field {name!r}")
-
+    mats = [_decode(pairs_to_matrix, _require(data, name, path), name, path)
+            for name in ("h_a", "h_b", "h_i")]
+    try:
+        sys = BipartiteSystem(dim_a, dim_b, *mats, hermitian_rtol=FILE_HERMITIAN_RTOL)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     label = data.get("label")
     if label is not None and not isinstance(label, str):
         raise ValueError(f"{path}: field 'label' must be a string")
-    sys = BipartiteSystem(dim_a, dim_b, mats["h_a"], mats["h_b"], mats["h_i"],
-                          hermitian_rtol=FILE_HERMITIAN_RTOL)
     return sys, label
 
 

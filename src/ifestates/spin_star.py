@@ -30,6 +30,7 @@ from .core import (
     IfeDecomposition,
     IfeSector,
     _commutator_and_kernel,
+    _coupling_eig,
     _coupling_norm,
     build_total,
     ife_sectors,
@@ -392,7 +393,9 @@ def verify_spin_star_claims(
     claims = []
 
     ker_comm = com.kernel
-    ker_hi = null_space(sys.h_i, rel_tol)
+    # Ker H_I from the cached eigh(H_I): |w| are the singular values of H_I
+    w, v = _coupling_eig(sys)
+    ker_hi = v[:, np.abs(w) <= rel_tol * _coupling_norm(sys)]
     if ker_comm.shape[1] == ker_hi.shape[1]:
         resid = max_principal_angle(ker_comm, ker_hi)
     else:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from ifestates import BipartiteSystem
-from ifestates.linalg import hermitian_eig
+from ifestates.linalg import HERMITIAN_RTOL, as_operator, null_space, require_hermitian, spectral_norm
 
 # Dimension pairs with product <= 16, mixed shapes.
 DIM_PAIRS = [(2, 2), (2, 3), (3, 3), (2, 4), (4, 4), (2, 6), (3, 5), (2, 8), (2, 5), (4, 3)]
@@ -29,6 +29,37 @@ def random_hermitian(dim, rng, scale=1.0):
 def random_state(dim, rng):
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return z / np.linalg.norm(z)
+
+
+def hermitian_eig(a, rel_tol=HERMITIAN_RTOL):
+    """Eigendecomposition of a checked Hermitian matrix.
+
+    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
+    eigenvectors as orthonormal columns.  A reference for the tests: the
+    package factorizes only operators it has already checked.
+    """
+    return np.linalg.eigh(require_hermitian(a, rel_tol))
+
+
+def intersect_kernels(ops, rel_tol=1e-10):
+    """Orthonormal basis of the common kernel of all operators in ``ops``.
+
+    The operators are stacked vertically, each block scaled by
+    ``1 / max(1, sigma_max(op))`` so that no single operator dominates the
+    cutoff, and the kernel of the stack is returned.  A stacked-SVD
+    reference for the sector routes.
+    """
+    ops = [as_operator(op) for op in ops]
+    if not ops:
+        raise ValueError("intersect_kernels needs at least one operator")
+    dim = ops[0].shape[0]
+    for op in ops[1:]:
+        if op.shape[0] != dim:
+            raise ValueError(
+                f"dimension mismatch in intersect_kernels: {op.shape[0]} vs {dim}"
+            )
+    blocks = [op / max(1.0, spectral_norm(op)) for op in ops]
+    return null_space(np.vstack(blocks), rel_tol)
 
 
 def propagator(h, t):

@@ -3,14 +3,18 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ifestates.cli as cli
 from ifestates.cli import main
-from ifestates.serialize import canonical_dumps
+from ifestates.core import ife_sectors, ife_sectors_oracle
+from ifestates.linalg import hermiticity_defect
+from ifestates.serialize import canonical_dumps, load_system, pairs_to_matrix
 
-from helpers import MALFORMED_FIELDS, edited_copy
+from helpers import MALFORMED_FIELDS, edited_copy, matrix_to_pairs
 
 
 def run_cli(*argv):
@@ -217,6 +221,21 @@ class TestVerify:
         bad.write_text('{"vector": [[1.0, 0.0], [1.0, 0.0]]}')
         assert run_cli("verify", star_file, "--state", str(bad)) == 1
 
+    @pytest.mark.parametrize("command, payload, message", [
+        ("verify", {"vector": [[0.5, 0.0]] * 4}, "state has dimension 4, expected 8"),
+        ("verify", {"vector": [[0.5, 0.0]] * 8}, "state is not normalized: ||psi|| = "),
+        ("verify", {"rho": matrix_to_pairs(np.eye(4) / 4)}, "state has dimension 4, expected 8"),
+        ("mixed", {"rho": matrix_to_pairs(np.eye(4) / 4)}, "state has dimension 4, expected 8"),
+    ], ids=["vector_size", "vector_norm", "verify_rho_size", "mixed_rho_size"])
+    def test_state_checks_share_one_message(self, star_file, tmp_path, capsys,
+                                            command, payload, message):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert run_cli(command, star_file, "--state", str(state), "--out", str(out)) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_golden_report(self, star_file, data_dir, tmp_path):
         out = tmp_path / "report.json"
         run_cli("verify", star_file, "--state", str(data_dir / "state_ife_n2.json"),
@@ -403,6 +422,11 @@ class TestParserContract:
         ("--gammas", ["spin-star", "--n", "2", "--omega0", "1", "--omega", "0.7", "--gammas", "3,nan"]),
         ("--samples", ["mixed", "{star}", "--samples", "0"]),
         ("--samples", ["mixed", "{star}", "--samples", "-1"]),
+        ("--steps", ["verify", "{star}", "--sector", "0", "--steps", "0"]),
+        ("--steps", ["verify", "{star}", "--sector", "0", "--steps", "2.5"]),
+        ("--steps", ["mixed", "{star}", "--steps", "-3"]),
+        ("--n", ["spin-star", "--n", "0", "--omega0", "1", "--omega", "0.7", "--gammas", "3,4"]),
+        ("--seed", ["mixed", "{star}", "--seed", "-1"]),
     ])
     def test_invalid_numeric_option_exit_one(self, option, argv, star_file, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -410,6 +434,30 @@ class TestParserContract:
         assert run_cli(*argv, "--out", str(out)) == 1
         assert f"argument {option}: must be" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_zero_seed_accepted(self, star_file, tmp_path):
+        assert run_cli("mixed", star_file, "--seed", "0", "--samples", "1", "--steps", "3",
+                       "--out", str(tmp_path / "r.json")) == 0
+
+    def test_parser_built_once_and_reused(self, star_file, data_dir, tmp_path):
+        # verify --state, verify --sector, then mixed through one cached parser:
+        # each report equals the one a freshly built parser gives
+        runs = [
+            ["verify", star_file, "--state", str(data_dir / "state_ife_n2.json"), "--steps", "5"],
+            ["verify", star_file, "--sector", "0", "--steps", "5"],
+            ["mixed", star_file, "--samples", "2", "--steps", "5"],
+        ]
+        cached = []
+        for k, argv in enumerate(runs):
+            out = tmp_path / f"cached{k}.json"
+            assert run_cli(*argv, "--out", str(out)) == 0
+            cached.append(normalized(out))
+        assert cli.build_parser() is cli.build_parser()
+        for k, argv in enumerate(runs):
+            cli.build_parser.cache_clear()
+            out = tmp_path / f"fresh{k}.json"
+            assert run_cli(*argv, "--out", str(out)) == 0
+            assert normalized(out) == cached[k]
 
     def test_console_entry_point(self, star_file):
         proc = subprocess.run(
@@ -494,3 +542,48 @@ class TestOneFactorization:
             rows = list(csv.reader(handle))
         assert rows == expected
         assert len(rows) == 1 + 5 * 7
+
+
+def defect_copy(src, dst, rel_defect=3e-11, seed=5):
+    """``src`` with an anti-Hermitian defect ``i eps S`` added to ``h_a`` and ``h_i``.
+
+    ``S`` is real symmetric with largest entry 1 and ``eps`` is chosen so
+    that each field's relative defect is ``rel_defect``: above the
+    ``1e-12`` of derived-operator checks, below the ``1e-10`` file gate.
+    """
+    doc = json.loads(Path(src).read_text(encoding="utf-8"))
+    rng = np.random.default_rng(seed)
+    for field in ("h_a", "h_i"):
+        m = pairs_to_matrix(doc[field], field)
+        s = rng.uniform(-1.0, 1.0, m.shape)
+        s = (s + s.T) / np.abs(s + s.T).max()
+        m = m + 0.5j * rel_defect * max(1.0, np.linalg.norm(m)) * s
+        assert 1e-12 < hermiticity_defect(m) < 1e-10
+        doc[field] = matrix_to_pairs(m)
+    Path(dst).write_text(json.dumps(doc), encoding="utf-8")
+    return str(dst)
+
+
+class TestValidateOnce:
+    """A system file passes or fails its checks once, on load."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sectors"],
+        ["oracle-diff"],
+        ["verify", "--sector", "0", "--steps", "5"],
+        ["mixed", "--samples", "1", "--steps", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_defect_within_file_gate_exit_zero(self, star_file, tmp_path, capsys, argv):
+        path = defect_copy(star_file, tmp_path / "defect.json")
+        out = tmp_path / "r.json"
+        assert run_cli(argv[0], path, *argv[1:], "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["exit_code"] == 0
+
+    def test_defect_file_routes_agree(self, star_file, tmp_path):
+        system, _ = load_system(defect_copy(star_file, tmp_path / "defect.json"))
+        for field in ("h_a", "h_b", "h_i"):
+            assert hermiticity_defect(getattr(system, field)) == 0.0
+        direct, oracle = ife_sectors(system), ife_sectors_oracle(system)
+        assert direct.alphas == oracle.alphas
+        assert [s.dimension for s in direct.sectors] == [s.dimension for s in oracle.sectors] == [4]

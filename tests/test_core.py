@@ -22,12 +22,14 @@ from ifestates import (
     ife_sectors,
     ife_sectors_oracle,
     spin_star_ife_basis,
+    verify_spin_star_claims,
 )
 from ifestates.core import CLUSTER_TOL, NUMERICAL_ZERO_RTOL, cluster_values
 from ifestates.linalg import (
     DEFAULT_REL_TOL,
+    HERMITIAN_RTOL,
     commutator,
-    intersect_kernels,
+    hermiticity_defect,
     max_principal_angle,
     spectral_norm,
     subspace_equal,
@@ -38,6 +40,7 @@ from helpers import (
     commuting_system,
     diagonal_multisector_system,
     generic_system,
+    intersect_kernels,
     propagator,
     random_hermitian,
     random_state,
@@ -102,6 +105,48 @@ class TestBuilders:
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValueError, match="not Hermitian"):
             BipartiteSystem(2, 2, bad, SZ, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("fields, message", [
+        ((SZ, SZ, np.zeros((6, 6))), "field 'h_i' has dimension 6, expected 4"),
+        ((SZ, np.array([[0, 1], [0, 0]]), np.zeros((4, 4))), "field 'h_b' is not Hermitian"),
+        ((np.diag([np.nan, 0.0]), SZ, np.zeros((4, 4))), "field 'h_a' has non-finite entries"),
+    ])
+    def test_defect_names_the_field(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            BipartiteSystem(2, 2, *fields)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(dims=st.sampled_from(DIM_PAIRS), seed=st.integers(0, 2**32 - 1),
+           signed_zeros=st.booleans())
+    def test_exactly_hermitian_input_stored_bit_identical(self, dims, seed, signed_zeros):
+        rng = np.random.default_rng(seed)
+        fields = [random_hermitian(d, rng) for d in (dims[0], dims[1], dims[0] * dims[1])]
+        if signed_zeros:
+            # -0.0 entries must keep their sign bit
+            for m in fields:
+                m[0, -1] = complex(-0.0, 0.0)
+                m[-1, 0] = np.conj(m[0, -1])
+        sys_ = BipartiteSystem(*dims, *fields)
+        for stored, given_ in zip((sys_.h_a, sys_.h_b, sys_.h_i), fields):
+            assert stored.tobytes() == given_.tobytes()
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(dims=st.sampled_from(DIM_PAIRS), seed=st.integers(0, 2**32 - 1),
+           fraction=st.floats(1e-6, 0.99), rtol=st.sampled_from([HERMITIAN_RTOL, 1e-10]))
+    def test_defect_within_tolerance_stored_exactly_hermitian(self, dims, seed, fraction, rtol):
+        rng = np.random.default_rng(seed)
+        fields = []
+        for d in (dims[0], dims[1], dims[0] * dims[1]):
+            m = random_hermitian(d, rng)
+            skew = 1j * random_hermitian(d, rng)
+            # relative defect max|2 eps K| / max(1, ||m + eps K||_F) near fraction * rtol
+            eps = fraction * rtol * max(1.0, np.linalg.norm(m)) / (2.0 * np.abs(skew).max())
+            fields.append(m + eps * skew)
+        assume(all(hermiticity_defect(m) <= rtol for m in fields))
+        sys_ = BipartiteSystem(*dims, *fields, hermitian_rtol=rtol)
+        for stored, given_ in zip((sys_.h_a, sys_.h_b, sys_.h_i), fields):
+            assert np.array_equal(stored, stored.conj().T)
+            assert np.array_equal(stored, 0.5 * (given_ + given_.conj().T))
 
 
 class TestClusterValues:
@@ -854,6 +899,20 @@ class TestCouplingCache:
         dec = ife_sectors(sys_)
         ife_sectors_oracle(sys_)
         classify_pure(dec.sectors[0].basis[:, 0], sys_)
+        assert calls == ["eigh"]
+
+    def test_spin_star_claims_take_no_svd_of_the_coupling(self, monkeypatch):
+        params = SpinStarParams(2, 1.0, 0.7, (3.0, 4.0))
+        h_i = build_spin_star(params).h_i
+        calls = []
+
+        def counting(name, fn):
+            return lambda a, *args, **kw: (np.array_equal(a, h_i) and calls.append(name)) or fn(a, *args, **kw)
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        claims = verify_spin_star_claims(params)
+        assert all(c.passed for c in claims)
         assert calls == ["eigh"]
 
     def test_cached_values_are_read_only_and_unchanged(self):

@@ -171,6 +171,24 @@ class TestCovarianceTrace:
         with pytest.raises(FreeInvarianceError, match="does not commute"):
             covariance_trace(star_system_n2, psi, bad, star_system_n2.h_b, time_grid(1, 3))
 
+    def test_own_free_hamiltonians_not_checked_again(self, star_system_n2, monkeypatch):
+        import ifestates.dynamics as dynamics
+
+        checked = []
+        original = dynamics.require_hermitian
+        monkeypatch.setattr(dynamics, "require_hermitian",
+                            lambda op, **kw: checked.append(kw["name"]) or original(op, **kw))
+        psi = random_state(8, np.random.default_rng(9))
+        h_a, h_b = star_system_n2.h_a, star_system_n2.h_b
+        shared = trace_pure_states(star_system_n2, psi, time_grid(1.0, 4), energies=True,
+                                   observables=(h_a, h_b))[0]
+        assert not checked
+        # a copy of h_b is a user observable: checked, and its mean is a second expectation
+        copied = trace_pure_states(star_system_n2, psi, time_grid(1.0, 4), energies=True,
+                                   observables=(h_a, h_b.copy()))[0]
+        assert checked == ["o_b"]
+        assert_allclose(copied.covariance, shared.covariance, rtol=0, atol=1e-12)
+
     def test_unitarity_along_grid(self, star_system_n2):
         rng = np.random.default_rng(7)
         psi = random_state(8, rng)

@@ -3,18 +3,17 @@ import pytest
 
 from ifestates.linalg import (
     commutator,
-    hermitian_eig,
-    intersect_kernels,
     kron,
     max_principal_angle,
     null_space,
     orthonormal_columns,
     require_hermitian,
+    require_unit_states,
     spectral_norm,
     subspace_equal,
 )
 
-from helpers import propagator, random_hermitian, random_unitary
+from helpers import hermitian_eig, intersect_kernels, propagator, random_hermitian, random_unitary
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -237,6 +236,18 @@ class TestHermitianCheck:
         a[0, 1] = 1e-15
         require_hermitian(a)
 
+    def test_exact_input_returned_unchanged(self):
+        a = random_hermitian(4, np.random.default_rng(19))
+        assert require_hermitian(a) is a
+
+    def test_returns_hermitian_part(self):
+        a = SZ.copy()
+        a[0, 1] = 1e-15
+        part = require_hermitian(a)
+        assert np.array_equal(part, part.conj().T)
+        assert np.array_equal(part, 0.5 * (a + a.conj().T))
+        assert part[0, 1] == 5e-16 and np.array_equal(a[0, 1], 1e-15)
+
     def test_rejects_visible_defect(self):
         a = SZ.copy()
         a[0, 1] = 1e-6
@@ -250,3 +261,28 @@ class TestHermitianCheck:
         a[1, 1] = bad
         with pytest.raises(ValueError, match="h_x has non-finite entries"):
             require_hermitian(a, name="h_x")
+
+
+class TestUnitStates:
+    def test_vector_becomes_one_column(self):
+        psi = np.array([0.6, 0.8j])
+        states = require_unit_states(psi, 2)
+        assert states.shape == (2, 1) and np.array_equal(states[:, 0], psi)
+
+    def test_block_of_columns(self):
+        block = random_unitary(4, np.random.default_rng(20))[:, :3]
+        assert np.array_equal(require_unit_states(block, 4), block)
+
+    def test_wrong_dimension(self):
+        with pytest.raises(ValueError, match="state has dimension 3, expected 4"):
+            require_unit_states(np.ones(3) / np.sqrt(3), 4)
+
+    def test_names_first_unnormalized_column(self):
+        block = np.eye(3, dtype=complex)
+        block[:, 1] *= 2.0
+        with pytest.raises(ValueError, match=r"state is not normalized: \|\|psi\|\| = 2\.0"):
+            require_unit_states(block, 3)
+
+    def test_rejects_higher_rank_arrays(self):
+        with pytest.raises(ValueError, match="expected a state vector"):
+            require_unit_states(np.ones((2, 1, 1)), 2)
