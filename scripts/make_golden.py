@@ -108,6 +108,8 @@ def main() -> int:
     run(["oracle-diff", str(star_path)], DATA / "report_oracle_diff_n2.json")
     run(["verify", str(star_path), "--state", str(DATA / "state_ife_n2.json")],
         DATA / "report_verify_ife_n2.json")
+    run(["verify", str(star_path), "--state", str(DATA / "rho_ife_n2.json")],
+        DATA / "report_verify_rho_ife_n2.json")
     run(["mixed", str(star_path), "--state", str(DATA / "rho_ife_n2.json")],
         DATA / "report_mixed_rho_ife_n2.json")
     return 0

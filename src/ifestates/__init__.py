@@ -34,12 +34,11 @@ from .linalg import (
     subspace_equal,
 )
 from .mixed import (
-    SectorBlockForm,
     check_density_matrix,
     is_ife_mixed,
     mixed_deviation,
-    project_to_sectors,
     random_ife_mixed,
+    trace_density_matrix,
 )
 from .spin_star import (
     ClaimResult,
@@ -80,12 +79,11 @@ __all__ = [
     "max_principal_angle",
     "null_space",
     "subspace_equal",
-    "SectorBlockForm",
     "check_density_matrix",
     "is_ife_mixed",
     "mixed_deviation",
-    "project_to_sectors",
     "random_ife_mixed",
+    "trace_density_matrix",
     "ClaimResult",
     "DressedBasis",
     "ResonanceError",

@@ -38,11 +38,11 @@ from .linalg import DEFAULT_REL_TOL, max_principal_angle, require_unit_states
 from .mixed import (
     block_structure_residuals,
     check_density_matrix,
-    mixed_deviation_trace,
-    mixed_energy_trace,
     random_ife_mixed,
+    trace_density_matrix,
 )
 from .serialize import (
+    FILE_HERMITIAN_RTOL,
     REPORT_SCHEMA_VERSION,
     canonical_dumps,
     load_state,
@@ -272,20 +272,6 @@ def _verify_vectors(system, states, times, tol, labels) -> tuple[list, list]:
     return claims, traces
 
 
-def _density_matrix_trace(system, rho, times) -> tuple[np.ndarray, dict]:
-    """Deviation of ``rho`` from free evolution, and its report trace entry."""
-    dev = mixed_deviation_trace(rho, system, times)
-    e_a, e_b = mixed_energy_trace(rho, system, times)
-    return dev, {
-        "vector": 0,
-        "label": "density_matrix",
-        "times": np.asarray(times, dtype=float),
-        "deviation": np.asarray(dev, dtype=float),
-        "energy_a": np.asarray(e_a, dtype=float),
-        "energy_b": np.asarray(e_b, dtype=float),
-    }
-
-
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     path = Path(args.input)
@@ -302,12 +288,12 @@ def cmd_verify(args) -> int:
             tol = args.tol if args.tol is not None else 1e-9 * np.sqrt(system.dim)
             claims, traces = _verify_vectors(system, psi, times, tol, ["state"])
         else:
-            # mixed_deviation_trace checks the dimension
-            rho = check_density_matrix(state["value"])
+            # trace_density_matrix checks the dimension
+            rho = check_density_matrix(state["value"], FILE_HERMITIAN_RTOL)
             tol = args.tol if args.tol is not None else 1e-8 * system.dim
-            dev, trace = _density_matrix_trace(system, rho, times)
-            traces = [trace]
-            claims = [_claim("ife_evolution_density_matrix", float(dev.max()), tol)]
+            trace = trace_density_matrix(system, rho, times, energies=True)
+            traces = [_trace_lists(trace, {"vector": 0, "label": "density_matrix"})]
+            claims = [_claim("ife_evolution_density_matrix", trace.max_deviation, tol)]
     elif args.sector is not None:
         dec = ife_sectors(system, DEFAULT_REL_TOL)
         if not 0 <= args.sector < dec.n_sectors:
@@ -427,6 +413,8 @@ def cmd_oracle_diff(args) -> int:
 
 def cmd_mixed(args) -> int:
     started = time.perf_counter()
+    if args.csv and not args.state:
+        raise CliInputError("--csv requires --state")
     path = Path(args.input)
     system, label = load_system(path)
     dec = ife_sectors(system, DEFAULT_REL_TOL)
@@ -439,16 +427,16 @@ def cmd_mixed(args) -> int:
         if state["kind"] != "rho":
             raise CliInputError(f"{args.state}: 'rho' field required for mixed checks")
         # block_structure_residuals checks the dimension
-        rho = check_density_matrix(state["value"])
+        rho = check_density_matrix(state["value"], FILE_HERMITIAN_RTOL)
         digest += "," + sha256_digest(args.state)
         block_tol = args.tol if args.tol is not None else 1e-8 * float(np.linalg.norm(rho))
         outside, cross = block_structure_residuals(rho, dec)
-        dev, trace = _density_matrix_trace(system, rho, times)
-        traces = [trace]
+        trace = trace_density_matrix(system, rho, times, energies=True)
+        traces = [_trace_lists(trace, {"vector": 0, "label": "density_matrix"})]
         claims = [
             _claim("sector_support", outside, block_tol),
             _claim("cross_sector_coherence", cross, block_tol),
-            _claim("dynamical_deviation", float(dev.max()), deviation_tol),
+            _claim("dynamical_deviation", trace.max_deviation, deviation_tol),
         ]
         code = EXIT_OK if all(c["pass"] for c in claims) else EXIT_NOT_IFE
         report = _report(
@@ -482,7 +470,7 @@ def cmd_mixed(args) -> int:
     for i in range(args.samples):
         rho = random_ife_mixed(dec, weights, args.seed + i)
         outside, cross = block_structure_residuals(rho, dec)
-        dev_max = float(mixed_deviation_trace(rho, system, times).max())
+        dev_max = trace_density_matrix(system, rho, times).max_deviation
         claims.append(_claim(f"sample_{i}_block_structure", max(outside, cross), block_tol))
         claims.append(_claim(f"sample_{i}_dynamical_deviation", dev_max, deviation_tol))
         samples.append({"seed": args.seed + i, "max_deviation": dev_max,
@@ -562,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_integer_at_least(1), default=101, help="number of grid points")
     p.add_argument("--tol", type=_positive_finite, default=None, help="block-structure tolerance")
     p.add_argument("--out", help="report path; default stdout")
-    p.add_argument("--csv", help="also write traces as CSV to this path")
+    p.add_argument("--csv", help="also write traces as CSV to this path (requires --state)")
     p.set_defaults(func=cmd_mixed)
 
     return parser

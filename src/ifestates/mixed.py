@@ -6,44 +6,49 @@ supported on the union of the sector subspaces with no coherence between
 different sectors.  This module recognizes that structure, draws random
 states that have it, and measures the dynamical deviation directly.
 
-The dynamical traces work in the eigenbases of ``H = V diag(w) V^H`` and
-``H_0 = V0 diag(w0) V0^H``, cached on the system: ``rho(t)`` is
-``V (P(t) o rho~) V^H`` with ``rho~ = V^H rho V`` and the phase matrix
-``P(t) = p p^H``, ``p = exp(-i w t)`` (``o`` is the entrywise product).
+:func:`block_structure_residuals` compresses ``rho`` onto the concatenated
+sector bases once and reads both residuals off that one matrix.  The one
+tracer, :func:`trace_density_matrix`, works in the eigenbases of
+``H = V diag(w) V^H`` and ``H_0 = V0 diag(w0) V0^H``, cached on the system:
+``rho(t)`` is ``V (P(t) o rho~) V^H`` with ``rho~ = V^H rho V`` and the
+phase matrix ``P(t) = p p^H``, ``p = exp(-i w t)`` (``o`` is the entrywise
+product).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import BipartiteSystem, IfeDecomposition, _eig
-from .dynamics import _apply_local, _eig_overlap, time_grid
-from .linalg import as_operator, require_hermitian
+from .dynamics import EvolutionReport, _apply_local, _eig_overlap, time_grid
+from .linalg import HERMITIAN_RTOL, as_operator, require_hermitian
 
 __all__ = [
     "check_density_matrix",
-    "SectorBlockForm",
-    "project_to_sectors",
     "block_structure_residuals",
     "is_ife_mixed",
     "random_ife_mixed",
-    "mixed_deviation_trace",
+    "trace_density_matrix",
     "mixed_deviation",
-    "mixed_energy_trace",
 ]
 
+# A density matrix's trace must be within this of 1, and no eigenvalue below its negative.
+_TRACE_TOL = 1e-10
+_PSD_TOL = 1e-10
 
-def check_density_matrix(rho, hermitian_rtol: float = 1e-12,
-                         trace_tol: float = 1e-10, psd_tol: float = 1e-10) -> np.ndarray:
-    """Validate Hermiticity, unit trace, and positive semidefiniteness."""
+
+def check_density_matrix(rho, hermitian_rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+    """The Hermitian part of ``rho``, raising unless it has unit trace and is positive semidefinite.
+
+    Hermiticity is checked at ``hermitian_rtol`` (files use the looser
+    ``serialize.FILE_HERMITIAN_RTOL``), as for the system matrices.
+    """
     rho = require_hermitian(rho, hermitian_rtol, name="density matrix")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > _TRACE_TOL:
         raise ValueError(f"density matrix trace is {tr!r}, expected 1")
     lo = float(np.linalg.eigvalsh(rho).min())
-    if lo < -psd_tol:
+    if lo < -_PSD_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
     return rho
 
@@ -56,56 +61,25 @@ def _state_operator(rho, dim: int) -> np.ndarray:
     return rho
 
 
-@dataclass(frozen=True)
-class SectorBlockForm:
-    """Compression of a state onto the sector bases.
-
-    ``blocks[k]`` is the coefficient matrix of sector ``alphas[k]``;
-    ``residual_weight`` is the trace weight outside the union of sectors
-    and ``cross_norm`` the largest Frobenius norm among cross-sector
-    coherence blocks.
-    """
-
-    alphas: tuple[float, ...]
-    blocks: tuple[np.ndarray, ...]
-    residual_weight: float
-    cross_norm: float
-
-    @property
-    def block_traces(self) -> tuple[float, ...]:
-        return tuple(float(np.trace(b).real) for b in self.blocks)
-
-
-def project_to_sectors(rho, dec: IfeDecomposition) -> SectorBlockForm:
-    """Sector coefficient matrices B_k^H rho B_k plus residual diagnostics."""
-    rho = _state_operator(rho, dec.commutator_kernel.shape[0])
-    bases = [s.basis for s in dec.sectors]
-    blocks = tuple(b.conj().T @ rho @ b for b in bases)
-    inside = sum((float(np.trace(p).real) for p in blocks), 0.0)
-    cross = 0.0
-    for i in range(len(bases)):
-        for j in range(i + 1, len(bases)):
-            cross = max(cross, float(np.linalg.norm(bases[i].conj().T @ rho @ bases[j])))
-    return SectorBlockForm(
-        alphas=dec.alphas,
-        blocks=blocks,
-        residual_weight=1.0 - inside,
-        cross_norm=cross,
-    )
-
-
 def block_structure_residuals(rho, dec: IfeDecomposition) -> tuple[float, float]:
     """(outside_norm, cross_norm) measuring departure from sector-block form.
 
-    ``outside_norm`` is the Frobenius norm of everything rho carries
-    outside the union of the sectors, coherences included.
+    With ``T`` the concatenated sector bases, ``C = T^H rho T`` is formed
+    once.  ``outside_norm`` is the Frobenius norm of everything rho
+    carries outside the union of the sectors, coherences included:
+    ``||rho - T C T^H||_F``.  ``cross_norm`` is the largest Frobenius norm
+    among the off-diagonal blocks ``B_i^H rho B_j`` of ``C``.
     """
     total = dec.total_basis()
     rho = _state_operator(rho, total.shape[0])
     compressed = total.conj().T @ rho @ total
     inside = total @ compressed @ total.conj().T
     outside = float(np.linalg.norm(rho - inside))
-    return outside, project_to_sectors(rho, dec).cross_norm
+    edges = np.cumsum([0] + [s.dimension for s in dec.sectors])
+    blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    cross = max((float(np.linalg.norm(compressed[row, col]))
+                 for i, row in enumerate(blocks) for col in blocks[i + 1:]), default=0.0)
+    return outside, cross
 
 
 def is_ife_mixed(rho, dec: IfeDecomposition, tol: float | None = None) -> bool:
@@ -134,8 +108,8 @@ def random_ife_mixed(dec: IfeDecomposition, weights, seed: int) -> np.ndarray:
         raise ValueError(
             f"expected {dec.n_sectors} weights (one per sector), got {weights.shape}"
         )
-    if np.any(weights < 0):
-        raise ValueError("weights must be nonnegative")
+    if not np.isfinite(weights).all() or np.any(weights < 0):
+        raise ValueError("weights must be finite and nonnegative")
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
 
@@ -153,29 +127,23 @@ def random_ife_mixed(dec: IfeDecomposition, weights, seed: int) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
-def _eigenbasis_state(rho, sys: BipartiteSystem, free: bool = False):
-    """``(w, rho~)``: the spectrum of ``H`` (``H_0`` when ``free``) and ``V^H rho V``."""
-    w, v = _eig(sys, free)
-    return w, v.conj().T @ rho @ v
-
-
 def _phase_matrix(w, t: float) -> np.ndarray:
     """``P(t) = p p^H`` with ``p = exp(-i w t)``."""
     p = np.exp(-1j * w * t)
     return np.outer(p, p.conj())
 
 
-def mixed_deviation_trace(rho, sys: BipartiteSystem, times=None) -> np.ndarray:
-    """Frobenius distance between full and free conjugation at each time.
+def _deviation(sys: BipartiteSystem, rho, rho_eig, times) -> np.ndarray:
+    """``||rho(t) - rho_0(t)||_F`` at each time, given ``rho~ = V^H rho V``.
 
-    ``||rho(t) - rho_0(t)||_F = ||P(t) o rho~ - W (P0(t) o rho~0) W^H||_F``
-    in the eigenbasis of ``H``, with ``rho~0 = V0^H rho V0`` and
-    ``W = V^H V0``: two matrix products per time step.
+    ``= ||P(t) o rho~ - W (P0(t) o rho~0) W^H||_F`` in the eigenbasis of
+    ``H``, with ``rho~0 = V0^H rho V0`` and ``W = V^H V0``: two matrix
+    products per time step.  A function of its own, so that ``rho~0`` and
+    ``W^H`` are freed before the energies are traced.
     """
-    times = time_grid() if times is None else np.asarray(times, dtype=float)
-    rho = _state_operator(rho, sys.dim)
-    w, rho_eig = _eigenbasis_state(rho, sys)
-    w0, rho0_eig = _eigenbasis_state(rho, sys, free=True)
+    w = _eig(sys)[0]
+    w0, v0 = _eig(sys, free=True)
+    rho0_eig = v0.conj().T @ rho @ v0
     overlap = _eig_overlap(sys)
     overlap_h = overlap.conj().T
     return np.array([
@@ -185,24 +153,35 @@ def mixed_deviation_trace(rho, sys: BipartiteSystem, times=None) -> np.ndarray:
     ])
 
 
+def trace_density_matrix(sys: BipartiteSystem, rho, times, *,
+                         energies: bool = False) -> EvolutionReport:
+    """Evolution traces of a density matrix ``rho`` on the grid ``times``.
+
+    The report carries the deviation ``||rho(t) - rho_0(t)||_F`` of the
+    full from the free conjugation at each time and its maximum (~0
+    exactly for IFE mixed states); with ``energies``, also the subsystem
+    energies ``Tr(rho(t) H_A (x) I)`` and ``Tr(rho(t) I (x) H_B)``.  The
+    dimension of ``rho`` is checked and ``rho~ = V^H rho V`` formed once
+    per call; the spectra come from the system's cache.  The energies are
+    ``Tr(rho(t) O) = p(t)^T (rho~ o O~^T) p(t)^*`` with ``O~ = V^H O V``,
+    one ``T x d x d`` product per observable for the whole grid.
+    """
+    times = np.asarray(times, dtype=float)
+    rho = _state_operator(rho, sys.dim)
+    w, v = _eig(sys)
+    rho_eig = v.conj().T @ rho @ v
+    deviation = _deviation(sys, rho, rho_eig, times)
+    fields = {}
+    if energies:
+        phases = np.exp(-1j * np.outer(times, w))  # row k is p(t_k)
+        for key, op_v in (("energy_a", _apply_local(sys, v, op_a=sys.h_a)),
+                          ("energy_b", _apply_local(sys, v, op_b=sys.h_b))):
+            weights = rho_eig * (v.conj().T @ op_v).T
+            fields[key] = ((phases @ weights) * phases.conj()).sum(axis=1).real
+    return EvolutionReport(times=times, deviation=deviation,
+                           max_deviation=float(deviation.max()), **fields)
+
+
 def mixed_deviation(rho, sys: BipartiteSystem, times=None) -> float:
     """Largest deviation over the grid; ~0 exactly for IFE mixed states."""
-    return float(mixed_deviation_trace(rho, sys, times).max())
-
-
-def mixed_energy_trace(rho, sys: BipartiteSystem, times=None) -> tuple[np.ndarray, np.ndarray]:
-    """Subsystem energies Tr(rho(t) H_A (x) I), Tr(rho(t) I (x) H_B).
-
-    ``Tr(rho(t) O) = p(t)^T (rho~ o O~^T) p(t)^*`` with ``O~ = V^H O V``,
-    so the whole grid is one ``T x d x d`` product per observable.
-    """
-    times = time_grid() if times is None else np.asarray(times, dtype=float)
-    rho = _state_operator(rho, sys.dim)
-    w, rho_eig = _eigenbasis_state(rho, sys)
-    v = _eig(sys)[1]
-    phases = np.exp(-1j * np.outer(times, w))  # row k is p(t_k)
-    energies = []
-    for op_v in (_apply_local(sys, v, op_a=sys.h_a), _apply_local(sys, v, op_b=sys.h_b)):
-        weights = rho_eig * (v.conj().T @ op_v).T
-        energies.append(((phases @ weights) * phases.conj()).sum(axis=1).real)
-    return energies[0], energies[1]
+    return trace_density_matrix(sys, rho, time_grid() if times is None else times).max_deviation

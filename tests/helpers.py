@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,51 @@ def evolve_pure(h, psi, t):
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"state is not normalized: ||psi|| = {nrm!r}")
     return propagator(h, t) @ psi
+
+
+@dataclass(frozen=True)
+class SectorBlockForm:
+    """Compression of a state onto the sector bases.
+
+    ``blocks[k]`` is the coefficient matrix of sector ``alphas[k]``;
+    ``residual_weight`` is the trace weight outside the union of sectors
+    and ``cross_norm`` the largest Frobenius norm among cross-sector
+    coherence blocks.
+    """
+
+    alphas: tuple[float, ...]
+    blocks: tuple[np.ndarray, ...]
+    residual_weight: float
+    cross_norm: float
+
+    @property
+    def block_traces(self) -> tuple[float, ...]:
+        return tuple(float(np.trace(b).real) for b in self.blocks)
+
+
+def project_to_sectors(rho, dec):
+    """Sector coefficient matrices ``B_k^H rho B_k`` plus residual diagnostics.
+
+    One product per sector and one per pair of sectors: the reference for
+    the single compression of ``mixed.block_structure_residuals``.
+    """
+    rho = as_operator(rho)
+    dim = dec.commutator_kernel.shape[0]
+    if rho.shape[0] != dim:
+        raise ValueError(f"state has dimension {rho.shape[0]}, expected {dim}")
+    bases = [s.basis for s in dec.sectors]
+    blocks = tuple(b.conj().T @ rho @ b for b in bases)
+    inside = sum((float(np.trace(p).real) for p in blocks), 0.0)
+    cross = 0.0
+    for i in range(len(bases)):
+        for j in range(i + 1, len(bases)):
+            cross = max(cross, float(np.linalg.norm(bases[i].conj().T @ rho @ bases[j])))
+    return SectorBlockForm(
+        alphas=dec.alphas,
+        blocks=blocks,
+        residual_weight=1.0 - inside,
+        cross_norm=cross,
+    )
 
 
 def matrix_to_pairs(m):

@@ -243,6 +243,13 @@ class TestVerify:
         golden = (data_dir / "report_verify_ife_n2.json").read_text(encoding="utf-8")
         assert normalized(out) == golden
 
+    def test_golden_density_matrix_report(self, star_file, data_dir, tmp_path):
+        out = tmp_path / "report.json"
+        assert run_cli("verify", star_file, "--state", str(data_dir / "rho_ife_n2.json"),
+                       "--out", str(out)) == 0
+        golden = (data_dir / "report_verify_rho_ife_n2.json").read_text(encoding="utf-8")
+        assert normalized(out) == golden
+
 
 class TestSpinStar:
     def test_check_all_exit_zero(self, tmp_path):
@@ -391,6 +398,41 @@ class TestMixed:
 
     def test_vector_state_rejected(self, star_file, data_dir):
         assert run_cli("mixed", star_file, "--state", str(data_dir / "state_ife_n2.json")) == 1
+
+    def test_csv_without_state_exit_one(self, star_file, tmp_path, capsys):
+        out, csv_path = tmp_path / "r.json", tmp_path / "x.csv"
+        assert run_cli("mixed", star_file, "--samples", "1", "--csv", str(csv_path),
+                       "--out", str(out)) == 1
+        assert "error: --csv requires --state" in capsys.readouterr().err
+        assert not csv_path.exists() and not out.exists()
+
+    def test_csv_with_state_writes_rows(self, star_file, data_dir, tmp_path):
+        out, csv_path = tmp_path / "r.json", tmp_path / "x.csv"
+        assert run_cli("mixed", star_file, "--state", str(data_dir / "rho_ife_n2.json"),
+                       "--steps", "4", "--out", str(out), "--csv", str(csv_path)) == 0
+        block = json.loads(out.read_text())["traces"][0]
+        with open(csv_path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["vector", "time", "deviation", "energy_a", "energy_b", "covariance"]
+        assert rows[1:] == [
+            ["0", format(t, ".17g"), *(format(block[key][k], ".17g")
+                                       for key in ("deviation", "energy_a", "energy_b")), ""]
+            for k, t in enumerate(block["times"])
+        ]
+
+    @pytest.mark.parametrize("system, state, code", [
+        ("system_spin_star_n2.json", "rho_ife_n2.json", 0),
+        ("system_two_sectors.json", "rho_cross_two_sectors.json", 4),
+    ], ids=["ife", "cross"])
+    def test_verify_and_mixed_report_equal_traces(self, data_dir, tmp_path, system, state, code):
+        traces = []
+        for command in ("verify", "mixed"):
+            out = tmp_path / f"{command}.json"
+            assert run_cli(command, str(data_dir / system), "--state", str(data_dir / state),
+                           "--steps", "9", "--out", str(out)) == code
+            traces.append(json.loads(out.read_text())["traces"])
+        assert traces[0] == traces[1]
+        assert [t["label"] for t in traces[0]] == ["density_matrix"]
 
 
 class TestParserContract:
@@ -544,21 +586,22 @@ class TestOneFactorization:
         assert len(rows) == 1 + 5 * 7
 
 
-def defect_copy(src, dst, rel_defect=3e-11, seed=5):
-    """``src`` with an anti-Hermitian defect ``i eps S`` added to ``h_a`` and ``h_i``.
+def defect_copy(src, dst, rel_defect=3e-11, seed=5, fields=("h_a", "h_i")):
+    """``src`` with an anti-Hermitian defect ``i eps S`` added to each of ``fields``.
 
     ``S`` is real symmetric with largest entry 1 and ``eps`` is chosen so
-    that each field's relative defect is ``rel_defect``: above the
-    ``1e-12`` of derived-operator checks, below the ``1e-10`` file gate.
+    that each field's relative defect is ``rel_defect``; the default is
+    above the ``1e-12`` of derived-operator checks, below the ``1e-10``
+    file gate.
     """
     doc = json.loads(Path(src).read_text(encoding="utf-8"))
     rng = np.random.default_rng(seed)
-    for field in ("h_a", "h_i"):
+    for field in fields:
         m = pairs_to_matrix(doc[field], field)
         s = rng.uniform(-1.0, 1.0, m.shape)
         s = (s + s.T) / np.abs(s + s.T).max()
         m = m + 0.5j * rel_defect * max(1.0, np.linalg.norm(m)) * s
-        assert 1e-12 < hermiticity_defect(m) < 1e-10
+        assert hermiticity_defect(m) == pytest.approx(rel_defect, rel=1e-6)
         doc[field] = matrix_to_pairs(m)
     Path(dst).write_text(json.dumps(doc), encoding="utf-8")
     return str(dst)
@@ -579,6 +622,26 @@ class TestValidateOnce:
         assert run_cli(argv[0], path, *argv[1:], "--out", str(out)) == 0
         assert capsys.readouterr().err == ""
         assert json.loads(out.read_text())["exit_code"] == 0
+
+    @pytest.mark.parametrize("command", ["verify", "mixed"])
+    def test_density_matrix_defect_within_file_gate_exit_zero(self, star_file, data_dir,
+                                                               tmp_path, capsys, command):
+        state = defect_copy(data_dir / "rho_ife_n2.json", tmp_path / "rho.json", fields=("rho",))
+        out = tmp_path / "r.json"
+        assert run_cli(command, star_file, "--state", state, "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["exit_code"] == 0
+
+    @pytest.mark.parametrize("command", ["verify", "mixed"])
+    def test_density_matrix_defect_beyond_file_gate_exit_one(self, star_file, data_dir,
+                                                             tmp_path, capsys, command):
+        state = defect_copy(data_dir / "rho_ife_n2.json", tmp_path / "rho.json",
+                            rel_defect=3e-9, fields=("rho",))
+        out = tmp_path / "r.json"
+        assert run_cli(command, star_file, "--state", state, "--out", str(out)) == 1
+        assert ("error: density matrix is not Hermitian: relative defect 3.000e-09 exceeds 1.0e-10"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_defect_file_routes_agree(self, star_file, tmp_path):
         system, _ = load_system(defect_copy(star_file, tmp_path / "defect.json"))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ifestates import (
@@ -10,15 +12,21 @@ from ifestates import (
     ife_sectors,
     is_ife_mixed,
     mixed_deviation,
-    project_to_sectors,
     random_ife_mixed,
     spin_star_ife_basis,
     time_grid,
+    trace_density_matrix,
 )
 from ifestates.linalg import kron, spectral_norm
-from ifestates.mixed import mixed_deviation_trace, mixed_energy_trace
+from ifestates.mixed import block_structure_residuals
 
-from helpers import commuting_system, diagonal_multisector_system, random_state
+from helpers import (
+    DIM_PAIRS,
+    commuting_system,
+    diagonal_multisector_system,
+    project_to_sectors,
+    random_state,
+)
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +60,16 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match="not Hermitian"):
             check_density_matrix(rho)
 
+    def test_hermitian_tolerance_is_a_parameter(self):
+        # a 3e-11 relative defect: above the library default, below the file gate
+        rho = (np.eye(3) / 3.0).astype(complex)
+        rho[0, 1] += 3e-11j
+        with pytest.raises(ValueError, match="exceeds 1.0e-12"):
+            check_density_matrix(rho)
+        checked = check_density_matrix(rho, 1e-10)
+        assert np.array_equal(checked, checked.conj().T)
+        assert_allclose(checked, np.eye(3) / 3.0, rtol=0, atol=2e-11)
+
 
 class TestProjectToSectors:
     def test_single_basis_vector_projector(self, diag_system, diag_dec):
@@ -82,6 +100,58 @@ class TestProjectToSectors:
     def test_dimension_mismatch(self, diag_dec):
         with pytest.raises(ValueError, match="dimension"):
             project_to_sectors(np.eye(4) / 4.0, diag_dec)
+
+
+def mixed_test_state(dec, rng, p_coherent):
+    """A density matrix with sector blocks, cross-sector coherences and weight outside.
+
+    ``(1 - p) rho_ife + p |chi><chi|``, where ``rho_ife`` is a random
+    sector-block state and ``chi`` superposes one random vector from each
+    sector with a random vector of the whole space.
+    """
+    weights = rng.dirichlet(np.ones(dec.n_sectors))
+    rho = random_ife_mixed(dec, weights, int(rng.integers(2**31)))
+    chi = random_state(dec.commutator_kernel.shape[0], rng)
+    for sector in dec.sectors:
+        chi = chi + sector.basis @ random_state(sector.dimension, rng)
+    chi /= np.linalg.norm(chi)
+    return (1.0 - p_coherent) * rho + p_coherent * np.outer(chi, chi.conj())
+
+
+class TestBlockStructureResiduals:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        family=st.sampled_from(["diagonal", "commuting"]),
+        dims=st.sampled_from(DIM_PAIRS),
+        seed=st.integers(0, 2**32 - 1),
+        p_coherent=st.sampled_from([0.0, 1e-6, 0.3, 1.0]),
+        scale=st.sampled_from([1.0, 1e3]),
+    )
+    def test_cross_norm_matches_pairwise_products(self, family, dims, seed, p_coherent, scale):
+        rng = np.random.default_rng(seed)
+        if family == "diagonal":
+            sys_ = diagonal_multisector_system(rng, *dims)
+        else:
+            sys_ = commuting_system(*dims, rng)
+        dec = ife_sectors(sys_)
+        assume(dec.n_sectors >= 2)
+        rho = scale * mixed_test_state(dec, rng, p_coherent)
+        outside, cross = block_structure_residuals(rho, dec)
+        reference = project_to_sectors(rho, dec)
+        atol = 1e-14 * max(1.0, float(np.linalg.norm(rho)))
+        assert cross == pytest.approx(reference.cross_norm, rel=0, abs=atol)
+        inside = dec.total_basis() @ dec.total_basis().conj().T
+        assert outside == pytest.approx(float(np.linalg.norm(rho - inside @ rho @ inside)),
+                                        rel=0, abs=atol)
+
+    def test_single_sector_has_no_cross_norm(self, star_system_n2):
+        dec = ife_sectors(star_system_n2)
+        assert dec.n_sectors == 1
+        assert block_structure_residuals(np.eye(8) / 8.0, dec)[1] == 0.0
+
+    def test_dimension_mismatch(self, diag_dec):
+        with pytest.raises(ValueError, match="state has dimension 4, expected 6"):
+            block_structure_residuals(np.eye(4) / 4.0, diag_dec)
 
 
 class TestIsIfeMixed:
@@ -144,6 +214,54 @@ class TestRandomIfeMixed:
         with pytest.raises(ValueError, match="sum to 1"):
             random_ife_mixed(diag_dec, np.full(diag_dec.n_sectors, 0.9), 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, star_params_n2, bad):
+        # nan < 0 and |nan - 1| > 1e-9 are both False: checked explicitly
+        dec = spin_star_ife_basis(star_params_n2)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            random_ife_mixed(dec, [bad], 0)
+
+
+class TestTraceDensityMatrix:
+    def test_requested_fields(self, diag_system, diag_dec):
+        weights = np.full(diag_dec.n_sectors, 1.0 / diag_dec.n_sectors)
+        rho = random_ife_mixed(diag_dec, weights, 3)
+        times = time_grid(2.0, 5)
+        plain = trace_density_matrix(diag_system, rho, times)
+        full = trace_density_matrix(diag_system, rho, times, energies=True)
+        assert plain.energy_a is None and plain.energy_b is None and plain.covariance is None
+        assert full.covariance is None
+        assert full.energy_a.shape == full.energy_b.shape == (5,)
+        for report in (plain, full):
+            assert np.array_equal(report.times, times)
+            assert report.max_deviation == float(report.deviation.max())
+        assert np.array_equal(plain.deviation, full.deviation)
+
+    def test_mixed_deviation_is_the_report_maximum(self, diag_system, diag_dec):
+        psi = diag_dec.sectors[0].basis[:, 0] + diag_dec.sectors[1].basis[:, 0]
+        rho = 0.5 * np.outer(psi, psi.conj())
+        report = trace_density_matrix(diag_system, rho, time_grid())
+        assert mixed_deviation(rho, diag_system) == report.max_deviation > 1e-3
+
+    def test_one_compression_per_call(self, diag_system, diag_dec, monkeypatch):
+        # rho~ = V^H rho V and rho~0 = V0^H rho V0: one conj().T @ rho each
+        import ifestates.mixed as mixed
+
+        rho = random_ife_mixed(diag_dec, np.full(diag_dec.n_sectors, 1.0 / diag_dec.n_sectors), 4)
+        trace_density_matrix(diag_system, rho, time_grid(1.0, 3), energies=True)  # warm the cache
+
+        class Counted(np.ndarray):
+            calls = 0
+
+            def __rmatmul__(self, other):
+                Counted.calls += 1
+                return np.asarray(other) @ np.asarray(self)
+
+        monkeypatch.setattr(mixed, "_state_operator",
+                            lambda r, dim: np.asarray(r, dtype=complex).view(Counted))
+        trace_density_matrix(diag_system, rho, time_grid(1.0, 3), energies=True)
+        assert Counted.calls == 2
+
 
 class TestMixedDeviation:
     def test_random_ife_state_static(self, diag_system, diag_dec):
@@ -162,7 +280,7 @@ class TestMixedDeviation:
         chi = (psi_a + psi_b) / np.sqrt(2)
         rho = np.outer(chi, chi.conj())
         t_star = np.pi / delta
-        dev = mixed_deviation_trace(rho, diag_system, [t_star])
+        dev = trace_density_matrix(diag_system, rho, [t_star]).deviation
         # the coherence pair (block + adjoint), weight 1/2 each, dephases by
         # exp(-i delta t) relative to the free evolution
         expected = abs(np.exp(-1j * delta * t_star) - 1.0) * np.sqrt(2) * 0.5
@@ -199,7 +317,8 @@ class TestConsistencyInvariants:
     def test_energy_conserved_for_ife_mixed(self, star_params_n2, star_system_n2):
         dec = spin_star_ife_basis(star_params_n2)
         rho = random_ife_mixed(dec, [1.0], seed=21)
-        e_a, e_b = mixed_energy_trace(rho, star_system_n2, time_grid())
+        report = trace_density_matrix(star_system_n2, rho, time_grid(), energies=True)
+        e_a, e_b = report.energy_a, report.energy_b
         assert np.abs(e_a - e_a[0]).max() <= 1e-9
         assert np.abs(e_b - e_b[0]).max() <= 1e-9
 
@@ -228,10 +347,11 @@ class TestSharedSpectra:
         expected = np.array([float(np.linalg.norm(a - b)) for a, b in zip(full, free)])
         # the eigenbasis formulas change only the last bits
         atol = 1e-13 * max(1.0, spectral_norm(sys_.h_a)) * max(1.0, spectral_norm(sys_.h_b))
-        assert_allclose(mixed_deviation_trace(rho, sys_, times), expected, rtol=0, atol=atol)
+        report = trace_density_matrix(sys_, rho, times, energies=True)
+        assert_allclose(report.deviation, expected, rtol=0, atol=atol)
         op_a = kron(sys_.h_a, np.eye(3))
         op_b = kron(np.eye(2), sys_.h_b)
-        e_a, e_b = mixed_energy_trace(rho, sys_, times)
+        e_a, e_b = report.energy_a, report.energy_b
         assert_allclose(e_a, [float(np.trace(r @ op_a).real) for r in full], rtol=0, atol=atol)
         assert_allclose(e_b, [float(np.trace(r @ op_b).real) for r in full], rtol=0, atol=atol)
 
@@ -244,10 +364,9 @@ class TestSharedSpectra:
         weights = np.full(diag_dec.n_sectors, 1.0 / diag_dec.n_sectors)
         for seed in range(4):
             rho = random_ife_mixed(diag_dec, weights, seed)
-            mixed_deviation_trace(rho, sys_, time_grid(1.0, 3))
-            mixed_energy_trace(rho, sys_, time_grid(1.0, 3))
+            trace_density_matrix(sys_, rho, time_grid(1.0, 3), energies=True)
         assert len(calls) == 2  # H and H_0
 
     def test_energy_trace_checks_dimension(self, diag_system):
         with pytest.raises(ValueError, match="state has dimension 4, expected 6"):
-            mixed_energy_trace(np.eye(4) / 4.0, diag_system, time_grid(1.0, 3))
+            trace_density_matrix(diag_system, np.eye(4) / 4.0, time_grid(1.0, 3), energies=True)

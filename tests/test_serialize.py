@@ -277,6 +277,7 @@ class TestReportSchema:
         "report_spin_star_n2.json",
         "report_oracle_diff_n2.json",
         "report_verify_ife_n2.json",
+        "report_verify_rho_ife_n2.json",
         "report_mixed_rho_ife_n2.json",
     ])
     def test_golden_reports_validate(self, schema, data_dir, name):
