@@ -235,6 +235,18 @@ def _snapped_coupling(sys: BipartiteSystem) -> np.ndarray:
     return _cached(sys, "coupling_snapped", compute)
 
 
+def _free_norm(sys: BipartiteSystem) -> float:
+    """``||H_0||`` from the subsystem spectra ``a`` of ``h_a`` and ``b`` of ``h_b``.
+
+    The eigenvalues of ``h_a (x) I + I (x) h_b`` are the sums ``a_i + b_j``,
+    so the norm is ``max(|a_max + b_max|, |a_min + b_min|)``: two small
+    ``eigvalsh`` calls instead of a values-only SVD of the ``d x d`` ``H_0``.
+    """
+    a = np.linalg.eigvalsh(sys.h_a)
+    b = np.linalg.eigvalsh(sys.h_b)
+    return float(max(abs(a[-1] + b[-1]), abs(a[0] + b[0])))
+
+
 @dataclass(frozen=True)
 class _Commutator:
     """[H_0, H_I] of one system with its norm, numerical-zero flag and kernel."""
@@ -257,7 +269,7 @@ def _commutator_and_kernel(sys: BipartiteSystem, rel_tol: float) -> _Commutator:
         h0 = build_h0(sys)
         comm = commutator(h0, _snapped_coupling(sys))
         norm = spectral_norm(comm)
-        is_zero = _is_numerically_zero(norm, 2.0 * spectral_norm(h0) * _coupling_norm(sys))
+        is_zero = _is_numerically_zero(norm, 2.0 * _free_norm(sys) * _coupling_norm(sys))
         kernel = np.eye(sys.dim, dtype=complex) if is_zero else null_space(comm, rel_tol)
         for array in (h0, comm, kernel):
             array.flags.writeable = False

@@ -36,7 +36,9 @@ __all__ = [
 _IMAG_TOL = 1e-10
 # Complex entries of one evolved ``d x m_chunk x T`` block: the pure-state
 # tracer takes as many columns per matrix product as fit, at least one, so
-# its working set stays a few MB whatever the number of states.
+# its working set stays a few MB whatever the number of states.  The
+# density-matrix deviation sizes its ``c x d x d`` stacks of grid times by
+# the same rule.
 _CHUNK_ENTRIES = 2**14
 
 
@@ -66,6 +68,20 @@ def time_grid(t_max: float = 10.0, steps: int = 101) -> np.ndarray:
     if steps < 1:
         raise ValueError("steps must be >= 1")
     return np.linspace(0.0, float(t_max), int(steps))
+
+
+def _checked_times(times) -> np.ndarray:
+    """``times`` as a float array, raising unless it is a non-empty, finite 1-D grid.
+
+    Both tracers call it first, so a malformed grid is named before any
+    factorization or product.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError(f"times must be a non-empty 1-D grid, got shape {times.shape}")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
+    return times
 
 
 def _one_state(psi) -> np.ndarray:
@@ -170,7 +186,7 @@ def trace_pure_states(sys: BipartiteSystem, states, times, *, alphas=None,
     state at a time: the traces agree with one-state traces to about
     ``1e-13 * max(1, ||h_a||) * max(1, ||h_b||)``, not to the last bit.
     """
-    times = np.asarray(times, dtype=float)
+    times = _checked_times(times)
     states = require_unit_states(states, sys.dim)
     m = states.shape[1]
     if alphas is not None and len(alphas) != m:
@@ -233,7 +249,7 @@ def trace_pure_states(sys: BipartiteSystem, states, times, *, alphas=None,
                 _real_expectations(bra, o_b_x, shape, "subsystem-b observable")
             traces["covariance"][cols] = joint - mean_a * mean_b
 
-    chunk = max(1, _CHUNK_ENTRIES // max(1, sys.dim * times.size))
+    chunk = max(1, _CHUNK_ENTRIES // (sys.dim * times.size))
     for lo in range(0, m, chunk):
         trace_chunk(slice(lo, min(lo + chunk, m)))
 

@@ -12,7 +12,9 @@ tracer, :func:`trace_density_matrix`, works in the eigenbases of
 ``H = V diag(w) V^H`` and ``H_0 = V0 diag(w0) V0^H``, cached on the system:
 ``rho(t)`` is ``V (P(t) o rho~) V^H`` with ``rho~ = V^H rho V`` and the
 phase matrix ``P(t) = p p^H``, ``p = exp(-i w t)`` (``o`` is the entrywise
-product).
+product).  The deviation takes the grid in blocks of times sized by the
+pure-state tracer's ``_CHUNK_ENTRIES`` rule, one stacked pair of matrix
+products per block.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ from __future__ import annotations
 import numpy as np
 
 from .core import BipartiteSystem, IfeDecomposition, _eig
-from .dynamics import EvolutionReport, _apply_local, _eig_overlap, time_grid
+from .dynamics import (
+    _CHUNK_ENTRIES,
+    EvolutionReport,
+    _apply_local,
+    _checked_times,
+    _eig_overlap,
+    time_grid,
+)
 from .linalg import HERMITIAN_RTOL, as_operator, require_hermitian
 
 __all__ = [
@@ -127,30 +136,32 @@ def random_ife_mixed(dec: IfeDecomposition, weights, seed: int) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
-def _phase_matrix(w, t: float) -> np.ndarray:
-    """``P(t) = p p^H`` with ``p = exp(-i w t)``."""
-    p = np.exp(-1j * w * t)
-    return np.outer(p, p.conj())
-
-
 def _deviation(sys: BipartiteSystem, rho, rho_eig, times) -> np.ndarray:
     """``||rho(t) - rho_0(t)||_F`` at each time, given ``rho~ = V^H rho V``.
 
     ``= ||P(t) o rho~ - W (P0(t) o rho~0) W^H||_F`` in the eigenbasis of
-    ``H``, with ``rho~0 = V0^H rho V0`` and ``W = V^H V0``: two matrix
-    products per time step.  A function of its own, so that ``rho~0`` and
-    ``W^H`` are freed before the energies are traced.
+    ``H``, with ``rho~0 = V0^H rho V0`` and ``W = V^H V0``.  The grid is
+    taken in blocks of ``c = max(1, _CHUNK_ENTRIES // d^2)`` times: the
+    ``c x d x d`` stacks of both Hadamard products are formed by
+    broadcasting, and the block takes one stacked ``W @ X @ W^H`` and one
+    stacked norm.  At ``d >= 91`` a block is one time: two ``d x d``
+    products per step.  A function of its own, so that ``rho~0``, ``W^H``
+    and the last block are freed before the energies are traced.
     """
     w = _eig(sys)[0]
     w0, v0 = _eig(sys, free=True)
     rho0_eig = v0.conj().T @ rho @ v0
     overlap = _eig_overlap(sys)
     overlap_h = overlap.conj().T
-    return np.array([
-        float(np.linalg.norm(_phase_matrix(w, t) * rho_eig
-                             - overlap @ (_phase_matrix(w0, t) * rho0_eig) @ overlap_h))
-        for t in times
-    ])
+    chunk = max(1, _CHUNK_ENTRIES // sys.dim**2)
+    deviation = np.empty(times.size)
+    for lo in range(0, times.size, chunk):
+        t = times[lo:lo + chunk]
+        p, p0 = np.exp(-1j * np.outer(t, w)), np.exp(-1j * np.outer(t, w0))  # row k is p(t_k)
+        free = overlap @ (p0[:, :, None] * p0[:, None, :].conj() * rho0_eig) @ overlap_h
+        free -= p[:, :, None] * p[:, None, :].conj() * rho_eig
+        deviation[lo:lo + chunk] = np.linalg.norm(free, axis=(1, 2))
+    return deviation
 
 
 def trace_density_matrix(sys: BipartiteSystem, rho, times, *,
@@ -161,12 +172,13 @@ def trace_density_matrix(sys: BipartiteSystem, rho, times, *,
     full from the free conjugation at each time and its maximum (~0
     exactly for IFE mixed states); with ``energies``, also the subsystem
     energies ``Tr(rho(t) H_A (x) I)`` and ``Tr(rho(t) I (x) H_B)``.  The
-    dimension of ``rho`` is checked and ``rho~ = V^H rho V`` formed once
-    per call; the spectra come from the system's cache.  The energies are
-    ``Tr(rho(t) O) = p(t)^T (rho~ o O~^T) p(t)^*`` with ``O~ = V^H O V``,
-    one ``T x d x d`` product per observable for the whole grid.
+    grid and the dimension of ``rho`` are checked and ``rho~ = V^H rho V``
+    formed once per call; the spectra come from the system's cache.  The
+    energies are ``Tr(rho(t) O) = p(t)^T (rho~ o O~^T) p(t)^*`` with
+    ``O~ = V^H O V``, one ``T x d x d`` product per observable for the
+    whole grid.
     """
-    times = np.asarray(times, dtype=float)
+    times = _checked_times(times)
     rho = _state_operator(rho, sys.dim)
     w, v = _eig(sys)
     rho_eig = v.conj().T @ rho @ v

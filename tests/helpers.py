@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from ifestates import BipartiteSystem
+from ifestates.core import _eig
+from ifestates.dynamics import _eig_overlap
 from ifestates.linalg import HERMITIAN_RTOL, as_operator, null_space, require_hermitian, spectral_norm
 
 # Dimension pairs with product <= 16, mixed shapes.
@@ -79,6 +81,35 @@ def evolve_pure(h, psi, t):
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"state is not normalized: ||psi|| = {nrm!r}")
     return propagator(h, t) @ psi
+
+
+def agreement_tol(sys_):
+    """Blocked products change only the last bits of a trace: its roundoff
+    scales with the observables, whose largest is ``h_a (x) h_b``."""
+    return 1e-13 * max(1.0, spectral_norm(sys_.h_a)) * max(1.0, spectral_norm(sys_.h_b))
+
+
+def per_step_mixed_deviation(sys_, rho, times):
+    """``||rho(t) - rho_0(t)||_F`` one grid time at a time.
+
+    ``= ||P(t) o rho~ - W (P0(t) o rho~0) W^H||_F`` with ``rho~ = V^H rho V``,
+    ``rho~0 = V0^H rho V0``, ``W = V^H V0`` and the phase matrices
+    ``P(t) = p p^H``, ``p = exp(-i w t)`` (``P0`` from ``w0``), on the
+    system's cached spectra: two ``d x d`` products per step.  The
+    reference for the blocked deviation of ``trace_density_matrix``.
+    """
+    w, v = _eig(sys_)
+    w0, v0 = _eig(sys_, free=True)
+    rho = as_operator(rho)
+    rho_eig = v.conj().T @ rho @ v
+    rho0_eig = v0.conj().T @ rho @ v0
+    overlap = _eig_overlap(sys_)
+    deviation = []
+    for t in np.asarray(times, dtype=float):
+        p, p0 = np.exp(-1j * w * t), np.exp(-1j * w0 * t)
+        free = overlap @ (np.outer(p0, p0.conj()) * rho0_eig) @ overlap.conj().T
+        deviation.append(float(np.linalg.norm(np.outer(p, p.conj()) * rho_eig - free)))
+    return np.array(deviation)
 
 
 @dataclass(frozen=True)

@@ -536,12 +536,13 @@ def multisector_file(tmp_path):
 
 @pytest.fixture()
 def eigh_calls(monkeypatch):
-    """Hermitian factorizations: calls of numpy.linalg.eigh and eigvalsh."""
+    """Hermitian factorizations: the order of each matrix passed to numpy.linalg.eigh or eigvalsh."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
-                            lambda a, *args, fn=original, **kw: calls.append(1) or fn(a, *args, **kw))
+                            lambda a, *args, fn=original, **kw: calls.append(np.shape(a)[-1])
+                            or fn(a, *args, **kw))
     return calls
 
 
@@ -556,10 +557,14 @@ class TestOneFactorization:
             assert run_cli("verify", multisector_file, "--sector", str(k), "--steps", "5",
                            "--out", str(out)) == 0
             dims.append(len(json.loads(out.read_text())["claims"]))
-            counts.append(len(eigh_calls))
+            # H, H_0 and H_I act on the 8-dim product space; h_a (2x2) and
+            # h_b (4x4) give the commutator's zero scale
+            factors = tuple(sorted(n for n in eigh_calls if n != 8))
+            counts.append((len(eigh_calls) - len(factors), factors))
             eigh_calls.clear()
         assert sorted(dims) == [1, 2, 5]
-        assert max(counts) <= 3 and len(set(counts)) == 1
+        assert max(product for product, _ in counts) <= 3 and len(set(counts)) == 1
+        assert counts[0][1] == (2, 4)
 
     def test_mixed_samples_eigh_count_independent_of_samples(self, star_file, eigh_calls, tmp_path):
         counts = []

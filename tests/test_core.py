@@ -508,10 +508,13 @@ class TestSharedFactorization:
         ife_deviation_trace(sys_, psi, 0.0, time_grid(1.0, 3))  # caches eigh(H) and eigh(H_0)
         before = len(factorized)
         oracle = ife_sectors_oracle(sys_)
-        # the oracle adds only the coupling's one factorization
-        assert before == 2 and len(factorized) == 3
+        # the oracle adds only the coupling's one factorization, and the
+        # reported kernel's zero scale the spectra of h_a and h_b
+        assert before == 2 and len(factorized) == 5
         assert np.array_equal(factorized[1], build_h0(sys_))
         assert np.array_equal(factorized[2], sys_.h_i)
+        assert np.array_equal(factorized[3], sys_.h_a)
+        assert np.array_equal(factorized[4], sys_.h_b)
         assert oracle.sectors and oracle.alphas == pytest.approx(ife_sectors(sys_).alphas)
         _, v0 = core._eig(sys_, free=True)
         with pytest.raises(ValueError):
@@ -988,6 +991,19 @@ def mixing_split_system(split, seed, alpha=0.5):
 
 ROUTES = pytest.mark.parametrize("route", [ife_sectors, ife_sectors_oracle])
 FAMILIES = st.sampled_from(["commuting", "conjugated", "subspace_zero", "generic", "star"])
+
+
+class TestFreeNorm:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(family=FAMILIES, dims=st.sampled_from(DIM_PAIRS), seed=st.integers(0, 2**32 - 1))
+    def test_equals_spectral_norm_of_h0(self, family, dims, seed):
+        sys_ = family_system(family, dims, np.random.default_rng(seed))
+        value = core._free_norm(sys_)
+        # both sides carry the backward error of a dense eigensolver or SVD,
+        # O(d eps) of the subsystem scale; H_0 may be 0 up to roundoff
+        scale = spectral_norm(sys_.h_a) + spectral_norm(sys_.h_b)
+        tol = 4 * sys_.dim * np.finfo(float).eps * scale
+        assert abs(value - spectral_norm(build_h0(sys_))) <= tol
 
 
 class TestSectorInvariants:

@@ -16,14 +16,16 @@ from ifestates import (
     ife_sectors,
     spin_star_ife_basis,
     time_grid,
+    trace_density_matrix,
     trace_pure_states,
 )
 from ifestates.dynamics import _CHUNK_ENTRIES
-from ifestates.linalg import kron, spectral_norm
+from ifestates.linalg import kron
 from ifestates.spin_star import PAULI_Z, total_sz
 
 from helpers import (
     DIM_PAIRS,
+    agreement_tol,
     commuting_system,
     diagonal_multisector_system,
     evolve_pure,
@@ -43,6 +45,25 @@ class TestTimeGrid:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             time_grid(steps=0)
+
+
+class TestTimesValidation:
+    """Both tracers check the grid first, with ``times`` named."""
+
+    @pytest.mark.parametrize("tracer", ["pure", "density_matrix"])
+    @pytest.mark.parametrize("times, match", [
+        ([], "a non-empty 1-D grid"),
+        ([np.nan, 1.0], "finite"),
+        ([0.0, np.inf], "finite"),
+        ([[0.0, 1.0], [2.0, 3.0]], "a non-empty 1-D grid"),
+    ], ids=["empty", "nan", "inf", "two_dimensional"])
+    def test_rejects_malformed_grid(self, star_system_n2, tracer, times, match):
+        psi = np.eye(star_system_n2.dim, dtype=complex)[:, :1]
+        with pytest.raises(ValueError, match=f"times must be {match}"):
+            if tracer == "pure":
+                trace_pure_states(star_system_n2, psi, times, alphas=[0.0], energies=True)
+            else:
+                trace_density_matrix(star_system_n2, psi @ psi.conj().T, times, energies=True)
 
 
 class TestEvolvePure:
@@ -231,12 +252,6 @@ def drawn_system(family, dims, rng):
             n, 1.0, float(rng.uniform(0.3, 2.0)), tuple(rng.uniform(0.5, 4.0, n)),
         ))
     return generic_system(*dims, rng)
-
-
-def agreement_tol(sys_):
-    """Blocked products change only the last bits of a trace: its roundoff
-    scales with the observables, whose largest is ``h_a (x) h_b``."""
-    return 1e-13 * max(1.0, spectral_norm(sys_.h_a)) * max(1.0, spectral_norm(sys_.h_b))
 
 
 def random_unit_columns(dim, m, rng):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,13 +19,17 @@ from ifestates import (
     time_grid,
     trace_density_matrix,
 )
-from ifestates.linalg import kron, spectral_norm
+from ifestates.dynamics import _CHUNK_ENTRIES
+from ifestates.linalg import kron
 from ifestates.mixed import block_structure_residuals
 
 from helpers import (
     DIM_PAIRS,
+    agreement_tol,
     commuting_system,
     diagonal_multisector_system,
+    generic_system,
+    per_step_mixed_deviation,
     project_to_sectors,
     random_state,
 )
@@ -323,6 +329,12 @@ class TestConsistencyInvariants:
         assert np.abs(e_b - e_b[0]).max() <= 1e-9
 
 
+def random_density_matrix(dim, rng):
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = z @ z.conj().T
+    return rho / np.trace(rho).real
+
+
 def reference_phase_conjugations(h, rho, times):
     """exp(-iht) rho exp(iht) with h diagonalized on every call, as before
     the spectra were cached."""
@@ -338,15 +350,13 @@ class TestSharedSpectra:
     def test_agrees_with_per_call_factorization(self, seed):
         rng = np.random.default_rng(seed)
         sys_ = commuting_system(2, 3, rng)
-        z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        rho = z @ z.conj().T
-        rho /= np.trace(rho).real
+        rho = random_density_matrix(6, rng)
         times = time_grid(3.0, 7)
         full = list(reference_phase_conjugations(build_total(sys_), rho, times))
         free = list(reference_phase_conjugations(build_h0(sys_), rho, times))
         expected = np.array([float(np.linalg.norm(a - b)) for a, b in zip(full, free)])
         # the eigenbasis formulas change only the last bits
-        atol = 1e-13 * max(1.0, spectral_norm(sys_.h_a)) * max(1.0, spectral_norm(sys_.h_b))
+        atol = agreement_tol(sys_)
         report = trace_density_matrix(sys_, rho, times, energies=True)
         assert_allclose(report.deviation, expected, rtol=0, atol=atol)
         op_a = kron(sys_.h_a, np.eye(3))
@@ -370,3 +380,40 @@ class TestSharedSpectra:
     def test_energy_trace_checks_dimension(self, diag_system):
         with pytest.raises(ValueError, match="state has dimension 4, expected 6"):
             trace_density_matrix(diag_system, np.eye(4) / 4.0, time_grid(1.0, 3), energies=True)
+
+
+class TestBlockedDeviation:
+    """The deviation, a block of grid times at a time, against the per-step formula."""
+
+    @pytest.mark.parametrize("dims, steps", [
+        ((2, 3), 101), ((4, 8), 101), ((8, 16), 101), ((2, 3), 1), ((4, 8), 1),
+    ])
+    def test_agrees_with_per_step_formula(self, dims, steps):
+        rng = np.random.default_rng(60)
+        sys_ = generic_system(*dims, rng)
+        rho = random_density_matrix(sys_.dim, rng)
+        times = np.linspace(0.5, 10.0, steps)  # one step is at t = 0.5, not 0
+        chunk = max(1, _CHUNK_ENTRIES // sys_.dim**2)
+        if sys_.dim == 32 and steps == 101:
+            assert (times.size // chunk, times.size % chunk) == (6, 5)  # six full blocks, one partial
+        report = trace_density_matrix(sys_, rho, times)
+        expected = per_step_mixed_deviation(sys_, rho, times)
+        assert expected.max() > 1e-2
+        assert_allclose(report.deviation, expected, rtol=0, atol=agreement_tol(sys_))
+        assert report.max_deviation == report.deviation.max()
+
+    @pytest.mark.parametrize("dims", [(4, 8), (8, 16)])
+    def test_working_set_is_a_few_blocks(self, dims):
+        # a full T x d x d stack would be 26 MiB at d = 128
+        rng = np.random.default_rng(61)
+        sys_ = generic_system(*dims, rng)
+        rho = random_density_matrix(sys_.dim, rng)
+        times = time_grid(10.0, 101)
+        trace_density_matrix(sys_, rho, times, energies=True)  # warm the spectra cache
+        tracemalloc.start()
+        try:
+            trace_density_matrix(sys_, rho, times, energies=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (8 * sys_.dim**2 + 6 * _CHUNK_ENTRIES) * 16
