@@ -14,16 +14,18 @@ and both work on the cluster-snapped coupling ``V diag(w_bar) V^H``.
 is spanned by a cluster's eigenvectors ``V_alpha``, so
 ``N_alpha = V_alpha Ker([H_0, H_I] V_alpha)``, one thin kernel per cluster.
 :func:`ife_sectors_oracle` recomputes the sectors from the independent
-power-chain characterization ``N_alpha = cap_n Ker((H_I - alpha I) H_0^n)``
-so the two routes can be cross-checked against each other.  The oracle
-never forms the commutator: the chain's stacked constraint matrix is block
-diagonal in the eigenbasis of ``H_0``, so it takes one thin SVD of
-``(H_I - alpha I) V0_k`` per eigenspace ``k`` of ``H_0`` and keeps the
-stack's global cutoff ``rel_tol * sigma_max``.
+characterization as the largest ``H_0``-invariant subspace of
+``Ker(H_I - alpha I)``, so the two routes can be cross-checked against each
+other.  That subspace is the direct sum over the eigenspaces ``V0_k`` of
+``H_0`` of ``Ran V_alpha cap Ran V0_k``: the principal vectors at angle 0
+between the cluster and each eigenspace.  The oracle never forms the
+commutator: one gemm ``G = V^H V0`` holds every pair, the cosines of small
+batched SVDs of its blocks screen the candidate directions, and the exact
+residual ``diag(w_bar - alpha) G[:, k] Y`` decides the rank.
 
-Factorizations that several routines need (``eigh`` of ``H``, ``H_0`` and
-``H_I``, the commutator and its kernel) are computed once per system and
-cached read-only on it.
+``H_0`` and the factorizations that several routines need (``eigh`` of
+``H``, ``H_0`` and ``H_I``, the coupling clusters, the commutator and its
+kernel) are computed once per system and cached read-only on it.
 """
 
 from __future__ import annotations
@@ -116,13 +118,13 @@ class BipartiteSystem:
 
 
 def build_h0(sys: BipartiteSystem) -> np.ndarray:
-    """Free Hamiltonian h_a (x) I + I (x) h_b on the product space."""
+    """Free Hamiltonian h_a (x) I + I (x) h_b on the product space, as a fresh array."""
     return kron(sys.h_a, np.eye(sys.dim_b)) + kron(np.eye(sys.dim_a), sys.h_b)
 
 
 def build_total(sys: BipartiteSystem) -> np.ndarray:
-    """Full Hamiltonian: free part plus coupling."""
-    return build_h0(sys) + sys.h_i
+    """Full Hamiltonian: free part plus coupling, as a fresh array."""
+    return _h0(sys) + sys.h_i
 
 
 @dataclass(frozen=True)
@@ -198,6 +200,11 @@ def _cached(sys: BipartiteSystem, key, compute):
     return sys._cache[key]
 
 
+def _h0(sys: BipartiteSystem) -> np.ndarray:
+    """``H_0``, built once per system and cached read-only; :func:`build_h0` builds a fresh one."""
+    return _cached(sys, "h0", lambda: build_h0(sys))
+
+
 def _coupling_eig(sys: BipartiteSystem):
     """``eigh(H_I)`` as ``(w, v)``: the one factorization of the coupling, once per system."""
     return _cached(sys, "coupling_eig", lambda: tuple(np.linalg.eigh(sys.h_i)))
@@ -208,16 +215,19 @@ def _coupling_norm(sys: BipartiteSystem) -> float:
     return float(np.abs(_coupling_eig(sys)[0]).max())
 
 
-def _coupling_clusters(sys: BipartiteSystem) -> list[tuple[float, tuple[int, int]]]:
-    """``(alpha, (lo, hi))`` for each cluster of the cached coupling spectrum ``w``.
+def _coupling_clusters(sys: BipartiteSystem) -> tuple[tuple[float, tuple[int, int]], ...]:
+    """``(alpha, (lo, hi))`` for each cluster of the coupling spectrum ``w``, cached per system.
 
     Eigenvalues closer than ``CLUSTER_TOL * max(1, ||H_I||)`` share a
     cluster; ``alpha`` is the mean of ``w[lo:hi]`` and ``V[:, lo:hi]`` spans
     its eigenspace.  Both sector routes take their alphas from here.
     """
-    w, _ = _coupling_eig(sys)
-    tol = CLUSTER_TOL * max(1.0, _coupling_norm(sys))
-    return [(float(w[lo:hi].mean()) + 0.0, (lo, hi)) for lo, hi in _cluster_ranges(w, tol)]
+    def compute():
+        w, _ = _coupling_eig(sys)
+        tol = CLUSTER_TOL * max(1.0, _coupling_norm(sys))
+        return tuple((float(w[lo:hi].mean()) + 0.0, (lo, hi)) for lo, hi in _cluster_ranges(w, tol))
+
+    return _cached(sys, "coupling_clusters", compute)
 
 
 def _snapped_coupling(sys: BipartiteSystem) -> np.ndarray:
@@ -266,12 +276,12 @@ def _commutator_and_kernel(sys: BipartiteSystem, rel_tol: float) -> _Commutator:
     """
     key = ("commutator", rel_tol)
     if key not in sys._cache:
-        h0 = build_h0(sys)
+        h0 = _h0(sys)
         comm = commutator(h0, _snapped_coupling(sys))
         norm = spectral_norm(comm)
         is_zero = _is_numerically_zero(norm, 2.0 * _free_norm(sys) * _coupling_norm(sys))
         kernel = np.eye(sys.dim, dtype=complex) if is_zero else null_space(comm, rel_tol)
-        for array in (h0, comm, kernel):
+        for array in (comm, kernel):
             array.flags.writeable = False
         sys._cache[key] = _Commutator(h0, comm, norm, is_zero, kernel)
     return sys._cache[key]
@@ -285,7 +295,7 @@ def _eig(sys: BipartiteSystem, free: bool = False):
     involved, so the oracle's sectors stay independent of the direct route.
     """
     return _cached(sys, ("eig", free),
-                   lambda: tuple(np.linalg.eigh(build_h0(sys) if free else build_total(sys))))
+                   lambda: tuple(np.linalg.eigh(_h0(sys) if free else build_total(sys))))
 
 
 def ife_sectors(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDecomposition:
@@ -325,68 +335,108 @@ def ife_sectors(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDe
 
 
 def ife_sectors_oracle(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDecomposition:
-    """IFE sectors via the power-chain characterization, commutator-free.
+    """IFE sectors as the largest ``H_0``-invariant subspaces of ``Ker(H_I - alpha I)``.
 
-    The defining intersection ``cap_n Ker((H_I - alpha I) H_0^n)`` is
-    evaluated by replacing the powers of ``H_0`` with its distinct
-    eigenprojectors: with ``H_0 = sum_k mu_k P_k`` the chain generated by
-    ``(H_I - alpha I) H_0^n`` spans exactly the blocks
-    ``(H_I - alpha I) P_k`` (the Vandermonde matrix of the distinct
-    ``mu_k`` is invertible), which avoids forming ill-scaled matrix powers.
+    That subspace is the power chain ``cap_n Ker((H_I - alpha I) H_0^n)``,
+    and it equals ``+_k (Ran V_alpha cap Ran V0_k)``, where ``V_alpha``
+    holds the coupling cluster's eigenvectors and ``V0_k`` spans the
+    ``k``-th eigenspace of ``H_0``: the principal vectors at angle 0
+    between each cluster and each eigenspace (Björck & Golub, Math. Comp.
+    27, 1973).  ``H_I`` is the cluster-snapped coupling
+    ``H_bar_I = V diag(w_bar) V^H``, as in :func:`ife_sectors`.
 
-    ``H_I`` here is the cluster-snapped coupling, as in :func:`ife_sectors`.
+    Every pair is read off one gemm ``G = V^H V0``: the singular values of
+    the block ``G[alpha, k]`` are the cosines of the principal angles.  A
+    sine taken as ``sqrt(1 - cos^2)`` is accurate only to about
+    ``sqrt(eps)`` (Knyazev & Argentati, SIAM J. Sci. Comput. 23, 2002), so
+    the cosines only screen the candidate directions ``Y``: the right
+    singular vectors whose sine is at most ``cutoff / gap + 1e-7``, where
+    ``gap`` is the distance from ``alpha`` to the nearest other cluster.  A
+    unit ``x = V0_k y`` has ``||(H_bar_I - alpha I) x|| >= gap * sin``
+    (Davis–Kahan), so no direction within the cutoff has a larger sine,
+    and ``1e-7`` covers the error of the sine.  The rank is decided from
+    the exact residual ``diag(w_bar - alpha) G[:, k] Y`` alone: a direction
+    is kept when its singular value is at or below
+    ``cutoff = rel_tol * min(1, a)``, with
+    ``a = ||H_bar_I - alpha I|| = max(|w_bar_0 - alpha|, |w_bar_{d-1} - alpha|)``.
+    When ``a`` is at roundoff level the whole space is the sector.
 
-    The sector is the kernel of the stack ``S = [(H_I - alpha I) P_k / s_k]_k``
-    with ``s_k = max(1, ||(H_I - alpha I) P_k||)``.  The ``P_k`` are
-    orthogonal and sum to ``I``, so ``S^H S = sum_k P_k (H_I - alpha I)^2 P_k
-    / s_k^2`` is block diagonal in the eigenbasis ``V0`` of ``H_0``.  With
-    ``V0_k`` the columns of eigenspace ``k`` and ``B_k = (H_I - alpha I) V0_k``
-    (``d x n_k``, and ``||B_k|| = ||(H_I - alpha I) P_k||``):
-
-    * the singular values of ``S`` are the union of those of ``B_k / s_k``;
-    * ``Ker S`` is the direct sum of the ``V0_k Ker(B_k / s_k)``.
-
-    So each eigenspace takes one thin SVD of ``B_k`` (eigenspaces of equal
-    size share one batched ``numpy.linalg.svd`` call).  The cutoff is the
-    one a kernel of the stack would use: a direction is kept when its
-    singular value is at or below ``rel_tol * max_k sigma_max(B_k / s_k)``.
-    ``H_I - alpha I`` counts as numerically zero, and the whole space is
-    the sector, when ``max_k sigma_max(B_k) = ||H_I - alpha I||`` (``V0`` is
-    unitary) is at roundoff level.  ``eigh(H_0)`` and ``eigh(H_I)`` come
-    from the per-system cache and ``[H_0, H_I]`` is never formed; only the
-    reported commutator kernel comes from the commutator.
+    A block whose Frobenius norm, an upper bound on its cosines, is too
+    small for any candidate is skipped unfactorized.  A block with at least
+    as many rows as columns is not screened: its SVD would cost about as
+    much as the residual it trims, so all of ``V0_k`` is a candidate.
+    Blocks of one shape share one batched ``numpy.linalg.svd`` call, for the
+    cosines and for the ``d x q`` residuals alike.  ``eigh(H_0)`` and ``eigh(H_I)`` come from the
+    per-system cache and ``[H_0, H_I]`` is never formed; only the reported
+    commutator kernel comes from the commutator.
     """
     require_rel_tol(rel_tol)
+    _, v = _coupling_eig(sys)
     w0, v0 = _eig(sys, free=True)
-    smax0 = float(np.abs(w0).max()) if w0.size else 0.0
-    # w0 is ascending, so degenerate clusters are contiguous index ranges.
-    # Eigenspaces of equal size n form one (K, n) array of column indices,
-    # so a single batched SVD call factorizes all K of their blocks.
-    by_size = {}
-    for lo, hi in _cluster_ranges(w0, CLUSTER_TOL * max(1.0, smax0)):
-        by_size.setdefault(hi - lo, []).append(np.arange(lo, hi))
-    groups = [np.array(g) for g in by_size.values()]
-    hv = _snapped_coupling(sys) @ v0
+    clusters = _coupling_clusters(sys)
+    spaces = _cluster_ranges(w0, CLUSTER_TOL * max(1.0, float(np.abs(w0).max())))
+    # Clusters (rows of G) and eigenspaces of H_0 (columns) are contiguous index
+    # ranges: block (j, k) is rows row_lo[j] + arange(m[j]), columns col_lo[k] + arange(n[k]).
+    row_lo, m = np.array([(lo, hi - lo) for _, (lo, hi) in clusters]).T
+    col_lo, col_hi = np.array(spaces).T
+    n = col_hi - col_lo
+    alphas = np.array([alpha for alpha, _ in clusters])
+    w_bar = np.repeat(alphas, m)
+    a = np.maximum(alphas - alphas[0], alphas[-1] - alphas)  # alphas ascend
+    cutoff = rel_tol * np.minimum(1.0, a)
+    steps = np.diff(alphas)
+    max_sine = cutoff / np.minimum(np.append(np.inf, steps), np.append(steps, np.inf)) + 1e-7
     hi_norm = _coupling_norm(sys)
-    sectors = []
-    for alpha, _ in _coupling_clusters(sys):
-        shifted_v0 = hv - alpha * v0
-        svds = [np.linalg.svd(np.moveaxis(shifted_v0[:, g], 0, 1), full_matrices=False)[1:]
-                for g in groups]
-        if _is_numerically_zero(max(s[:, 0].max() for s, _ in svds), max(hi_norm, abs(alpha))):
-            basis = np.eye(sys.dim, dtype=complex)
+    zero = np.array([_is_numerically_zero(a_j, max(hi_norm, abs(alpha)))
+                     for a_j, alpha in zip(a, alphas)])
+
+    g = v.conj().T @ v0
+    # sigma_max <= ||block||_F: a block whose squared Frobenius norm is below
+    # 1 - max_sine^2 (less 1e-8 for its roundoff) holds no candidate.
+    weight = np.add.reduceat(np.add.reduceat(g.real**2 + g.imag**2, row_lo, axis=0), col_lo, axis=1)
+    pj, pk = np.nonzero((weight >= (1.0 - max_sine**2 - 1e-8)[:, None]) & ~zero[:, None])
+    found = {}  # q -> [(clusters, eigenspaces, columns of V0_k, Y or None for all)] of q candidates
+    for shape in set(zip(m[pj].tolist(), n[pk].tolist())):
+        same = (m[pj] == shape[0]) & (n[pk] == shape[1])
+        j, k = pj[same], pk[same]
+        cols = col_lo[k, None] + np.arange(shape[1])
+        if shape[0] >= shape[1]:
+            # the cosines' SVD would cost about as much as the residual it trims
+            q = np.full(len(j), shape[1])
         else:
-            scaled = [s / np.maximum(1.0, s[:, :1]) for s, _ in svds]
-            cutoff = rel_tol * max(s[:, 0].max() for s in scaled)
-            kernels = [
-                v0[:, cols] @ vh_k[rank:].conj().T
-                for g, s, (_, vh) in zip(groups, scaled, svds)
-                for cols, vh_k, rank in zip(g, vh, (s > cutoff).sum(axis=1))
-                if rank < len(cols)
-            ]
-            basis = np.hstack(kernels) if kernels else np.zeros((sys.dim, 0), dtype=complex)
-        if basis.shape[1] > 0:
-            sectors.append(IfeSector(alpha, basis))
+            rows = row_lo[j, None] + np.arange(shape[0])
+            _, cos, vh = np.linalg.svd(g[rows[:, :, None], cols[:, None, :]], full_matrices=False)
+            # cosines descend, so a block's candidates are the leading rows of vh
+            q = (np.sqrt(np.maximum(0.0, 1.0 - cos**2)) <= max_sine[j, None]).sum(axis=1)
+            q[max_sine[j] >= 1.0] = shape[1]  # every direction passes, not only vh's m
+        for q_val in set(q[q > 0].tolist()):
+            p = q == q_val
+            y = vh[p, :q_val].conj().swapaxes(1, 2) if q_val < shape[1] else None
+            found.setdefault(q_val, []).append((j[p], k[p], cols[p], y))
+
+    def span(mat, cols, y):
+        """``mat[:, cols_b] @ y_b`` for each block ``b``; ``mat[:, cols_b]`` when ``y`` is None."""
+        columns = np.moveaxis(mat[:, cols], 1, 0)
+        return columns if y is None else columns @ y
+
+    kernels = {}  # cluster -> [(eigenspace, kernel columns)]
+    for q, parts in found.items():
+        j, k = (np.concatenate(index) for index in list(zip(*parts))[:2])
+        x, gy = (np.concatenate([span(mat, cols, y) for _, _, cols, y in parts]) for mat in (v0, g))
+        s, wh = np.linalg.svd((w_bar - alphas[j, None])[:, :, None] * gy, full_matrices=False)[1:]
+        rank = (s > cutoff[j, None]).sum(axis=1)
+        for r in set(rank[rank < q].tolist()):
+            sel = rank == r
+            kernel = x[sel] @ wh[sel, r:].conj().swapaxes(1, 2)
+            for j_b, k_b, columns in zip(j[sel].tolist(), k[sel].tolist(), kernel):
+                kernels.setdefault(j_b, []).append((k_b, columns))
+    sectors = []
+    for j, (alpha, _) in enumerate(clusters):
+        if zero[j]:
+            sectors.append(IfeSector(alpha, np.eye(sys.dim, dtype=complex)))
+        elif j in kernels:
+            ordered = sorted(kernels[j], key=lambda kc: kc[0])  # by eigenspace of H_0
+            sectors.append(IfeSector(alpha, np.hstack([columns for _, columns in ordered])))
     return IfeDecomposition(tuple(sectors), _commutator_and_kernel(sys, rel_tol).kernel)
 
 

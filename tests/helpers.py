@@ -9,9 +9,17 @@ from pathlib import Path
 import numpy as np
 
 from ifestates import BipartiteSystem
-from ifestates.core import _eig
+from ifestates import core
+from ifestates.core import IfeDecomposition, IfeSector, _eig
 from ifestates.dynamics import _eig_overlap
-from ifestates.linalg import HERMITIAN_RTOL, as_operator, null_space, require_hermitian, spectral_norm
+from ifestates.linalg import (
+    DEFAULT_REL_TOL,
+    HERMITIAN_RTOL,
+    as_operator,
+    null_space,
+    require_hermitian,
+    spectral_norm,
+)
 
 # Dimension pairs with product <= 16, mixed shapes.
 DIM_PAIRS = [(2, 2), (2, 3), (3, 3), (2, 4), (4, 4), (2, 6), (3, 5), (2, 8), (2, 5), (4, 3)]
@@ -110,6 +118,64 @@ def per_step_mixed_deviation(sys_, rho, times):
         free = overlap @ (np.outer(p0, p0.conj()) * rho0_eig) @ overlap.conj().T
         deviation.append(float(np.linalg.norm(np.outer(p, p.conj()) * rho_eig - free)))
     return np.array(deviation)
+
+
+def per_eigenspace_oracle(sys_, rel_tol=DEFAULT_REL_TOL):
+    """Reference: the oracle as one thin SVD of ``(H_bar_I - alpha I) V0_k`` per pair.
+
+    For every coupling cluster ``alpha`` and eigenspace ``V0_k`` of ``H_0``
+    the ``d x n_k`` block ``B_k = (H_bar_I - alpha I) V0_k`` (the
+    cluster-snapped coupling, from the system's cache) is factorized, with
+    eigenspaces of equal size in one batched call.  A direction is kept when
+    its singular value, scaled by ``1 / max(1, sigma_max(B_k))``, is at or
+    below ``rel_tol`` times the largest scaled ``sigma_max`` over all
+    blocks: the cutoff of the stacked kernel of every ``(H_bar_I - alpha I) P_k``.
+    The whole space is the sector when ``max_k sigma_max(B_k)`` is at
+    roundoff level.  Commutator-free, like the principal-angle oracle it
+    checks.
+    """
+    w0, v0 = _eig(sys_, free=True)
+    smax0 = float(np.abs(w0).max()) if w0.size else 0.0
+    by_size = {}
+    for lo, hi in core._cluster_ranges(w0, core.CLUSTER_TOL * max(1.0, smax0)):
+        by_size.setdefault(hi - lo, []).append(np.arange(lo, hi))
+    groups = [np.array(g) for g in by_size.values()]
+    hv = core._snapped_coupling(sys_) @ v0
+    hi_norm = core._coupling_norm(sys_)
+    sectors = []
+    for alpha, _ in core._coupling_clusters(sys_):
+        shifted_v0 = hv - alpha * v0
+        svds = [np.linalg.svd(np.moveaxis(shifted_v0[:, g], 0, 1), full_matrices=False)[1:]
+                for g in groups]
+        if core._is_numerically_zero(max(s[:, 0].max() for s, _ in svds), max(hi_norm, abs(alpha))):
+            basis = np.eye(sys_.dim, dtype=complex)
+        else:
+            scaled = [s / np.maximum(1.0, s[:, :1]) for s, _ in svds]
+            cutoff = rel_tol * max(s[:, 0].max() for s in scaled)
+            kernels = [
+                v0[:, cols] @ vh_k[rank:].conj().T
+                for g, s, (_, vh) in zip(groups, scaled, svds)
+                for cols, vh_k, rank in zip(g, vh, (s > cutoff).sum(axis=1))
+                if rank < len(cols)
+            ]
+            basis = np.hstack(kernels) if kernels else np.zeros((sys_.dim, 0), dtype=complex)
+        if basis.shape[1] > 0:
+            sectors.append(IfeSector(alpha, basis))
+    return IfeDecomposition(tuple(sectors), core._commutator_and_kernel(sys_, rel_tol).kernel)
+
+
+def conjugated_near_commuting_system(dim_a, dim_b, rng, strength):
+    """A conjugated commuting system whose coupling gets a random Hermitian term of norm ``strength``.
+
+    Integer spectra make every degeneracy exact; local unitaries hide the
+    common eigenbasis.  The perturbation tilts the coupling's eigenvectors
+    out of the free eigenspaces by about ``strength``, so at ``1e-12`` to
+    ``1e-10`` the kept directions have residuals up to about the default
+    ``1e-10`` cutoff.
+    """
+    base = commuting_system(dim_a, dim_b, rng)
+    h = random_hermitian(dim_a * dim_b, rng)
+    return BipartiteSystem(dim_a, dim_b, base.h_a, base.h_b, base.h_i + strength / spectral_norm(h) * h)
 
 
 @dataclass(frozen=True)

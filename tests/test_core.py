@@ -38,9 +38,11 @@ from ifestates.linalg import (
 from helpers import (
     DIM_PAIRS,
     commuting_system,
+    conjugated_near_commuting_system,
     diagonal_multisector_system,
     generic_system,
     intersect_kernels,
+    per_eigenspace_oracle,
     propagator,
     random_hermitian,
     random_state,
@@ -520,6 +522,29 @@ class TestSharedFactorization:
         with pytest.raises(ValueError):
             v0[0, 0] = 7.0
 
+    def test_free_hamiltonian_built_once_per_system(self, data_dir, tmp_path, monkeypatch):
+        from ifestates.cli import main as cli_main
+
+        built = []
+        original = core.build_h0
+        monkeypatch.setattr(core, "build_h0", lambda sys_: built.append(sys_) or original(sys_))
+        path = data_dir / "system_spin_star_n2.json"
+        # eigh(H), eigh(H_0) and the commutator all read the one cached H_0
+        assert cli_main(["mixed", str(path), "--samples", "2", "--out", str(tmp_path / "r.json")]) == 0
+        assert len(built) == 1
+        sys_ = built[0]
+        h0, total = build_h0(sys_), build_total(sys_)
+        assert h0.flags.writeable and total.flags.writeable and h0 is not core._h0(sys_)
+        assert np.array_equal(h0, core._h0(sys_)) and np.array_equal(total, h0 + sys_.h_i)
+
+    def test_coupling_clusters_computed_once_per_system(self, monkeypatch):
+        sys_ = subspace_zero_system(2, 3, np.random.default_rng(32))
+        clusters = core._coupling_clusters(sys_)
+        monkeypatch.setattr(core, "_cluster_ranges", None)
+        assert isinstance(clusters, tuple) and core._coupling_clusters(sys_) is clusters
+        ife_sectors(sys_)
+        core._snapped_coupling(sys_)
+
     def test_operators_are_private_read_only_copies(self):
         h_i = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
         sys_ = BipartiteSystem(2, 2, SZ, SZ, h_i)
@@ -991,6 +1016,156 @@ def mixing_split_system(split, seed, alpha=0.5):
 
 ROUTES = pytest.mark.parametrize("route", [ife_sectors, ife_sectors_oracle])
 FAMILIES = st.sampled_from(["commuting", "conjugated", "subspace_zero", "generic", "star"])
+
+
+def unscreened_sectors(sys_, rel_tol=DEFAULT_REL_TOL):
+    """Reference: the principal-angle oracle's rank rule on every direction, no cosine screen.
+
+    Each eigenspace ``V0_k`` of ``H_0`` takes one SVD of
+    ``(H_bar_I - alpha I) V0_k`` and keeps the directions at or below
+    ``rel_tol * min(1, a)``, ``a = ||H_bar_I - alpha I||``.  Returns the
+    sectors and whether every decision is well posed: no singular value
+    within a factor of ten of its cutoff.
+    """
+    alphas = coupling_alphas(sys_)
+    h_bar = snapped_coupling(sys_)
+    out, well_posed = [], True
+    for alpha in alphas:
+        a = max(alpha - alphas[0], alphas[-1] - alpha)
+        if a <= NUMERICAL_ZERO_RTOL * max(1.0, spectral_norm(sys_.h_i), abs(alpha)):
+            out.append((alpha, np.eye(sys_.dim, dtype=complex)))
+            continue
+        cutoff = rel_tol * min(1.0, a)
+        kernels = []
+        for v0 in free_eigenspaces(sys_):
+            _, s, vh = np.linalg.svd((h_bar - alpha * np.eye(sys_.dim)) @ v0, full_matrices=False)
+            well_posed &= not np.any((s > cutoff / 10) & (s < 10 * cutoff))
+            kernels.append(v0 @ vh[np.sum(s > cutoff):].conj().T)
+        basis = np.hstack(kernels)
+        if basis.shape[1]:
+            out.append((alpha, basis))
+    return out, well_posed
+
+
+def screened_direction_system(gap_factor, k, alpha=0.5, rel_tol=DEFAULT_REL_TOL):
+    """A coupling eigenvector ``cos(theta) e0 + sin(theta) e2`` at ``alpha``, ``e0`` in a degenerate eigenspace.
+
+    ``H_0 = diag(0, 0, 0.9, 1.3, 1.3, 2.2)``, so the one-row cluster at
+    ``alpha`` meets the two-column eigenspace ``{e0, e1}``: a block that
+    goes through the cosine screen.  The partner
+    ``-sin(theta) e0 + cos(theta) e2`` is the nearest other cluster,
+    ``gap = gap_factor * CLUSTER_TOL * ||H_I||`` above it; the coupling is
+    ``alpha + 2, ..., alpha + 3.5`` on ``e1, e3, e4, e5``, so
+    ``||H_I|| = alpha + 3.5`` and the cutoff is ``rel_tol``.  The residual of
+    ``e0`` is ``gap * sin(theta)``, set to ``10**k`` times the cutoff: for
+    ``k < 0`` ``e0`` spans the sector at ``alpha`` with a sine near
+    ``cutoff / gap``, the widest the screen has to admit.
+    """
+    gap = gap_factor * CLUSTER_TOL * (alpha + 3.5)
+    theta = np.arcsin(10.0**k * rel_tol / gap)
+    h_i = np.diag(alpha + np.array([0.0, 2.0, gap, 2.5, 3.0, 3.5])).astype(complex)
+    rot = np.eye(6)
+    rot[np.ix_([0, 2], [0, 2])] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    return BipartiteSystem(2, 3, np.diag([0.0, 1.3]), np.diag([0.0, 0.0, 0.9]), rot @ h_i @ rot.T)
+
+
+class TestPrincipalAngleOracle:
+    """The oracle reads every cluster-eigenspace pair off ``G = V^H V0`` and screens by cosine."""
+
+    @pytest.mark.parametrize("chunk", range(10))
+    def test_matches_per_eigenspace_reference_near_commuting(self, chunk):
+        for seed in range(30 * chunk, 30 * chunk + 30):
+            rng = np.random.default_rng(9000 + seed)
+            sys_ = conjugated_near_commuting_system(
+                *DIM_PAIRS[seed % len(DIM_PAIRS)], rng, 10.0 ** rng.uniform(-12, -10))
+            dec, reference = ife_sectors_oracle(sys_), per_eigenspace_oracle(sys_)
+            assert dec.alphas == reference.alphas
+            assert dimensions(dec) == dimensions(reference)
+            for s1, s2 in zip(dec.sectors, reference.sectors):
+                assert max_principal_angle(s1.basis, s2.basis) <= 1e-8
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        family=FAMILIES,
+        dims=st.sampled_from(DIM_PAIRS),
+        seed=st.integers(0, 2**32 - 1),
+        rel_tol=st.sampled_from([1e-10, 1e-6, 1e-2]),
+    )
+    def test_screen_drops_no_direction_of_the_rank_rule(self, family, dims, seed, rel_tol):
+        # the larger rel_tol, the wider the screen: cutoff / gap + 1e-7
+        sys_ = family_system(family, dims, np.random.default_rng(seed))
+        reference, well_posed = unscreened_sectors(sys_, rel_tol)
+        assume(well_posed)
+        dec = ife_sectors_oracle(sys_, rel_tol)
+        assert dec.alphas == tuple(alpha for alpha, _ in reference)
+        assert dimensions(dec) == [basis.shape[1] for _, basis in reference]
+        for sector, (_, basis) in zip(dec.sectors, reference):
+            assert max_principal_angle(sector.basis, basis) <= 1e-8
+
+    @pytest.mark.parametrize("gap_factor", [10, 100, 1000])
+    @pytest.mark.parametrize("k", [-0.1, 0.1])
+    def test_screen_admits_a_direction_just_inside_the_cutoff(self, gap_factor, k):
+        sys_ = screened_direction_system(gap_factor, k)
+        w = np.linalg.eigvalsh(sys_.h_i)
+        assert w[1] - w[0] == pytest.approx(gap_factor * CLUSTER_TOL * abs(w).max(), rel=1e-6)
+        assert np.array_equal(np.diag(build_h0(sys_)), [0.0, 0.0, 0.9, 1.3, 1.3, 2.2])
+        dec = ife_sectors_oracle(sys_)
+        at_alpha = [s for s in dec.sectors if s.alpha == pytest.approx(0.5, abs=1e-12)]
+        if k < 0:
+            assert len(at_alpha) == 1 and at_alpha[0].dimension == 1
+            assert max_principal_angle(at_alpha[0].basis, np.eye(6)[:, :1]) <= 1e-12
+        else:
+            assert at_alpha == []
+        reference, _ = unscreened_sectors(sys_)
+        assert dec.alphas == tuple(alpha for alpha, _ in reference)
+        assert dimensions(dec) == [basis.shape[1] for _, basis in reference]
+
+    def test_screen_admits_every_direction_when_the_cutoff_exceeds_the_gap(self):
+        # H_0 = 0 is one eigenspace of dimension 3 against clusters of one row,
+        # so each block of G has one cosine; at rel_tol = 0.5 the clusters at
+        # 0.5 and 0.501 each keep the other's eigenvector (residual 1e-3) too.
+        sys_ = BipartiteSystem(1, 3, np.zeros((1, 1)), np.zeros((3, 3)), np.diag([0.5, 0.501, 3.0]))
+        dec = ife_sectors_oracle(sys_, rel_tol=0.5)
+        reference, _ = unscreened_sectors(sys_, rel_tol=0.5)
+        assert dimensions(dec) == [basis.shape[1] for _, basis in reference] == [2, 2, 1]
+        for sector, (_, basis) in zip(dec.sectors, reference):
+            assert max_principal_angle(sector.basis, basis) <= 1e-12
+
+    def test_screen_trims_residuals_to_the_candidates(self, monkeypatch):
+        # a nondegenerate coupling against two 8-dimensional eigenspaces of
+        # H_0: each one-row cluster has one candidate, so every residual is
+        # d x 1 where an unscreened block would be d x 8
+        rng = np.random.default_rng(60)
+        u_a, u_b = random_unitary(2, rng), random_unitary(8, rng)
+        u = np.kron(u_a, u_b)
+        sys_ = BipartiteSystem(2, 8, u_a @ np.diag([0.0, 1.0]) @ u_a.conj().T, np.zeros((8, 8)),
+                               (u * np.arange(16.0)) @ u.conj().T)
+        core._commutator_and_kernel(sys_, DEFAULT_REL_TOL)
+        shapes = []
+        original = np.linalg.svd
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or original(a, *args, **kw),
+        )
+        dec = ife_sectors_oracle(sys_)
+        assert dec.n_sectors == 16 and dimensions(dec) == [1] * 16
+        assert sorted(shape[-2:] for shape in shapes) == [(1, 8), (16, 1)]
+
+    def test_one_svd_call_per_block_shape(self, monkeypatch):
+        sys_ = build_spin_star(SpinStarParams(5, 1.0, 1.3, (1.0, 1.1, 1.2, 1.25, 1.3)))
+        core._commutator_and_kernel(sys_, DEFAULT_REL_TOL)  # the reported kernel's SVDs
+        shapes = []
+        original = np.linalg.svd
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or original(a, *args, **kw),
+        )
+        per_eigenspace_oracle(sys_)
+        per_pair = len(shapes)
+        shapes.clear()
+        dec = ife_sectors_oracle(sys_)
+        assert dec.alphas == pytest.approx((0.0,)) and dimensions(dec) == [2 * comb(5, 2)]
+        # one batched call per shape: (m, n) blocks of G, (d, q) residuals
+        assert len(shapes) == len({shape[-2:] for shape in shapes})
+        assert per_pair >= 90 and len(shapes) <= per_pair // 10
 
 
 class TestFreeNorm:
