@@ -19,9 +19,9 @@ characterization as the largest ``H_0``-invariant subspace of
 other.  That subspace is the direct sum over the eigenspaces ``V0_k`` of
 ``H_0`` of ``Ran V_alpha cap Ran V0_k``: the principal vectors at angle 0
 between the cluster and each eigenspace.  The oracle never forms the
-commutator: one gemm ``G = V^H V0`` holds every pair, the cosines of small
-batched SVDs of its blocks screen the candidate directions, and the exact
-residual ``diag(w_bar - alpha) G[:, k] Y`` decides the rank.
+commutator: one gemm ``G = V^H V0`` holds every pair, the Frobenius norms
+of its blocks prune the pairs that cannot meet, and the exact residual
+``diag(w_bar - alpha) G[:, k]`` decides the rank.
 
 ``H_0`` and the factorizations that several routines need (``eigh`` of
 ``H``, ``H_0`` and ``H_I``, the coupling clusters, the commutator and its
@@ -261,7 +261,6 @@ def _free_norm(sys: BipartiteSystem) -> float:
 class _Commutator:
     """[H_0, H_I] of one system with its norm, numerical-zero flag and kernel."""
 
-    h0: np.ndarray
     comm: np.ndarray
     norm: float
     is_zero: bool
@@ -276,14 +275,13 @@ def _commutator_and_kernel(sys: BipartiteSystem, rel_tol: float) -> _Commutator:
     """
     key = ("commutator", rel_tol)
     if key not in sys._cache:
-        h0 = _h0(sys)
-        comm = commutator(h0, _snapped_coupling(sys))
+        comm = commutator(_h0(sys), _snapped_coupling(sys))
         norm = spectral_norm(comm)
         is_zero = _is_numerically_zero(norm, 2.0 * _free_norm(sys) * _coupling_norm(sys))
         kernel = np.eye(sys.dim, dtype=complex) if is_zero else null_space(comm, rel_tol)
         for array in (comm, kernel):
             array.flags.writeable = False
-        sys._cache[key] = _Commutator(h0, comm, norm, is_zero, kernel)
+        sys._cache[key] = _Commutator(comm, norm, is_zero, kernel)
     return sys._cache[key]
 
 
@@ -346,29 +344,30 @@ def ife_sectors_oracle(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -
     ``H_bar_I = V diag(w_bar) V^H``, as in :func:`ife_sectors`.
 
     Every pair is read off one gemm ``G = V^H V0``: the singular values of
-    the block ``G[alpha, k]`` are the cosines of the principal angles.  A
-    sine taken as ``sqrt(1 - cos^2)`` is accurate only to about
-    ``sqrt(eps)`` (Knyazev & Argentati, SIAM J. Sci. Comput. 23, 2002), so
-    the cosines only screen the candidate directions ``Y``: the right
-    singular vectors whose sine is at most ``cutoff / gap + 1e-7``, where
-    ``gap`` is the distance from ``alpha`` to the nearest other cluster.  A
-    unit ``x = V0_k y`` has ``||(H_bar_I - alpha I) x|| >= gap * sin``
-    (Davis–Kahan), so no direction within the cutoff has a larger sine,
-    and ``1e-7`` covers the error of the sine.  The rank is decided from
-    the exact residual ``diag(w_bar - alpha) G[:, k] Y`` alone: a direction
-    is kept when its singular value is at or below
-    ``cutoff = rel_tol * min(1, a)``, with
+    the ``m x n`` block ``G[alpha, k]`` are the cosines of the principal
+    angles, and ``diag(w_bar - alpha) G[:, k]`` is ``(H_bar_I - alpha I) V0_k``
+    in the eigenbasis of ``H_I``.  A direction ``y`` of ``V0_k`` is kept
+    when its singular value in that exact residual is at or below
+    ``cutoff = max(rel_tol * min(1, a), NUMERICAL_ZERO_RTOL * a)``, with
     ``a = ||H_bar_I - alpha I|| = max(|w_bar_0 - alpha|, |w_bar_{d-1} - alpha|)``.
-    When ``a`` is at roundoff level the whole space is the sector.
+    The first term is the direct route's ``rel_tol * sigma_ref``; the
+    second keeps the cutoff above the roundoff of the residual, which grows
+    with ``a`` (it takes over at ``a > rel_tol / NUMERICAL_ZERO_RTOL``).
+    When ``a`` is at roundoff level the whole space is the sector.  The
+    cosines decide no rank, since a sine taken as
+    ``sqrt(1 - cos^2)`` is accurate only to about ``sqrt(eps)`` (Knyazev &
+    Argentati, SIAM J. Sci. Comput. 23, 2002); they only prune.  A unit
+    ``x = V0_k y`` has ``||(H_bar_I - alpha I) x|| >= gap * sin`` (Davis–Kahan),
+    ``gap`` being the distance from ``alpha`` to the nearest other cluster,
+    so a direction within the cutoff has a sine at most ``cutoff / gap``.  A
+    block whose squared Frobenius norm, an upper bound on its largest
+    squared cosine, is below ``1 - (cutoff / gap)^2`` by more than its
+    roundoff holds no such direction and is skipped unfactorized.
 
-    A block whose Frobenius norm, an upper bound on its cosines, is too
-    small for any candidate is skipped unfactorized.  A block with at least
-    as many rows as columns is not screened: its SVD would cost about as
-    much as the residual it trims, so all of ``V0_k`` is a candidate.
-    Blocks of one shape share one batched ``numpy.linalg.svd`` call, for the
-    cosines and for the ``d x q`` residuals alike.  ``eigh(H_0)`` and ``eigh(H_I)`` come from the
-    per-system cache and ``[H_0, H_I]`` is never formed; only the reported
-    commutator kernel comes from the commutator.
+    The residuals of all surviving blocks with ``n`` columns share one
+    batched ``numpy.linalg.svd`` call.  ``eigh(H_0)`` and ``eigh(H_I)`` come
+    from the per-system cache and ``[H_0, H_I]`` is never formed; only the
+    reported commutator kernel comes from the commutator.
     """
     require_rel_tol(rel_tol)
     _, v = _coupling_eig(sys)
@@ -383,51 +382,29 @@ def ife_sectors_oracle(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -
     alphas = np.array([alpha for alpha, _ in clusters])
     w_bar = np.repeat(alphas, m)
     a = np.maximum(alphas - alphas[0], alphas[-1] - alphas)  # alphas ascend
-    cutoff = rel_tol * np.minimum(1.0, a)
+    cutoff = np.maximum(rel_tol * np.minimum(1.0, a), NUMERICAL_ZERO_RTOL * a)
     steps = np.diff(alphas)
-    max_sine = cutoff / np.minimum(np.append(np.inf, steps), np.append(steps, np.inf)) + 1e-7
+    max_sine = cutoff / np.minimum(np.append(np.inf, steps), np.append(steps, np.inf))
     hi_norm = _coupling_norm(sys)
     zero = np.array([_is_numerically_zero(a_j, max(hi_norm, abs(alpha)))
                      for a_j, alpha in zip(a, alphas)])
 
     g = v.conj().T @ v0
     # sigma_max <= ||block||_F: a block whose squared Frobenius norm is below
-    # 1 - max_sine^2 (less 1e-8 for its roundoff) holds no candidate.
+    # 1 - max_sine^2 (less 1e-8 for its roundoff) holds no sector direction.
     weight = np.add.reduceat(np.add.reduceat(g.real**2 + g.imag**2, row_lo, axis=0), col_lo, axis=1)
     pj, pk = np.nonzero((weight >= (1.0 - max_sine**2 - 1e-8)[:, None]) & ~zero[:, None])
-    found = {}  # q -> [(clusters, eigenspaces, columns of V0_k, Y or None for all)] of q candidates
-    for shape in set(zip(m[pj].tolist(), n[pk].tolist())):
-        same = (m[pj] == shape[0]) & (n[pk] == shape[1])
-        j, k = pj[same], pk[same]
-        cols = col_lo[k, None] + np.arange(shape[1])
-        if shape[0] >= shape[1]:
-            # the cosines' SVD would cost about as much as the residual it trims
-            q = np.full(len(j), shape[1])
-        else:
-            rows = row_lo[j, None] + np.arange(shape[0])
-            _, cos, vh = np.linalg.svd(g[rows[:, :, None], cols[:, None, :]], full_matrices=False)
-            # cosines descend, so a block's candidates are the leading rows of vh
-            q = (np.sqrt(np.maximum(0.0, 1.0 - cos**2)) <= max_sine[j, None]).sum(axis=1)
-            q[max_sine[j] >= 1.0] = shape[1]  # every direction passes, not only vh's m
-        for q_val in set(q[q > 0].tolist()):
-            p = q == q_val
-            y = vh[p, :q_val].conj().swapaxes(1, 2) if q_val < shape[1] else None
-            found.setdefault(q_val, []).append((j[p], k[p], cols[p], y))
-
-    def span(mat, cols, y):
-        """``mat[:, cols_b] @ y_b`` for each block ``b``; ``mat[:, cols_b]`` when ``y`` is None."""
-        columns = np.moveaxis(mat[:, cols], 1, 0)
-        return columns if y is None else columns @ y
-
     kernels = {}  # cluster -> [(eigenspace, kernel columns)]
-    for q, parts in found.items():
-        j, k = (np.concatenate(index) for index in list(zip(*parts))[:2])
-        x, gy = (np.concatenate([span(mat, cols, y) for _, _, cols, y in parts]) for mat in (v0, g))
-        s, wh = np.linalg.svd((w_bar - alphas[j, None])[:, :, None] * gy, full_matrices=False)[1:]
+    for n_k in set(n[pk].tolist()):
+        same = n[pk] == n_k
+        j, k = pj[same], pk[same]
+        cols = col_lo[k, None] + np.arange(n_k)
+        residual = (w_bar - alphas[j, None])[:, :, None] * np.moveaxis(g[:, cols], 1, 0)
+        s, wh = np.linalg.svd(residual, full_matrices=False)[1:]
         rank = (s > cutoff[j, None]).sum(axis=1)
-        for r in set(rank[rank < q].tolist()):
+        for r in set(rank[rank < n_k].tolist()):
             sel = rank == r
-            kernel = x[sel] @ wh[sel, r:].conj().swapaxes(1, 2)
+            kernel = np.moveaxis(v0[:, cols[sel]], 1, 0) @ wh[sel, r:].conj().swapaxes(1, 2)
             for j_b, k_b, columns in zip(j[sel].tolist(), k[sel].tolist(), kernel):
                 kernels.setdefault(j_b, []).append((k_b, columns))
     sectors = []

@@ -32,6 +32,7 @@ from .core import (
     _commutator_and_kernel,
     _coupling_eig,
     _coupling_norm,
+    _h0,
     build_total,
     ife_sectors,
 )
@@ -386,7 +387,7 @@ def verify_spin_star_claims(
 
     sys = build_spin_star(p)
     com = _commutator_and_kernel(sys, rel_tol)  # shared with ife_sectors below
-    h0 = com.h0
+    h0 = _h0(sys)
     h = build_total(sys)
 
     angle_tol = 1e-7

@@ -895,7 +895,7 @@ class TestBlockDiagonalOracle:
         monkeypatch.setattr(core, "commutator", forbidden)
         # only the reported commutator kernel comes from the commutator
         monkeypatch.setattr(core, "_commutator_and_kernel", lambda sys_, rel_tol: core._Commutator(
-            None, None, 0.0, True, np.eye(sys_.dim, dtype=complex)))
+            None, 0.0, True, np.eye(sys_.dim, dtype=complex)))
         systems = [
             [commuting_system, subspace_zero_system, generic_system][k % 3](2, 4, np.random.default_rng(5000 + k))
             for k in range(9)
@@ -1018,14 +1018,15 @@ ROUTES = pytest.mark.parametrize("route", [ife_sectors, ife_sectors_oracle])
 FAMILIES = st.sampled_from(["commuting", "conjugated", "subspace_zero", "generic", "star"])
 
 
-def unscreened_sectors(sys_, rel_tol=DEFAULT_REL_TOL):
-    """Reference: the principal-angle oracle's rank rule on every direction, no cosine screen.
+def unpruned_sectors(sys_, rel_tol=DEFAULT_REL_TOL):
+    """Reference: the principal-angle oracle's rank rule on every pair, no pruning.
 
     Each eigenspace ``V0_k`` of ``H_0`` takes one SVD of
     ``(H_bar_I - alpha I) V0_k`` and keeps the directions at or below
-    ``rel_tol * min(1, a)``, ``a = ||H_bar_I - alpha I||``.  Returns the
-    sectors and whether every decision is well posed: no singular value
-    within a factor of ten of its cutoff.
+    ``max(rel_tol * min(1, a), NUMERICAL_ZERO_RTOL * a)``,
+    ``a = ||H_bar_I - alpha I||``.  Returns the sectors and whether every
+    decision is well posed: no singular value within a factor of ten of its
+    cutoff.
     """
     alphas = coupling_alphas(sys_)
     h_bar = snapped_coupling(sys_)
@@ -1035,7 +1036,7 @@ def unscreened_sectors(sys_, rel_tol=DEFAULT_REL_TOL):
         if a <= NUMERICAL_ZERO_RTOL * max(1.0, spectral_norm(sys_.h_i), abs(alpha)):
             out.append((alpha, np.eye(sys_.dim, dtype=complex)))
             continue
-        cutoff = rel_tol * min(1.0, a)
+        cutoff = max(rel_tol * min(1.0, a), NUMERICAL_ZERO_RTOL * a)
         kernels = []
         for v0 in free_eigenspaces(sys_):
             _, s, vh = np.linalg.svd((h_bar - alpha * np.eye(sys_.dim)) @ v0, full_matrices=False)
@@ -1047,19 +1048,18 @@ def unscreened_sectors(sys_, rel_tol=DEFAULT_REL_TOL):
     return out, well_posed
 
 
-def screened_direction_system(gap_factor, k, alpha=0.5, rel_tol=DEFAULT_REL_TOL):
+def tilted_direction_system(gap_factor, k, alpha=0.5, rel_tol=DEFAULT_REL_TOL):
     """A coupling eigenvector ``cos(theta) e0 + sin(theta) e2`` at ``alpha``, ``e0`` in a degenerate eigenspace.
 
     ``H_0 = diag(0, 0, 0.9, 1.3, 1.3, 2.2)``, so the one-row cluster at
-    ``alpha`` meets the two-column eigenspace ``{e0, e1}``: a block that
-    goes through the cosine screen.  The partner
+    ``alpha`` meets the two-column eigenspace ``{e0, e1}``.  The partner
     ``-sin(theta) e0 + cos(theta) e2`` is the nearest other cluster,
     ``gap = gap_factor * CLUSTER_TOL * ||H_I||`` above it; the coupling is
     ``alpha + 2, ..., alpha + 3.5`` on ``e1, e3, e4, e5``, so
-    ``||H_I|| = alpha + 3.5`` and the cutoff is ``rel_tol``.  The residual of
-    ``e0`` is ``gap * sin(theta)``, set to ``10**k`` times the cutoff: for
-    ``k < 0`` ``e0`` spans the sector at ``alpha`` with a sine near
-    ``cutoff / gap``, the widest the screen has to admit.
+    ``||H_I|| = alpha + 3.5``, ``a = 3.5`` and the cutoff is ``rel_tol``.  The residual of ``e0`` is ``gap * sin(theta)``, set
+    to ``10**k`` times the cutoff: for ``k < 0`` ``e0`` spans the sector at
+    ``alpha`` with a sine near ``cutoff / gap``, the widest the Frobenius
+    pruning has to admit.
     """
     gap = gap_factor * CLUSTER_TOL * (alpha + 3.5)
     theta = np.arcsin(10.0**k * rel_tol / gap)
@@ -1070,7 +1070,7 @@ def screened_direction_system(gap_factor, k, alpha=0.5, rel_tol=DEFAULT_REL_TOL)
 
 
 class TestPrincipalAngleOracle:
-    """The oracle reads every cluster-eigenspace pair off ``G = V^H V0`` and screens by cosine."""
+    """The oracle reads every cluster-eigenspace pair off ``G = V^H V0`` and prunes by Frobenius norm."""
 
     @pytest.mark.parametrize("chunk", range(10))
     def test_matches_per_eigenspace_reference_near_commuting(self, chunk):
@@ -1084,6 +1084,20 @@ class TestPrincipalAngleOracle:
             for s1, s2 in zip(dec.sectors, reference.sectors):
                 assert max_principal_angle(s1.basis, s2.basis) <= 1e-8
 
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    def test_agrees_with_direct_route_at_large_coupling(self, scale):
+        # a conjugated commuting system: the residuals of true sector
+        # directions grow with ||H_bar_I - alpha||, and so must the cutoff
+        for seed in range(20):
+            rng = np.random.default_rng(9500 + seed)
+            base = commuting_system(*DIM_PAIRS[seed % len(DIM_PAIRS)], rng)
+            sys_ = BipartiteSystem(base.dim_a, base.dim_b, base.h_a, base.h_b, scale * base.h_i)
+            dec, direct = ife_sectors_oracle(sys_), ife_sectors(sys_)
+            assert dec.alphas == direct.alphas
+            assert dimensions(dec) == dimensions(direct)
+            for s1, s2 in zip(dec.sectors, direct.sectors):
+                assert max_principal_angle(s1.basis, s2.basis) <= 1e-8
+
     @settings(max_examples=80, deadline=None, database=None)
     @given(
         family=FAMILIES,
@@ -1091,10 +1105,10 @@ class TestPrincipalAngleOracle:
         seed=st.integers(0, 2**32 - 1),
         rel_tol=st.sampled_from([1e-10, 1e-6, 1e-2]),
     )
-    def test_screen_drops_no_direction_of_the_rank_rule(self, family, dims, seed, rel_tol):
-        # the larger rel_tol, the wider the screen: cutoff / gap + 1e-7
+    def test_pruning_drops_no_direction_of_the_rank_rule(self, family, dims, seed, rel_tol):
+        # the larger rel_tol, the fewer blocks the Frobenius norm can rule out
         sys_ = family_system(family, dims, np.random.default_rng(seed))
-        reference, well_posed = unscreened_sectors(sys_, rel_tol)
+        reference, well_posed = unpruned_sectors(sys_, rel_tol)
         assume(well_posed)
         dec = ife_sectors_oracle(sys_, rel_tol)
         assert dec.alphas == tuple(alpha for alpha, _ in reference)
@@ -1104,8 +1118,8 @@ class TestPrincipalAngleOracle:
 
     @pytest.mark.parametrize("gap_factor", [10, 100, 1000])
     @pytest.mark.parametrize("k", [-0.1, 0.1])
-    def test_screen_admits_a_direction_just_inside_the_cutoff(self, gap_factor, k):
-        sys_ = screened_direction_system(gap_factor, k)
+    def test_pruning_admits_a_direction_just_inside_the_cutoff(self, gap_factor, k):
+        sys_ = tilted_direction_system(gap_factor, k)
         w = np.linalg.eigvalsh(sys_.h_i)
         assert w[1] - w[0] == pytest.approx(gap_factor * CLUSTER_TOL * abs(w).max(), rel=1e-6)
         assert np.array_equal(np.diag(build_h0(sys_)), [0.0, 0.0, 0.9, 1.3, 1.3, 2.2])
@@ -1116,41 +1130,22 @@ class TestPrincipalAngleOracle:
             assert max_principal_angle(at_alpha[0].basis, np.eye(6)[:, :1]) <= 1e-12
         else:
             assert at_alpha == []
-        reference, _ = unscreened_sectors(sys_)
+        reference, _ = unpruned_sectors(sys_)
         assert dec.alphas == tuple(alpha for alpha, _ in reference)
         assert dimensions(dec) == [basis.shape[1] for _, basis in reference]
 
-    def test_screen_admits_every_direction_when_the_cutoff_exceeds_the_gap(self):
-        # H_0 = 0 is one eigenspace of dimension 3 against clusters of one row,
-        # so each block of G has one cosine; at rel_tol = 0.5 the clusters at
-        # 0.5 and 0.501 each keep the other's eigenvector (residual 1e-3) too.
+    def test_pruning_admits_every_block_when_the_cutoff_exceeds_the_gap(self):
+        # H_0 = 0 is one eigenspace of dimension 3 against clusters of one row;
+        # at rel_tol = 0.5 the clusters at 0.5 and 0.501 each keep the
+        # other's eigenvector (residual 1e-3) too.
         sys_ = BipartiteSystem(1, 3, np.zeros((1, 1)), np.zeros((3, 3)), np.diag([0.5, 0.501, 3.0]))
         dec = ife_sectors_oracle(sys_, rel_tol=0.5)
-        reference, _ = unscreened_sectors(sys_, rel_tol=0.5)
+        reference, _ = unpruned_sectors(sys_, rel_tol=0.5)
         assert dimensions(dec) == [basis.shape[1] for _, basis in reference] == [2, 2, 1]
         for sector, (_, basis) in zip(dec.sectors, reference):
             assert max_principal_angle(sector.basis, basis) <= 1e-12
 
-    def test_screen_trims_residuals_to_the_candidates(self, monkeypatch):
-        # a nondegenerate coupling against two 8-dimensional eigenspaces of
-        # H_0: each one-row cluster has one candidate, so every residual is
-        # d x 1 where an unscreened block would be d x 8
-        rng = np.random.default_rng(60)
-        u_a, u_b = random_unitary(2, rng), random_unitary(8, rng)
-        u = np.kron(u_a, u_b)
-        sys_ = BipartiteSystem(2, 8, u_a @ np.diag([0.0, 1.0]) @ u_a.conj().T, np.zeros((8, 8)),
-                               (u * np.arange(16.0)) @ u.conj().T)
-        core._commutator_and_kernel(sys_, DEFAULT_REL_TOL)
-        shapes = []
-        original = np.linalg.svd
-        monkeypatch.setattr(
-            np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or original(a, *args, **kw),
-        )
-        dec = ife_sectors_oracle(sys_)
-        assert dec.n_sectors == 16 and dimensions(dec) == [1] * 16
-        assert sorted(shape[-2:] for shape in shapes) == [(1, 8), (16, 1)]
-
-    def test_one_svd_call_per_block_shape(self, monkeypatch):
+    def test_one_svd_call_per_eigenspace_size(self, monkeypatch):
         sys_ = build_spin_star(SpinStarParams(5, 1.0, 1.3, (1.0, 1.1, 1.2, 1.25, 1.3)))
         core._commutator_and_kernel(sys_, DEFAULT_REL_TOL)  # the reported kernel's SVDs
         shapes = []
@@ -1163,8 +1158,9 @@ class TestPrincipalAngleOracle:
         shapes.clear()
         dec = ife_sectors_oracle(sys_)
         assert dec.alphas == pytest.approx((0.0,)) and dimensions(dec) == [2 * comb(5, 2)]
-        # one batched call per shape: (m, n) blocks of G, (d, q) residuals
+        # one batched call of d x n residuals per eigenspace size n
         assert len(shapes) == len({shape[-2:] for shape in shapes})
+        assert all(shape[-2] == sys_.dim for shape in shapes)
         assert per_pair >= 90 and len(shapes) <= per_pair // 10
 
 
