@@ -112,6 +112,10 @@ def main() -> int:
         DATA / "report_verify_rho_ife_n2.json")
     run(["mixed", str(star_path), "--state", str(DATA / "rho_ife_n2.json")],
         DATA / "report_mixed_rho_ife_n2.json")
+    run(["sectors", str(two_sectors_path), "--include-bases"],
+        DATA / "report_sectors_two_sectors.json")
+    run(["oracle-diff", str(two_sectors_path)], DATA / "report_oracle_diff_two_sectors.json")
+    run(["sectors", str(no_ife_path)], DATA / "report_sectors_no_ife.json")
     return 0
 
 

@@ -167,6 +167,15 @@ class TestSectors:
         golden = (data_dir / "report_sectors_n2.json").read_text(encoding="utf-8")
         assert normalized(out) == golden
 
+    @pytest.mark.parametrize("system, options, golden, want", [
+        ("system_two_sectors.json", ["--include-bases"], "report_sectors_two_sectors.json", 0),
+        ("system_no_ife.json", [], "report_sectors_no_ife.json", 3),
+    ])
+    def test_golden_report_non_star(self, data_dir, tmp_path, system, options, golden, want):
+        out = tmp_path / "report.json"
+        assert run_cli("sectors", str(data_dir / system), *options, "--out", str(out)) == want
+        assert normalized(out) == (data_dir / golden).read_text(encoding="utf-8")
+
 
 class TestVerify:
     def test_ife_vector_exit_zero(self, star_file, data_dir, tmp_path):
@@ -352,6 +361,12 @@ class TestOracleDiff:
         out = tmp_path / "report.json"
         run_cli("oracle-diff", star_file, "--out", str(out))
         golden = (data_dir / "report_oracle_diff_n2.json").read_text(encoding="utf-8")
+        assert normalized(out) == golden
+
+    def test_golden_report_two_sectors(self, data_dir, tmp_path):
+        out = tmp_path / "report.json"
+        assert run_cli("oracle-diff", str(data_dir / "system_two_sectors.json"), "--out", str(out)) == 0
+        golden = (data_dir / "report_oracle_diff_two_sectors.json").read_text(encoding="utf-8")
         assert normalized(out) == golden
 
 

@@ -279,6 +279,9 @@ class TestReportSchema:
         "report_verify_ife_n2.json",
         "report_verify_rho_ife_n2.json",
         "report_mixed_rho_ife_n2.json",
+        "report_sectors_two_sectors.json",
+        "report_oracle_diff_two_sectors.json",
+        "report_sectors_no_ife.json",
     ])
     def test_golden_reports_validate(self, schema, data_dir, name):
         jsonschema = pytest.importorskip("jsonschema")
