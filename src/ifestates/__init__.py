@@ -13,6 +13,7 @@ from .core import (
     build_h0,
     build_total,
     classify_pure,
+    commutator_kernel,
     ife_exists,
     ife_sectors,
     ife_sectors_oracle,
@@ -64,6 +65,7 @@ __all__ = [
     "build_h0",
     "build_total",
     "classify_pure",
+    "commutator_kernel",
     "ife_exists",
     "ife_sectors",
     "ife_sectors_oracle",

@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .core import (
     CLUSTER_TOL,
+    _commutator_kernel_dimension,
     _coupling_norm,
     ife_sectors,
     ife_sectors_oracle,
@@ -227,7 +228,7 @@ def _sectors_single(path: Path, args, out) -> int:
         started,
         label=label,
         sectors=_sector_payload(dec, args.include_bases),
-        commutator_kernel_dimension=dec.commutator_kernel.shape[1],
+        commutator_kernel_dimension=_commutator_kernel_dimension(system, args.tol),
         exit_code=code,
     )
     _emit(report, out)

@@ -24,8 +24,10 @@ of its blocks prune the pairs that cannot meet, and the exact residual
 ``diag(w_bar - alpha) G[:, k]`` decides the rank.
 
 ``H_0`` and the factorizations that several routines need (``eigh`` of
-``H``, ``H_0`` and ``H_I``, the coupling clusters, the commutator and its
-kernel) are computed once per system and cached read-only on it.
+``H``, ``H_0`` and ``H_I``, the coupling clusters, the commutator with its
+values-only SVD, and the right singular vectors of the commutator once
+:func:`commutator_kernel` asks for them) are computed once per system and
+cached read-only on it.
 """
 
 from __future__ import annotations
@@ -40,11 +42,9 @@ from .linalg import (
     as_operator,
     commutator,
     kron,
-    null_space,
     require_hermitian,
     require_rel_tol,
     require_unit_states,
-    spectral_norm,
 )
 
 __all__ = [
@@ -55,6 +55,7 @@ __all__ = [
     "build_h0",
     "build_total",
     "cluster_values",
+    "commutator_kernel",
     "ife_sectors",
     "ife_sectors_oracle",
     "ife_exists",
@@ -141,14 +142,14 @@ class IfeSector:
 
 @dataclass(frozen=True)
 class IfeDecomposition:
-    """All IFE sectors of a system plus the commutator kernel Ker[H_0, H_I].
+    """All IFE sectors of a system whose product space has dimension ``dim``.
 
     ``sectors`` is sorted by strictly increasing ``alpha``; an empty tuple
     means the system admits no IFE states.
     """
 
     sectors: tuple[IfeSector, ...]
-    commutator_kernel: np.ndarray = field(repr=False)
+    dim: int
 
     @property
     def n_sectors(self) -> int:
@@ -160,9 +161,8 @@ class IfeDecomposition:
 
     def total_basis(self) -> np.ndarray:
         """Concatenated sector bases, spanning the whole IFE subspace."""
-        dim = self.commutator_kernel.shape[0]
         if not self.sectors:
-            return np.zeros((dim, 0), dtype=complex)
+            return np.zeros((self.dim, 0), dtype=complex)
         return np.hstack([s.basis for s in self.sectors])
 
 
@@ -246,43 +246,74 @@ def _snapped_coupling(sys: BipartiteSystem) -> np.ndarray:
 
 
 def _free_norm(sys: BipartiteSystem) -> float:
-    """``||H_0||`` from the subsystem spectra ``a`` of ``h_a`` and ``b`` of ``h_b``.
+    """``||h_a|| + ||h_b||`` from the subsystem spectra: two small ``eigvalsh`` calls.
 
-    The eigenvalues of ``h_a (x) I + I (x) h_b`` are the sums ``a_i + b_j``,
-    so the norm is ``max(|a_max + b_max|, |a_min + b_min|)``: two small
-    ``eigvalsh`` calls instead of a values-only SVD of the ``d x d`` ``H_0``.
+    It bounds ``||H_0||`` from above and sets the scale of the roundoff in
+    ``[H_0, H_I]``.  ``||H_0||`` itself can cancel: ``h_a = -I`` and
+    ``h_b = I`` give ``H_0 = 0``, yet a commutator formed from them carries
+    roundoff of ``||h_a|| + ||h_b||`` times ``||H_I||``.
     """
     a = np.linalg.eigvalsh(sys.h_a)
     b = np.linalg.eigvalsh(sys.h_b)
-    return float(max(abs(a[-1] + b[-1]), abs(a[0] + b[0])))
+    return float(max(-a[0], a[-1]) + max(-b[0], b[-1]))
 
 
 @dataclass(frozen=True)
 class _Commutator:
-    """[H_0, H_I] of one system with its norm, numerical-zero flag and kernel."""
+    """``[H_0, H_I]`` of one system, its singular values ``s`` (descending) and numerical-zero flag."""
 
     comm: np.ndarray
-    norm: float
+    s: np.ndarray
     is_zero: bool
-    kernel: np.ndarray
+
+    @property
+    def norm(self) -> float:
+        return float(self.s[0])
 
 
-def _commutator_and_kernel(sys: BipartiteSystem, rel_tol: float) -> _Commutator:
-    """Commutator [H_0, H_I] (snapped coupling) and its kernel, once per (system, rel_tol).
+def _commutator(sys: BipartiteSystem) -> _Commutator:
+    """``[H_0, H_I]`` of the snapped coupling and its values-only SVD, once per system.
 
-    The result is cached on ``sys`` with read-only arrays, so every routine
-    that takes the same system shares one commutator and one kernel SVD.
+    Its rank at any ``rel_tol`` is a count over ``s``, so every cutoff shares
+    the one factorization.  The commutator is numerically zero when
+    ``||C|| <= NUMERICAL_ZERO_RTOL * max(1, 2 (||h_a|| + ||h_b||) ||H_I||)``.
     """
-    key = ("commutator", rel_tol)
-    if key not in sys._cache:
+    def compute():
         comm = commutator(_h0(sys), _snapped_coupling(sys))
-        norm = spectral_norm(comm)
-        is_zero = _is_numerically_zero(norm, 2.0 * _free_norm(sys) * _coupling_norm(sys))
-        kernel = np.eye(sys.dim, dtype=complex) if is_zero else null_space(comm, rel_tol)
-        for array in (comm, kernel):
+        s = np.linalg.svd(comm, compute_uv=False)
+        for array in (comm, s):
             array.flags.writeable = False
-        sys._cache[key] = _Commutator(comm, norm, is_zero, kernel)
-    return sys._cache[key]
+        is_zero = _is_numerically_zero(float(s[0]), 2.0 * _free_norm(sys) * _coupling_norm(sys))
+        return _Commutator(comm, s, is_zero)
+
+    return _cached(sys, "commutator", compute)
+
+
+def _commutator_kernel_dimension(sys: BipartiteSystem, rel_tol: float) -> int:
+    """``dim Ker[H_0, H_I]``: ``d`` minus the count of singular values above ``rel_tol * ||C||``.
+
+    A numerically zero commutator has rank 0.
+    """
+    require_rel_tol(rel_tol)
+    com = _commutator(sys)
+    return sys.dim if com.is_zero else int(np.sum(com.s <= rel_tol * com.norm))
+
+
+def commutator_kernel(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
+    """Orthonormal ``d x k`` basis of ``Ker[H_0, H_I]`` (snapped coupling) at ``rel_tol``.
+
+    The columns are the right singular vectors of the commutator whose
+    values-only singular values are at or below ``rel_tol * ||C||``.  The
+    thin SVD with vectors runs on the first call for a system and is cached
+    on it; a numerically zero commutator has the whole space as its kernel
+    and takes no SVD.  The result is a fresh array.
+    """
+    k = _commutator_kernel_dimension(sys, rel_tol)
+    com = _commutator(sys)
+    if com.is_zero:
+        return np.eye(sys.dim, dtype=complex)
+    vh = _cached(sys, "commutator_vh", lambda: np.linalg.svd(com.comm, full_matrices=False)[2])
+    return vh[sys.dim - k:].conj().T
 
 
 def _eig(sys: BipartiteSystem, free: bool = False):
@@ -313,7 +344,7 @@ def ife_sectors(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDe
     Clusters with an empty kernel are dropped.
     """
     require_rel_tol(rel_tol)
-    com = _commutator_and_kernel(sys, rel_tol)
+    com = _commutator(sys)
     w, v = _coupling_eig(sys)
     if not com.is_zero:
         scale = max(1.0, com.norm)
@@ -329,7 +360,7 @@ def ife_sectors(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDe
             basis = v[:, lo:hi] @ vh[np.sum(s > cutoff):].conj().T
         if basis.shape[1] > 0:
             sectors.append(IfeSector(alpha, basis))
-    return IfeDecomposition(tuple(sectors), com.kernel)
+    return IfeDecomposition(tuple(sectors), sys.dim)
 
 
 def ife_sectors_oracle(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDecomposition:
@@ -366,8 +397,7 @@ def ife_sectors_oracle(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -
 
     The residuals of all surviving blocks with ``n`` columns share one
     batched ``numpy.linalg.svd`` call.  ``eigh(H_0)`` and ``eigh(H_I)`` come
-    from the per-system cache and ``[H_0, H_I]`` is never formed; only the
-    reported commutator kernel comes from the commutator.
+    from the per-system cache and ``[H_0, H_I]`` is never formed.
     """
     require_rel_tol(rel_tol)
     _, v = _coupling_eig(sys)
@@ -414,12 +444,12 @@ def ife_sectors_oracle(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -
         elif j in kernels:
             ordered = sorted(kernels[j], key=lambda kc: kc[0])  # by eigenspace of H_0
             sectors.append(IfeSector(alpha, np.hstack([columns for _, columns in ordered])))
-    return IfeDecomposition(tuple(sectors), _commutator_and_kernel(sys, rel_tol).kernel)
+    return IfeDecomposition(tuple(sectors), sys.dim)
 
 
 def ife_exists(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> bool:
     """True iff Ker[H_0, H_I] is nontrivial (existence of IFE states)."""
-    return _commutator_and_kernel(sys, rel_tol).kernel.shape[1] > 0
+    return _commutator_kernel_dimension(sys, rel_tol) > 0
 
 
 def classify_pure(psi, sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL):
@@ -435,7 +465,7 @@ def classify_pure(psi, sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL):
     psi = require_unit_states(np.asarray(psi).reshape(-1), sys.dim)[:, 0]
     h_psi = _snapped_coupling(sys) @ psi
     alpha = float(np.vdot(psi, h_psi).real)
-    com = _commutator_and_kernel(sys, rel_tol)
+    com = _commutator(sys)
     hi_norm = _coupling_norm(sys)
 
     if _is_numerically_zero(hi_norm, 1.0):

@@ -123,7 +123,7 @@ def random_ife_mixed(dec: IfeDecomposition, weights, seed: int) -> np.ndarray:
         raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
 
     rng = np.random.default_rng(seed)
-    dim = dec.commutator_kernel.shape[0]
+    dim = dec.dim
     rho = np.zeros((dim, dim), dtype=complex)
     for sector, weight in zip(dec.sectors, weights):
         n = sector.dimension

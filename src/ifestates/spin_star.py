@@ -29,11 +29,11 @@ from .core import (
     BipartiteSystem,
     IfeDecomposition,
     IfeSector,
-    _commutator_and_kernel,
     _coupling_eig,
     _coupling_norm,
     _h0,
     build_total,
+    commutator_kernel,
     ife_sectors,
 )
 from .linalg import (
@@ -360,7 +360,7 @@ def spin_star_ife_basis(p: SpinStarParams, blocks: list[DressedBasis] | None = N
         blocks = dressed_blocks(p)
     basis = np.hstack([_embed_block(b) for b in blocks])
     sector = IfeSector(0.0, basis)
-    return IfeDecomposition((sector,), basis)
+    return IfeDecomposition((sector,), basis.shape[0])
 
 
 def verify_spin_star_claims(
@@ -386,14 +386,13 @@ def verify_spin_star_claims(
         blocks = dressed_blocks(p)
 
     sys = build_spin_star(p)
-    com = _commutator_and_kernel(sys, rel_tol)  # shared with ife_sectors below
+    ker_comm = commutator_kernel(sys, rel_tol)  # its commutator is shared with ife_sectors below
     h0 = _h0(sys)
     h = build_total(sys)
 
     angle_tol = 1e-7
     claims = []
 
-    ker_comm = com.kernel
     # Ker H_I from the cached eigh(H_I): |w| are the singular values of H_I
     w, v = _coupling_eig(sys)
     ker_hi = v[:, np.abs(w) <= rel_tol * _coupling_norm(sys)]

@@ -161,7 +161,7 @@ def per_eigenspace_oracle(sys_, rel_tol=DEFAULT_REL_TOL):
             basis = np.hstack(kernels) if kernels else np.zeros((sys_.dim, 0), dtype=complex)
         if basis.shape[1] > 0:
             sectors.append(IfeSector(alpha, basis))
-    return IfeDecomposition(tuple(sectors), core._commutator_and_kernel(sys_, rel_tol).kernel)
+    return IfeDecomposition(tuple(sectors), sys_.dim)
 
 
 def conjugated_near_commuting_system(dim_a, dim_b, rng, strength):
@@ -205,7 +205,7 @@ def project_to_sectors(rho, dec):
     the single compression of ``mixed.block_structure_residuals``.
     """
     rho = as_operator(rho)
-    dim = dec.commutator_kernel.shape[0]
+    dim = dec.dim
     if rho.shape[0] != dim:
         raise ValueError(f"state has dimension {rho.shape[0]}, expected {dim}")
     bases = [s.basis for s in dec.sectors]

@@ -606,6 +606,40 @@ class TestOneFactorization:
         assert len(rows) == 1 + 5 * 7
 
 
+class TestCommutatorFactorizations:
+    """Each command takes the SVDs of the ``d x d`` commutator that it needs, and no more."""
+
+    @pytest.mark.parametrize("argv, values, vectors", [
+        (["sectors", "{star}"], 1, 0),
+        (["oracle-diff", "{star}"], 1, 0),
+        (["verify", "{star}", "--sector", "0", "--steps", "5"], 1, 0),
+        (["mixed", "{star}", "--samples", "2", "--steps", "5"], 1, 0),
+        (["mixed", "{star}", "--state", "{rho}", "--steps", "5"], 1, 0),
+        (["spin-star", "--n", "2", "--omega0", "1.0", "--omega", "0.7", "--gammas", "3,4",
+          "--check-all"], 1, 1),
+    ], ids=["sectors", "oracle-diff", "verify-sector", "mixed-samples", "mixed-state", "spin-star"])
+    def test_svd_calls_of_the_commutator(self, argv, values, vectors, star_file, data_dir,
+                                         tmp_path, monkeypatch):
+        from ifestates.core import build_h0
+        from ifestates.linalg import commutator
+
+        system, _ = load_system(star_file)
+        comm = commutator(build_h0(system), system.h_i)
+        calls = []
+        original = np.linalg.svd
+
+        def recording(a, *args, **kw):
+            if np.shape(a) == comm.shape and np.allclose(a, comm, rtol=0.0, atol=1e-12):
+                calls.append(kw.get("compute_uv", args[1] if len(args) > 1 else True))
+            return original(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        argv = [a.format(star=star_file, rho=data_dir / "rho_ife_n2.json") for a in argv]
+        assert run_cli(*argv, "--out", str(tmp_path / "r.json")) == 0
+        assert calls.count(False) == values and calls.count(True) == vectors
+        assert len(calls) == values + vectors
+
+
 def defect_copy(src, dst, rel_defect=3e-11, seed=5, fields=("h_a", "h_i")):
     """``src`` with an anti-Hermitian defect ``i eps S`` added to each of ``fields``.
 

@@ -1,3 +1,4 @@
+import json
 import tempfile
 import warnings
 from collections import Counter
@@ -18,6 +19,7 @@ from ifestates import (
     build_spin_star,
     build_total,
     classify_pure,
+    commutator_kernel,
     ife_exists,
     ife_sectors,
     ife_sectors_oracle,
@@ -31,6 +33,7 @@ from ifestates.linalg import (
     commutator,
     hermiticity_defect,
     max_principal_angle,
+    null_space,
     spectral_norm,
     subspace_equal,
 )
@@ -206,7 +209,7 @@ class TestIfeSectors:
         sys_ = generic_system(2, 3, rng)
         dec = ife_sectors(sys_)
         assert dec.n_sectors == 0
-        assert dec.commutator_kernel.shape[1] == 0
+        assert commutator_kernel(sys_).shape[1] == 0
 
     def test_alphas_strictly_increasing(self):
         rng = np.random.default_rng(6)
@@ -230,7 +233,7 @@ class TestIfeSectors:
             maker = [subspace_zero_system, commuting_system][k % 2]
             sys_ = maker(2, 3, rng)
             dec = ife_sectors(sys_)
-            kernel = dec.commutator_kernel
+            kernel = commutator_kernel(sys_)
             proj = kernel @ kernel.conj().T
             total = dec.total_basis()
             if total.shape[1]:
@@ -270,7 +273,7 @@ class TestIfeSectors:
         rng = np.random.default_rng(19)
         sys_ = commuting_system(2, 3, rng, conjugate=True)
         dec = ife_sectors(sys_)
-        assert dec.commutator_kernel.shape[1] == 6
+        assert commutator_kernel(sys_).shape[1] == 6
         assert sum(s.dimension for s in dec.sectors) == 6
 
 
@@ -292,7 +295,7 @@ def commutator_with_zero_flag(sys_):
     """``[H_0, H_bar_I]`` of the cluster-snapped coupling and its numerical-zero flag."""
     h0 = build_h0(sys_)
     comm = commutator(h0, snapped_coupling(sys_))
-    scale = 2.0 * spectral_norm(h0) * spectral_norm(sys_.h_i)
+    scale = 2.0 * (spectral_norm(sys_.h_a) + spectral_norm(sys_.h_b)) * spectral_norm(sys_.h_i)
     return comm, spectral_norm(comm) <= NUMERICAL_ZERO_RTOL * max(1.0, scale)
 
 
@@ -459,7 +462,7 @@ class TestEmptinessCertificate:
     def test_spin_star_factorizes_one_thin_block_per_cluster(self, monkeypatch):
         p = SpinStarParams(5, 1.0, 0.7, (1.0, 1.37, 1.74, 2.11, 2.48))
         sys_ = build_spin_star(p)
-        core._commutator_and_kernel(sys_, DEFAULT_REL_TOL)  # the kernel SVD of [H_0, H_I]
+        core._commutator(sys_)  # the values-only SVD of [H_0, H_I]
         shapes = []
         original = np.linalg.svd
         monkeypatch.setattr(
@@ -484,18 +487,26 @@ class TestEmptinessCertificate:
 
 class TestSharedFactorization:
     def test_commutator_formed_once_per_system(self, monkeypatch):
-        formed = []
-        original = core.commutator
+        formed, svds = [], []
+        original, original_svd = core.commutator, np.linalg.svd
         monkeypatch.setattr(core, "commutator", lambda a, b: formed.append(1) or original(a, b))
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: svds.append(
+            (a, kw.get("compute_uv", True))) or original_svd(a, *args, **kw))
         sys_ = subspace_zero_system(2, 3, np.random.default_rng(30))
         dec = ife_sectors(sys_)
         oracle = ife_sectors_oracle(sys_)
         assert ife_exists(sys_)
         assert classify_pure(dec.sectors[0].basis[:, 0], sys_) == pytest.approx(0.0, abs=1e-12)
+        # every cutoff counts over the same singular values
+        ife_sectors(sys_, 1e-9)
+        assert ife_exists(sys_, 1e-2)
+        kernels = [commutator_kernel(sys_, rel_tol) for rel_tol in (1e-10, 1e-6, 1e-2, 1e-10)]
         assert len(formed) == 1
-        assert oracle.commutator_kernel is dec.commutator_kernel
-        ife_sectors(sys_, 1e-9)  # another cutoff gives another kernel
-        assert len(formed) == 2
+        comm = core._commutator(sys_).comm
+        # one values-only SVD, and one with vectors for the kernels
+        assert [uv for a, uv in svds if a is comm] == [False, True]
+        assert oracle.dim == dec.dim == sys_.dim
+        assert np.array_equal(kernels[0], kernels[3]) and kernels[0] is not kernels[3]
 
     def test_oracle_shares_the_cached_free_spectrum(self, monkeypatch):
         from ifestates import ife_deviation_trace, time_grid
@@ -510,13 +521,10 @@ class TestSharedFactorization:
         ife_deviation_trace(sys_, psi, 0.0, time_grid(1.0, 3))  # caches eigh(H) and eigh(H_0)
         before = len(factorized)
         oracle = ife_sectors_oracle(sys_)
-        # the oracle adds only the coupling's one factorization, and the
-        # reported kernel's zero scale the spectra of h_a and h_b
-        assert before == 2 and len(factorized) == 5
+        # the oracle adds only the coupling's one factorization
+        assert before == 2 and len(factorized) == 3
         assert np.array_equal(factorized[1], build_h0(sys_))
         assert np.array_equal(factorized[2], sys_.h_i)
-        assert np.array_equal(factorized[3], sys_.h_a)
-        assert np.array_equal(factorized[4], sys_.h_b)
         assert oracle.sectors and oracle.alphas == pytest.approx(ife_sectors(sys_).alphas)
         _, v0 = core._eig(sys_, free=True)
         with pytest.raises(ValueError):
@@ -552,8 +560,14 @@ class TestSharedFactorization:
         assert sys_.h_i[0, 0] == 1.0
         with pytest.raises(ValueError):
             sys_.h_i[0, 0] = 7.0
-        with pytest.raises(ValueError):
-            ife_sectors(sys_).commutator_kernel[0, 0] = 7.0
+        com = core._commutator(sys_)
+        for array, index in ((com.comm, (0, 0)), (com.s, 0)):
+            with pytest.raises(ValueError):
+                array[index] = 7.0
+        # the kernel is a fresh array: writing to it leaves the cache alone
+        kernel = commutator_kernel(sys_)
+        kernel[0, 0] = 7.0
+        assert commutator_kernel(sys_)[0, 0] == 1.0
 
 
 class TestOracle:
@@ -732,8 +746,7 @@ class TestCommutatorKernelInvarianceProbe:
         for k in range(20):
             maker = [commuting_system, subspace_zero_system, generic_system][k % 3]
             sys_ = maker(2, 3, rng)
-            dec = ife_sectors(sys_)
-            kernel = dec.commutator_kernel
+            kernel = commutator_kernel(sys_)
             if kernel.shape[1] in (0, sys_.dim):
                 continue
             proj = kernel @ kernel.conj().T
@@ -893,9 +906,6 @@ class TestBlockDiagonalOracle:
             raise AssertionError("the oracle formed [H_0, H_I]")
 
         monkeypatch.setattr(core, "commutator", forbidden)
-        # only the reported commutator kernel comes from the commutator
-        monkeypatch.setattr(core, "_commutator_and_kernel", lambda sys_, rel_tol: core._Commutator(
-            None, 0.0, True, np.eye(sys_.dim, dtype=complex)))
         systems = [
             [commuting_system, subspace_zero_system, generic_system][k % 3](2, 4, np.random.default_rng(5000 + k))
             for k in range(9)
@@ -923,7 +933,6 @@ class TestCouplingCache:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
-        monkeypatch.setattr(core, "spectral_norm", counting("norm", core.spectral_norm))
         dec = ife_sectors(sys_)
         ife_sectors_oracle(sys_)
         classify_pure(dec.sectors[0].basis[:, 0], sys_)
@@ -969,7 +978,6 @@ class TestCouplingCache:
 
         for name in ("eigh", "eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-        monkeypatch.setattr(core, "spectral_norm", counting("norm", core.spectral_norm))
         path = data_dir / "system_spin_star_n2.json"
         assert cli_main(["oracle-diff", str(path), "--out", str(tmp_path / "r.json")]) == 0
         assert calls == ["eigh"]
@@ -1147,7 +1155,6 @@ class TestPrincipalAngleOracle:
 
     def test_one_svd_call_per_eigenspace_size(self, monkeypatch):
         sys_ = build_spin_star(SpinStarParams(5, 1.0, 1.3, (1.0, 1.1, 1.2, 1.25, 1.3)))
-        core._commutator_and_kernel(sys_, DEFAULT_REL_TOL)  # the reported kernel's SVDs
         shapes = []
         original = np.linalg.svd
         monkeypatch.setattr(
@@ -1167,14 +1174,79 @@ class TestPrincipalAngleOracle:
 class TestFreeNorm:
     @settings(max_examples=60, deadline=None, database=None)
     @given(family=FAMILIES, dims=st.sampled_from(DIM_PAIRS), seed=st.integers(0, 2**32 - 1))
-    def test_equals_spectral_norm_of_h0(self, family, dims, seed):
+    def test_is_the_sum_of_the_subsystem_norms(self, family, dims, seed):
         sys_ = family_system(family, dims, np.random.default_rng(seed))
         value = core._free_norm(sys_)
         # both sides carry the backward error of a dense eigensolver or SVD,
-        # O(d eps) of the subsystem scale; H_0 may be 0 up to roundoff
+        # O(d eps) of the subsystem scale
         scale = spectral_norm(sys_.h_a) + spectral_norm(sys_.h_b)
         tol = 4 * sys_.dim * np.finfo(float).eps * scale
-        assert abs(value - spectral_norm(build_h0(sys_))) <= tol
+        assert abs(value - scale) <= tol
+        # an upper bound on ||H_0||, which may be 0 up to roundoff
+        assert spectral_norm(build_h0(sys_)) <= value + tol
+
+
+def cancelling_commuting_system(scale=1e4):
+    """A conjugated commuting system with ``h_a = -I`` and ``h_b = I``, every matrix times ``scale``.
+
+    ``H_0`` cancels to roundoff, but ``[H_0, H_I]`` keeps roundoff of about
+    ``eps (||h_a|| + ||h_b||) ||H_I||``: ``||C|| = 9.9e-8`` at ``scale = 1e4``.
+    """
+    base = commuting_system(2, 2, np.random.default_rng(250))
+    return BipartiteSystem(2, 2, scale * base.h_a, scale * base.h_b, scale * base.h_i)
+
+
+class TestCommutatorZeroThreshold:
+    """``[H_0, H_I]`` is zero below ``1e-12 * 2 (||h_a|| + ||h_b||) ||H_I||``, which never cancels."""
+
+    def test_cancelling_free_part_keeps_every_sector(self, tmp_path):
+        from ifestates.cli import main as cli_main
+        from ifestates.serialize import save_system
+
+        sys_ = cancelling_commuting_system()
+        assert np.allclose(sys_.h_a, -1e4 * np.eye(2), atol=1e-8)
+        assert np.allclose(sys_.h_b, 1e4 * np.eye(2), atol=1e-8)
+        com = core._commutator(sys_)
+        threshold = NUMERICAL_ZERO_RTOL * 2.0 * core._free_norm(sys_) * core._coupling_norm(sys_)
+        assert 1e-8 < com.norm < 1e-6 and threshold == pytest.approx(8.0e-4, rel=1e-9)
+        assert com.is_zero and commutator_with_zero_flag(sys_)[1]
+        direct, oracle = ife_sectors(sys_), ife_sectors_oracle(sys_)
+        assert direct.alphas == oracle.alphas == pytest.approx((-2e4, -1e4, 1e4))
+        assert dimensions(direct) == dimensions(oracle) == [2, 1, 1]
+        assert commutator_kernel(sys_).shape[1] == 4
+        path = tmp_path / "cancel.json"
+        save_system(sys_, path)
+        assert cli_main(["oracle-diff", str(path), "--out", str(tmp_path / "r.json")]) == 0
+
+
+class TestCommutatorKernel:
+    """One values-only SVD decides the rank; the vectors come from one thin SVD on demand."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(family=FAMILIES, dims=st.sampled_from(DIM_PAIRS), seed=st.integers(0, 2**32 - 1),
+           rel_tol=st.sampled_from([1e-10, 1e-6, 1e-2]))
+    def test_every_reading_of_the_kernel_agrees(self, family, dims, seed, rel_tol):
+        from ifestates.cli import main as cli_main
+        from ifestates.serialize import save_system
+
+        sys_ = family_system(family, dims, np.random.default_rng(seed))
+        kernel = commutator_kernel(sys_, rel_tol)
+        com = core._commutator(sys_)
+        assert com.is_zero == commutator_with_zero_flag(sys_)[1]
+        rank = 0 if com.is_zero else int(np.sum(com.s > rel_tol * com.s[0]))
+        assert kernel.shape == (sys_.dim, sys_.dim - rank)
+        assert ife_exists(sys_, rel_tol) == (rank < sys_.dim)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "system.json", Path(tmp) / "r.json"
+            save_system(sys_, path)
+            cli_main(["sectors", str(path), "--tol", repr(rel_tol), "--out", str(out)])
+            assert json.loads(out.read_text())["commutator_kernel_dimension"] == kernel.shape[1]
+        reference = np.eye(sys_.dim) if com.is_zero else null_space(com.comm, rel_tol)
+        assert reference.shape == kernel.shape
+        assert max_principal_angle(kernel, reference) <= 1e-12
+        for route in (ife_sectors, ife_sectors_oracle):
+            total = route(sys_, rel_tol).total_basis()
+            assert spectral_norm(total - kernel @ (kernel.conj().T @ total)) <= 1e-8
 
 
 class TestSectorInvariants:
@@ -1214,7 +1286,7 @@ class TestSectorInvariants:
             assert max_principal_angle(s1.basis, s2.basis) <= 1e-7
         total = direct.total_basis()
         assert np.allclose(total.conj().T @ total, np.eye(total.shape[1]), rtol=0.0, atol=1e-10)
-        kernel = direct.commutator_kernel
+        kernel = commutator_kernel(sys_)
         assert spectral_norm(total - kernel @ (kernel.conj().T @ total)) <= 1e-8
 
     @settings(max_examples=40, deadline=None, database=None)
@@ -1264,7 +1336,7 @@ class TestSectorInvariants:
             assert dec.alphas == pytest.approx((0.5,), abs=1e-8)
             assert dimensions(dec) == [2]
             assert subspace_equal(dec.sectors[0].basis, pair, 1e-7)
-            kernel = dec.commutator_kernel
+            kernel = commutator_kernel(sys_)
             assert spectral_norm(pair - kernel @ (kernel.conj().T @ pair)) <= 1e-8
         psi = pair @ np.array([1.0, 1.0j]) / np.sqrt(2.0)
         assert classify_pure(psi, sys_) == pytest.approx(dec.alphas[0], abs=1e-12)
@@ -1273,11 +1345,11 @@ class TestSectorInvariants:
 
 
 class TestRelTolValidation:
-    @ROUTES
+    @pytest.mark.parametrize("route", [ife_sectors, ife_sectors_oracle, ife_exists, commutator_kernel])
     @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), 0.0, -1e-10])
     @pytest.mark.parametrize("maker", [commuting_system, generic_system])
     def test_routes_reject_bad_rel_tol(self, route, rel_tol, maker):
-        # a commuting system never reaches a null_space call
+        # a commuting system takes no vectors SVD of its commutator
         sys_ = maker(2, 2, np.random.default_rng(0))
         with pytest.raises(ValueError, match="rel_tol must be a positive finite number"):
             route(sys_, rel_tol)

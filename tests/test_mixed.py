@@ -117,7 +117,7 @@ def mixed_test_state(dec, rng, p_coherent):
     """
     weights = rng.dirichlet(np.ones(dec.n_sectors))
     rho = random_ife_mixed(dec, weights, int(rng.integers(2**31)))
-    chi = random_state(dec.commutator_kernel.shape[0], rng)
+    chi = random_state(dec.dim, rng)
     for sector in dec.sectors:
         chi = chi + sector.basis @ random_state(sector.dimension, rng)
     chi /= np.linalg.norm(chi)
