@@ -19,7 +19,6 @@ basis and verifies each structural claim against the numerical pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from math import comb
 
 import numpy as np
@@ -47,17 +46,10 @@ from .linalg import (
 
 __all__ = [
     "PAULI_Z",
-    "PAULI_PLUS",
-    "PAULI_MINUS",
     "ResonanceError",
     "SpinStarParams",
     "DressedBasis",
     "ClaimResult",
-    "pauli_site",
-    "total_sz",
-    "total_splus",
-    "total_sminus",
-    "total_s_squared",
     "gamma_norm",
     "build_spin_star",
     "dressing_operator",
@@ -70,9 +62,6 @@ __all__ = [
 ]
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
-PAULI_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-PAULI_MINUS = PAULI_PLUS.conj().T
-_I2 = np.eye(2, dtype=complex)
 
 
 class ResonanceError(ValueError):
@@ -142,36 +131,6 @@ class ClaimResult:
     passed: bool
 
 
-def pauli_site(op, i: int, n: int) -> np.ndarray:
-    """Embed a single-spin operator at site ``i`` (0-based) of an n-spin chain."""
-    if not 0 <= i < n:
-        raise ValueError(f"site index {i} out of range for {n} spins")
-    mats = [_I2] * n
-    mats[i] = np.asarray(op, dtype=complex)
-    return reduce(np.kron, mats)
-
-
-def total_sz(n: int) -> np.ndarray:
-    """z component of the total spin of n spin-1/2 particles."""
-    return 0.5 * sum(pauli_site(PAULI_Z, i, n) for i in range(n))
-
-
-def total_splus(n: int) -> np.ndarray:
-    return sum(pauli_site(PAULI_PLUS, i, n) for i in range(n))
-
-
-def total_sminus(n: int) -> np.ndarray:
-    return sum(pauli_site(PAULI_MINUS, i, n) for i in range(n))
-
-
-def total_s_squared(n: int) -> np.ndarray:
-    """Total spin squared; eigenvalues r(r+1)."""
-    sz = total_sz(n)
-    sp = total_splus(n)
-    sm = total_sminus(n)
-    return sz @ sz + 0.5 * (sp @ sm + sm @ sp)
-
-
 def _site_sz_signs(n: int) -> np.ndarray:
     """(2^n, n) array of sigma_z values (+1 up / -1 down) per product state."""
     idx = np.arange(2 ** n)
@@ -194,18 +153,21 @@ def build_spin_star(p: SpinStarParams) -> BipartiteSystem:
     spins tensor-ordered 1..N, each with basis |up>, |down>.
     """
     n = p.n_spins
+    signs = _site_sz_signs(n)
     h_a = p.omega0 * PAULI_Z
-    h_b = p.omega * sum(pauli_site(PAULI_Z, i, n) for i in range(n))
-    h_i = sum(
-        g * (kron(PAULI_PLUS, pauli_site(PAULI_MINUS, i, n))
-             + kron(PAULI_MINUS, pauli_site(PAULI_PLUS, i, n)))
-        for i, g in enumerate(p.gammas)
-    )
+    # Scaled as a complex matrix: a negative omega gives its zeros the sign of omega * (0 + 0j).
+    h_b = p.omega * np.diag(signs.sum(axis=1).astype(complex))
+    # Each coupling term flips bath spin i: |+, i down> <-> |-, i up>.
+    h_i = np.zeros((2 * p.bath_dim, 2 * p.bath_dim), dtype=complex)
+    for i, g in enumerate(p.gammas):
+        up = np.flatnonzero(signs[:, i] > 0)
+        down = up + 2 ** (n - 1 - i)
+        h_i[down, p.bath_dim + up] = h_i[p.bath_dim + up, down] = g
     return BipartiteSystem(2, p.bath_dim, h_a, h_b, h_i)
 
 
 def dressing_operator(p: SpinStarParams, branch: str) -> np.ndarray:
-    """Diagonal dressing operator exp(sum_i g_i sigma_z^(i)) on the bath.
+    """Diagonal of the dressing operator exp(sum_i g_i sigma_z^(i)) on the bath.
 
     With ``g_i = +-(1/2) ln(gamma_i / gamma)`` (sign per branch) the
     similarity transform rescales each ``sigma_+-^(i)`` by
@@ -224,8 +186,7 @@ def dressing_operator(p: SpinStarParams, branch: str) -> np.ndarray:
     exponents = 0.5 * np.log(g / gamma_norm(g))
     if branch == "minus":
         exponents = -exponents
-    diag = np.exp(_site_sz_signs(p.n_spins) @ exponents)
-    return np.diag(diag).astype(complex)
+    return np.exp(_site_sz_signs(p.n_spins) @ exponents)
 
 
 def admissible_r(n: int) -> list[float]:
@@ -285,11 +246,17 @@ def _canonical_subspace_basis(basis: np.ndarray) -> np.ndarray:
     return np.column_stack(chosen)
 
 
-def _ladder_kernel(ladder: np.ndarray, n: int, m2: int) -> np.ndarray:
-    """Canonical orthonormal basis of Ker(ladder) within the 2 S_z = ``m2`` sector."""
-    sz2 = _site_sz_signs(n).sum(axis=1).astype(int)  # 2 * S_z per product state
-    sector = np.flatnonzero(sz2 == m2)
-    inner = null_space(ladder[:, sector])
+def _ladder_kernel(n: int, m2: int, raising: bool) -> np.ndarray:
+    """Canonical orthonormal basis of Ker(S_+) (``raising``) or Ker(S_-)
+    within the 2 S_z = ``m2`` sector."""
+    signs = _site_sz_signs(n)
+    sector = np.flatnonzero(signs.sum(axis=1) == m2)
+    # S_+ flips one down spin up (index - 2^(n-1-i)), S_- one up spin down.
+    cols, sites = np.nonzero(signs[sector] == (-1.0 if raising else 1.0))
+    step = 2 ** (n - 1 - sites)
+    ladder = np.zeros((2 ** n, sector.size), dtype=complex)
+    ladder[sector[cols] + (-step if raising else step), cols] = 1.0
+    inner = null_space(ladder)
 
     full = np.zeros((2 ** n, inner.shape[1]), dtype=complex)
     full[sector, :] = inner
@@ -306,8 +273,8 @@ def weight_basis(n: int, r: float, which: str = "highest") -> np.ndarray:
     if which not in ("highest", "lowest"):
         raise ValueError(f"which must be 'highest' or 'lowest', got {which!r}")
     if which == "highest":
-        return _ladder_kernel(total_splus(n), n, two_r)
-    return _ladder_kernel(total_sminus(n), n, -two_r)
+        return _ladder_kernel(n, two_r, True)
+    return _ladder_kernel(n, -two_r, False)
 
 
 def dressed_blocks(p: SpinStarParams) -> list[DressedBasis]:
@@ -316,15 +283,14 @@ def dressed_blocks(p: SpinStarParams) -> list[DressedBasis]:
     Blocks with different branch or different r are exactly orthogonal
     (distinct sigma_z or S_z eigenvalues); within a block the dressed
     vectors are re-orthonormalized because the dressing is not unitary.
-    Each branch builds its ladder operator once, for all r.
     """
     n = p.n_spins
     blocks = []
-    for branch, ladder, sign in (("plus", total_splus(n), 1), ("minus", total_sminus(n), -1)):
+    for branch, sign in (("plus", 1), ("minus", -1)):
         dressing = dressing_operator(p, branch)
         for r in admissible_r(n):
-            undressed = _ladder_kernel(ladder, n, sign * _check_r(n, r))
-            vectors = orthonormal_columns(dressing @ undressed)
+            undressed = _ladder_kernel(n, sign * _check_r(n, r), sign > 0)
+            vectors = orthonormal_columns(dressing[:, None] * undressed)
             blocks.append(DressedBasis(branch, r, vectors))
     return blocks
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,22 @@ from ifestates import BipartiteSystem
 from ifestates import core
 from ifestates.core import IfeDecomposition, IfeSector, _eig
 from ifestates.dynamics import _eig_overlap
+from ifestates.spin_star import (
+    PAULI_Z,
+    DressedBasis,
+    _canonical_subspace_basis,
+    _check_r,
+    _site_sz_signs,
+    admissible_r,
+    dressing_operator,
+)
 from ifestates.linalg import (
     DEFAULT_REL_TOL,
     HERMITIAN_RTOL,
     as_operator,
+    kron,
     null_space,
+    orthonormal_columns,
     require_hermitian,
     spectral_norm,
 )
@@ -360,3 +372,77 @@ def diagonal_multisector_system(rng, dim_a=2, dim_b=3, values=(-1.0, 0.5, 2.0)):
         np.diag(rng.integers(-2, 3, dim_b).astype(float)),
         np.diag(d_i),
     )
+
+
+PAULI_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+PAULI_MINUS = PAULI_PLUS.conj().T
+_I2 = np.eye(2, dtype=complex)
+
+
+def pauli_site(op, i, n):
+    """Embed a single-spin operator at site ``i`` (0-based) of an n-spin chain.
+
+    A dense Kronecker-chain reference: the package builds its spin-star
+    operators by flipping bits of the product-state index.
+    """
+    if not 0 <= i < n:
+        raise ValueError(f"site index {i} out of range for {n} spins")
+    mats = [_I2] * n
+    mats[i] = np.asarray(op, dtype=complex)
+    return reduce(np.kron, mats)
+
+
+def total_sz(n):
+    """z component of the total spin of n spin-1/2 particles."""
+    return 0.5 * sum(pauli_site(PAULI_Z, i, n) for i in range(n))
+
+
+def total_splus(n):
+    return sum(pauli_site(PAULI_PLUS, i, n) for i in range(n))
+
+
+def total_sminus(n):
+    return sum(pauli_site(PAULI_MINUS, i, n) for i in range(n))
+
+
+def total_s_squared(n):
+    """Total spin squared; eigenvalues r(r+1)."""
+    sz = total_sz(n)
+    sp = total_splus(n)
+    sm = total_sminus(n)
+    return sz @ sz + 0.5 * (sp @ sm + sm @ sp)
+
+
+def kron_spin_star(p):
+    """The spin-star system summed from Kronecker chains: a reference for ``build_spin_star``."""
+    n = p.n_spins
+    h_a = p.omega0 * PAULI_Z
+    h_b = p.omega * sum(pauli_site(PAULI_Z, i, n) for i in range(n))
+    h_i = sum(
+        g * (kron(PAULI_PLUS, pauli_site(PAULI_MINUS, i, n))
+             + kron(PAULI_MINUS, pauli_site(PAULI_PLUS, i, n)))
+        for i, g in enumerate(p.gammas)
+    )
+    return BipartiteSystem(2, p.bath_dim, h_a, h_b, h_i)
+
+
+def kron_dressed_blocks(p):
+    """``dressed_blocks`` from the dense ladders and a dense dressing matrix.
+
+    Each weight basis is the kernel of ``total_splus(n)[:, sector]`` (or
+    ``total_sminus``), canonicalized in the full bath space, and each block
+    is ``np.diag(d) @ undressed`` re-orthonormalized.
+    """
+    n = p.n_spins
+    sz2 = _site_sz_signs(n).sum(axis=1)
+    blocks = []
+    for branch, ladder, sign in (("plus", total_splus(n), 1), ("minus", total_sminus(n), -1)):
+        dressing = np.diag(dressing_operator(p, branch)).astype(complex)
+        for r in admissible_r(n):
+            sector = np.flatnonzero(sz2 == sign * _check_r(n, r))
+            inner = null_space(ladder[:, sector])
+            full = np.zeros((2 ** n, inner.shape[1]), dtype=complex)
+            full[sector, :] = inner
+            undressed = _canonical_subspace_basis(full)
+            blocks.append(DressedBasis(branch, r, orthonormal_columns(dressing @ undressed)))
+    return blocks

@@ -29,9 +29,9 @@ from ifestates.cli import main as cli_main
 from ifestates.dynamics import covariance_trace, energy_trace
 from ifestates.linalg import max_principal_angle
 from ifestates.serialize import canonical_dumps
-from ifestates.spin_star import PAULI_PLUS, PAULI_Z, admissible_r, dressing_operator, gamma_norm, pauli_site, total_sz
+from ifestates.spin_star import PAULI_Z, admissible_r, dressing_operator, gamma_norm
 
-from helpers import acceptance_systems, diagonal_multisector_system
+from helpers import PAULI_PLUS, acceptance_systems, diagonal_multisector_system, pauli_site, total_sz
 
 GRID = time_grid(10.0, 101)
 
@@ -234,8 +234,8 @@ def test_criterion_6_dressing_identities():
     for case in range(20):
         n = int(rng.integers(1, 7))
         params = SpinStarParams(n, 1.0, 0.5, tuple(rng.uniform(0.1, 2.0, n)))
-        a_plus = dressing_operator(params, "plus")
-        a_minus = dressing_operator(params, "minus")
+        a_plus = np.diag(dressing_operator(params, "plus"))
+        a_minus = np.diag(dressing_operator(params, "minus"))
         eye = np.eye(2 ** n)
         defect = np.abs(a_plus @ a_minus - eye).max()
         if defect > 1e-12:

@@ -302,13 +302,12 @@ class TestSpinStar:
             monkeypatch.setattr(module, name,
                                 lambda *a, **k: calls.append(name) or original(*a, **k))
 
-        for name in ("dressed_blocks", "total_splus", "total_sminus"):
-            counted(spin_star, name)
+        counted(spin_star, "dressed_blocks")
         counted(cli, "dressed_blocks")
         code = run_cli("spin-star", "--n", "4", "--omega0", "1.0", "--omega", "0.7",
                        "--gammas", "1,1.2,0.8,1.5", "--check-all", "--out", str(tmp_path / "r.json"))
         assert code == 0
-        assert sorted(calls) == ["dressed_blocks", "total_sminus", "total_splus"]
+        assert calls == ["dressed_blocks"]
 
     def test_bad_gammas_exit_one(self):
         assert run_cli("spin-star", "--n", "2", "--omega0", "1.0", "--omega", "0.7",

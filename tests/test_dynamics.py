@@ -21,7 +21,7 @@ from ifestates import (
 )
 from ifestates.dynamics import _CHUNK_ENTRIES
 from ifestates.linalg import kron
-from ifestates.spin_star import PAULI_Z, total_sz
+from ifestates.spin_star import PAULI_Z
 
 from helpers import (
     DIM_PAIRS,
@@ -32,6 +32,7 @@ from helpers import (
     generic_system,
     random_hermitian,
     random_state,
+    total_sz,
 )
 
 

@@ -17,11 +17,12 @@ from ifestates import (
     weight_basis,
 )
 from ifestates.linalg import commutator, kron, spectral_norm
-from ifestates.spin_star import (
+from ifestates.spin_star import PAULI_Z, admissible_r, dressed_blocks
+
+from helpers import (
     PAULI_PLUS,
-    PAULI_Z,
-    admissible_r,
-    dressed_blocks,
+    kron_dressed_blocks,
+    kron_spin_star,
     pauli_site,
     total_s_squared,
     total_sminus,
@@ -62,6 +63,46 @@ class TestBuildSpinStar:
             assert np.allclose(op, op.conj().T)
 
 
+def _seeded_stars():
+    rng = np.random.default_rng(13)
+    stars = [SpinStarParams(2, 1.0, 0.7, (3.0, 4.0))]
+    for n in range(1, 8):
+        omega0, omega = rng.uniform(-2.0, 2.0, 2)
+        stars.append(SpinStarParams(n, float(omega0), float(omega), tuple(rng.uniform(0.2, 2.0, n))))
+    return stars
+
+
+def _same_bits(a, b):
+    """Equal values, and equal signs of every zero (a -0 is written as "-0")."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+class TestBitFlipOperators:
+    """The bit-flip builders give the Kronecker-chain references bit for bit."""
+
+    @pytest.mark.parametrize("p", _seeded_stars(), ids=lambda p: f"n{p.n_spins}")
+    def test_system_matches_kronecker_reference(self, p):
+        built, reference = build_spin_star(p), kron_spin_star(p)
+        for name in ("h_a", "h_b", "h_i"):
+            assert _same_bits(getattr(built, name), getattr(reference, name)), name
+
+    def test_signed_zeros_of_negative_parameters(self):
+        p = SpinStarParams(3, -0.0, -1.3, (-0.5, 1.0, -0.25))
+        built, reference = build_spin_star(p), kron_spin_star(p)
+        assert np.signbit(reference.h_b.real).any()
+        for name in ("h_a", "h_b", "h_i"):
+            assert _same_bits(getattr(built, name), getattr(reference, name)), name
+
+    @pytest.mark.parametrize("p", _seeded_stars(), ids=lambda p: f"n{p.n_spins}")
+    def test_dressed_blocks_match_kronecker_reference(self, p):
+        built, reference = dressed_blocks(p), kron_dressed_blocks(p)
+        assert [(b.branch, b.r) for b in built] == [(b.branch, b.r) for b in reference]
+        for b, ref in zip(built, reference):
+            assert _same_bits(b.vectors, ref.vectors), (b.branch, b.r)
+
+
 class TestGammaNorm:
     def test_pythagorean(self):
         assert gamma_norm((3.0, 4.0)) == pytest.approx(5.0)
@@ -80,11 +121,11 @@ class TestGammaNorm:
 class TestDressingOperator:
     def test_n1_is_identity(self):
         p = SpinStarParams(1, 1.0, 0.5, (0.7,))
-        assert np.allclose(dressing_operator(p, "plus"), np.eye(2))
-        assert np.allclose(dressing_operator(p, "minus"), np.eye(2))
+        assert np.allclose(np.diag(dressing_operator(p, "plus")), np.eye(2))
+        assert np.allclose(np.diag(dressing_operator(p, "minus")), np.eye(2))
 
     def test_exponent_value(self, star_params_n2):
-        a_plus = dressing_operator(star_params_n2, "plus")
+        a_plus = np.diag(dressing_operator(star_params_n2, "plus"))
         # |up down> entry carries exp(g1 - g2) with g_i = ln(gamma_i/gamma)/2
         g1 = 0.5 * np.log(3.0 / 5.0)
         g2 = 0.5 * np.log(4.0 / 5.0)
@@ -95,7 +136,7 @@ class TestDressingOperator:
         rng = np.random.default_rng(0)
         for n in (1, 2, 3, 5, 6):
             p = SpinStarParams(n, 1.0, 0.3, tuple(rng.uniform(0.1, 2.0, n)))
-            prod = dressing_operator(p, "plus") @ dressing_operator(p, "minus")
+            prod = np.diag(dressing_operator(p, "plus")) @ np.diag(dressing_operator(p, "minus"))
             assert np.abs(prod - np.eye(2 ** n)).max() <= 1e-12
 
     def test_conjugation_rescales_ladder_operators(self):
@@ -103,15 +144,15 @@ class TestDressingOperator:
         n = 3
         p = SpinStarParams(n, 1.0, 0.3, tuple(rng.uniform(0.1, 2.0, n)))
         gamma = gamma_norm(p.gammas)
-        a_plus = dressing_operator(p, "plus")
-        a_minus = dressing_operator(p, "minus")
+        a_plus = np.diag(dressing_operator(p, "plus"))
+        a_minus = np.diag(dressing_operator(p, "minus"))
         for i, g_i in enumerate(p.gammas):
             lhs = a_minus @ pauli_site(PAULI_PLUS, i, n) @ a_plus
             rhs = pauli_site(PAULI_PLUS, i, n) * (gamma / g_i)
             assert np.abs(lhs - rhs).max() <= 1e-12
 
     def test_commutes_with_total_sz(self, star_params_n2):
-        a_plus = dressing_operator(star_params_n2, "plus")
+        a_plus = np.diag(dressing_operator(star_params_n2, "plus"))
         assert np.abs(commutator(a_plus, total_sz(2))).max() == 0.0
 
     def test_rejects_negative_coupling(self):
