@@ -14,6 +14,11 @@ hold numpy arrays as leaves: float64 vectors (1-D), emitted as their
 bytes of its list form; each row is formatted by one ``%`` over a
 ``%.17g`` template, the same conversion ``format(x, ".17g")`` makes.  Any
 other dtype or number of dimensions raises TypeError.
+
+System and state files are parsed with orjson.  The documents it rejects
+(``NaN``/``Infinity`` tokens, numbers beyond double range, lone
+surrogates) go to the standard-library parser, so a non-finite entry is
+still read and then rejected with its field named.
 """
 
 from __future__ import annotations
@@ -165,26 +170,42 @@ def sha256_digest(path) -> str:
 
 
 def _holds_bool(value) -> bool:
-    if isinstance(value, list):
-        return any(map(_holds_bool, value))
-    return value is True or value is False
+    # Iterative: a parsed document may nest deeper than the recursion limit.
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        elif item is True or item is False:
+            return True
+    return False
 
 
 def _load_object(path, pair_fields: tuple[str, ...]) -> dict:
     """The top-level object of a system or state file.
 
+    orjson parses the file; ``json`` reads only what orjson rejects, so
+    that ``NaN``, numbers beyond double range and lone surrogates are
+    handled as they always were.  Text that is not UTF-8, or nests too
+    deeply for ``json``, is reported as not valid JSON.
+
     numpy reads a JSON ``true`` as 1.0, so a boolean inside one of the
-    ``pair_fields`` is rejected here.  One can occur only where the text
+    ``pair_fields`` is rejected here.  One can occur only where the file
     holds a ``true`` or ``false`` token, so the fields are scanned only then.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    import orjson  # here: commands that read no file (--version, spin-star) skip its slow import
+
+    raw = Path(path).read_bytes()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+        data = orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        try:
+            data = json.loads(raw.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: top-level value must be an object")
-    if "true" in text or "false" in text:
+    if b"true" in raw or b"false" in raw:
         for field in pair_fields:
             if _holds_bool(data.get(field)):
                 raise ValueError(f"{path}: field {field!r} holds a boolean, not a number")

@@ -6,8 +6,10 @@ import json
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import orjson
 
 from ifestates import BipartiteSystem
 from ifestates import core
@@ -285,6 +287,29 @@ def edited_copy(src, dst, field, index, value):
         doc[field] = value
     Path(dst).write_text(json.dumps(doc), encoding="utf-8")
     return dst
+
+
+def stdlib_decoded(load, path):
+    """``load(path)`` with orjson rejecting every document, so ``json`` decodes it.
+
+    The standard-library reference for the file loaders, which read with
+    orjson and fall back to ``json`` only for what orjson rejects.
+    """
+    def reject(data):
+        raise orjson.JSONDecodeError("rejected for the reference", "", 0)
+
+    with mock.patch.object(orjson, "loads", reject):
+        return load(path)
+
+
+def assert_same_bits(a, b):
+    """Equal shapes, dtypes, values and signs of zero: the same bits for finite floats."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    if np.iscomplexobj(a):
+        a, b = np.ascontiguousarray(a).view(np.float64), np.ascontiguousarray(b).view(np.float64)
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def commuting_system(dim_a, dim_b, rng, conjugate=True):

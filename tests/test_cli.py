@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 import ifestates.cli as cli
@@ -160,6 +161,66 @@ class TestSectors:
         assert f"error: resonance: {batch / 'resonance.json'}: omega0 == omega" in err
         # files after a failure are still processed
         assert json.loads((batch / "reports" / "ok.report.json").read_text())["exit_code"] == 0
+
+    # h_a nested 100 000 levels deep, read three ways: orjson parses it and
+    # numpy rejects the depth; a ``true`` inside makes the boolean scan walk
+    # it; a NaN elsewhere sends the file to ``json``, which hits its
+    # recursion limit.  (inner text, h_i[0][0][0], error when orjson reads it)
+    DEEP = {
+        "plain": ("", None, "field 'h_a' must be a square matrix"),
+        "bool": ("true", None, "field 'h_a' holds a boolean"),
+        "nan": ("", float("nan"), None),
+    }
+
+    def deep_copy(self, star_file, path, variant):
+        """Write the deep copy to ``path``; return the error it must give."""
+        inner, h_i_entry, message = self.DEEP[variant]
+        doc = json.loads(Path(star_file).read_text(encoding="utf-8"))
+        doc["h_a"] = "@deep@"
+        if h_i_entry is not None:
+            doc["h_i"][0][0][0] = h_i_entry
+        depth = 100_000
+        path.write_text(json.dumps(doc).replace('"@deep@"', "[" * depth + inner + "]" * depth),
+                        encoding="utf-8")
+        try:
+            orjson.loads(path.read_bytes())
+        except orjson.JSONDecodeError:  # the NaN, or an orjson that caps the depth
+            return "not valid JSON: maximum recursion depth exceeded"
+        return message
+
+    @pytest.mark.parametrize("variant", DEEP)
+    def test_deep_nesting_exit_one(self, star_file, tmp_path, capsys, variant):
+        path = tmp_path / "deep.json"
+        message = self.deep_copy(star_file, path, variant)
+        assert run_cli("sectors", str(path)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("variant", DEEP)
+    def test_batch_goes_past_deep_file(self, star_file, tmp_path, capsys, variant):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        message = self.deep_copy(star_file, batch / "a_deep.json", variant)
+        shutil.copy(star_file, batch / "b_ok.json")
+        assert run_cli("sectors", str(batch), "--batch", "--out", str(tmp_path / "reports")) == 1
+        assert f"{batch / 'a_deep.json'}: {message}" in capsys.readouterr().err
+        report = json.loads((tmp_path / "reports" / "b_ok.report.json").read_text())
+        assert report["exit_code"] == 0
+
+    def test_undecodable_bytes_exit_one(self, star_file, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(Path(star_file).read_bytes().replace(b"spin-star", b"spin\xffstar"))
+        assert run_cli("sectors", str(path)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: not valid JSON: 'utf-8' codec can't decode byte 0xff" in err
+
+    def test_twenty_digit_dim_exit_one(self, star_file, tmp_path, capsys):
+        # orjson reads an integer beyond 2**64 as a float, so the dimension
+        # itself is rejected; json kept the integer and failed at 'h_a'.
+        path = edited_copy(star_file, tmp_path / "bad.json", "dim_a", (), 99999999999999999999)
+        assert run_cli("sectors", str(path)) == 1
+        assert f"error: {path}: field 'dim_a' must be a positive integer" in capsys.readouterr().err
 
     def test_golden_report(self, star_file, data_dir, tmp_path):
         out = tmp_path / "report.json"

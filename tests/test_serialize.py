@@ -1,8 +1,10 @@
 import json
 import re
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,10 +23,12 @@ from ifestates.serialize import (
 
 from helpers import (
     MALFORMED_FIELDS,
+    assert_same_bits,
     edited_copy,
     generic_system,
     matrix_to_pairs,
     random_hermitian,
+    stdlib_decoded,
     vector_to_pairs,
 )
 
@@ -73,6 +77,29 @@ def _report_pairs(draw):
         "state": {"vector": vector_to_pairs(vector)},
     }
     return doc, ref
+
+
+# Number literals both parsers must read alike: the 17-digit and shortest
+# float forms, literals below the smallest subnormal, and integers around
+# and beyond the 64-bit range, which orjson reads as floats.
+NUMBER_TOKENS = st.one_of(
+    FLOATS.map(repr),
+    FLOATS.map(lambda x: format(x, ".17g")),
+    st.sampled_from(["1e-400", "-1e-400", str(2 ** 63), str(-2 ** 63), str(2 ** 64), str(-2 ** 64)]),
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+)
+
+
+@st.composite
+def _pair_matrix_texts(draw):
+    """A document ``{"h": ...}`` holding an n x n matrix of ``[re, im]`` pairs."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return canonical_dumps({"h": draw(_complex_arrays((n, n)))})
+    tokens = draw(st.lists(NUMBER_TOKENS, min_size=2 * n * n, max_size=2 * n * n))
+    pairs = [f"[{re}, {im}]" for re, im in zip(tokens[::2], tokens[1::2])]
+    rows = ["[" + ", ".join(pairs[i:i + n]) + "]" for i in range(0, n * n, n)]
+    return '{"h": [' + ", ".join(rows) + "]}"
 
 
 class TestCanonicalJson:
@@ -169,6 +196,99 @@ class TestMalformedFields:
         path = edited_copy(data_dir / "system_spin_star_n2.json", tmp_path / "s.json",
                            "label", (), "true or false")
         assert load_system(path)[1] == "true or false"
+
+
+def _with_token(src, dst, field, index, token):
+    """``edited_copy`` with the raw JSON ``token`` at ``doc[field][index...]``."""
+    edited_copy(src, dst, field, index, "@token@")
+    Path(dst).write_text(Path(dst).read_text(encoding="utf-8").replace('"@token@"', token),
+                         encoding="utf-8")
+    return dst
+
+
+DATA_DIR = Path(__file__).parent / "data"
+
+
+def _data_files(prefixes):
+    return sorted(p.name for p in DATA_DIR.glob("*.json") if p.name.startswith(prefixes))
+
+
+# A loader call on the default path, and with orjson patched out.
+BOTH_PATHS = pytest.mark.parametrize(
+    "read", [lambda load, path: load(path), stdlib_decoded], ids=["default", "stdlib"])
+
+
+class TestParsers:
+    """orjson reads the files; ``json`` reads only the documents orjson rejects."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(text=_pair_matrix_texts())
+    def test_orjson_reads_what_json_reads(self, text):
+        fast, ref = orjson.loads(text.encode("utf-8"))["h"], json.loads(text)["h"]
+        assert_same_bits(np.asarray(fast, dtype=float), np.asarray(ref, dtype=float))
+        assert_same_bits(pairs_to_matrix(fast, "h"), pairs_to_matrix(ref, "h"))
+
+    @pytest.mark.parametrize("name", _data_files(("system", "state", "rho")))
+    def test_data_files_match_stdlib_reference(self, data_dir, monkeypatch, name):
+        path = data_dir / name
+        load = load_system if name.startswith("system") else load_state
+
+        def outcome(read):
+            try:
+                return read(load, path)
+            except ValueError as exc:
+                return str(exc)
+
+        ref = outcome(stdlib_decoded)
+
+        def not_json(*args, **kwargs):
+            raise AssertionError("json.loads called on a document orjson reads")
+
+        monkeypatch.setattr(json, "loads", not_json)
+        fast = outcome(lambda load, path: load(path))
+        with pytest.raises(AssertionError, match="json.loads called"):
+            stdlib_decoded(load, path)
+        if isinstance(ref, str):  # a file that is meant to fail its check
+            assert fast == ref and "not Hermitian" in ref
+        elif name.startswith("system"):
+            (sys_, label), (ref_sys, ref_label) = fast, ref
+            assert label == ref_label
+            for field in ("h_a", "h_b", "h_i"):
+                assert_same_bits(getattr(sys_, field), getattr(ref_sys, field))
+        else:
+            assert (fast["kind"], fast["label"]) == (ref["kind"], ref["label"])
+            assert_same_bits(fast["value"], ref["value"])
+
+    @BOTH_PATHS
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "-1E400"])
+    def test_non_finite_literal_named(self, data_dir, tmp_path, read, token):
+        path = _with_token(data_dir / "system_spin_star_n2.json", tmp_path / "bad.json",
+                           "h_i", (0, 0, 0), token)
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(path.read_bytes())
+        with pytest.raises(ValueError) as info:
+            read(load_system, path)
+        assert str(info.value) == f"{path}: field 'h_i' has non-finite entries"
+
+    @BOTH_PATHS
+    def test_lone_surrogate_label_kept(self, data_dir, tmp_path, read):
+        path = _with_token(data_dir / "system_spin_star_n2.json", tmp_path / "s.json",
+                           "label", (), '"\\ud800"')
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(path.read_bytes())
+        assert read(load_system, path)[1] == "\ud800"
+
+    @BOTH_PATHS
+    @pytest.mark.parametrize("text", ["{not json", "\ufeff{}", '{"dim_a": 2,}', ""],
+                             ids=["not_json", "bom", "trailing_comma", "empty"])
+    def test_not_json_message_unchanged(self, tmp_path, read, text):
+        path = tmp_path / "broken.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as ref:
+            json.loads(text)
+        with pytest.raises(ValueError) as info:
+            read(load_system, path)
+        assert str(info.value) == f"{path}: not valid JSON: {ref.value}"
 
 
 class TestPairCodecs:
