@@ -136,8 +136,14 @@ _FAILURES = tuple(t for types, _, _ in _EXIT_TABLE for t in types)
 
 
 def _fail(exc: Exception, where: str = "") -> int:
-    """Report one of the ``_FAILURES`` on stderr and return its exit code."""
+    """Report one of the ``_FAILURES`` on stderr and return its exit code.
+
+    ``where`` (``"<path>: "``) is left out when the message already starts
+    with it, as the loaders' messages do, so the line names the file once.
+    """
     code, prefix = next((c, p) for types, c, p in _EXIT_TABLE if isinstance(exc, types))
+    if str(exc).startswith(where):
+        where = ""
     print(f"error: {prefix}{where}{exc}", file=sys.stderr)
     return code
 

@@ -37,8 +37,11 @@ _IMAG_TOL = 1e-10
 # Complex entries of one evolved ``d x m_chunk x T`` block: the pure-state
 # tracer takes as many columns per matrix product as fit, at least one, so
 # its working set stays a few MB whatever the number of states.  The
-# density-matrix deviation sizes its ``c x d x d`` stacks of grid times by
-# the same rule.
+# density-matrix deviation sizes its stacks by the same rule: the dense
+# form's ``c x d x d`` stacks of grid times, and the frequency form's slabs
+# of rows (at most four of these per slab) and their stacks of grid times.
+# Where one time fills a dense stack (``d >= 91``) the frequency form may
+# take over.
 _CHUNK_ENTRIES = 2**14
 
 

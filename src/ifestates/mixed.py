@@ -12,16 +12,23 @@ tracer, :func:`trace_density_matrix`, works in the eigenbases of
 ``H = V diag(w) V^H`` and ``H_0 = V0 diag(w0) V0^H``, cached on the system:
 ``rho(t)`` is ``V (P(t) o rho~) V^H`` with ``rho~ = V^H rho V`` and the
 phase matrix ``P(t) = p p^H``, ``p = exp(-i w t)`` (``o`` is the entrywise
-product).  The deviation takes the grid in blocks of times sized by the
-pure-state tracer's ``_CHUNK_ENTRIES`` rule, one stacked pair of matrix
-products per block.
+product).  The deviation has two forms.  The dense form takes the grid in
+blocks of times sized by the pure-state tracer's ``_CHUNK_ENTRIES`` rule,
+one stacked pair of matrix products per block.  The frequency form expands
+the free evolution over the Bohr frequencies of ``H_0``, one ``d x d``
+term per frequency, and phases the terms for all grid times with one
+``(times x frequencies) @ (frequencies x entries)`` product, taken in slabs
+of rows; it runs at ``d >= 91`` when a flop count says it is cheaper (see
+:func:`_deviation`).
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .core import BipartiteSystem, IfeDecomposition, _eig
+from .core import NUMERICAL_ZERO_RTOL, BipartiteSystem, IfeDecomposition, _cached, _eig, _free_norm
 from .dynamics import (
     _CHUNK_ENTRIES,
     EvolutionReport,
@@ -136,18 +143,166 @@ def random_ife_mixed(dec: IfeDecomposition, weights, seed: int) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
+class _FreeFrequencies(NamedTuple):
+    """The levels of ``H_0`` and the Bohr frequencies between them."""
+
+    bounds: np.ndarray  # level a is eigenvalues bounds[a]:bounds[a + 1] of eigh(H_0)
+    nu: np.ndarray  # the Q Bohr frequencies
+    pair: np.ndarray  # K x K: e_a - e_b is the frequency nu[pair[a, b]]
+    spread: float  # bound on |w0_i - w0_j - nu[pair[a, b]]| for i in level a, j in level b
+
+
+def _snap(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Single-linkage cluster of each value of an ascending array, and the cluster means.
+
+    The rule of ``core._cluster_ranges``, vectorized for the ``K^2`` level
+    differences.
+    """
+    cluster = np.concatenate(([0], np.cumsum(np.diff(values) > tol)))
+    return cluster, np.bincount(cluster, weights=values) / np.bincount(cluster)
+
+
+def _free_frequencies(sys: BipartiteSystem) -> _FreeFrequencies:
+    """Levels ``e_a`` of ``H_0`` and Bohr frequencies ``nu_q``, once per system.
+
+    Eigenvalues of ``H_0`` whose sorted gaps are at most ``tol =
+    NUMERICAL_ZERO_RTOL * max(1, ||h_a|| + ||h_b||)`` (the scale of the
+    commutator's zero test) form one level, at their mean; the differences
+    ``e_a - e_b`` are grouped into frequencies at the same ``tol``.  Should
+    a chain of differences closer than ``tol`` give one level two partners
+    at one frequency, every difference is kept as a frequency of its own,
+    so that ``pair[:, b]`` never repeats a frequency.
+    """
+    def compute():
+        w0 = _eig(sys, free=True)[0]
+        tol = NUMERICAL_ZERO_RTOL * max(1.0, _free_norm(sys))
+        level, levels = _snap(w0, tol)
+        k = levels.size
+        diffs = np.subtract.outer(levels, levels).ravel()  # entry a * k + b is e_a - e_b
+        order = np.argsort(diffs, kind="stable")
+        freq = np.empty(k * k, dtype=np.intp)
+        freq[order], nu = _snap(diffs[order], tol)
+        if np.unique(freq * k + np.arange(k * k) % k).size < k * k:  # a repeat in a column
+            freq[order], nu = np.arange(k * k), diffs[order]
+        spread = 2.0 * np.abs(w0 - levels[level]).max() + np.abs(diffs - nu[freq]).max()
+        bounds = np.searchsorted(level, np.arange(k + 1))
+        return _FreeFrequencies(bounds, nu, freq.reshape(k, k), float(spread))
+
+    return _cached(sys, "free_frequencies", compute)
+
+
+def _uses_frequencies(sys: BipartiteSystem, steps: int) -> bool:
+    """Whether :func:`_deviation` takes the frequency form for a grid of ``steps`` times.
+
+    Only where the dense form takes one time per block (``d >= 91``) and
+    the flop count ``(K + 1) d^3 + T Q d^2`` of the frequency form is below
+    the dense form's ``2 T d^3``.
+    """
+    d = sys.dim
+    if _CHUNK_ENTRIES // d**2 > 1:
+        return False
+    freq = _free_frequencies(sys)
+    return (freq.pair.shape[0] + 1) * d + steps * freq.nu.size < 2 * steps * d
+
+
+def _hermitian_deviation_squares(sys: BipartiteSystem, rho, rho_eig, times) -> np.ndarray:
+    """``||rho(t) - rho_0(t)||_F^2`` at each time for a Hermitian ``rho``, by frequencies.
+
+    The free side is ``W (P0(t) o rho~0) W^H = sum_q exp(-i nu_q t) S_q``
+    with ``S_q = sum over e_a - e_b = nu_q of W_a rho~0_ab W_b^H``
+    (``W_a`` the columns of ``W`` of level ``a``).  The difference from
+    ``P(t) o rho~`` is Hermitian, so each slab of rows ``R`` of it is
+    formed from column ``R[0]`` on: the diagonal block counts once, the
+    block to its right twice.  Per slab, ``Z_a = W_a[R] rho~0[a, :]`` (one
+    product per level, ``d^3`` in all); ``X_q``, the column blocks ``b`` of
+    ``Z_a`` with ``e_a - e_b = nu_q``, gathered for every ``q``; ``S_q[R] =
+    X_q W^H`` as one ``Q |R| x d`` product (``Q d^3 / 2`` in all); then, for
+    each row, the grid as ``(c x Q) @ (Q x d)`` products with ``c`` times
+    per product, as many as keep the slab's ``c x |R| x d`` stack within
+    ``_CHUNK_ENTRIES``.  The slab height keeps the ``(K + 1 + 2 Q) |R| d``
+    entries of ``Z``, ``X`` and ``S`` within ``4 * _CHUNK_ENTRIES``.
+    """
+    w = _eig(sys)[0]
+    v0 = _eig(sys, free=True)[1]
+    rho0_eig = v0.conj().T @ rho @ v0
+    overlap = _eig_overlap(sys)
+    overlap_h = overlap.conj().T
+    freq = _free_frequencies(sys)
+    d, levels, n_freq = sys.dim, freq.pair.shape[0], freq.nu.size
+    blocks = [slice(lo, hi) for lo, hi in zip(freq.bounds[:-1], freq.bounds[1:])]
+    # partner[q, b]: the level a with e_a - e_b = nu_q, else levels (a zero block)
+    partner = np.full((n_freq, levels), levels)
+    partner[freq.pair, np.arange(levels)] = np.arange(levels)[:, None]
+    # entry q * d + j: where column j of X_q sits in a slab's [Z_0 ... Z_{K-1}, 0]
+    level = np.repeat(np.arange(levels), np.diff(freq.bounds))
+    source = (partner[:, level] * d + np.arange(d)).ravel()
+    free_phases = np.exp(-1j * np.outer(times, freq.nu))  # row k is exp(-i nu t_k)
+    p = np.exp(-1j * np.outer(times, w))
+    squares = np.zeros(times.size)
+
+    def add_slab(lo: int, hi: int) -> None:
+        # a function, so that each slab's stacks are freed before the next;
+        # the stacks are ordered (row, frequency or time, column)
+        height, width = hi - lo, d - lo
+        left = np.zeros((height, levels + 1, d), dtype=complex)
+        for a, block in enumerate(blocks):
+            np.matmul(overlap[lo:hi, block], rho0_eig[block], out=left[:, a])
+        terms = np.take(left.reshape(height, -1), source, axis=1).reshape(-1, d)
+        del left
+        terms = (terms @ overlap_h[:, lo:]).reshape(height, n_freq, width)
+        chunk = max(1, _CHUNK_ENTRIES // terms[:, 0].size)
+        for t in range(0, times.size, chunk):
+            step = slice(t, t + chunk)
+            diff = free_phases[step] @ terms
+            full = p[step, lo:hi].T[:, :, None] * rho_eig[lo:hi, None, lo:]
+            full *= p[step, lo:].conj()
+            diff -= full
+            del full
+            sq = np.square(diff.view(float), out=diff.view(float))
+            squares[step] += sq[:, :, :2 * height].sum(axis=(0, 2)) \
+                + 2.0 * sq[:, :, 2 * height:].sum(axis=(0, 2))
+
+    rows = max(1, 4 * _CHUNK_ENTRIES // ((levels + 1 + 2 * n_freq) * d))
+    for lo in range(0, d, rows):
+        add_slab(lo, min(d, lo + rows))
+    return squares
+
+
 def _deviation(sys: BipartiteSystem, rho, rho_eig, times) -> np.ndarray:
     """``||rho(t) - rho_0(t)||_F`` at each time, given ``rho~ = V^H rho V``.
 
     ``= ||P(t) o rho~ - W (P0(t) o rho~0) W^H||_F`` in the eigenbasis of
-    ``H``, with ``rho~0 = V0^H rho V0`` and ``W = V^H V0``.  The grid is
-    taken in blocks of ``c = max(1, _CHUNK_ENTRIES // d^2)`` times: the
-    ``c x d x d`` stacks of both Hadamard products are formed by
-    broadcasting, and the block takes one stacked ``W @ X @ W^H`` and one
-    stacked norm.  At ``d >= 91`` a block is one time: two ``d x d``
-    products per step.  A function of its own, so that ``rho~0``, ``W^H``
-    and the last block are freed before the energies are traced.
+    ``H``, with ``rho~0 = V0^H rho V0`` and ``W = V^H V0``.
+
+    Dense form: the grid is taken in blocks of ``c = max(1, _CHUNK_ENTRIES
+    // d^2)`` times; the ``c x d x d`` stacks of both Hadamard products are
+    formed by broadcasting, and the block takes one stacked ``W @ X @ W^H``
+    and one stacked norm.  At ``d >= 91`` a block is one time: two ``d x
+    d`` products per step.
+
+    Frequency form, where :func:`_uses_frequencies` selects it (``d >= 91``
+    and ``(K + 1) d^3 + T Q d^2 < 2 T d^3`` for ``K`` levels and ``Q``
+    Bohr frequencies of ``H_0``): see :func:`_hermitian_deviation_squares`.
+    A ``rho`` that is not exactly Hermitian is split as ``A + i B`` with
+    ``A``, ``B`` Hermitian; the squares add, because the deviation map
+    ``L`` keeps Hermiticity and ``Tr(L(A) L(B))`` is real.  Snapping each
+    eigenvalue to its level and each level difference to its frequency
+    moves every phase rate by at most ``spread``, so the result differs
+    from the dense form by at most ``spread * max|t| * ||rho||_F`` beyond
+    roundoff.
+
+    A function of its own, so that ``rho~0`` and the last block are freed
+    before the energies are traced.
     """
+    if _uses_frequencies(sys, times.size):
+        if np.array_equal(rho, rho.conj().T):
+            return np.sqrt(_hermitian_deviation_squares(sys, rho, rho_eig, times))
+        squares = 0.0
+        for sign, scale in ((1.0, 2.0), (-1.0, 2j)):  # A and B of rho = A + i B
+            squares = squares + _hermitian_deviation_squares(
+                sys, (rho + sign * rho.conj().T) / scale,
+                (rho_eig + sign * rho_eig.conj().T) / scale, times)
+        return np.sqrt(squares)
     w = _eig(sys)[0]
     w0, v0 = _eig(sys, free=True)
     rho0_eig = v0.conj().T @ rho @ v0

@@ -159,6 +159,12 @@ class TestSectors:
         assert f"error: numerical failure: {batch / 'linalg.json'}: SVD did not converge" in err
         assert f"error: {batch / 'malformed.json'}: " in err
         assert f"error: resonance: {batch / 'resonance.json'}: omega0 == omega" in err
+        # each line names its file once, whether or not the loader's message names it too
+        lines = err.splitlines()
+        assert len(lines) == 3
+        for name in ("linalg", "malformed", "resonance"):
+            line, = (text for text in lines if f"{name}.json" in text)
+            assert line.count(str(batch / f"{name}.json")) == 1, line
         # files after a failure are still processed
         assert json.loads((batch / "reports" / "ok.report.json").read_text())["exit_code"] == 0
 

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ifestates import (
+    BipartiteSystem,
+    SpinStarParams,
     build_h0,
+    build_spin_star,
     build_total,
     check_density_matrix,
     classify_pure,
@@ -21,7 +24,8 @@ from ifestates import (
 )
 from ifestates.dynamics import _CHUNK_ENTRIES
 from ifestates.linalg import kron
-from ifestates.mixed import block_structure_residuals
+from ifestates import mixed
+from ifestates.mixed import _free_frequencies, _uses_frequencies, block_structure_residuals
 
 from helpers import (
     DIM_PAIRS,
@@ -31,7 +35,9 @@ from helpers import (
     generic_system,
     per_step_mixed_deviation,
     project_to_sectors,
+    random_hermitian,
     random_state,
+    random_unitary,
 )
 
 
@@ -402,13 +408,19 @@ class TestBlockedDeviation:
         assert_allclose(report.deviation, expected, rtol=0, atol=agreement_tol(sys_))
         assert report.max_deviation == report.deviation.max()
 
-    @pytest.mark.parametrize("dims", [(4, 8), (8, 16)])
-    def test_working_set_is_a_few_blocks(self, dims):
-        # a full T x d x d stack would be 26 MiB at d = 128
+    @pytest.mark.parametrize("dims, family", [
+        pytest.param((4, 8), generic_system, id="dims0"),
+        pytest.param((8, 16), generic_system, id="dims1"),
+        pytest.param((4, 32), commuting_system, id="frequency_form"),
+    ])
+    def test_working_set_is_a_few_blocks(self, dims, family):
+        # a full T x d x d stack would be 26 MiB at d = 128, and so would the
+        # frequency form's T x Q x d x d stack of phased terms
         rng = np.random.default_rng(61)
-        sys_ = generic_system(*dims, rng)
+        sys_ = family(*dims, rng)
         rho = random_density_matrix(sys_.dim, rng)
         times = time_grid(10.0, 101)
+        assert _uses_frequencies(sys_, times.size) == (family is commuting_system)
         trace_density_matrix(sys_, rho, times, energies=True)  # warm the spectra cache
         tracemalloc.start()
         try:
@@ -417,3 +429,122 @@ class TestBlockedDeviation:
         finally:
             tracemalloc.stop()
         assert peak < (8 * sys_.dim**2 + 6 * _CHUNK_ENTRIES) * 16
+
+
+# H_0 has 14 levels and 31 Bohr frequencies.
+STAR_N6 = SpinStarParams(6, 1.0, 0.4, (1.0, 1.1, 1.2, 1.3, 1.4, 1.5))
+
+
+@pytest.fixture(scope="module", params=["commuting", "star"])
+def degenerate_128(request):
+    """A d = 128 system with a degenerate ``H_0`` and its sectors."""
+    if request.param == "commuting":
+        sys_ = commuting_system(4, 32, np.random.default_rng(70))
+        return sys_, ife_sectors(sys_)
+    return build_spin_star(STAR_N6), spin_star_ife_basis(STAR_N6)
+
+
+def frequency_test_states(dec, rng):
+    """An IFE sample, a full-rank non-IFE state and a non-Hermitian matrix."""
+    ife = random_ife_mixed(dec, np.full(dec.n_sectors, 1.0 / dec.n_sectors), 7)
+    z = rng.standard_normal((dec.dim,) * 2) + 1j * rng.standard_normal((dec.dim,) * 2)
+    return {"ife": ife, "full_rank": random_density_matrix(dec.dim, rng),
+            "non_hermitian": z / np.linalg.norm(z)}
+
+
+class TestFrequencyForm:
+    """The deviation through the Bohr frequencies of a degenerate ``H_0`` (d >= 91)."""
+
+    @pytest.mark.parametrize("steps", [26, 101])
+    def test_agrees_with_per_step_formula(self, degenerate_128, steps):
+        sys_, dec = degenerate_128
+        assert _uses_frequencies(sys_, steps)
+        times = np.linspace(0.5, 10.0, steps)
+        for name, rho in frequency_test_states(dec, np.random.default_rng(71)).items():
+            report = trace_density_matrix(sys_, rho, times)
+            expected = per_step_mixed_deviation(sys_, rho, times)
+            assert_allclose(report.deviation, expected, rtol=0, atol=agreement_tol(sys_),
+                            err_msg=name)
+            if name == "ife":
+                assert report.max_deviation <= agreement_tol(sys_)
+            else:
+                assert expected.max() > 1e-2
+
+    def test_local_unitary_invariance(self, degenerate_128):
+        # (U_a (x) U_b) rho (U_a (x) U_b)^H on the locally rotated system
+        # evolves as rho does on the original, so the deviation is the same
+        sys_, dec = degenerate_128
+        rng = np.random.default_rng(72)
+        u_a, u_b = random_unitary(sys_.dim_a, rng), random_unitary(sys_.dim_b, rng)
+        u = kron(u_a, u_b)
+        rotated = BipartiteSystem(sys_.dim_a, sys_.dim_b, u_a @ sys_.h_a @ u_a.conj().T,
+                                  u_b @ sys_.h_b @ u_b.conj().T, u @ sys_.h_i @ u.conj().T)
+        times = time_grid(10.0, 26)
+        assert _uses_frequencies(rotated, times.size)
+        for name, rho in frequency_test_states(dec, rng).items():
+            original = trace_density_matrix(sys_, rho, times).deviation
+            turned = trace_density_matrix(rotated, u @ rho @ u.conj().T, times).deviation
+            assert_allclose(turned, original, rtol=0, atol=agreement_tol(sys_), err_msg=name)
+
+    @pytest.mark.parametrize("make, steps", [
+        pytest.param(lambda rng: generic_system(8, 16, rng), 101, id="generic_128"),
+        pytest.param(lambda rng: commuting_system(3, 30, rng), 101, id="commuting_90"),
+        pytest.param(lambda rng: build_spin_star(SpinStarParams(4, 1.0, 0.4, (1.0, 1.1, 1.2, 1.3))),
+                     101, id="star_32"),
+        pytest.param(lambda rng: build_spin_star(STAR_N6), 1, id="star_128_one_step"),
+        *(pytest.param(lambda rng, dims=dims: diagonal_multisector_system(rng, *dims), 101,
+                       id=f"diagonal_{dims[0]}x{dims[1]}") for dims in DIM_PAIRS),
+    ])
+    def test_dense_form_elsewhere(self, make, steps, monkeypatch):
+        # a nondegenerate H_0, d < 91, and a grid too short to pay for the terms
+        rng = np.random.default_rng(73)
+        sys_ = make(rng)
+        assert not _uses_frequencies(sys_, steps)
+
+        def refuse(*args):
+            raise AssertionError("frequency form taken")
+
+        monkeypatch.setattr(mixed, "_hermitian_deviation_squares", refuse)
+        rho = random_density_matrix(sys_.dim, rng)
+        times = time_grid(10.0, steps)
+        report = trace_density_matrix(sys_, rho, times)
+        assert_allclose(report.deviation, per_step_mixed_deviation(sys_, rho, times),
+                        rtol=0, atol=agreement_tol(sys_))
+
+    def test_snapping_error_within_spread_bound(self):
+        # one eigenvalue of h_a moved by a third of the level tolerance: H_0's
+        # levels are split, and snapping them to their means moves each phase
+        # rate by at most spread, so the deviation by at most spread * max|t| * ||rho||_F
+        rng = np.random.default_rng(74)
+        base = commuting_system(4, 32, rng)
+        w_a, u_a = np.linalg.eigh(base.h_a)
+        scale = np.abs(w_a).max() + np.abs(np.linalg.eigvalsh(base.h_b)).max()
+        w_a[0] += 1e-12 * scale / 3
+        sys_ = BipartiteSystem(4, 32, (u_a * w_a) @ u_a.conj().T, base.h_b, base.h_i)
+        times = time_grid(10.0, 101)
+        assert _uses_frequencies(sys_, times.size)
+        spread = _free_frequencies(sys_).spread
+        rho = random_density_matrix(sys_.dim, rng)
+        bound = spread * times.max() * float(np.linalg.norm(rho))
+        assert bound > agreement_tol(sys_)  # the split, not roundoff, sets the bound
+        error = trace_density_matrix(sys_, rho, times).deviation \
+            - per_step_mixed_deviation(sys_, rho, times)
+        assert np.abs(error).max() <= bound + agreement_tol(sys_)
+
+    def test_chained_frequencies_are_kept_apart(self):
+        # level gaps of 1.3, 1.3 and 1.8 tolerances: the differences 1.3, 1.8,
+        # 2.6 and 3.1 chain into one group holding both e_1 - e_0 and e_2 - e_0,
+        # so every difference is kept as a frequency of its own
+        levels = np.array([0.0, 1.3, 2.6, 4.4]) * 1e-12
+        rng = np.random.default_rng(75)
+        u_a = random_unitary(4, rng)
+        sys_ = BipartiteSystem(4, 32, (u_a * levels) @ u_a.conj().T, np.zeros((32, 32)),
+                               1e-12 * random_hermitian(128, rng))
+        freq = _free_frequencies(sys_)
+        assert freq.nu.size == 16 and np.unique(freq.pair).size == 16
+        times = time_grid(1e12, 26)  # phases of order ten
+        assert _uses_frequencies(sys_, times.size)
+        rho = random_density_matrix(128, rng)
+        assert_allclose(trace_density_matrix(sys_, rho, times).deviation,
+                        per_step_mixed_deviation(sys_, rho, times), rtol=0,
+                        atol=agreement_tol(sys_))
