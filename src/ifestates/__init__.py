@@ -21,9 +21,6 @@ from .core import (
 from .dynamics import (
     EvolutionReport,
     FreeInvarianceError,
-    covariance_trace,
-    energy_trace,
-    ife_deviation_trace,
     time_grid,
     trace_pure_states,
 )
@@ -37,7 +34,6 @@ from .linalg import (
 from .mixed import (
     check_density_matrix,
     is_ife_mixed,
-    mixed_deviation,
     random_ife_mixed,
     trace_density_matrix,
 )
@@ -71,9 +67,6 @@ __all__ = [
     "ife_sectors_oracle",
     "EvolutionReport",
     "FreeInvarianceError",
-    "covariance_trace",
-    "energy_trace",
-    "ife_deviation_trace",
     "time_grid",
     "trace_pure_states",
     "commutator",
@@ -83,7 +76,6 @@ __all__ = [
     "subspace_equal",
     "check_density_matrix",
     "is_ife_mixed",
-    "mixed_deviation",
     "random_ife_mixed",
     "trace_density_matrix",
     "ClaimResult",

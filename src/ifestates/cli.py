@@ -295,7 +295,8 @@ def cmd_verify(args) -> int:
             tol = args.tol if args.tol is not None else 1e-9 * np.sqrt(system.dim)
             claims, traces = _verify_vectors(system, psi, times, tol, ["state"])
         else:
-            # trace_density_matrix checks the dimension
+            # trace and positivity at the file gate; trace_density_matrix then
+            # checks the dimension, finiteness and Hermiticity (the state contract)
             rho = check_density_matrix(state["value"], FILE_HERMITIAN_RTOL)
             tol = args.tol if args.tol is not None else 1e-8 * system.dim
             trace = trace_density_matrix(system, rho, times, energies=True)
@@ -433,7 +434,8 @@ def cmd_mixed(args) -> int:
         state = load_state(args.state)
         if state["kind"] != "rho":
             raise CliInputError(f"{args.state}: 'rho' field required for mixed checks")
-        # block_structure_residuals checks the dimension
+        # trace and positivity at the file gate; block_structure_residuals then
+        # checks the dimension, finiteness and Hermiticity (the state contract)
         rho = check_density_matrix(state["value"], FILE_HERMITIAN_RTOL)
         digest += "," + sha256_digest(args.state)
         block_tol = args.tol if args.tol is not None else 1e-8 * float(np.linalg.norm(rho))

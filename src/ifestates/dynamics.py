@@ -8,8 +8,7 @@ are diagonalized once per system (the spectra are cached on it).
 eigenbasis coefficients ``V^H S`` are phased for every grid time and
 mapped back with one matrix product per block of columns, and local
 observables act on the ``dim_a x dim_b`` factors of that block, never
-through a Kronecker product.  The single-trace functions are thin
-wrappers over it.
+through a Kronecker product.  One state is a block of one column.
 """
 
 from __future__ import annotations
@@ -26,9 +25,6 @@ __all__ = [
     "EvolutionReport",
     "time_grid",
     "trace_pure_states",
-    "ife_deviation_trace",
-    "energy_trace",
-    "covariance_trace",
 ]
 
 # Each evolved expectation of a Hermitian observable must be real up to this
@@ -85,10 +81,6 @@ def _checked_times(times) -> np.ndarray:
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
     return times
-
-
-def _one_state(psi) -> np.ndarray:
-    return np.asarray(psi, dtype=complex).reshape(-1)
 
 
 def _eig_overlap(sys: BipartiteSystem) -> np.ndarray:
@@ -264,26 +256,3 @@ def trace_pure_states(sys: BipartiteSystem, states, times, *, alphas=None,
         reports.append(EvolutionReport(times=times, **fields))
     return reports
 
-
-def ife_deviation_trace(sys: BipartiteSystem, psi, alpha: float, times) -> EvolutionReport:
-    """Norm distance between full evolution and phased free evolution.
-
-    deviation[k] = || exp(-iHt_k) psi - exp(-i alpha t_k) exp(-iH_0 t_k) psi ||;
-    identically ~0 exactly for members of the sector at ``alpha``.
-    """
-    return trace_pure_states(sys, _one_state(psi), times, alphas=[alpha])[0]
-
-
-def energy_trace(sys: BipartiteSystem, psi, times) -> EvolutionReport:
-    """Subsystem energies <H_A (x) I> and <I (x) H_B> under full evolution."""
-    return trace_pure_states(sys, _one_state(psi), times, energies=True)[0]
-
-
-def covariance_trace(sys: BipartiteSystem, psi, o_a, o_b, times) -> EvolutionReport:
-    """Covariance <O_A O_B> - <O_A><O_B> along the full evolution.
-
-    Both observables must be Hermitian and commute with their subsystem's
-    free Hamiltonian (free invariance); otherwise the constancy statement
-    does not apply and :class:`FreeInvarianceError` is raised.
-    """
-    return trace_pure_states(sys, _one_state(psi), times, observables=(o_a, o_b))[0]

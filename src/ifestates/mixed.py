@@ -35,7 +35,6 @@ from .dynamics import (
     _apply_local,
     _checked_times,
     _eig_overlap,
-    time_grid,
 )
 from .linalg import HERMITIAN_RTOL, as_operator, require_hermitian
 
@@ -45,7 +44,6 @@ __all__ = [
     "is_ife_mixed",
     "random_ife_mixed",
     "trace_density_matrix",
-    "mixed_deviation",
 ]
 
 # A density matrix's trace must be within this of 1, and no eigenvalue below its negative.
@@ -69,12 +67,19 @@ def check_density_matrix(rho, hermitian_rtol: float = HERMITIAN_RTOL) -> np.ndar
     return rho
 
 
-def _state_operator(rho, dim: int) -> np.ndarray:
-    """``rho`` as a complex matrix, raising unless it acts on a ``dim``-dimensional space."""
+def _hermitian_state(rho, dim: int) -> np.ndarray:
+    """The Hermitian part of ``rho``, raising unless it is a finite Hermitian ``dim x dim`` matrix.
+
+    The state contract of both entry points, :func:`block_structure_residuals`
+    and :func:`trace_density_matrix`: the dimension is checked first, then
+    :func:`~ifestates.linalg.require_hermitian` at ``HERMITIAN_RTOL``.  Trace
+    and positivity are left to :func:`check_density_matrix`: its eigensolve
+    would add a factorization to every sampled state.
+    """
     rho = as_operator(rho)
     if rho.shape[0] != dim:
         raise ValueError(f"state has dimension {rho.shape[0]}, expected {dim}")
-    return rho
+    return require_hermitian(rho, name="density matrix")
 
 
 def block_structure_residuals(rho, dec: IfeDecomposition) -> tuple[float, float]:
@@ -84,10 +89,12 @@ def block_structure_residuals(rho, dec: IfeDecomposition) -> tuple[float, float]
     once.  ``outside_norm`` is the Frobenius norm of everything rho
     carries outside the union of the sectors, coherences included:
     ``||rho - T C T^H||_F``.  ``cross_norm`` is the largest Frobenius norm
-    among the off-diagonal blocks ``B_i^H rho B_j`` of ``C``.
+    among the off-diagonal blocks ``B_i^H rho B_j`` of ``C``; ``rho`` is
+    Hermitian, so block ``(j, i)`` is the adjoint of block ``(i, j)`` and
+    the blocks above the diagonal (``i < j``) suffice.
     """
     total = dec.total_basis()
-    rho = _state_operator(rho, total.shape[0])
+    rho = _hermitian_state(rho, total.shape[0])
     compressed = total.conj().T @ rho @ total
     inside = total @ compressed @ total.conj().T
     outside = float(np.linalg.norm(rho - inside))
@@ -135,9 +142,9 @@ def random_ife_mixed(dec: IfeDecomposition, weights, seed: int) -> np.ndarray:
     for sector, weight in zip(dec.sectors, weights):
         n = sector.dimension
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        block = g.conj().T @ g
-        if weight == 0.0:
+        if weight == 0.0:  # g is still drawn, so the later sectors keep their draws
             continue
+        block = g.conj().T @ g
         block *= weight / float(np.trace(block).real)
         rho += sector.basis @ block @ sector.basis.conj().T
     return 0.5 * (rho + rho.conj().T)
@@ -282,10 +289,8 @@ def _deviation(sys: BipartiteSystem, rho, rho_eig, times) -> np.ndarray:
 
     Frequency form, where :func:`_uses_frequencies` selects it (``d >= 91``
     and ``(K + 1) d^3 + T Q d^2 < 2 T d^3`` for ``K`` levels and ``Q``
-    Bohr frequencies of ``H_0``): see :func:`_hermitian_deviation_squares`.
-    A ``rho`` that is not exactly Hermitian is split as ``A + i B`` with
-    ``A``, ``B`` Hermitian; the squares add, because the deviation map
-    ``L`` keeps Hermiticity and ``Tr(L(A) L(B))`` is real.  Snapping each
+    Bohr frequencies of ``H_0``): see :func:`_hermitian_deviation_squares`;
+    ``rho`` is Hermitian by the state contract.  Snapping each
     eigenvalue to its level and each level difference to its frequency
     moves every phase rate by at most ``spread``, so the result differs
     from the dense form by at most ``spread * max|t| * ||rho||_F`` beyond
@@ -295,14 +300,7 @@ def _deviation(sys: BipartiteSystem, rho, rho_eig, times) -> np.ndarray:
     before the energies are traced.
     """
     if _uses_frequencies(sys, times.size):
-        if np.array_equal(rho, rho.conj().T):
-            return np.sqrt(_hermitian_deviation_squares(sys, rho, rho_eig, times))
-        squares = 0.0
-        for sign, scale in ((1.0, 2.0), (-1.0, 2j)):  # A and B of rho = A + i B
-            squares = squares + _hermitian_deviation_squares(
-                sys, (rho + sign * rho.conj().T) / scale,
-                (rho_eig + sign * rho_eig.conj().T) / scale, times)
-        return np.sqrt(squares)
+        return np.sqrt(_hermitian_deviation_squares(sys, rho, rho_eig, times))
     w = _eig(sys)[0]
     w0, v0 = _eig(sys, free=True)
     rho0_eig = v0.conj().T @ rho @ v0
@@ -327,14 +325,15 @@ def trace_density_matrix(sys: BipartiteSystem, rho, times, *,
     full from the free conjugation at each time and its maximum (~0
     exactly for IFE mixed states); with ``energies``, also the subsystem
     energies ``Tr(rho(t) H_A (x) I)`` and ``Tr(rho(t) I (x) H_B)``.  The
-    grid and the dimension of ``rho`` are checked and ``rho~ = V^H rho V``
-    formed once per call; the spectra come from the system's cache.  The
-    energies are ``Tr(rho(t) O) = p(t)^T (rho~ o O~^T) p(t)^*`` with
-    ``O~ = V^H O V``, one ``T x d x d`` product per observable for the
-    whole grid.
+    grid is checked, ``rho`` must be a finite Hermitian matrix of the
+    system's dimension (its exact Hermitian part is traced), and ``rho~ =
+    V^H rho V`` is formed once per call; the spectra come from the
+    system's cache.  The energies are ``Tr(rho(t) O) = p(t)^T (rho~ o
+    O~^T) p(t)^*`` with ``O~ = V^H O V``, one ``T x d x d`` product per
+    observable for the whole grid.
     """
     times = _checked_times(times)
-    rho = _state_operator(rho, sys.dim)
+    rho = _hermitian_state(rho, sys.dim)
     w, v = _eig(sys)
     rho_eig = v.conj().T @ rho @ v
     deviation = _deviation(sys, rho, rho_eig, times)
@@ -348,7 +347,3 @@ def trace_density_matrix(sys: BipartiteSystem, rho, times, *,
     return EvolutionReport(times=times, deviation=deviation,
                            max_deviation=float(deviation.max()), **fields)
 
-
-def mixed_deviation(rho, sys: BipartiteSystem, times=None) -> float:
-    """Largest deviation over the grid; ~0 exactly for IFE mixed states."""
-    return trace_density_matrix(sys, rho, time_grid() if times is None else times).max_deviation

@@ -18,15 +18,15 @@ from ifestates import (
     build_total,
     ife_sectors,
     ife_sectors_oracle,
-    mixed_deviation,
     multiplicity,
     random_ife_mixed,
     spin_star_ife_basis,
     time_grid,
+    trace_density_matrix,
+    trace_pure_states,
     verify_spin_star_claims,
 )
 from ifestates.cli import main as cli_main
-from ifestates.dynamics import covariance_trace, energy_trace
 from ifestates.linalg import max_principal_angle
 from ifestates.serialize import canonical_dumps
 from ifestates.spin_star import PAULI_Z, admissible_r, dressing_operator, gamma_norm
@@ -139,18 +139,20 @@ def test_criterion_4_conservation_laws(star_parameter_sets):
         s_z = total_sz(params.n_spins)
         for j in range(basis.shape[1]):
             psi = basis[:, j]
-            energies = energy_trace(system, psi, GRID)
+            (energies,) = trace_pure_states(system, psi, GRID, energies=True)
             if np.abs(energies.energy_a - energies.energy_a[0]).max() > 1e-9:
                 problems.append(f"{params}: vector {j} energy_a drifts")
             if np.abs(energies.energy_b - energies.energy_b[0]).max() > 1e-9:
                 problems.append(f"{params}: vector {j} energy_b drifts")
-            cov = covariance_trace(system, psi, PAULI_Z, s_z, GRID).covariance
+            (report,) = trace_pure_states(system, psi, GRID, observables=(PAULI_Z, s_z))
+            cov = report.covariance
             if np.abs(cov - cov[0]).max() > 1e-8:
                 problems.append(f"{params}: vector {j} covariance drifts")
         # counter-check: the fully flipped product state exchanges energy
         flipped = np.zeros(system.dim, dtype=complex)
         flipped[2 ** params.n_spins - 1] = 1.0  # |+, down...down>
-        swing = float(np.ptp(energy_trace(system, flipped, GRID).energy_a))
+        (report,) = trace_pure_states(system, flipped, GRID, energies=True)
+        swing = float(np.ptp(report.energy_a))
         if swing > 0.05:
             oscillation_seen = True
     if not oscillation_seen:
@@ -176,13 +178,13 @@ def test_criterion_5_mixed_state_criterion(star_params_n2):
         weights = np.full(dec.n_sectors, 1.0 / dec.n_sectors)
         for k in range(8):
             rho = random_ife_mixed(dec, weights, seed=100 * sys_idx + k)
-            dev = mixed_deviation(rho, system, GRID)
+            dev = trace_density_matrix(system, rho, GRID).max_deviation
             if dev > 1e-8 * system.dim:
                 problems.append(f"multi#{sys_idx} sample {k}: IFE deviation {dev:.2e}")
             checked += 1
     for k in range(10):
         rho = random_ife_mixed(star_dec, [1.0], seed=500 + k)
-        dev = mixed_deviation(rho, star_system, GRID)
+        dev = trace_density_matrix(star_system, rho, GRID).max_deviation
         if dev > 1e-8 * star_system.dim:
             problems.append(f"spin-star sample {k}: IFE deviation {dev:.2e}")
         checked += 1
@@ -202,7 +204,7 @@ def test_criterion_5_mixed_state_criterion(star_params_n2):
             psi_b = dec.sectors[pick[1]].basis[:, 0]
             chi = (psi_a + psi_b) / np.sqrt(2)
             rho = (1 - 2 * weight) * base + 2 * weight * np.outer(chi, chi.conj())
-            dev = mixed_deviation(rho, system, GRID)
+            dev = trace_density_matrix(system, rho, GRID).max_deviation
             if dev <= 1e-3:
                 problems.append(f"multi#{sys_idx} perturbed {k}: deviation {dev:.2e} too small")
             checked += 1
@@ -216,7 +218,7 @@ def test_criterion_5_mixed_state_criterion(star_params_n2):
         out /= np.linalg.norm(out)
         chi = (psi + out) / np.sqrt(2)
         rho = (1 - 2 * weight) * base + 2 * weight * np.outer(chi, chi.conj())
-        dev = mixed_deviation(rho, star_system, GRID)
+        dev = trace_density_matrix(star_system, rho, GRID).max_deviation
         if dev <= 1e-3:
             problems.append(f"spin-star perturbed {k}: deviation {dev:.2e} too small")
         checked += 1

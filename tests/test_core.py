@@ -509,7 +509,7 @@ class TestSharedFactorization:
         assert np.array_equal(kernels[0], kernels[3]) and kernels[0] is not kernels[3]
 
     def test_oracle_shares_the_cached_free_spectrum(self, monkeypatch):
-        from ifestates import ife_deviation_trace, time_grid
+        from ifestates import time_grid, trace_pure_states
 
         factorized = []
         for name in ("eigh", "eigvalsh"):
@@ -518,7 +518,7 @@ class TestSharedFactorization:
                                 lambda a, fn=original: factorized.append(a.copy()) or fn(a))
         sys_ = subspace_zero_system(2, 3, np.random.default_rng(31))
         psi = np.eye(6, dtype=complex)[:, 0]
-        ife_deviation_trace(sys_, psi, 0.0, time_grid(1.0, 3))  # caches eigh(H) and eigh(H_0)
+        trace_pure_states(sys_, psi, time_grid(1.0, 3), alphas=[0.0])  # caches eigh(H) and eigh(H_0)
         before = len(factorized)
         oracle = ife_sectors_oracle(sys_)
         # the oracle adds only the coupling's one factorization

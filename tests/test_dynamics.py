@@ -10,9 +10,6 @@ from ifestates import (
     build_h0,
     build_spin_star,
     build_total,
-    covariance_trace,
-    energy_trace,
-    ife_deviation_trace,
     ife_sectors,
     spin_star_ife_basis,
     time_grid,
@@ -103,57 +100,58 @@ class TestEvolvePure:
 class TestDeviationTrace:
     def test_sector_member_stays_small(self, star_params_n2, star_system_n2):
         basis = spin_star_ife_basis(star_params_n2).sectors[0].basis
-        report = ife_deviation_trace(star_system_n2, basis[:, 1], 0.0, time_grid())
+        (report,) = trace_pure_states(star_system_n2, basis[:, 1], time_grid(), alphas=[0.0])
         assert report.max_deviation <= 1e-9 * np.sqrt(8)
         assert report.deviation.shape == report.times.shape
 
     def test_single_time_zero(self, star_system_n2):
         psi = np.zeros(8, dtype=complex)
         psi[0] = 1.0
-        report = ife_deviation_trace(star_system_n2, psi, 0.0, [0.0])
+        (report,) = trace_pure_states(star_system_n2, psi, [0.0], alphas=[0.0])
         assert report.max_deviation == pytest.approx(0.0, abs=1e-14)
 
     def test_excitation_exchanging_state_deviates(self, star_system_n2):
         psi = np.zeros(8, dtype=complex)
         psi[3] = 1.0  # |+, down down>
-        report = ife_deviation_trace(star_system_n2, psi, 0.0, time_grid())
+        (report,) = trace_pure_states(star_system_n2, psi, time_grid(), alphas=[0.0])
         assert report.max_deviation > 0.1
 
 
 class TestEnergyTrace:
     def test_ife_state_has_flat_energies(self, star_params_n2, star_system_n2):
         basis = spin_star_ife_basis(star_params_n2).sectors[0].basis
-        report = energy_trace(star_system_n2, basis[:, 2], time_grid())
+        (report,) = trace_pure_states(star_system_n2, basis[:, 2], time_grid(), energies=True)
         assert np.ptp(report.energy_a) <= 1e-9
         assert np.ptp(report.energy_b) <= 1e-9
 
     def test_full_hamiltonian_eigenvector_is_stationary(self, star_system_n2):
         # stationary states conserve every mean value without being IFE
         _, v = np.linalg.eigh(build_total(star_system_n2))
-        report = energy_trace(star_system_n2, v[:, 0], time_grid())
+        (report,) = trace_pure_states(star_system_n2, v[:, 0], time_grid(), energies=True)
         assert np.ptp(report.energy_a) <= 1e-9
         assert np.ptp(report.energy_b) <= 1e-9
 
     def test_flip_flop_state_oscillates(self, star_system_n2):
         psi = np.zeros(8, dtype=complex)
         psi[3] = 1.0
-        report = energy_trace(star_system_n2, psi, time_grid())
+        (report,) = trace_pure_states(star_system_n2, psi, time_grid(), energies=True)
         assert np.ptp(report.energy_a) > 0.1 * 1.0  # omega0 = 1
 
 
 class TestCovarianceTrace:
     def test_ife_state_energy_covariance_flat(self, star_params_n2, star_system_n2):
         basis = spin_star_ife_basis(star_params_n2).sectors[0].basis
-        report = covariance_trace(
-            star_system_n2, basis[:, 1], star_system_n2.h_a, star_system_n2.h_b, time_grid(),
+        (report,) = trace_pure_states(
+            star_system_n2, basis[:, 1], time_grid(),
+            observables=(star_system_n2.h_a, star_system_n2.h_b),
         )
         assert np.ptp(report.covariance) <= 1e-9
 
     def test_identity_observable_gives_zero(self, star_system_n2):
         rng = np.random.default_rng(4)
         psi = random_state(8, rng)
-        report = covariance_trace(
-            star_system_n2, psi, np.eye(2), star_system_n2.h_b, time_grid(0.5, 6),
+        (report,) = trace_pure_states(
+            star_system_n2, psi, time_grid(0.5, 6), observables=(np.eye(2), star_system_n2.h_b),
         )
         assert np.abs(report.covariance).max() <= 1e-12
 
@@ -161,7 +159,8 @@ class TestCovarianceTrace:
         # superpose the two dressing branches so sigma_z actually fluctuates
         basis = spin_star_ife_basis(star_params_n2).sectors[0].basis
         psi = (basis[:, 0] + basis[:, 2]) / np.sqrt(2)
-        report = covariance_trace(star_system_n2, psi, PAULI_Z, total_sz(2), time_grid())
+        (report,) = trace_pure_states(star_system_n2, psi, time_grid(),
+                                      observables=(PAULI_Z, total_sz(2)))
         assert np.ptp(report.covariance) <= 1e-9
         assert np.abs(report.covariance).max() > 1e-3
 
@@ -171,7 +170,7 @@ class TestCovarianceTrace:
         sys_ = diagonal_multisector_system(rng)
         dec = ife_sectors(sys_)
         psi = dec.sectors[0].basis[:, 0]
-        report = energy_trace(sys_, psi, time_grid())
+        (report,) = trace_pure_states(sys_, psi, time_grid(), energies=True)
         assert np.ptp(report.energy_a) <= 1e-9
 
     def test_random_free_invariant_observables_flat(self, star_params_n2, star_system_n2):
@@ -183,7 +182,7 @@ class TestCovarianceTrace:
         for _ in range(5):
             o_a = np.diag(rng.standard_normal(2)).astype(complex)
             o_b = np.diag(rng.standard_normal(4)).astype(complex)
-            report = covariance_trace(star_system_n2, psi, o_a, o_b, time_grid())
+            (report,) = trace_pure_states(star_system_n2, psi, time_grid(), observables=(o_a, o_b))
             assert np.ptp(report.covariance) <= 1e-8
 
     def test_free_invariance_enforced(self, star_system_n2):
@@ -191,7 +190,8 @@ class TestCovarianceTrace:
         psi = random_state(8, rng)
         bad = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)  # fails [o_a, sigma_z] = 0
         with pytest.raises(FreeInvarianceError, match="does not commute"):
-            covariance_trace(star_system_n2, psi, bad, star_system_n2.h_b, time_grid(1, 3))
+            trace_pure_states(star_system_n2, psi, time_grid(1, 3),
+                              observables=(bad, star_system_n2.h_b))
 
     def test_own_free_hamiltonians_not_checked_again(self, star_system_n2, monkeypatch):
         import ifestates.dynamics as dynamics
@@ -305,14 +305,14 @@ class TestTracePureStates:
         for j in range(m):
             psi = states[:, j]
             deviation, energy_a, energy_b, covariance = reference_traces(sys_, psi, alphas[j], times)
-            # the one-state wrappers agree with the references too
-            single = ife_deviation_trace(sys_, psi, alphas[j], times).deviation
-            assert_allclose(single, deviation, rtol=0, atol=atol)
-            single = energy_trace(sys_, psi, times)
+            # one-column calls, one trace each, agree with the references too
+            (single,) = trace_pure_states(sys_, psi, times, alphas=[alphas[j]])
+            assert_allclose(single.deviation, deviation, rtol=0, atol=atol)
+            (single,) = trace_pure_states(sys_, psi, times, energies=True)
             assert_allclose(single.energy_a, energy_a, rtol=0, atol=atol)
             assert_allclose(single.energy_b, energy_b, rtol=0, atol=atol)
-            cov = covariance_trace(sys_, psi, sys_.h_a, sys_.h_b, times).covariance
-            assert_allclose(cov, covariance, rtol=0, atol=atol)
+            (single,) = trace_pure_states(sys_, psi, times, observables=(sys_.h_a, sys_.h_b))
+            assert_allclose(single.covariance, covariance, rtol=0, atol=atol)
 
     def test_agrees_with_three_tracers_across_chunks(self):
         # two full chunks of columns under the budget and a partial third
@@ -340,13 +340,15 @@ class TestTracePureStates:
         batch = trace_pure_states(sys_, states, times, alphas=alphas, energies=True,
                                   observables=(sys_.h_a, sys_.h_b))
         atol = agreement_tol(sys_)
+        # one-column calls, one trace each: blocked products round
+        # differently, so the columns agree to roundoff, not to the bit
         for j, psi in enumerate(states.T):
-            single = ife_deviation_trace(sys_, psi, alphas[j], times)
+            (single,) = trace_pure_states(sys_, psi, times, alphas=[alphas[j]])
             assert_allclose(single.deviation, batch[j].deviation, rtol=0, atol=atol)
-            single = energy_trace(sys_, psi, times)
+            (single,) = trace_pure_states(sys_, psi, times, energies=True)
             assert_allclose(single.energy_a, batch[j].energy_a, rtol=0, atol=atol)
             assert_allclose(single.energy_b, batch[j].energy_b, rtol=0, atol=atol)
-            single = covariance_trace(sys_, psi, sys_.h_a, sys_.h_b, times)
+            (single,) = trace_pure_states(sys_, psi, times, observables=(sys_.h_a, sys_.h_b))
             assert_allclose(single.covariance, batch[j].covariance, rtol=0, atol=atol)
 
     def test_only_requested_traces_are_filled(self, star_system_n2):
@@ -387,5 +389,5 @@ class TestTracePureStates:
         for _ in range(3):
             trace_pure_states(sys_, states, times, alphas=[0.0] * 4, energies=True,
                               observables=(sys_.h_a, sys_.h_b))
-            ife_deviation_trace(sys_, states[:, 0], 0.0, times)
+            trace_pure_states(sys_, states[:, 0], times, alphas=[0.0])
         assert len(calls) == 2  # H and H_0, shared by every later trace

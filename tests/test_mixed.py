@@ -16,7 +16,6 @@ from ifestates import (
     classify_pure,
     ife_sectors,
     is_ife_mixed,
-    mixed_deviation,
     random_ife_mixed,
     spin_star_ife_basis,
     time_grid,
@@ -183,7 +182,7 @@ class TestIsIfeMixed:
         chi = (psi_a + psi_b) / np.sqrt(2)
         rho = np.outer(chi, chi.conj())
         assert not is_ife_mixed(rho, diag_dec)
-        assert mixed_deviation(rho, diag_system) > 1e-3
+        assert trace_density_matrix(diag_system, rho, time_grid()).max_deviation > 1e-3
 
 
 class TestRandomIfeMixed:
@@ -211,6 +210,23 @@ class TestRandomIfeMixed:
             random_ife_mixed(diag_dec, weights, 42),
             random_ife_mixed(diag_dec, weights, 42),
         )
+
+    def test_zero_weight_sector_is_skipped_with_its_draw(self, diag_dec):
+        # the sector bases of diag_dec are exact permutation columns, so the
+        # blocks of T^H rho T carry the drawn blocks bit for bit
+        assert [s.dimension for s in diag_dec.sectors] == [3, 1, 2]
+        edges = np.cumsum([0] + [s.dimension for s in diag_dec.sectors])
+        total = diag_dec.total_basis()
+
+        def blocks(weights):
+            compressed = total.conj().T @ random_ife_mixed(diag_dec, weights, 17) @ total
+            return [compressed[lo:hi, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+
+        skipped = blocks([0.5, 0.0, 0.5])
+        drawn = blocks([0.5, 0.25, 0.25])
+        assert not skipped[1].any()
+        assert np.array_equal(skipped[0], drawn[0])
+        assert np.array_equal(skipped[2], 2.0 * drawn[2])  # weights 0.5 and 0.25
 
     def test_valid_density_matrix(self, diag_dec):
         weights = np.full(diag_dec.n_sectors, 1.0 / diag_dec.n_sectors)
@@ -249,12 +265,6 @@ class TestTraceDensityMatrix:
             assert report.max_deviation == float(report.deviation.max())
         assert np.array_equal(plain.deviation, full.deviation)
 
-    def test_mixed_deviation_is_the_report_maximum(self, diag_system, diag_dec):
-        psi = diag_dec.sectors[0].basis[:, 0] + diag_dec.sectors[1].basis[:, 0]
-        rho = 0.5 * np.outer(psi, psi.conj())
-        report = trace_density_matrix(diag_system, rho, time_grid())
-        assert mixed_deviation(rho, diag_system) == report.max_deviation > 1e-3
-
     def test_one_compression_per_call(self, diag_system, diag_dec, monkeypatch):
         # rho~ = V^H rho V and rho~0 = V0^H rho V0: one conj().T @ rho each
         import ifestates.mixed as mixed
@@ -269,7 +279,7 @@ class TestTraceDensityMatrix:
                 Counted.calls += 1
                 return np.asarray(other) @ np.asarray(self)
 
-        monkeypatch.setattr(mixed, "_state_operator",
+        monkeypatch.setattr(mixed, "_hermitian_state",
                             lambda r, dim: np.asarray(r, dtype=complex).view(Counted))
         trace_density_matrix(diag_system, rho, time_grid(1.0, 3), energies=True)
         assert Counted.calls == 2
@@ -279,11 +289,12 @@ class TestMixedDeviation:
     def test_random_ife_state_static(self, diag_system, diag_dec):
         weights = np.full(diag_dec.n_sectors, 1.0 / diag_dec.n_sectors)
         rho = random_ife_mixed(diag_dec, weights, 11)
-        assert mixed_deviation(rho, diag_system) <= 1e-9 * diag_system.dim
+        report = trace_density_matrix(diag_system, rho, time_grid())
+        assert report.max_deviation <= 1e-9 * diag_system.dim
 
     def test_zero_grid(self, diag_system):
         rho = np.eye(6) / 6.0
-        assert mixed_deviation(rho, diag_system, [0.0]) == 0.0
+        assert trace_density_matrix(diag_system, rho, [0.0]).max_deviation == 0.0
 
     def test_cross_coherence_peak_near_pi_over_gap(self, diag_system, diag_dec):
         psi_a = diag_dec.sectors[0].basis[:, 0]
@@ -313,7 +324,8 @@ class TestConsistencyInvariants:
                 psi = random_state(diag_system.dim, rng)
                 rho = 0.7 * base + 0.3 * np.outer(psi, psi.conj())
             flagged = is_ife_mixed(rho, diag_dec)
-            deviated = mixed_deviation(rho, diag_system, grid) <= 1e-8 * diag_system.dim
+            dev = trace_density_matrix(diag_system, rho, grid).max_deviation
+            deviated = dev <= 1e-8 * diag_system.dim
             assert flagged == deviated
 
     def test_pure_state_consistency(self, diag_system, diag_dec):
@@ -435,21 +447,25 @@ class TestBlockedDeviation:
 STAR_N6 = SpinStarParams(6, 1.0, 0.4, (1.0, 1.1, 1.2, 1.3, 1.4, 1.5))
 
 
+@pytest.fixture(scope="module")
+def commuting_128():
+    """A d = 128 commuting system, whose ``H_0`` is degenerate, and its five sectors."""
+    sys_ = commuting_system(4, 32, np.random.default_rng(70))
+    return sys_, ife_sectors(sys_)
+
+
 @pytest.fixture(scope="module", params=["commuting", "star"])
 def degenerate_128(request):
     """A d = 128 system with a degenerate ``H_0`` and its sectors."""
     if request.param == "commuting":
-        sys_ = commuting_system(4, 32, np.random.default_rng(70))
-        return sys_, ife_sectors(sys_)
+        return request.getfixturevalue("commuting_128")
     return build_spin_star(STAR_N6), spin_star_ife_basis(STAR_N6)
 
 
 def frequency_test_states(dec, rng):
-    """An IFE sample, a full-rank non-IFE state and a non-Hermitian matrix."""
+    """An IFE sample and a full-rank non-IFE state."""
     ife = random_ife_mixed(dec, np.full(dec.n_sectors, 1.0 / dec.n_sectors), 7)
-    z = rng.standard_normal((dec.dim,) * 2) + 1j * rng.standard_normal((dec.dim,) * 2)
-    return {"ife": ife, "full_rank": random_density_matrix(dec.dim, rng),
-            "non_hermitian": z / np.linalg.norm(z)}
+    return {"ife": ife, "full_rank": random_density_matrix(dec.dim, rng)}
 
 
 class TestFrequencyForm:
@@ -548,3 +564,55 @@ class TestFrequencyForm:
         assert_allclose(trace_density_matrix(sys_, rho, times).deviation,
                         per_step_mixed_deviation(sys_, rho, times), rtol=0,
                         atol=agreement_tol(sys_))
+
+
+def contract_test_state(case, dec):
+    """A matrix that breaks the state contract of the ``mixed`` entry points."""
+    if case == "wrong_dimension":  # named before its NaN
+        return np.full((4, 4), np.nan)
+    if case == "nan":
+        rho = random_ife_mixed(dec, np.full(dec.n_sectors, 1.0 / dec.n_sectors), 7)
+        rho[3, 5] = np.nan
+        return rho
+    if case == "non_hermitian":
+        rng = np.random.default_rng(76)
+        z = rng.standard_normal((dec.dim,) * 2) + 1j * rng.standard_normal((dec.dim,) * 2)
+        return z / np.linalg.norm(z)
+    # B_1[:, 0] B_0[:, 0]^H: a coherence in the lower block triangle of T^H rho T only
+    return np.outer(dec.sectors[1].basis[:, 0], dec.sectors[0].basis[:, 0].conj())
+
+
+ENTRY_POINTS = {
+    "trace_density_matrix": lambda sys_, dec, rho: trace_density_matrix(sys_, rho, time_grid(1.0, 3)),
+    "block_structure_residuals": lambda sys_, dec, rho: block_structure_residuals(rho, dec),
+}
+
+
+class TestStateContract:
+    """Both entry points take a finite Hermitian matrix of the system's dimension."""
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("case, message", [
+        pytest.param("wrong_dimension", "state has dimension 4, expected 128", id="wrong_dimension"),
+        pytest.param("nan", "density matrix has non-finite entries", id="nan"),
+        pytest.param("non_hermitian", "density matrix is not Hermitian", id="non_hermitian"),
+        # only the blocks above the diagonal are summed, so without the
+        # contract its cross norm would read ~5e-16 and its adjoint's 1.0
+        pytest.param("lower_coherence", "density matrix is not Hermitian", id="lower_coherence"),
+    ])
+    def test_rejects(self, commuting_128, entry, case, message):
+        sys_, dec = commuting_128
+        rho = contract_test_state(case, dec)
+        with pytest.raises(ValueError, match=message):
+            ENTRY_POINTS[entry](sys_, dec, rho)
+
+    def test_near_hermitian_input_is_traced_as_its_hermitian_part(self, diag_system, diag_dec):
+        rho = random_ife_mixed(diag_dec, np.full(diag_dec.n_sectors, 1.0 / diag_dec.n_sectors), 8)
+        skewed = rho.copy()
+        skewed[0, 1] += 1e-14j  # a defect below HERMITIAN_RTOL
+        hermitian = 0.5 * (skewed + skewed.conj().T)
+        times = time_grid(2.0, 5)
+        assert np.array_equal(trace_density_matrix(diag_system, skewed, times).deviation,
+                              trace_density_matrix(diag_system, hermitian, times).deviation)
+        assert block_structure_residuals(skewed, diag_dec) \
+            == block_structure_residuals(hermitian, diag_dec)
