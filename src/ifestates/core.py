@@ -9,10 +9,11 @@ mutually orthogonal sectors, one per interaction eigenvalue ``alpha``:
 
 Both routes start from one eigendecomposition ``H_I = V diag(w) V^H``, which
 fixes the clusters of the coupling spectrum and their means, the alphas,
-and both work on the cluster-snapped coupling ``V diag(w_bar) V^H``.
-:func:`ife_sectors` evaluates the intersection directly: the first kernel
-is spanned by a cluster's eigenvectors ``V_alpha``, so
-``N_alpha = V_alpha Ker([H_0, H_I] V_alpha)``, one thin kernel per cluster.
+and both work on ``w_bar``, each eigenvalue snapped to its cluster's mean.
+:func:`ife_sectors` evaluates the intersection directly in that eigenbasis,
+where a cluster's eigenspace is the coordinate block ``lo:hi`` and the
+commutator is ``C~ = H0~ o M`` (``H0~ = V^H H_0 V``,
+``M_ij = w_bar_j - w_bar_i``): ``N_alpha = V[:, lo:hi] Ker(C~[:, lo:hi])``.
 :func:`ife_sectors_oracle` recomputes the sectors from the independent
 characterization as the largest ``H_0``-invariant subspace of
 ``Ker(H_I - alpha I)``, so the two routes can be cross-checked against each
@@ -24,10 +25,9 @@ of its blocks prune the pairs that cannot meet, and the exact residual
 ``diag(w_bar - alpha) G[:, k]`` decides the rank.
 
 ``H_0`` and the factorizations that several routines need (``eigh`` of
-``H``, ``H_0`` and ``H_I``, the coupling clusters, the commutator with its
-values-only SVD, and the right singular vectors of the commutator once
-:func:`commutator_kernel` asks for them) are computed once per system and
-cached read-only on it.
+``H``, ``H_0`` and ``H_I``, the coupling clusters, ``C~`` with the
+eigenvalues of ``i C~``, and its eigenvectors once :func:`commutator_kernel`
+asks for them) are computed once per system and cached read-only on it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .linalg import (
     DEFAULT_REL_TOL,
     HERMITIAN_RTOL,
     as_operator,
-    commutator,
     kron,
     require_hermitian,
     require_rel_tol,
@@ -230,19 +229,9 @@ def _coupling_clusters(sys: BipartiteSystem) -> tuple[tuple[float, tuple[int, in
     return _cached(sys, "coupling_clusters", compute)
 
 
-def _snapped_coupling(sys: BipartiteSystem) -> np.ndarray:
-    """``V diag(w_bar) V^H``: ``H_I`` with each eigenvalue snapped to its cluster's alpha.
-
-    Every sector decision uses it, so a split below ``CLUSTER_TOL`` is one
-    eigenvalue everywhere.  It is ``sys.h_i`` when no eigenvalue moves.
-    """
-    def compute():
-        w, v = _coupling_eig(sys)
-        clusters = _coupling_clusters(sys)
-        w_bar = np.concatenate([np.full(hi - lo, alpha) for alpha, (lo, hi) in clusters])
-        return sys.h_i if np.array_equal(w_bar, w) else (v * w_bar) @ v.conj().T
-
-    return _cached(sys, "coupling_snapped", compute)
+def _snapped_spectrum(sys: BipartiteSystem) -> np.ndarray:
+    """``w_bar``: each coupling eigenvalue snapped to its cluster's alpha, for every sector decision."""
+    return np.concatenate([np.full(hi - lo, alpha) for alpha, (lo, hi) in _coupling_clusters(sys)])
 
 
 def _free_norm(sys: BipartiteSystem) -> float:
@@ -260,9 +249,9 @@ def _free_norm(sys: BipartiteSystem) -> float:
 
 @dataclass(frozen=True)
 class _Commutator:
-    """``[H_0, H_I]`` of one system, its singular values ``s`` (descending) and numerical-zero flag."""
+    """``C~ = V^H [H_0, H_bar_I] V``, its singular values ``s`` (descending) and numerical-zero flag."""
 
-    comm: np.ndarray
+    c: np.ndarray
     s: np.ndarray
     is_zero: bool
 
@@ -272,19 +261,24 @@ class _Commutator:
 
 
 def _commutator(sys: BipartiteSystem) -> _Commutator:
-    """``[H_0, H_I]`` of the snapped coupling and its values-only SVD, once per system.
+    """``C~ = H0~ o M`` and its singular values ``|eigvalsh(i C~)|``, once per system.
 
-    Its rank at any ``rel_tol`` is a count over ``s``, so every cutoff shares
-    the one factorization.  The commutator is numerically zero when
+    ``H0~ = V^H H_0 V`` is made exactly Hermitian, so ``C~`` is exactly
+    anti-Hermitian; ``M_ij = w_bar_j - w_bar_i`` is 0 inside a cluster.  The
+    rank at any ``rel_tol`` is a count over ``s``.  The commutator is
+    numerically zero when
     ``||C|| <= NUMERICAL_ZERO_RTOL * max(1, 2 (||h_a|| + ||h_b||) ||H_I||)``.
     """
     def compute():
-        comm = commutator(_h0(sys), _snapped_coupling(sys))
-        s = np.linalg.svd(comm, compute_uv=False)
-        for array in (comm, s):
+        _, v = _coupling_eig(sys)
+        w_bar = _snapped_spectrum(sys)
+        h0 = v.conj().T @ _h0(sys) @ v
+        c = 0.5 * (h0 + h0.conj().T) * (w_bar - w_bar[:, None])
+        s = np.sort(np.abs(np.linalg.eigvalsh(1j * c)))[::-1]
+        for array in (c, s):
             array.flags.writeable = False
         is_zero = _is_numerically_zero(float(s[0]), 2.0 * _free_norm(sys) * _coupling_norm(sys))
-        return _Commutator(comm, s, is_zero)
+        return _Commutator(c, s, is_zero)
 
     return _cached(sys, "commutator", compute)
 
@@ -302,18 +296,18 @@ def _commutator_kernel_dimension(sys: BipartiteSystem, rel_tol: float) -> int:
 def commutator_kernel(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     """Orthonormal ``d x k`` basis of ``Ker[H_0, H_I]`` (snapped coupling) at ``rel_tol``.
 
-    The columns are the right singular vectors of the commutator whose
-    values-only singular values are at or below ``rel_tol * ||C||``.  The
-    thin SVD with vectors runs on the first call for a system and is cached
-    on it; a numerically zero commutator has the whole space as its kernel
-    and takes no SVD.  The result is a fresh array.
+    The columns are the eigenvectors of ``i C~`` with the ``k`` smallest
+    ``|lambda|``, ``k`` from the values-only count, mapped back by ``V``.
+    ``eigh(i C~)`` runs on the first call for a system and is cached on it;
+    a numerically zero commutator has the whole space as its kernel and
+    takes no factorization.  The result is a fresh array.
     """
     k = _commutator_kernel_dimension(sys, rel_tol)
     com = _commutator(sys)
     if com.is_zero:
         return np.eye(sys.dim, dtype=complex)
-    vh = _cached(sys, "commutator_vh", lambda: np.linalg.svd(com.comm, full_matrices=False)[2])
-    return vh[sys.dim - k:].conj().T
+    lam, q = _cached(sys, "commutator_eig", lambda: tuple(np.linalg.eigh(1j * com.c)))
+    return _coupling_eig(sys)[1] @ q[:, np.argsort(np.abs(lam), kind="stable")[:k]]
 
 
 def _eig(sys: BipartiteSystem, free: bool = False):
@@ -332,11 +326,10 @@ def ife_sectors(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDe
 
     With ``H_I = V diag(w) V^H``, ``Ker(H_I - alpha I)`` is spanned by the
     eigenvectors ``V[:, lo:hi]`` of the coupling cluster at ``alpha``, so the
-    sector is ``V[:, lo:hi] Ker(C V[:, lo:hi])`` with ``C = [H_0, H_I]`` of
-    the snapped coupling: one thin SVD of the ``d x m`` block of
-    ``C V / max(1, ||C||)`` per cluster, with ``C V`` formed once.  A
-    direction is kept when its singular value is at or below
-    ``rel_tol * sigma_ref``, where
+    sector is ``V[:, lo:hi] Ker(C~[:, lo:hi])`` with ``C~`` the commutator of
+    the snapped coupling in the eigenbasis of ``H_I``: one thin SVD of the
+    ``d x m`` block of ``C~ / max(1, ||C||)`` per cluster.  A direction is
+    kept when its singular value is at or below ``rel_tol * sigma_ref``, where
     ``sigma_ref = max(a / max(1, a), ||C|| / max(1, ||C||))`` and
     ``a = ||H_I - alpha I|| = max(|w_0 - alpha|, |w_{d-1} - alpha|)``
     (README, "Numerical conventions").  A numerically zero commutator
@@ -346,9 +339,7 @@ def ife_sectors(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDe
     require_rel_tol(rel_tol)
     com = _commutator(sys)
     w, v = _coupling_eig(sys)
-    if not com.is_zero:
-        scale = max(1.0, com.norm)
-        comm_v = com.comm @ v / scale
+    scale = max(1.0, com.norm)
     sectors = []
     for alpha, (lo, hi) in _coupling_clusters(sys):
         if com.is_zero:
@@ -356,7 +347,7 @@ def ife_sectors(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDe
         else:
             a = max(abs(w[0] - alpha), abs(w[-1] - alpha))
             cutoff = rel_tol * max(a / max(1.0, a), com.norm / scale)
-            _, s, vh = np.linalg.svd(comm_v[:, lo:hi], full_matrices=False)
+            _, s, vh = np.linalg.svd(com.c[:, lo:hi] / scale, full_matrices=False)
             basis = v[:, lo:hi] @ vh[np.sum(s > cutoff):].conj().T
         if basis.shape[1] > 0:
             sectors.append(IfeSector(alpha, basis))
@@ -458,22 +449,17 @@ def classify_pure(psi, sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL):
     The candidate ``alpha = <psi|H_I|psi>`` is accepted when psi is an
     eigenvector of the coupling at that value and lies in the commutator
     kernel, both within ``rel_tol`` relative to the operator norms.  ``H_I``
-    is the snapped coupling, as in :func:`ife_sectors`.  For systems whose
+    is the snapped coupling, as in :func:`ife_sectors`, and both residuals
+    are taken on ``c = V^H psi`` in its eigenbasis.  For systems whose
     commutator is nonzero only through roundoff, membership via
     :func:`ife_sectors` is the more robust test.
     """
     psi = require_unit_states(np.asarray(psi).reshape(-1), sys.dim)[:, 0]
-    h_psi = _snapped_coupling(sys) @ psi
-    alpha = float(np.vdot(psi, h_psi).real)
+    c = _coupling_eig(sys)[1].conj().T @ psi
+    h_c = _snapped_spectrum(sys) * c
+    alpha = float(np.vdot(c, h_c).real)
     com = _commutator(sys)
     hi_norm = _coupling_norm(sys)
-
-    if _is_numerically_zero(hi_norm, 1.0):
-        eig_ok = True
-    else:
-        eig_ok = float(np.linalg.norm(h_psi - alpha * psi)) <= rel_tol * hi_norm
-    if com.is_zero:
-        comm_ok = True
-    else:
-        comm_ok = float(np.linalg.norm(com.comm @ psi)) <= rel_tol * com.norm
+    eig_ok = _is_numerically_zero(hi_norm, 1.0) or np.linalg.norm(h_c - alpha * c) <= rel_tol * hi_norm
+    comm_ok = com.is_zero or np.linalg.norm(com.c @ c) <= rel_tol * com.norm
     return alpha if (eig_ok and comm_ok) else None

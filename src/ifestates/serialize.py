@@ -5,7 +5,9 @@ vectors are encoded as nested arrays of ``[re, im]`` pairs, row-major.
 Serialization is canonical: keys sorted, two-space indentation, floats
 printed with 17 significant digits, trailing newline.  Canonically
 formatted files therefore survive a parse/serialize round trip
-byte-identically.
+byte-identically, with one exception: negative zero prints as ``-0``,
+which ``json`` reads back as the integer ``0``, so it serializes again
+as ``0``.
 
 Besides dicts, lists, strings, numbers, booleans and None, a document may
 hold numpy arrays as leaves: float64 vectors (1-D), emitted as their

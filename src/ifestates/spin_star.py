@@ -346,8 +346,7 @@ def verify_spin_star_claims(
     mismatch); eigenvector residuals are relative to the norm of H.
     ``blocks`` is ``dressed_blocks(p)`` when the caller already has it.
     """
-    if p.omega0 == p.omega:
-        raise ResonanceError("claims are only defined off resonance (omega0 != omega)")
+    _require_off_resonance(p)
     if blocks is None:
         blocks = dressed_blocks(p)
 
@@ -389,7 +388,7 @@ def verify_spin_star_claims(
         "analytic_basis_matches_numerical", resid, angle_tol, resid <= angle_tol,
     ))
 
-    h_norm = spectral_norm(h)
+    h_norm = float(np.abs(np.linalg.eigvalsh(h)).max())
     eig_tol = 1e-9
     worst = 0.0
     for block in blocks:

@@ -13,7 +13,7 @@ import orjson
 
 from ifestates import BipartiteSystem
 from ifestates import core
-from ifestates.core import IfeDecomposition, IfeSector, _eig
+from ifestates.core import NUMERICAL_ZERO_RTOL, IfeDecomposition, IfeSector, _eig, build_h0
 from ifestates.dynamics import _eig_overlap
 from ifestates.spin_star import (
     PAULI_Z,
@@ -28,6 +28,7 @@ from ifestates.linalg import (
     DEFAULT_REL_TOL,
     HERMITIAN_RTOL,
     as_operator,
+    commutator,
     kron,
     null_space,
     orthonormal_columns,
@@ -134,12 +135,80 @@ def per_step_mixed_deviation(sys_, rho, times):
     return np.array(deviation)
 
 
+def snapped_coupling(sys_):
+    """``V diag(w_bar) V^H``: ``H_I`` with each eigenvalue snapped to its cluster's alpha.
+
+    Built from the system's cached ``eigh(H_I)`` and clusters; it is
+    ``sys_.h_i`` itself when no eigenvalue moves.  The package never forms
+    it: both sector routes work in the eigenbasis of ``H_I``.
+    """
+    w, v = core._coupling_eig(sys_)
+    w_bar = core._snapped_spectrum(sys_)
+    return sys_.h_i if np.array_equal(w_bar, w) else (v * w_bar) @ v.conj().T
+
+
+def commutator_with_zero_flag(sys_):
+    """``[H_0, H_bar_I]`` in the product basis and its numerical-zero flag."""
+    comm = commutator(build_h0(sys_), snapped_coupling(sys_))
+    scale = 2.0 * (spectral_norm(sys_.h_a) + spectral_norm(sys_.h_b)) * spectral_norm(sys_.h_i)
+    return comm, spectral_norm(comm) <= NUMERICAL_ZERO_RTOL * max(1.0, scale)
+
+
+def product_basis_sectors(sys_, rel_tol=DEFAULT_REL_TOL):
+    """Reference: the direct route with ``C = [H_0, H_bar_I]`` formed in the product basis.
+
+    ``C V / max(1, ||C||)`` is formed once and each cluster's sector is
+    ``V[:, lo:hi]`` times the kernel of its ``d x m`` block, at the cutoff
+    of ``ife_sectors``; a numerically zero ``C`` leaves every cluster's
+    whole eigenspace.
+    """
+    comm, is_zero = commutator_with_zero_flag(sys_)
+    w, v = core._coupling_eig(sys_)
+    norm = spectral_norm(comm)
+    scale = max(1.0, norm)
+    comm_v = comm @ v / scale
+    sectors = []
+    for alpha, (lo, hi) in core._coupling_clusters(sys_):
+        if is_zero:
+            basis = v[:, lo:hi].copy()
+        else:
+            a = max(abs(w[0] - alpha), abs(w[-1] - alpha))
+            cutoff = rel_tol * max(a / max(1.0, a), norm / scale)
+            _, s, vh = np.linalg.svd(comm_v[:, lo:hi], full_matrices=False)
+            basis = v[:, lo:hi] @ vh[np.sum(s > cutoff):].conj().T
+        if basis.shape[1] > 0:
+            sectors.append(IfeSector(alpha, basis))
+    return IfeDecomposition(tuple(sectors), sys_.dim)
+
+
+def product_basis_classify(psi, sys_, rel_tol=DEFAULT_REL_TOL):
+    """Reference for ``classify_pure`` in the product basis: ``(alpha or None, well_posed)``.
+
+    ``alpha = <psi|H_bar_I|psi>`` is accepted when ``||H_bar_I psi - alpha psi||``
+    is at most ``rel_tol ||H_I||`` and ``||C psi||`` at most ``rel_tol ||C||``.
+    ``well_posed`` is False when either residual lies within a factor of two
+    of its cutoff, where roundoff may decide.
+    """
+    h_psi = snapped_coupling(sys_) @ psi
+    alpha = float(np.vdot(psi, h_psi).real)
+    comm, is_zero = commutator_with_zero_flag(sys_)
+    hi_norm = core._coupling_norm(sys_)
+    checks = []
+    if not core._is_numerically_zero(hi_norm, 1.0):
+        checks.append((float(np.linalg.norm(h_psi - alpha * psi)), rel_tol * hi_norm))
+    if not is_zero:
+        checks.append((float(np.linalg.norm(comm @ psi)), rel_tol * spectral_norm(comm)))
+    accepted = all(r <= cutoff for r, cutoff in checks)
+    well_posed = not any(cutoff / 2.0 < r < 2.0 * cutoff for r, cutoff in checks)
+    return (alpha if accepted else None), well_posed
+
+
 def per_eigenspace_oracle(sys_, rel_tol=DEFAULT_REL_TOL):
     """Reference: the oracle as one thin SVD of ``(H_bar_I - alpha I) V0_k`` per pair.
 
     For every coupling cluster ``alpha`` and eigenspace ``V0_k`` of ``H_0``
     the ``d x n_k`` block ``B_k = (H_bar_I - alpha I) V0_k`` (the
-    cluster-snapped coupling, from the system's cache) is factorized, with
+    cluster-snapped coupling, :func:`snapped_coupling`) is factorized, with
     eigenspaces of equal size in one batched call.  A direction is kept when
     its singular value, scaled by ``1 / max(1, sigma_max(B_k))``, is at or
     below ``rel_tol`` times the largest scaled ``sigma_max`` over all
@@ -154,7 +223,7 @@ def per_eigenspace_oracle(sys_, rel_tol=DEFAULT_REL_TOL):
     for lo, hi in core._cluster_ranges(w0, core.CLUSTER_TOL * max(1.0, smax0)):
         by_size.setdefault(hi - lo, []).append(np.arange(lo, hi))
     groups = [np.array(g) for g in by_size.values()]
-    hv = core._snapped_coupling(sys_) @ v0
+    hv = snapped_coupling(sys_) @ v0
     hi_norm = core._coupling_norm(sys_)
     sectors = []
     for alpha, _ in core._coupling_clusters(sys_):

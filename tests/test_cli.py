@@ -10,6 +10,7 @@ import orjson
 import pytest
 
 import ifestates.cli as cli
+from ifestates import core
 from ifestates.cli import main
 from ifestates.core import ife_sectors, ife_sectors_oracle
 from ifestates.linalg import hermiticity_defect
@@ -617,12 +618,12 @@ def multisector_file(tmp_path):
 
 @pytest.fixture()
 def eigh_calls(monkeypatch):
-    """Hermitian factorizations: the order of each matrix passed to numpy.linalg.eigh or eigvalsh."""
+    """Hermitian factorizations: a copy of each matrix passed to numpy.linalg.eigh or eigvalsh."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
-                            lambda a, *args, fn=original, **kw: calls.append(np.shape(a)[-1])
+                            lambda a, *args, fn=original, **kw: calls.append(np.array(a))
                             or fn(a, *args, **kw))
     return calls
 
@@ -632,20 +633,25 @@ class TestOneFactorization:
 
     def test_verify_sector_eigh_count_independent_of_dimension(self, multisector_file,
                                                                 eigh_calls, tmp_path):
+        hermitian = 1j * core._commutator(load_system(multisector_file)[0]).c
+        eigh_calls.clear()
         dims, counts = [], []
         for k in range(3):
             out = tmp_path / f"sector{k}.json"
             assert run_cli("verify", multisector_file, "--sector", str(k), "--steps", "5",
                            "--out", str(out)) == 0
             dims.append(len(json.loads(out.read_text())["claims"]))
-            # H, H_0 and H_I act on the 8-dim product space; h_a (2x2) and
-            # h_b (4x4) give the commutator's zero scale
-            factors = tuple(sorted(n for n in eigh_calls if n != 8))
-            counts.append((len(eigh_calls) - len(factors), factors))
+            # H, H_0, H_I and i C~ act on the 8-dim product space; h_a (2x2)
+            # and h_b (4x4) give the commutator's zero scale
+            factors = tuple(sorted(a.shape[-1] for a in eigh_calls if a.shape[-1] != 8))
+            commutators = sum(np.allclose(a, hermitian, rtol=0.0, atol=1e-12)
+                              for a in eigh_calls if a.shape == hermitian.shape)
+            operators = len(eigh_calls) - len(factors) - commutators
+            counts.append((operators, commutators, factors))
             eigh_calls.clear()
         assert sorted(dims) == [1, 2, 5]
-        assert max(product for product, _ in counts) <= 3 and len(set(counts)) == 1
-        assert counts[0][1] == (2, 4)
+        assert max(operators for operators, _, _ in counts) <= 3 and len(set(counts)) == 1
+        assert counts[0][1:] == (1, (2, 4))
 
     def test_mixed_samples_eigh_count_independent_of_samples(self, star_file, eigh_calls, tmp_path):
         counts = []
@@ -673,37 +679,44 @@ class TestOneFactorization:
 
 
 class TestCommutatorFactorizations:
-    """Each command takes the SVDs of the ``d x d`` commutator that it needs, and no more."""
+    """Each command factorizes the commutator once, as ``i C~`` in the coupling eigenbasis.
 
-    @pytest.mark.parametrize("argv, values, vectors", [
-        (["sectors", "{star}"], 1, 0),
-        (["oracle-diff", "{star}"], 1, 0),
-        (["verify", "{star}", "--sector", "0", "--steps", "5"], 1, 0),
-        (["mixed", "{star}", "--samples", "2", "--steps", "5"], 1, 0),
-        (["mixed", "{star}", "--state", "{rho}", "--steps", "5"], 1, 0),
+    ``C~ = V^H [H_0, H_I] V`` is anti-Hermitian, so one ``eigvalsh`` of
+    ``i C~`` gives its singular values; the spin-star claims add one ``eigh``
+    for the kernel vectors.  No command takes an SVD of a ``d x d``
+    commutator in either basis.
+    """
+
+    @pytest.mark.parametrize("argv, vectors", [
+        (["sectors", "{star}"], 0),
+        (["oracle-diff", "{star}"], 0),
+        (["verify", "{star}", "--sector", "0", "--steps", "5"], 0),
+        (["mixed", "{star}", "--samples", "2", "--steps", "5"], 0),
+        (["mixed", "{star}", "--state", "{rho}", "--steps", "5"], 0),
         (["spin-star", "--n", "2", "--omega0", "1.0", "--omega", "0.7", "--gammas", "3,4",
-          "--check-all"], 1, 1),
+          "--check-all"], 1),
     ], ids=["sectors", "oracle-diff", "verify-sector", "mixed-samples", "mixed-state", "spin-star"])
-    def test_svd_calls_of_the_commutator(self, argv, values, vectors, star_file, data_dir,
-                                         tmp_path, monkeypatch):
-        from ifestates.core import build_h0
+    def test_svd_calls_of_the_commutator(self, argv, vectors, star_file, data_dir, tmp_path,
+                                         monkeypatch):
         from ifestates.linalg import commutator
 
         system, _ = load_system(star_file)
-        comm = commutator(build_h0(system), system.h_i)
+        c_eig = core._commutator(system).c
+        targets = {"product": commutator(core.build_h0(system), system.h_i),
+                   "eigenbasis": c_eig, "hermitian": 1j * c_eig}
         calls = []
-        original = np.linalg.svd
+        for name in ("svd", "eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
 
-        def recording(a, *args, **kw):
-            if np.shape(a) == comm.shape and np.allclose(a, comm, rtol=0.0, atol=1e-12):
-                calls.append(kw.get("compute_uv", args[1] if len(args) > 1 else True))
-            return original(a, *args, **kw)
+            def recording(a, *args, name=name, fn=original, **kw):
+                calls.extend((name, key) for key, t in targets.items()
+                             if np.shape(a) == t.shape and np.allclose(a, t, rtol=0.0, atol=1e-12))
+                return fn(a, *args, **kw)
 
-        monkeypatch.setattr(np.linalg, "svd", recording)
+            monkeypatch.setattr(np.linalg, name, recording)
         argv = [a.format(star=star_file, rho=data_dir / "rho_ife_n2.json") for a in argv]
         assert run_cli(*argv, "--out", str(tmp_path / "r.json")) == 0
-        assert calls.count(False) == values and calls.count(True) == vectors
-        assert len(calls) == values + vectors
+        assert calls == [("eigvalsh", "hermitian")] + [("eigh", "hermitian")] * vectors
 
 
 def defect_copy(src, dst, rel_defect=3e-11, seed=5, fields=("h_a", "h_i")):

@@ -41,15 +41,19 @@ from ifestates.linalg import (
 from helpers import (
     DIM_PAIRS,
     commuting_system,
+    commutator_with_zero_flag,
     conjugated_near_commuting_system,
     diagonal_multisector_system,
     generic_system,
     intersect_kernels,
     per_eigenspace_oracle,
+    product_basis_classify,
+    product_basis_sectors,
     propagator,
     random_hermitian,
     random_state,
     random_unitary,
+    snapped_coupling,
     subspace_zero_system,
 )
 
@@ -283,22 +287,6 @@ def coupling_alphas(sys_):
     return cluster_values(w, CLUSTER_TOL * max(1.0, float(np.abs(w).max())))
 
 
-def snapped_coupling(sys_):
-    """``V diag(w_bar) V^H``: the coupling with each eigenvalue replaced by its cluster mean."""
-    w, v = np.linalg.eigh(sys_.h_i)
-    ranges = core._cluster_ranges(w, CLUSTER_TOL * max(1.0, float(np.abs(w).max())))
-    w_bar = np.concatenate([np.full(hi - lo, w[lo:hi].mean()) for lo, hi in ranges])
-    return (v * w_bar) @ v.conj().T
-
-
-def commutator_with_zero_flag(sys_):
-    """``[H_0, H_bar_I]`` of the cluster-snapped coupling and its numerical-zero flag."""
-    h0 = build_h0(sys_)
-    comm = commutator(h0, snapped_coupling(sys_))
-    scale = 2.0 * (spectral_norm(sys_.h_a) + spectral_norm(sys_.h_b)) * spectral_norm(sys_.h_i)
-    return comm, spectral_norm(comm) <= NUMERICAL_ZERO_RTOL * max(1.0, scale)
-
-
 def stacked_route_sectors(sys_, rel_tol=DEFAULT_REL_TOL):
     """Reference: the stacked kernel intersection run on every coupling cluster.
 
@@ -462,7 +450,7 @@ class TestEmptinessCertificate:
     def test_spin_star_factorizes_one_thin_block_per_cluster(self, monkeypatch):
         p = SpinStarParams(5, 1.0, 0.7, (1.0, 1.37, 1.74, 2.11, 2.48))
         sys_ = build_spin_star(p)
-        core._commutator(sys_)  # the values-only SVD of [H_0, H_I]
+        core._commutator(sys_)  # eigvalsh of i C~, the commutator in the coupling eigenbasis
         shapes = []
         original = np.linalg.svd
         monkeypatch.setattr(
@@ -485,14 +473,49 @@ class TestEmptinessCertificate:
         assert max_principal_angle(analytic, dec.sectors[0].basis) <= 1e-7
 
 
+class TestEigenbasisRoute:
+    """The direct route in the eigenbasis of ``H_I`` against the same route in the product basis."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        family=st.sampled_from(["commuting", "conjugated", "subspace_zero", "generic", "star", "near"]),
+        dims=st.sampled_from(DIM_PAIRS),
+        seed=st.integers(0, 2**32 - 1),
+        strength_exp=st.integers(-14, -2),
+    )
+    def test_matches_product_basis_route(self, family, dims, seed, strength_exp):
+        """Same sectors and the same ``classify_pure`` decisions where roundoff cannot decide them."""
+        rng = np.random.default_rng(seed)
+        if family == "near":
+            sys_ = near_commuting_system(*dims, rng, 10.0 ** strength_exp)
+        else:
+            sys_ = family_system(family, dims, rng)
+        assume(rank_decisions_well_posed(sys_))
+        dec, reference = ife_sectors(sys_), product_basis_sectors(sys_)
+        assert dec.alphas == reference.alphas
+        assert dimensions(dec) == dimensions(reference)
+        for sector, expected in zip(dec.sectors, reference.sectors):
+            assert max_principal_angle(sector.basis, expected.basis) <= 1e-10
+        states = [s.basis @ random_state(s.dimension, rng) for s in reference.sectors]
+        for psi in [*states, random_state(sys_.dim, rng)]:
+            alpha, well_posed = product_basis_classify(psi, sys_)
+            if well_posed:
+                got = classify_pure(psi, sys_)
+                assert (got is None) == (alpha is None)
+                if alpha is not None:
+                    assert got == pytest.approx(alpha, rel=0.0, abs=1e-12 * max(1.0, abs(alpha)))
+
+
 class TestSharedFactorization:
     def test_commutator_formed_once_per_system(self, monkeypatch):
-        formed, svds = [], []
-        original, original_svd = core.commutator, np.linalg.svd
-        monkeypatch.setattr(core, "commutator", lambda a, b: formed.append(1) or original(a, b))
-        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: svds.append(
-            (a, kw.get("compute_uv", True))) or original_svd(a, *args, **kw))
         sys_ = subspace_zero_system(2, 3, np.random.default_rng(30))
+        product = commutator_with_zero_flag(sys_)[0]
+        calls = []
+        for name in ("svd", "eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, *args, name=name, fn=original, **kw: (
+                np.shape(a) == (sys_.dim, sys_.dim) and calls.append((name, np.array(a))))
+                or fn(a, *args, **kw))
         dec = ife_sectors(sys_)
         oracle = ife_sectors_oracle(sys_)
         assert ife_exists(sys_)
@@ -501,10 +524,13 @@ class TestSharedFactorization:
         ife_sectors(sys_, 1e-9)
         assert ife_exists(sys_, 1e-2)
         kernels = [commutator_kernel(sys_, rel_tol) for rel_tol in (1e-10, 1e-6, 1e-2, 1e-10)]
-        assert len(formed) == 1
-        comm = core._commutator(sys_).comm
-        # one values-only SVD, and one with vectors for the kernels
-        assert [uv for a, uv in svds if a is comm] == [False, True]
+        com = core._commutator(sys_)
+        assert core._commutator(sys_) is com
+        # one eigvalsh of i C~ for the values, one eigh for the kernels, and
+        # no SVD of the commutator in either basis
+        assert [name for name, a in calls if np.array_equal(a, 1j * com.c)] == ["eigvalsh", "eigh"]
+        assert not [name for name, a in calls if name == "svd"
+                    and (np.allclose(a, com.c, atol=1e-12) or np.allclose(a, product, atol=1e-12))]
         assert oracle.dim == dec.dim == sys_.dim
         assert np.array_equal(kernels[0], kernels[3]) and kernels[0] is not kernels[3]
 
@@ -551,7 +577,8 @@ class TestSharedFactorization:
         monkeypatch.setattr(core, "_cluster_ranges", None)
         assert isinstance(clusters, tuple) and core._coupling_clusters(sys_) is clusters
         ife_sectors(sys_)
-        core._snapped_coupling(sys_)
+        core._snapped_spectrum(sys_)
+        classify_pure(ife_sectors(sys_).sectors[0].basis[:, 0], sys_)
 
     def test_operators_are_private_read_only_copies(self):
         h_i = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
@@ -561,7 +588,7 @@ class TestSharedFactorization:
         with pytest.raises(ValueError):
             sys_.h_i[0, 0] = 7.0
         com = core._commutator(sys_)
-        for array, index in ((com.comm, (0, 0)), (com.s, 0)):
+        for array, index in ((com.c, (0, 0)), (com.s, 0)):
             with pytest.raises(ValueError):
                 array[index] = 7.0
         # the kernel is a fresh array: writing to it leaves the cache alone
@@ -905,7 +932,7 @@ class TestBlockDiagonalOracle:
         def forbidden(*_):
             raise AssertionError("the oracle formed [H_0, H_I]")
 
-        monkeypatch.setattr(core, "commutator", forbidden)
+        monkeypatch.setattr(core, "_commutator", forbidden)
         systems = [
             [commuting_system, subspace_zero_system, generic_system][k % 3](2, 4, np.random.default_rng(5000 + k))
             for k in range(9)
@@ -1220,7 +1247,7 @@ class TestCommutatorZeroThreshold:
 
 
 class TestCommutatorKernel:
-    """One values-only SVD decides the rank; the vectors come from one thin SVD on demand."""
+    """One ``eigvalsh`` of ``i C~`` decides the rank; the vectors come from one ``eigh`` on demand."""
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(family=FAMILIES, dims=st.sampled_from(DIM_PAIRS), seed=st.integers(0, 2**32 - 1),
@@ -1232,7 +1259,8 @@ class TestCommutatorKernel:
         sys_ = family_system(family, dims, np.random.default_rng(seed))
         kernel = commutator_kernel(sys_, rel_tol)
         com = core._commutator(sys_)
-        assert com.is_zero == commutator_with_zero_flag(sys_)[1]
+        product, product_is_zero = commutator_with_zero_flag(sys_)
+        assert com.is_zero == product_is_zero
         rank = 0 if com.is_zero else int(np.sum(com.s > rel_tol * com.s[0]))
         assert kernel.shape == (sys_.dim, sys_.dim - rank)
         assert ife_exists(sys_, rel_tol) == (rank < sys_.dim)
@@ -1241,7 +1269,7 @@ class TestCommutatorKernel:
             save_system(sys_, path)
             cli_main(["sectors", str(path), "--tol", repr(rel_tol), "--out", str(out)])
             assert json.loads(out.read_text())["commutator_kernel_dimension"] == kernel.shape[1]
-        reference = np.eye(sys_.dim) if com.is_zero else null_space(com.comm, rel_tol)
+        reference = np.eye(sys_.dim) if product_is_zero else null_space(product, rel_tol)
         assert reference.shape == kernel.shape
         assert max_principal_angle(kernel, reference) <= 1e-12
         for route in (ife_sectors, ife_sectors_oracle):

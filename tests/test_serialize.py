@@ -116,6 +116,10 @@ class TestCanonicalJson:
         }
         text = canonical_dumps(doc)
         assert canonical_dumps(json.loads(text)) == text
+        # the one exception: negative zero prints as -0, which parses as the integer 0
+        text = canonical_dumps({"x": -0.0})
+        assert text == '{\n  "x": -0\n}\n'
+        assert json.loads(text) == {"x": 0} and canonical_dumps(json.loads(text)) == '{\n  "x": 0\n}\n'
 
     def test_parse_recovers_floats_exactly(self):
         values = [0.1, 1e-300, 123456.789, np.pi]

@@ -327,12 +327,13 @@ class TestVerifyClaims:
     def test_commutator_shared_with_sector_computation(self, monkeypatch):
         import ifestates.core as core
 
-        formed = []
-        original = core.commutator
-        monkeypatch.setattr(core, "commutator", lambda a, b: formed.append(1) or original(a, b))
+        read = []
+        original = core._commutator
+        monkeypatch.setattr(core, "_commutator", lambda sys_: read.append(original(sys_)) or read[-1])
         claims = verify_spin_star_claims(SpinStarParams(3, 0.3, 1.1, (0.5, 1.0, 0.25)))
         assert all(c.passed for c in claims)
-        assert len(formed) == 1
+        # the kernel and the sectors read one cached commutator
+        assert len(read) >= 2 and all(com is read[0] for com in read)
 
     def test_given_blocks_give_identical_claims_and_basis(self):
         p = SpinStarParams(4, 1.0, 0.7, (1.0, 1.2, 0.8, 1.5))
