@@ -331,13 +331,8 @@ def cmd_verify(args) -> int:
 # spin-star
 
 
-def _params_digest(params: SpinStarParams) -> str:
-    doc = canonical_dumps({
-        "n_spins": params.n_spins,
-        "omega0": params.omega0,
-        "omega": params.omega,
-        "gammas": list(params.gammas),
-    })
+def _params_digest(parameters: dict) -> str:
+    doc = canonical_dumps(parameters)
     return "sha256:" + hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
@@ -357,16 +352,17 @@ def cmd_spin_star(args) -> int:
         if not all(c["pass"] for c in claims):
             code = EXIT_MISMATCH
 
+    parameters = {
+        "n_spins": params.n_spins,
+        "omega0": params.omega0,
+        "omega": params.omega,
+        "gammas": list(params.gammas),
+    }
     report = _report(
-        "spin-star", _params_digest(params),
+        "spin-star", _params_digest(parameters),
         {"rel_tol": args.tol, "subspace_angle_tol": SUBSPACE_ANGLE_TOL},
         started,
-        parameters={
-            "n_spins": params.n_spins,
-            "omega0": params.omega0,
-            "omega": params.omega,
-            "gammas": list(params.gammas),
-        },
+        parameters=parameters,
         sectors=_sector_payload(dec, include_bases=True),
         claims=claims,
         exit_code=code,

@@ -396,12 +396,12 @@ def ife_sectors_oracle(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -
     clusters = _coupling_clusters(sys)
     spaces = _cluster_ranges(w0, CLUSTER_TOL * max(1.0, float(np.abs(w0).max())))
     # Clusters (rows of G) and eigenspaces of H_0 (columns) are contiguous index
-    # ranges: block (j, k) is rows row_lo[j] + arange(m[j]), columns col_lo[k] + arange(n[k]).
-    row_lo, m = np.array([(lo, hi - lo) for _, (lo, hi) in clusters]).T
+    # ranges: block (j, k) is the rows of cluster j, columns col_lo[k] + arange(n[k]).
+    row_lo = np.array([lo for _, (lo, hi) in clusters])
     col_lo, col_hi = np.array(spaces).T
     n = col_hi - col_lo
     alphas = np.array([alpha for alpha, _ in clusters])
-    w_bar = np.repeat(alphas, m)
+    w_bar = _snapped_spectrum(sys)
     a = np.maximum(alphas - alphas[0], alphas[-1] - alphas)  # alphas ascend
     cutoff = np.maximum(rel_tol * np.minimum(1.0, a), NUMERICAL_ZERO_RTOL * a)
     steps = np.diff(alphas)

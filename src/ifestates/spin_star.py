@@ -12,14 +12,16 @@ Ker h_i, every IFE state sits in the single sector alpha = 0, and that
 sector is spanned in closed form by dressed highest/lowest-weight states
 of the bath: non-unitary diagonal dressing operators map the
 non-homogeneous couplings onto the total-spin raising/lowering problem,
-whose solutions are the |r, +-r, nu> multiplets.  This module builds that
-basis and verifies each structural claim against the numerical pipeline.
+whose solutions are the |r, +-r, nu> multiplets.  This module constructs
+those multiplets, rather than searching for them numerically, by coupling
+the bath spins one at a time (``nu`` is the coupling path), dresses them,
+and verifies each structural claim against the numerical pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -39,7 +41,6 @@ from .linalg import (
     DEFAULT_REL_TOL,
     kron,
     max_principal_angle,
-    null_space,
     orthonormal_columns,
     spectral_norm,
 )
@@ -91,6 +92,9 @@ class SpinStarParams:
             raise ValueError(
                 f"expected {self.n_spins} couplings, got {len(gammas)}"
             )
+        for name, values in (("omega0", (self.omega0,)), ("omega", (self.omega,)), ("gammas", gammas)):
+            if not all(isfinite(v) for v in values):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if any(g == 0.0 for g in gammas):
             raise ValueError(
                 "zero couplings are not supported: drop the decoupled spin instead"
@@ -214,67 +218,73 @@ def multiplicity(n: int, r: float) -> int:
     return comb(n, k) - (comb(n, k - 1) if k >= 1 else 0)
 
 
-def _canonical_subspace_basis(basis: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal representative of a subspace.
+def _lower_total_spin(x: np.ndarray) -> np.ndarray:
+    """``S_- x`` for columns ``x`` on k spins: per bit, every up (0) adds to its flipped down (1) index."""
+    y = np.zeros_like(x)
+    for step in 2 ** np.arange(x.shape[0].bit_length() - 1):
+        y.reshape(-1, 2, step, x.shape[1])[:, 1] += x.reshape(-1, 2, step, x.shape[1])[:, 0]
+    return y
 
-    Coordinate axes are ranked by descending projection weight onto the
-    subspace (stable index tiebreak); the projected axes are then
-    Gram-Schmidt orthonormalized in that order and each surviving vector's
-    anchor coefficient is made real positive.  This pins the multiplet
-    labeling, which carries no physical meaning, to a reproducible choice.
+
+def _highest_weight_states(n: int) -> dict[int, np.ndarray]:
+    """Real orthonormal highest-weight states ``|r, r, nu>`` of n spins, keyed by ``2r``.
+
+    Spins are coupled one at a time with Condon & Shortley Clebsch-Gordan
+    coefficients, each new spin as the least significant bit of the
+    product-state index.  Starting from ``|1/2, 1/2> = |up>``, a state
+    ``x = |S, S>`` of the first k spins gives
+
+        |S + 1/2, S + 1/2> = x (x) |up>
+        |S - 1/2, S - 1/2> = sqrt(2S / (2S + 1)) x (x) |down>
+                             - sqrt(1 / (2S (2S + 1))) (S_- x) (x) |up>     (S > 0)
+
+    so ``nu`` is the coupling path ``S_1 = 1/2, S_2, ..., S_n = r``.  For each
+    r the columns are ordered by path compared from the last spin backwards,
+    lower intermediate spin first: the paths through ``S_(n-1) = r - 1/2``,
+    then those through ``r + 1/2``.
     """
-    dim, k = basis.shape
-    if k == 0:
-        return basis.copy()
-    proj = basis @ basis.conj().T
-    weights = np.linalg.norm(proj, axis=0)
-    order = np.lexsort((np.arange(dim), -weights))
-    chosen: list[np.ndarray] = []
-    for j in order:
-        v = proj[:, j].copy()
-        for q in chosen:
-            v -= q * np.vdot(q, v)
-        nrm = np.linalg.norm(v)
-        if nrm <= 1e-8:
-            continue
-        v /= nrm
-        anchor = v[j] if abs(v[j]) > 1e-12 else v[int(np.argmax(np.abs(v)))]
-        v *= anchor.conjugate() / abs(anchor)
-        chosen.append(v)
-        if len(chosen) == k:
-            break
-    return np.column_stack(chosen)
+    states = {1: np.array([[1.0], [0.0]])}
+    for _ in range(n - 1):
+        grown = {}
+        for two_s in range(max(states) + 1, -1, -2):
+            parts = []
+            if two_s - 1 in states:
+                x = states[two_s - 1]
+                parts.append(np.stack([x, np.zeros_like(x)], axis=1))
+            if two_s + 1 in states:
+                x, k = states[two_s + 1], two_s + 1
+                parts.append(np.stack([-np.sqrt(1 / (k * (k + 1))) * _lower_total_spin(x),
+                                       np.sqrt(k / (k + 1)) * x], axis=1))
+            grown[two_s] = np.hstack([part.reshape(-1, part.shape[2]) for part in parts])
+        states = grown
+    return states
 
 
-def _ladder_kernel(n: int, m2: int, raising: bool) -> np.ndarray:
-    """Canonical orthonormal basis of Ker(S_+) (``raising``) or Ker(S_-)
-    within the 2 S_z = ``m2`` sector."""
-    signs = _site_sz_signs(n)
-    sector = np.flatnonzero(signs.sum(axis=1) == m2)
-    # S_+ flips one down spin up (index - 2^(n-1-i)), S_- one up spin down.
-    cols, sites = np.nonzero(signs[sector] == (-1.0 if raising else 1.0))
-    step = 2 ** (n - 1 - sites)
-    ladder = np.zeros((2 ** n, sector.size), dtype=complex)
-    ladder[sector[cols] + (-step if raising else step), cols] = 1.0
-    inner = null_space(ladder)
+def _weight_states(highest: np.ndarray, n: int, two_r: int, which: str) -> np.ndarray:
+    """Complex highest-weight columns, or their lowest-weight images ``exp(-i pi S_y) |r, r, nu>``.
 
-    full = np.zeros((2 ** n, inner.shape[1]), dtype=complex)
-    full[sector, :] = inner
-    return _canonical_subspace_basis(full)
+    The rotation maps ``|up> -> |down>`` and ``|down> -> -|up>``: it reverses
+    the product-state index and gives a sign per down spin, of which every
+    ``S_z = r`` state has ``(n - 2r) / 2``.
+    """
+    if which == "highest":
+        return highest.astype(complex)
+    return (-1) ** ((n - two_r) // 2) * highest[::-1].astype(complex)
 
 
 def weight_basis(n: int, r: float, which: str = "highest") -> np.ndarray:
     """Orthonormal basis of the highest- or lowest-weight states |r, +-r, nu>.
 
-    Highest: Ker(S_+) within the S_z = +r magnetization sector; lowest:
-    Ker(S_-) within S_z = -r.  Column count equals :func:`multiplicity`.
+    The states are constructed, not searched for: ``nu`` is the coupling
+    path of :func:`_highest_weight_states`, which spans ``Ker(S_+)`` within
+    ``S_z = +r``.  The lowest-weight states are the standard-phase images
+    ``exp(-i pi S_y) |r, r, nu>``, spanning ``Ker(S_-)`` within ``S_z = -r``.
+    Column count equals :func:`multiplicity`.
     """
     two_r = _check_r(n, r)
     if which not in ("highest", "lowest"):
         raise ValueError(f"which must be 'highest' or 'lowest', got {which!r}")
-    if which == "highest":
-        return _ladder_kernel(n, two_r, True)
-    return _ladder_kernel(n, -two_r, False)
+    return _weight_states(_highest_weight_states(n)[two_r], n, two_r, which)
 
 
 def dressed_blocks(p: SpinStarParams) -> list[DressedBasis]:
@@ -285,11 +295,13 @@ def dressed_blocks(p: SpinStarParams) -> list[DressedBasis]:
     vectors are re-orthonormalized because the dressing is not unitary.
     """
     n = p.n_spins
+    highest = _highest_weight_states(n)
     blocks = []
-    for branch, sign in (("plus", 1), ("minus", -1)):
+    for branch, which in (("plus", "highest"), ("minus", "lowest")):
         dressing = dressing_operator(p, branch)
         for r in admissible_r(n):
-            undressed = _ladder_kernel(n, sign * _check_r(n, r), sign > 0)
+            two_r = _check_r(n, r)
+            undressed = _weight_states(highest[two_r], n, two_r, which)
             vectors = orthonormal_columns(dressing[:, None] * undressed)
             blocks.append(DressedBasis(branch, r, vectors))
     return blocks

@@ -18,7 +18,6 @@ from ifestates.dynamics import _eig_overlap
 from ifestates.spin_star import (
     PAULI_Z,
     DressedBasis,
-    _canonical_subspace_basis,
     _check_r,
     _site_sz_signs,
     admissible_r,
@@ -524,8 +523,9 @@ def kron_dressed_blocks(p):
     """``dressed_blocks`` from the dense ladders and a dense dressing matrix.
 
     Each weight basis is the kernel of ``total_splus(n)[:, sector]`` (or
-    ``total_sminus``), canonicalized in the full bath space, and each block
-    is ``np.diag(d) @ undressed`` re-orthonormalized.
+    ``total_sminus``) embedded in the full bath space, and each block is
+    ``np.diag(d)`` times that kernel, re-orthonormalized.  The kernel's
+    representative is whatever the SVD gives, so compare spans, not bits.
     """
     n = p.n_spins
     sz2 = _site_sz_signs(n).sum(axis=1)
@@ -537,6 +537,5 @@ def kron_dressed_blocks(p):
             inner = null_space(ladder[:, sector])
             full = np.zeros((2 ** n, inner.shape[1]), dtype=complex)
             full[sector, :] = inner
-            undressed = _canonical_subspace_basis(full)
-            blocks.append(DressedBasis(branch, r, orthonormal_columns(dressing @ undressed)))
+            blocks.append(DressedBasis(branch, r, orthonormal_columns(dressing @ full)))
     return blocks

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from ifestates import (
     verify_spin_star_claims,
     weight_basis,
 )
-from ifestates.linalg import commutator, kron, spectral_norm
+from ifestates.linalg import commutator, kron, max_principal_angle, spectral_norm
 from ifestates.spin_star import PAULI_Z, admissible_r, dressed_blocks
 
 from helpers import (
@@ -43,6 +45,14 @@ class TestParams:
     def test_rejects_empty_bath(self):
         with pytest.raises(ValueError, match="n_spins"):
             SpinStarParams(0, 1.0, 0.5, ())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["omega0", "omega", "gammas"])
+    def test_rejects_non_finite(self, name, bad):
+        fields = {"omega0": 1.0, "omega": 0.5, "gammas": (1.0, 2.0)}
+        fields[name] = (1.0, bad) if name == "gammas" else bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SpinStarParams(2, **fields)
 
 
 class TestBuildSpinStar:
@@ -97,10 +107,12 @@ class TestBitFlipOperators:
 
     @pytest.mark.parametrize("p", _seeded_stars(), ids=lambda p: f"n{p.n_spins}")
     def test_dressed_blocks_match_kronecker_reference(self, p):
+        # the reference takes whatever kernel representative its SVD gives: compare spans
         built, reference = dressed_blocks(p), kron_dressed_blocks(p)
         assert [(b.branch, b.r) for b in built] == [(b.branch, b.r) for b in reference]
         for b, ref in zip(built, reference):
-            assert _same_bits(b.vectors, ref.vectors), (b.branch, b.r)
+            assert b.count == ref.count, (b.branch, b.r)
+            assert max_principal_angle(b.vectors, ref.vectors) <= 1e-12, (b.branch, b.r)
 
 
 class TestGammaNorm:
@@ -234,6 +246,39 @@ class TestWeightBasis:
 
     def test_deterministic(self):
         assert np.array_equal(weight_basis(4, 1, "highest"), weight_basis(4, 1, "highest"))
+
+    def test_n3_doublets_are_the_coupling_paths(self):
+        # |uud> = 1, |udu> = 2, |duu> = 4; first the path through S_2 = 0, then S_2 = 1
+        expected = np.zeros((8, 2))
+        expected[[2, 4], 0] = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        expected[[1, 2, 4], 1] = np.array([2.0, -1.0, -1.0]) / np.sqrt(6.0)
+        basis = weight_basis(3, 0.5, "highest")
+        assert basis.dtype == complex
+        assert np.abs(basis - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_lowest_is_the_rotated_highest(self, n):
+        # exp(-i pi S_y) = (-i sigma_y)^(x n): |up> -> |down>, |down> -> -|up>
+        rotation = reduce(np.kron, [np.array([[0.0, -1.0], [1.0, 0.0]])] * n)
+        for r in admissible_r(n):
+            hi = weight_basis(n, r, "highest")
+            lo = weight_basis(n, r, "lowest")
+            assert np.array_equal(lo, (-1) ** round((n - 2 * r) / 2) * hi[::-1])
+            assert np.array_equal(lo, rotation @ hi)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_orthonormal_and_annihilated_by_raising(self, n):
+        index = np.arange(2 ** n)
+        for r in admissible_r(n):
+            hw = weight_basis(n, r, "highest")
+            assert hw.shape == (2 ** n, multiplicity(n, r))
+            assert np.abs(hw.conj().T @ hw - np.eye(hw.shape[1])).max() <= 1e-13
+            # S_+ by bit flips: each down spin (bit 1) of an index is raised to up
+            raised = np.zeros_like(hw)
+            for bit in 2 ** np.arange(n):
+                down = index[(index & bit) != 0]
+                raised[down - bit] += hw[down]
+            assert np.abs(raised).max() <= 1e-13
 
 
 class TestSpinStarIfeBasis:
