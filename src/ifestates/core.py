@@ -24,10 +24,21 @@ commutator: one gemm ``G = V^H V0`` holds every pair, the Frobenius norms
 of its blocks prune the pairs that cannot meet, and the exact residual
 ``diag(w_bar - alpha) G[:, k]`` decides the rank.
 
-``H_0`` and the factorizations that several routines need (``eigh`` of
-``H``, ``H_0`` and ``H_I``, the coupling clusters, ``C~`` with the
-eigenvalues of ``i C~``, and its eigenvectors once :func:`commutator_kernel`
-asks for them) are computed once per system and cached read-only on it.
+``H_0 = h_a (x) I + I (x) h_b`` is a Kronecker sum, and no ``d x d``
+eigensolve of it is ever taken: its eigenvalues are the sums ``e_i + f_j``
+of the eigenvalues of ``h_a`` and ``h_b`` and its eigenvectors the
+products ``V_a[:, i] (x) V_b[:, j]`` (Horn & Johnson, Topics in Matrix
+Analysis, 1991, sec. 4.4), sorted by a stable argsort of the sums, so
+exactly equal sums keep the Kronecker ``(i, j)`` order.  Where ``H_0``
+multiplies a block it acts through ``h_a`` and ``h_b`` on the factors of
+the block (:func:`_apply_local`).  The dense ``H_0`` is built only for
+``H = H_0 + H_I`` and for the spin-star eigenvector claim.
+
+The factorizations that several routines need (``eigh`` of ``H``, ``h_a``,
+``h_b`` and ``H_I``, the spectrum of ``H_0`` built from the factors, the
+coupling clusters, ``C~`` with the eigenvalues of ``i C~``, and its
+eigenvectors once :func:`commutator_kernel` asks for them) are computed
+once per system and cached read-only on it.
 """
 
 from __future__ import annotations
@@ -124,7 +135,7 @@ def build_h0(sys: BipartiteSystem) -> np.ndarray:
 
 def build_total(sys: BipartiteSystem) -> np.ndarray:
     """Full Hamiltonian: free part plus coupling, as a fresh array."""
-    return _h0(sys) + sys.h_i
+    return build_h0(sys) + sys.h_i
 
 
 @dataclass(frozen=True)
@@ -199,9 +210,31 @@ def _cached(sys: BipartiteSystem, key, compute):
     return sys._cache[key]
 
 
-def _h0(sys: BipartiteSystem) -> np.ndarray:
-    """``H_0``, built once per system and cached read-only; :func:`build_h0` builds a fresh one."""
-    return _cached(sys, "h0", lambda: build_h0(sys))
+def _factor_eig(sys: BipartiteSystem):
+    """``(e_a, V_a, e_b, V_b)``: ``eigh`` of ``h_a`` and of ``h_b``, once per system.
+
+    The two small factorizations from which the spectrum of ``H_0``
+    (:func:`_eig`) and the bound ``||h_a|| + ||h_b||`` (:func:`_free_norm`)
+    are read.
+    """
+    return _cached(sys, "factor_eig", lambda: (*np.linalg.eigh(sys.h_a), *np.linalg.eigh(sys.h_b)))
+
+
+def _apply_local(sys: BipartiteSystem, block: np.ndarray, op_a=None, op_b=None) -> np.ndarray:
+    """``(op_a (x) op_b) @ block`` without forming the Kronecker product.
+
+    ``block`` has ``d = dim_a * dim_b`` rows, a-index major, and is viewed
+    as ``x[a, b, n]``; an operator left as None is the identity on its
+    factor.  ``op_b`` acts as one ``dim_b x dim_b`` product per ``a`` and
+    ``op_a`` as one ``dim_a x dim_a`` product on the ``a`` rows, so a
+    column costs ``O(d (dim_a + dim_b))`` instead of ``O(d^2)``.
+    """
+    x = block.reshape(sys.dim_a, sys.dim_b, block.shape[1])
+    if op_b is not None:
+        x = op_b @ x
+    if op_a is not None:
+        x = (op_a @ x.reshape(sys.dim_a, -1)).reshape(x.shape)
+    return x.reshape(block.shape)
 
 
 def _coupling_eig(sys: BipartiteSystem):
@@ -235,15 +268,14 @@ def _snapped_spectrum(sys: BipartiteSystem) -> np.ndarray:
 
 
 def _free_norm(sys: BipartiteSystem) -> float:
-    """``||h_a|| + ||h_b||`` from the subsystem spectra: two small ``eigvalsh`` calls.
+    """``||h_a|| + ||h_b||``, read off the cached factor spectra (:func:`_factor_eig`).
 
     It bounds ``||H_0||`` from above and sets the scale of the roundoff in
     ``[H_0, H_I]``.  ``||H_0||`` itself can cancel: ``h_a = -I`` and
     ``h_b = I`` give ``H_0 = 0``, yet a commutator formed from them carries
     roundoff of ``||h_a|| + ||h_b||`` times ``||H_I||``.
     """
-    a = np.linalg.eigvalsh(sys.h_a)
-    b = np.linalg.eigvalsh(sys.h_b)
+    a, _, b, _ = _factor_eig(sys)
     return float(max(-a[0], a[-1]) + max(-b[0], b[-1]))
 
 
@@ -263,16 +295,18 @@ class _Commutator:
 def _commutator(sys: BipartiteSystem) -> _Commutator:
     """``C~ = H0~ o M`` and its singular values ``|eigvalsh(i C~)|``, once per system.
 
-    ``H0~ = V^H H_0 V`` is made exactly Hermitian, so ``C~`` is exactly
-    anti-Hermitian; ``M_ij = w_bar_j - w_bar_i`` is 0 inside a cluster.  The
-    rank at any ``rel_tol`` is a count over ``s``.  The commutator is
-    numerically zero when
+    ``H0~ = V^H (H_0 V)`` is one gemm: ``H_0 V`` is applied through ``h_a``
+    and ``h_b`` (:func:`_apply_local`, ``O(d^2 (dim_a + dim_b))``), never
+    through the dense ``H_0``.  It is made exactly Hermitian, so ``C~`` is
+    exactly anti-Hermitian; ``M_ij = w_bar_j - w_bar_i`` is 0 inside a
+    cluster.  The rank at any ``rel_tol`` is a count over ``s``.  The
+    commutator is numerically zero when
     ``||C|| <= NUMERICAL_ZERO_RTOL * max(1, 2 (||h_a|| + ||h_b||) ||H_I||)``.
     """
     def compute():
         _, v = _coupling_eig(sys)
         w_bar = _snapped_spectrum(sys)
-        h0 = v.conj().T @ _h0(sys) @ v
+        h0 = v.conj().T @ (_apply_local(sys, v, op_a=sys.h_a) + _apply_local(sys, v, op_b=sys.h_b))
         c = 0.5 * (h0 + h0.conj().T) * (w_bar - w_bar[:, None])
         s = np.sort(np.abs(np.linalg.eigvalsh(1j * c)))[::-1]
         for array in (c, s):
@@ -311,14 +345,28 @@ def commutator_kernel(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) ->
 
 
 def _eig(sys: BipartiteSystem, free: bool = False):
-    """``eigh`` of ``H`` (or of ``H_0`` when ``free``), once per system.
+    """``(w, V)`` with ``V diag(w) V^H`` equal to ``H`` (or to ``H_0`` when ``free``), once per system.
 
-    Cached on ``sys`` with read-only arrays, so the tracers and the oracle
-    share one factorization of each Hamiltonian.  No commutator is
-    involved, so the oracle's sectors stay independent of the direct route.
+    ``H`` takes one ``eigh``.  ``H_0`` takes none of its own: its spectrum
+    is built from the factors' (:func:`_factor_eig`), ``w0`` the sums
+    ``e_a[i] + e_b[j]`` in ascending order and ``V0`` the matching columns
+    ``V_a[:, i] (x) V_b[:, j]`` of ``kron(V_a, V_b)``.  The sort is a stable
+    argsort of the sums in Kronecker order, so exactly equal sums keep the
+    ``(i, j)`` order.  Cached on ``sys`` with read-only arrays, so the
+    tracers and the oracle share one spectrum of each Hamiltonian.  No
+    commutator is involved, so the oracle's sectors stay independent of the
+    direct route.
     """
-    return _cached(sys, ("eig", free),
-                   lambda: tuple(np.linalg.eigh(_h0(sys) if free else build_total(sys))))
+    if not free:
+        return _cached(sys, ("eig", False), lambda: tuple(np.linalg.eigh(build_total(sys))))
+
+    def compute():
+        e_a, v_a, e_b, v_b = _factor_eig(sys)
+        w0 = np.add.outer(e_a, e_b).ravel()
+        order = np.argsort(w0, kind="stable")
+        return w0[order], kron(v_a, v_b)[:, order]
+
+    return _cached(sys, ("eig", True), compute)
 
 
 def ife_sectors(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDecomposition:
@@ -387,8 +435,9 @@ def ife_sectors_oracle(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -
     roundoff holds no such direction and is skipped unfactorized.
 
     The residuals of all surviving blocks with ``n`` columns share one
-    batched ``numpy.linalg.svd`` call.  ``eigh(H_0)`` and ``eigh(H_I)`` come
-    from the per-system cache and ``[H_0, H_I]`` is never formed.
+    batched ``numpy.linalg.svd`` call.  ``eigh(H_I)`` and the spectrum of
+    ``H_0`` (built from ``eigh(h_a)`` and ``eigh(h_b)``) come from the
+    per-system cache and ``[H_0, H_I]`` is never formed.
     """
     require_rel_tol(rel_tol)
     _, v = _coupling_eig(sys)

@@ -2,8 +2,11 @@
 energies, and covariance of free-invariant observable pairs.
 
 All propagation is exact spectral propagation of time-independent
-Hamiltonians (units with hbar = 1).  ``H = V diag(w) V^H`` and ``H_0``
-are diagonalized once per system (the spectra are cached on it).
+Hamiltonians (units with hbar = 1).  ``H = V diag(w) V^H`` is
+diagonalized once per system; the spectrum of ``H_0`` is built from those
+of ``h_a`` and ``h_b`` (``core._eig``: sums ``e_i + f_j`` in ascending
+order, exact ties in Kronecker ``(i, j)`` order).  Both are cached on the
+system.
 :func:`trace_pure_states` evolves a whole block of states at once: the
 eigenbasis coefficients ``V^H S`` are phased for every grid time and
 mapped back with one matrix product per block of columns, and local
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BipartiteSystem, _cached, _eig
+from .core import BipartiteSystem, _apply_local, _cached, _eig
 from .linalg import require_hermitian, require_unit_states, spectral_norm
 
 __all__ = [
@@ -88,23 +91,6 @@ def _eig_overlap(sys: BipartiteSystem) -> np.ndarray:
     return _cached(sys, "eig_overlap", lambda: _eig(sys)[1].conj().T @ _eig(sys, free=True)[1])
 
 
-def _apply_local(sys: BipartiteSystem, block: np.ndarray, op_a=None, op_b=None) -> np.ndarray:
-    """``(op_a (x) op_b) @ block`` without forming the Kronecker product.
-
-    ``block`` has ``d = dim_a * dim_b`` rows, a-index major, and is viewed
-    as ``x[a, b, n]``; an operator left as None is the identity on its
-    factor.  ``op_b`` acts as one ``dim_b x dim_b`` product per ``a`` and
-    ``op_a`` as one ``dim_a x dim_a`` product on the ``a`` rows, so a
-    column costs ``O(d (dim_a + dim_b))`` instead of ``O(d^2)``.
-    """
-    x = block.reshape(sys.dim_a, sys.dim_b, block.shape[1])
-    if op_b is not None:
-        x = op_b @ x
-    if op_a is not None:
-        x = (op_a @ x.reshape(sys.dim_a, -1)).reshape(x.shape)
-    return x.reshape(block.shape)
-
-
 def _real_expectations(bra: np.ndarray, applied: np.ndarray, shape, what: str) -> np.ndarray:
     """``<x|O|x>`` of each column ``x`` of a block, given ``bra = conj(x)`` and ``applied = O x``.
 
@@ -152,8 +138,9 @@ def trace_pure_states(sys: BipartiteSystem, states, times, *, alphas=None,
 
     The block is evolved under ``H`` and, when ``alphas`` are given, under
     ``H_0``.  Both spectra come from the system's cache, so only the first
-    call on a system pays for an eigensolve.  One report per column
-    carries the traces requested:
+    call on a system pays for an eigensolve: one of ``H``, and those of
+    ``h_a`` and ``h_b``, from which the spectrum of ``H_0`` is built.  One
+    report per column carries the traces requested:
 
     * ``alphas`` (one per column): ``deviation[k] = || exp(-iHt_k) psi -
       exp(-i alpha t_k) exp(-iH_0 t_k) psi ||`` and its maximum, ~0

@@ -194,8 +194,11 @@ def max_principal_angle(b1, b2) -> float:
 
     Computed from the sine-based residual sigma_max((I - P1) B2), which
     stays accurate for tiny angles where the cosine formula saturates.
-    Both empty: 0.  One empty: pi/2.  For unequal dimensions this is the
-    largest angle by which one span leaves the other, symmetrized.
+    For equal dimensions ``(I - P1) B2`` and ``(I - P2) B1`` have the same
+    singular values, the sines of the principal angles, so one residual
+    suffices.  For unequal dimensions this is the largest angle by which
+    one span leaves the other, symmetrized.  Both empty: 0.  One empty:
+    pi/2.
     """
     b1, b2 = _check_same_ambient(b1, b2)
     if b1.shape[1] == 0 and b2.shape[1] == 0:
@@ -207,6 +210,8 @@ def max_principal_angle(b1, b2) -> float:
         resid = q - p @ (p.conj().T @ q)
         return spectral_norm(resid)
 
-    s = max(one_way(b1, b2), one_way(b2, b1))
+    s = one_way(b1, b2)
+    if b1.shape[1] != b2.shape[1]:
+        s = max(s, one_way(b2, b1))
     return float(np.arcsin(min(1.0, s)))
 

@@ -9,7 +9,9 @@ states that have it, and measures the dynamical deviation directly.
 :func:`block_structure_residuals` compresses ``rho`` onto the concatenated
 sector bases once and reads both residuals off that one matrix.  The one
 tracer, :func:`trace_density_matrix`, works in the eigenbases of
-``H = V diag(w) V^H`` and ``H_0 = V0 diag(w0) V0^H``, cached on the system:
+``H = V diag(w) V^H`` and ``H_0 = V0 diag(w0) V0^H``, cached on the system
+(``H_0``'s is built from the factors' spectra, ``core._eig``, so its
+levels and Bohr frequencies are sums and differences of ``e_i + f_j``):
 ``rho(t)`` is ``V (P(t) o rho~) V^H`` with ``rho~ = V^H rho V`` and the
 phase matrix ``P(t) = p p^H``, ``p = exp(-i w t)`` (``o`` is the entrywise
 product).  The deviation has two forms.  The dense form takes the grid in
@@ -28,14 +30,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import NUMERICAL_ZERO_RTOL, BipartiteSystem, IfeDecomposition, _cached, _eig, _free_norm
-from .dynamics import (
-    _CHUNK_ENTRIES,
-    EvolutionReport,
+from .core import (
+    NUMERICAL_ZERO_RTOL,
+    BipartiteSystem,
+    IfeDecomposition,
     _apply_local,
-    _checked_times,
-    _eig_overlap,
+    _cached,
+    _eig,
+    _free_norm,
 )
+from .dynamics import _CHUNK_ENTRIES, EvolutionReport, _checked_times, _eig_overlap
 from .linalg import HERMITIAN_RTOL, as_operator, require_hermitian
 
 __all__ = [
@@ -153,7 +157,7 @@ def random_ife_mixed(dec: IfeDecomposition, weights, seed: int) -> np.ndarray:
 class _FreeFrequencies(NamedTuple):
     """The levels of ``H_0`` and the Bohr frequencies between them."""
 
-    bounds: np.ndarray  # level a is eigenvalues bounds[a]:bounds[a + 1] of eigh(H_0)
+    bounds: np.ndarray  # level a is eigenvalues bounds[a]:bounds[a + 1] of _eig(sys, free=True)
     nu: np.ndarray  # the Q Bohr frequencies
     pair: np.ndarray  # K x K: e_a - e_b is the frequency nu[pair[a, b]]
     spread: float  # bound on |w0_i - w0_j - nu[pair[a, b]]| for i in level a, j in level b

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, isfinite
+from numbers import Integral
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .core import (
     IfeSector,
     _coupling_eig,
     _coupling_norm,
-    _h0,
+    build_h0,
     build_total,
     commutator_kernel,
     ife_sectors,
@@ -85,8 +86,12 @@ class SpinStarParams:
     gammas: tuple[float, ...]
 
     def __post_init__(self):
+        # bool is an Integral, but True is no bath size
+        if isinstance(self.n_spins, bool) or not isinstance(self.n_spins, Integral):
+            raise ValueError(f"n_spins must be an integer, got {self.n_spins!r}")
         if self.n_spins < 1:
             raise ValueError("n_spins must be >= 1")
+        object.__setattr__(self, "n_spins", int(self.n_spins))
         gammas = tuple(float(g) for g in self.gammas)
         if len(gammas) != self.n_spins:
             raise ValueError(
@@ -364,7 +369,7 @@ def verify_spin_star_claims(
 
     sys = build_spin_star(p)
     ker_comm = commutator_kernel(sys, rel_tol)  # its commutator is shared with ife_sectors below
-    h0 = _h0(sys)
+    h0 = build_h0(sys)
     h = build_total(sys)
 
     angle_tol = 1e-7

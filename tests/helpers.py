@@ -13,7 +13,7 @@ import orjson
 
 from ifestates import BipartiteSystem
 from ifestates import core
-from ifestates.core import NUMERICAL_ZERO_RTOL, IfeDecomposition, IfeSector, _eig, build_h0
+from ifestates.core import NUMERICAL_ZERO_RTOL, IfeDecomposition, IfeSector, _eig, build_h0, build_total
 from ifestates.dynamics import _eig_overlap
 from ifestates.spin_star import (
     PAULI_Z,
@@ -37,6 +37,29 @@ from ifestates.linalg import (
 
 # Dimension pairs with product <= 16, mixed shapes.
 DIM_PAIRS = [(2, 2), (2, 3), (3, 3), (2, 4), (4, 4), (2, 6), (3, 5), (2, 8), (2, 5), (4, 3)]
+
+
+def record_eigensolves(monkeypatch) -> list:
+    """Patch ``np.linalg.eigh`` and ``eigvalsh`` to record a copy of every matrix they factorize."""
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, fn=original, **kwargs:
+                            seen.append(np.array(a)) or fn(a, *args, **kwargs))
+    return seen
+
+
+def factorized_operators(seen, sys_) -> list[str]:
+    """Name each recorded matrix after the operator of ``sys_`` it equals bit for bit.
+
+    The names are ``"H_0"`` (checked first, so a factorization of the dense
+    free Hamiltonian is never mistaken for another), ``"H"``, ``"h_a"``,
+    ``"h_b"`` and ``"h_i"``; anything else is ``"other"``.
+    """
+    named = {"H_0": build_h0(sys_), "H": build_total(sys_),
+             "h_a": sys_.h_a, "h_b": sys_.h_b, "h_i": sys_.h_i}
+    return [next((name for name, op in named.items()
+                  if op.shape == a.shape and np.array_equal(op, a)), "other") for a in seen]
 
 
 def random_unitary(dim, rng):

@@ -44,6 +44,7 @@ from helpers import (
     commutator_with_zero_flag,
     conjugated_near_commuting_system,
     diagonal_multisector_system,
+    factorized_operators,
     generic_system,
     intersect_kernels,
     per_eigenspace_oracle,
@@ -53,6 +54,7 @@ from helpers import (
     random_hermitian,
     random_state,
     random_unitary,
+    record_eigensolves,
     snapped_coupling,
     subspace_zero_system,
 )
@@ -537,20 +539,15 @@ class TestSharedFactorization:
     def test_oracle_shares_the_cached_free_spectrum(self, monkeypatch):
         from ifestates import time_grid, trace_pure_states
 
-        factorized = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name,
-                                lambda a, fn=original: factorized.append(a.copy()) or fn(a))
+        factorized = record_eigensolves(monkeypatch)
         sys_ = subspace_zero_system(2, 3, np.random.default_rng(31))
         psi = np.eye(6, dtype=complex)[:, 0]
-        trace_pure_states(sys_, psi, time_grid(1.0, 3), alphas=[0.0])  # caches eigh(H) and eigh(H_0)
-        before = len(factorized)
+        # caches eigh(H) and the spectrum of H_0, built from eigh(h_a) and eigh(h_b)
+        trace_pure_states(sys_, psi, time_grid(1.0, 3), alphas=[0.0])
+        assert factorized_operators(factorized, sys_) == ["H", "h_a", "h_b"]
         oracle = ife_sectors_oracle(sys_)
         # the oracle adds only the coupling's one factorization
-        assert before == 2 and len(factorized) == 3
-        assert np.array_equal(factorized[1], build_h0(sys_))
-        assert np.array_equal(factorized[2], sys_.h_i)
+        assert factorized_operators(factorized, sys_) == ["H", "h_a", "h_b", "h_i"]
         assert oracle.sectors and oracle.alphas == pytest.approx(ife_sectors(sys_).alphas)
         _, v0 = core._eig(sys_, free=True)
         with pytest.raises(ValueError):
@@ -563,13 +560,14 @@ class TestSharedFactorization:
         original = core.build_h0
         monkeypatch.setattr(core, "build_h0", lambda sys_: built.append(sys_) or original(sys_))
         path = data_dir / "system_spin_star_n2.json"
-        # eigh(H), eigh(H_0) and the commutator all read the one cached H_0
+        # only H = H_0 + H_I, factorized once, reads the dense H_0; the spectrum of
+        # H_0 and the commutator apply it through h_a and h_b
         assert cli_main(["mixed", str(path), "--samples", "2", "--out", str(tmp_path / "r.json")]) == 0
         assert len(built) == 1
         sys_ = built[0]
         h0, total = build_h0(sys_), build_total(sys_)
-        assert h0.flags.writeable and total.flags.writeable and h0 is not core._h0(sys_)
-        assert np.array_equal(h0, core._h0(sys_)) and np.array_equal(total, h0 + sys_.h_i)
+        assert h0.flags.writeable and total.flags.writeable
+        assert np.array_equal(total, h0 + sys_.h_i)
 
     def test_coupling_clusters_computed_once_per_system(self, monkeypatch):
         sys_ = subspace_zero_system(2, 3, np.random.default_rng(32))
@@ -1211,6 +1209,72 @@ class TestFreeNorm:
         assert abs(value - scale) <= tol
         # an upper bound on ||H_0||, which may be 0 up to roundoff
         assert spectral_norm(build_h0(sys_)) <= value + tol
+
+
+class TestFreeSpectrumFromFactors:
+    """The spectrum of ``H_0``, built from ``eigh(h_a)`` and ``eigh(h_b)``, against a dense ``eigh``."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(family=st.sampled_from(["commuting", "conjugated", "subspace_zero", "generic", "star",
+                                   "commuting_4x32"]),
+           dims=st.sampled_from(DIM_PAIRS), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_dense_eigensolve(self, family, dims, seed):
+        rng = np.random.default_rng(seed)
+        if family == "commuting_4x32":
+            sys_ = commuting_system(4, 32, rng)
+        else:
+            sys_ = family_system(family, dims, rng)
+        w0, v0 = core._eig(sys_, free=True)
+        h0 = build_h0(sys_)
+        w_ref, v_ref = np.linalg.eigh(h0)
+        scale = max(1.0, spectral_norm(sys_.h_a) + spectral_norm(sys_.h_b))
+        assert np.all(np.diff(w0) >= 0)
+        assert np.abs(w0 - w_ref).max() <= 1e-13 * scale
+        assert np.abs(v0.conj().T @ v0 - np.eye(sys_.dim)).max() <= 1e-13
+        assert spectral_norm(h0 @ v0 - v0 * w0) <= 1e-13 * scale
+        tol = CLUSTER_TOL * max(1.0, float(np.abs(w0).max()))
+        spaces = core._cluster_ranges(w0, tol)
+        assert spaces == core._cluster_ranges(w_ref, tol)
+        for lo, hi in spaces:
+            projector = v0[:, lo:hi] @ v0[:, lo:hi].conj().T
+            reference = v_ref[:, lo:hi] @ v_ref[:, lo:hi].conj().T
+            assert np.abs(projector - reference).max() <= 1e-10
+
+    def test_exact_ties_keep_kronecker_order(self):
+        # e = f = (0, 1), with f_0 the eigenvalue of |1> and f_1 that of |0>:
+        # e_0 + f_1 and e_1 + f_0 tie at exactly 1
+        sys_ = BipartiteSystem(2, 2, np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), np.zeros((4, 4)))
+        w0, v0 = core._eig(sys_, free=True)
+        assert w0.tolist() == [0.0, 1.0, 1.0, 2.0]
+        # (i, j) = (0, 1), the product state |0>|0>, before (1, 0), the state |1>|1>
+        assert np.array_equal(np.abs(v0[:, 1:3]), np.eye(4)[:, [0, 3]])
+
+    def test_no_command_factorizes_the_dense_free_hamiltonian(self, tmp_path, monkeypatch):
+        from ifestates import random_ife_mixed
+        from ifestates.cli import main as cli_main
+        from ifestates.mixed import _uses_frequencies
+        from ifestates.serialize import save_density_matrix, save_system
+
+        star_args = ["--n", "3", "--omega0", "1.0", "--omega", "0.4", "--gammas", "1.0,1.2,1.4"]
+        star = build_spin_star(SpinStarParams(3, 1.0, 0.4, (1.0, 1.2, 1.4)))
+        commuting = commuting_system(4, 32, np.random.default_rng(7))
+        assert _uses_frequencies(commuting, 101)  # the mixed deviation's frequency form runs too
+        factorized = record_eigensolves(monkeypatch)
+        out = str(tmp_path / "report.json")
+        assert cli_main(["spin-star", *star_args, "--check-all", "--out", out]) == 0
+        for name, sys_ in (("star", star), ("commuting", commuting)):
+            path, rho_path = str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}_rho.json")
+            save_system(sys_, path)
+            dec = ife_sectors(sys_)
+            save_density_matrix(random_ife_mixed(dec, np.full(dec.n_sectors, 1.0 / dec.n_sectors), 3),
+                                rho_path)
+            for args in (["sectors", path], ["oracle-diff", path],
+                         ["verify", path, "--sector", "0", "--steps", "5"],
+                         ["verify", path, "--state", rho_path], ["mixed", path, "--samples", "2"],
+                         ["mixed", path, "--state", rho_path]):
+                assert cli_main([*args, "--out", out]) == 0, args
+        assert len(factorized) > 10
+        assert "H_0" not in factorized_operators(factorized, star) + factorized_operators(factorized, commuting)
 
 
 def cancelling_commuting_system(scale=1e4):

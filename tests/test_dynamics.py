@@ -26,9 +26,11 @@ from helpers import (
     commuting_system,
     diagonal_multisector_system,
     evolve_pure,
+    factorized_operators,
     generic_system,
     random_hermitian,
     random_state,
+    record_eigensolves,
     total_sz,
 )
 
@@ -380,9 +382,7 @@ class TestTracePureStates:
         assert not calls
 
     def test_spectra_factorized_once_per_system(self, monkeypatch):
-        calls = []
-        original = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or original(a))
+        calls = record_eigensolves(monkeypatch)
         sys_ = commuting_system(2, 3, np.random.default_rng(11))
         times = time_grid(2.0, 5)
         states = np.eye(6, 4, dtype=complex)
@@ -390,4 +390,5 @@ class TestTracePureStates:
             trace_pure_states(sys_, states, times, alphas=[0.0] * 4, energies=True,
                               observables=(sys_.h_a, sys_.h_b))
             trace_pure_states(sys_, states[:, 0], times, alphas=[0.0])
-        assert len(calls) == 2  # H and H_0, shared by every later trace
+        # H, and the factors from which the spectrum of H_0 is built, shared by every later trace
+        assert factorized_operators(calls, sys_) == ["H", "h_a", "h_b"]

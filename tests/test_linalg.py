@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifestates.linalg import (
     commutator,
@@ -199,6 +201,58 @@ class TestPrincipalAngle:
         empty = np.zeros((4, 0))
         assert max_principal_angle(empty, empty) == 0.0
         assert max_principal_angle(empty, np.eye(4)[:, :1]) == pytest.approx(np.pi / 2)
+
+
+def _residual_sine(p, q):
+    """``sigma_max((I - P) Q)``: the largest sine by which ``Ran Q`` leaves ``Ran P``."""
+    return spectral_norm(q - p @ (p.conj().T @ q))
+
+
+def _random_basis_pair(seed, equal):
+    """Two orthonormal bases of a random ambient space; equal-dimension spans are near on odd seeds."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 33))
+    k1 = int(rng.integers(1, n + 1))
+    k2 = k1 if equal else int(rng.choice([k for k in range(1, n + 1) if k != k1]))
+    b1 = orthonormal_columns(rng.standard_normal((n, k1)) + 1j * rng.standard_normal((n, k1)))
+    noise = rng.standard_normal((n, k2)) + 1j * rng.standard_normal((n, k2))
+    if equal and seed % 2:  # a nearby span: angles from 1e-14 to 1e-1
+        return b1, orthonormal_columns(b1 + 10 ** rng.uniform(-14, -1) * noise)
+    return b1, orthonormal_columns(noise)
+
+
+class TestPrincipalAngleOnePass:
+    """Equal dimensions take one residual; unequal dimensions keep the symmetrized max."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None, database=None)
+    def test_equal_dimensions_match_the_symmetrized_residual(self, seed):
+        b1, b2 = _random_basis_pair(seed, equal=True)
+        n = b1.shape[0]
+        symmetrized = max(_residual_sine(b1, b2), _residual_sine(b2, b1))
+        # both residuals have the sines of the principal angles as singular values,
+        # so they agree to roundoff of the n-row products
+        assert abs(np.sin(max_principal_angle(b1, b2)) - symmetrized) <= 4 * n * np.finfo(float).eps
+        if symmetrized <= 0.1:  # arcsin is flat there, so the angles agree as closely
+            assert abs(max_principal_angle(b1, b2) - np.arcsin(symmetrized)) <= 4 * n * np.finfo(float).eps
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None, database=None)
+    def test_unequal_dimensions_unchanged(self, seed):
+        b1, b2 = _random_basis_pair(seed, equal=False)
+        symmetrized = max(_residual_sine(b1, b2), _residual_sine(b2, b1))
+        assert max_principal_angle(b1, b2) == float(np.arcsin(min(1.0, symmetrized)))
+
+    def test_equal_dimensions_take_one_residual(self, monkeypatch):
+        import ifestates.linalg as linalg
+
+        calls = []
+        monkeypatch.setattr(linalg, "spectral_norm", lambda a: calls.append(a.shape) or spectral_norm(a))
+        b = np.eye(6, dtype=complex)
+        linalg.max_principal_angle(b[:, :3], b[:, 1:4])
+        assert calls == [(6, 3)]
+        linalg.max_principal_angle(b[:, :3], b[:, 1:3])
+        assert calls[1:] == [(6, 2), (6, 3)]
 
 
 class TestPropagator:

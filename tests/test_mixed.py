@@ -31,12 +31,14 @@ from helpers import (
     agreement_tol,
     commuting_system,
     diagonal_multisector_system,
+    factorized_operators,
     generic_system,
     per_step_mixed_deviation,
     project_to_sectors,
     random_hermitian,
     random_state,
     random_unitary,
+    record_eigensolves,
 )
 
 
@@ -386,14 +388,13 @@ class TestSharedSpectra:
     def test_samples_share_one_factorization(self, diag_dec, monkeypatch):
         # a fresh copy of diag_system, whose spectra other tests may have cached
         sys_ = diagonal_multisector_system(np.random.default_rng(100), 2, 3)
-        calls = []
-        original = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or original(a))
+        calls = record_eigensolves(monkeypatch)
         weights = np.full(diag_dec.n_sectors, 1.0 / diag_dec.n_sectors)
         for seed in range(4):
             rho = random_ife_mixed(diag_dec, weights, seed)
             trace_density_matrix(sys_, rho, time_grid(1.0, 3), energies=True)
-        assert len(calls) == 2  # H and H_0
+        # H, and the factors from which the spectrum of H_0 is built
+        assert factorized_operators(calls, sys_) == ["H", "h_a", "h_b"]
 
     def test_energy_trace_checks_dimension(self, diag_system):
         with pytest.raises(ValueError, match="state has dimension 4, expected 6"):

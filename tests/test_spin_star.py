@@ -46,6 +46,17 @@ class TestParams:
         with pytest.raises(ValueError, match="n_spins"):
             SpinStarParams(0, 1.0, 0.5, ())
 
+    @pytest.mark.parametrize("bad", [2.0, 2.5, "2", True, False, np.float64(2.0), np.bool_(True)])
+    def test_rejects_non_integer_bath_size(self, bad):
+        with pytest.raises(ValueError, match="^n_spins must be an integer"):
+            SpinStarParams(bad, 1.0, 0.5, (1.0, 2.0))
+
+    def test_accepts_numpy_integer_bath_size(self):
+        params = SpinStarParams(np.int64(2), 1.0, 0.5, (1.0, 2.0))
+        reference = SpinStarParams(2, 1.0, 0.5, (1.0, 2.0))
+        assert params == reference and type(params.n_spins) is int
+        assert np.array_equal(build_spin_star(params).h_i, build_spin_star(reference).h_i)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("name", ["omega0", "omega", "gammas"])
     def test_rejects_non_finite(self, name, bad):
