@@ -29,13 +29,13 @@ import numpy as np
 from . import __version__
 from .core import (
     CLUSTER_TOL,
+    _alpha_tol,
     _commutator_kernel_dimension,
-    _coupling_norm,
     ife_sectors,
     ife_sectors_oracle,
 )
 from .dynamics import time_grid, trace_pure_states
-from .linalg import DEFAULT_REL_TOL, max_principal_angle, require_unit_states
+from .linalg import DEFAULT_REL_TOL, require_unit_states, subspace_residual
 from .mixed import (
     block_structure_residuals,
     check_density_matrix,
@@ -48,7 +48,6 @@ from .serialize import (
     canonical_dumps,
     load_state,
     load_system,
-    sha256_digest,
     write_canonical,
 )
 from .spin_star import (
@@ -161,26 +160,25 @@ def _claim(name: str, residual: float, tolerance: float) -> dict:
     }
 
 
-def _report(command: str, digest: str, tolerances: dict, started: float, **payload) -> dict:
+def _emit(out, command: str, digest: str, tolerances: dict, started: float, **payload) -> int:
+    """Write the report of ``command`` to ``out`` (stdout when unset); return its exit code.
+
+    Tolerances and payload entries that are None are left out.
+    """
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "tool_version": __version__,
         "command": command,
         "inputs_digest": digest,
-        "tolerances": {k: float(v) for k, v in tolerances.items()},
+        "tolerances": {k: float(v) for k, v in tolerances.items() if v is not None},
         "timing_ms": (time.perf_counter() - started) * 1000.0,
     }
-    for key, value in payload.items():
-        if value is not None:
-            report[key] = value
-    return report
-
-
-def _emit(report: dict, out) -> None:
+    report.update((key, value) for key, value in payload.items() if value is not None)
     if out:
         write_canonical(report, out)
     else:
         sys.stdout.write(canonical_dumps(report))
+    return report["exit_code"]
 
 
 def _sector_payload(dec, include_bases: bool) -> list[dict]:
@@ -224,21 +222,15 @@ def _write_traces_csv(path, traces: list[dict]) -> None:
 
 def _sectors_single(path: Path, args, out) -> int:
     started = time.perf_counter()
-    system, label = load_system(path)
+    system, label, digest = load_system(path)
     dec = ife_sectors(system, args.tol)
-    code = EXIT_OK if dec.n_sectors > 0 else EXIT_NO_SECTORS
-    report = _report(
-        "sectors",
-        sha256_digest(path),
-        {"rel_tol": args.tol, "cluster_tol": CLUSTER_TOL},
-        started,
+    return _emit(
+        out, "sectors", digest, {"rel_tol": args.tol, "cluster_tol": CLUSTER_TOL}, started,
         label=label,
         sectors=_sector_payload(dec, args.include_bases),
         commutator_kernel_dimension=_commutator_kernel_dimension(system, args.tol),
-        exit_code=code,
+        exit_code=EXIT_OK if dec.n_sectors > 0 else EXIT_NO_SECTORS,
     )
-    _emit(report, out)
-    return code
 
 
 def cmd_sectors(args) -> int:
@@ -279,49 +271,54 @@ def _verify_vectors(system, states, times, tol, labels) -> tuple[list, list]:
     return claims, traces
 
 
+def _traced_rho(system, value, times) -> tuple[np.ndarray, float, list]:
+    """A density matrix from a file through its gate, and its deviation traced with energies.
+
+    The gate checks Hermiticity at ``FILE_HERMITIAN_RTOL``, trace and
+    positivity; :func:`trace_density_matrix` then checks the dimension,
+    finiteness and Hermiticity (the state contract).
+    Returns the gated ``rho``, its maximal deviation and its trace list.
+    """
+    rho = check_density_matrix(value, FILE_HERMITIAN_RTOL)
+    trace = trace_density_matrix(system, rho, times, energies=True)
+    return rho, trace.max_deviation, [_trace_lists(trace, {"vector": 0, "label": "density_matrix"})]
+
+
 def cmd_verify(args) -> int:
     started = time.perf_counter()
-    path = Path(args.input)
-    system, label = load_system(path)
+    system, label, digest = load_system(args.input)
     times = time_grid(args.t_max, args.steps)
-    digest = sha256_digest(path)
-    tolerances = {"t_max": args.t_max, "steps": args.steps}
 
+    states = None
     if args.state:
         state = load_state(args.state)
-        digest += "," + sha256_digest(args.state)
-        if state["kind"] == "vector":
-            psi = require_unit_states(state["value"], system.dim)
-            tol = args.tol if args.tol is not None else 1e-9 * np.sqrt(system.dim)
-            claims, traces = _verify_vectors(system, psi, times, tol, ["state"])
-        else:
-            # trace and positivity at the file gate; trace_density_matrix then
-            # checks the dimension, finiteness and Hermiticity (the state contract)
-            rho = check_density_matrix(state["value"], FILE_HERMITIAN_RTOL)
+        digest += "," + state["digest"]
+        if state["kind"] == "rho":
             tol = args.tol if args.tol is not None else 1e-8 * system.dim
-            trace = trace_density_matrix(system, rho, times, energies=True)
-            traces = [_trace_lists(trace, {"vector": 0, "label": "density_matrix"})]
-            claims = [_claim("ife_evolution_density_matrix", trace.max_deviation, tol)]
+            _, deviation, traces = _traced_rho(system, state["value"], times)
+            claims = [_claim("ife_evolution_density_matrix", deviation, tol)]
+        else:
+            states, labels = require_unit_states(state["value"], system.dim), ["state"]
     elif args.sector is not None:
         dec = ife_sectors(system, DEFAULT_REL_TOL)
         if not 0 <= args.sector < dec.n_sectors:
             raise CliInputError(
                 f"sector index {args.sector} out of range ({dec.n_sectors} sectors)"
             )
-        basis = dec.sectors[args.sector].basis
-        tol = args.tol if args.tol is not None else 1e-9 * np.sqrt(system.dim)
-        labels = [f"sector{args.sector}_vector{j}" for j in range(basis.shape[1])]
-        claims, traces = _verify_vectors(system, basis, times, tol, labels)
+        states = dec.sectors[args.sector].basis
+        labels = [f"sector{args.sector}_vector{j}" for j in range(states.shape[1])]
     else:
         raise CliInputError("one of --state or --sector is required")
+    if states is not None:
+        tol = args.tol if args.tol is not None else 1e-9 * np.sqrt(system.dim)
+        claims, traces = _verify_vectors(system, states, times, tol, labels)
 
-    tolerances["max_deviation_tol"] = tol
-    code = EXIT_OK if all(c["pass"] for c in claims) else EXIT_NOT_IFE
-    report = _report(
-        "verify", digest, tolerances, started,
-        label=label, claims=claims, traces=traces, exit_code=code,
+    code = _emit(
+        args.out, "verify", digest,
+        {"t_max": args.t_max, "steps": args.steps, "max_deviation_tol": tol}, started,
+        label=label, claims=claims, traces=traces,
+        exit_code=EXIT_OK if all(c["pass"] for c in claims) else EXIT_NOT_IFE,
     )
-    _emit(report, args.out)
     if args.csv:
         _write_traces_csv(args.csv, traces)
     return code
@@ -358,17 +355,14 @@ def cmd_spin_star(args) -> int:
         "omega": params.omega,
         "gammas": list(params.gammas),
     }
-    report = _report(
-        "spin-star", _params_digest(parameters),
-        {"rel_tol": args.tol, "subspace_angle_tol": SUBSPACE_ANGLE_TOL},
-        started,
+    return _emit(
+        args.out, "spin-star", _params_digest(parameters),
+        {"rel_tol": args.tol, "subspace_angle_tol": SUBSPACE_ANGLE_TOL}, started,
         parameters=parameters,
         sectors=_sector_payload(dec, include_bases=True),
         claims=claims,
         exit_code=code,
     )
-    _emit(report, args.out)
-    return code
 
 
 # ----------------------------------------------------------------------
@@ -377,8 +371,7 @@ def cmd_spin_star(args) -> int:
 
 def cmd_oracle_diff(args) -> int:
     started = time.perf_counter()
-    path = Path(args.input)
-    system, label = load_system(path)
+    system, label, digest = load_system(args.input)
     direct = ife_sectors(system, args.tol)
     oracle = ife_sectors_oracle(system, args.tol)
 
@@ -387,28 +380,20 @@ def cmd_oracle_diff(args) -> int:
         abs(direct.n_sectors - oracle.n_sectors),
         0.0,
     )]
-    alpha_tol = CLUSTER_TOL * max(1.0, _coupling_norm(system))
-    for k in range(min(direct.n_sectors, oracle.n_sectors)):
-        s1, s2 = direct.sectors[k], oracle.sectors[k]
+    alpha_tol = _alpha_tol(system)
+    for k, (s1, s2) in enumerate(zip(direct.sectors, oracle.sectors)):
         claims.append(_claim(f"sector_{k}_alpha_match", abs(s1.alpha - s2.alpha), alpha_tol))
-        if s1.dimension == s2.dimension:
-            angle = max_principal_angle(s1.basis, s2.basis)
-        else:
-            angle = 1.0
-        claims.append(_claim(f"sector_{k}_subspace_match", angle, SUBSPACE_ANGLE_TOL))
+        claims.append(_claim(f"sector_{k}_subspace_match", subspace_residual(s1.basis, s2.basis),
+                             SUBSPACE_ANGLE_TOL))
 
-    code = EXIT_OK if all(c["pass"] for c in claims) else EXIT_MISMATCH
-    report = _report(
-        "oracle-diff", sha256_digest(path),
-        {"rel_tol": args.tol, "subspace_angle_tol": SUBSPACE_ANGLE_TOL},
-        started,
+    return _emit(
+        args.out, "oracle-diff", digest,
+        {"rel_tol": args.tol, "subspace_angle_tol": SUBSPACE_ANGLE_TOL}, started,
         label=label,
         sectors=_sector_payload(direct, include_bases=False),
         claims=claims,
-        exit_code=code,
+        exit_code=EXIT_OK if all(c["pass"] for c in claims) else EXIT_MISMATCH,
     )
-    _emit(report, args.out)
-    return code
 
 
 # ----------------------------------------------------------------------
@@ -419,78 +404,54 @@ def cmd_mixed(args) -> int:
     started = time.perf_counter()
     if args.csv and not args.state:
         raise CliInputError("--csv requires --state")
-    path = Path(args.input)
-    system, label = load_system(path)
+    system, label, digest = load_system(args.input)
     dec = ife_sectors(system, DEFAULT_REL_TOL)
     times = time_grid(args.t_max, args.steps)
-    digest = sha256_digest(path)
     deviation_tol = 1e-8 * system.dim
 
+    block_tol = traces = samples = None
     if args.state:
         state = load_state(args.state)
         if state["kind"] != "rho":
             raise CliInputError(f"{args.state}: 'rho' field required for mixed checks")
-        # trace and positivity at the file gate; block_structure_residuals then
-        # checks the dimension, finiteness and Hermiticity (the state contract)
-        rho = check_density_matrix(state["value"], FILE_HERMITIAN_RTOL)
-        digest += "," + sha256_digest(args.state)
+        digest += "," + state["digest"]
+        rho, deviation, traces = _traced_rho(system, state["value"], times)
         block_tol = args.tol if args.tol is not None else 1e-8 * float(np.linalg.norm(rho))
         outside, cross = block_structure_residuals(rho, dec)
-        trace = trace_density_matrix(system, rho, times, energies=True)
-        traces = [_trace_lists(trace, {"vector": 0, "label": "density_matrix"})]
         claims = [
             _claim("sector_support", outside, block_tol),
             _claim("cross_sector_coherence", cross, block_tol),
-            _claim("dynamical_deviation", trace.max_deviation, deviation_tol),
+            _claim("dynamical_deviation", deviation, deviation_tol),
         ]
         code = EXIT_OK if all(c["pass"] for c in claims) else EXIT_NOT_IFE
-        report = _report(
-            "mixed", digest,
-            {"block_tol": block_tol, "deviation_tol": deviation_tol,
-             "t_max": args.t_max, "steps": args.steps},
-            started,
-            label=label, claims=claims, traces=traces,
-            sectors=_sector_payload(dec, include_bases=False),
-            exit_code=code,
-        )
-        _emit(report, args.out)
-        if args.csv:
-            _write_traces_csv(args.csv, traces)
-        return code
+    elif dec.n_sectors == 0:
+        claims, samples, code = None, [], EXIT_NO_SECTORS
+    else:
+        # sampling mode: draw seeded random sector-block states and self-check
+        weights = np.full(dec.n_sectors, 1.0 / dec.n_sectors)
+        block_tol = args.tol if args.tol is not None else 1e-9
+        claims, samples = [], []
+        for i in range(args.samples):
+            rho = random_ife_mixed(dec, weights, args.seed + i)
+            outside, cross = block_structure_residuals(rho, dec)
+            dev_max = trace_density_matrix(system, rho, times).max_deviation
+            claims.append(_claim(f"sample_{i}_block_structure", max(outside, cross), block_tol))
+            claims.append(_claim(f"sample_{i}_dynamical_deviation", dev_max, deviation_tol))
+            samples.append({"seed": args.seed + i, "max_deviation": dev_max,
+                            "outside_norm": outside, "cross_norm": cross})
+        code = EXIT_OK if all(c["pass"] for c in claims) else EXIT_NOT_IFE
 
-    # sampling mode: draw seeded random sector-block states and self-check
-    if dec.n_sectors == 0:
-        report = _report(
-            "mixed", digest,
-            {"deviation_tol": deviation_tol, "t_max": args.t_max, "steps": args.steps},
-            started,
-            label=label, sectors=[], samples=[], exit_code=EXIT_NO_SECTORS,
-        )
-        _emit(report, args.out)
-        return EXIT_NO_SECTORS
-
-    weights = np.full(dec.n_sectors, 1.0 / dec.n_sectors)
-    block_tol = args.tol if args.tol is not None else 1e-9
-    claims, samples = [], []
-    for i in range(args.samples):
-        rho = random_ife_mixed(dec, weights, args.seed + i)
-        outside, cross = block_structure_residuals(rho, dec)
-        dev_max = trace_density_matrix(system, rho, times).max_deviation
-        claims.append(_claim(f"sample_{i}_block_structure", max(outside, cross), block_tol))
-        claims.append(_claim(f"sample_{i}_dynamical_deviation", dev_max, deviation_tol))
-        samples.append({"seed": args.seed + i, "max_deviation": dev_max,
-                        "outside_norm": outside, "cross_norm": cross})
-    code = EXIT_OK if all(c["pass"] for c in claims) else EXIT_NOT_IFE
-    report = _report(
-        "mixed", digest,
+    _emit(
+        args.out, "mixed", digest,
         {"block_tol": block_tol, "deviation_tol": deviation_tol,
          "t_max": args.t_max, "steps": args.steps},
         started,
-        label=label, claims=claims, samples=samples,
+        label=label, claims=claims, traces=traces, samples=samples,
         sectors=_sector_payload(dec, include_bases=False),
         exit_code=code,
     )
-    _emit(report, args.out)
+    if args.csv:
+        _write_traces_csv(args.csv, traces)
     return code
 
 

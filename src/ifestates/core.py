@@ -247,17 +247,22 @@ def _coupling_norm(sys: BipartiteSystem) -> float:
     return float(np.abs(_coupling_eig(sys)[0]).max())
 
 
+def _alpha_tol(sys: BipartiteSystem) -> float:
+    """``CLUSTER_TOL * max(1, ||H_I||)``: coupling eigenvalues and alphas closer than this are one."""
+    return CLUSTER_TOL * max(1.0, _coupling_norm(sys))
+
+
 def _coupling_clusters(sys: BipartiteSystem) -> tuple[tuple[float, tuple[int, int]], ...]:
     """``(alpha, (lo, hi))`` for each cluster of the coupling spectrum ``w``, cached per system.
 
-    Eigenvalues closer than ``CLUSTER_TOL * max(1, ||H_I||)`` share a
-    cluster; ``alpha`` is the mean of ``w[lo:hi]`` and ``V[:, lo:hi]`` spans
-    its eigenspace.  Both sector routes take their alphas from here.
+    Eigenvalues closer than :func:`_alpha_tol` share a cluster; ``alpha``
+    is the mean of ``w[lo:hi]`` and ``V[:, lo:hi]`` spans its eigenspace.
+    Both sector routes take their alphas from here.
     """
     def compute():
         w, _ = _coupling_eig(sys)
-        tol = CLUSTER_TOL * max(1.0, _coupling_norm(sys))
-        return tuple((float(w[lo:hi].mean()) + 0.0, (lo, hi)) for lo, hi in _cluster_ranges(w, tol))
+        return tuple((float(w[lo:hi].mean()) + 0.0, (lo, hi))
+                     for lo, hi in _cluster_ranges(w, _alpha_tol(sys)))
 
     return _cached(sys, "coupling_clusters", compute)
 

@@ -28,6 +28,7 @@ __all__ = [
     "orthonormal_columns",
     "subspace_equal",
     "max_principal_angle",
+    "subspace_residual",
 ]
 
 # Relative singular-value cutoff used by every kernel computation.
@@ -215,3 +216,11 @@ def max_principal_angle(b1, b2) -> float:
         s = max(s, one_way(b2, b1))
     return float(np.arcsin(min(1.0, s)))
 
+
+def subspace_residual(b1, b2) -> float:
+    """Largest principal angle between two spans, or 1.0 when their dimensions differ.
+
+    The score of a claim that two computations found the same subspace.
+    """
+    b1, b2 = _check_same_ambient(b1, b2)
+    return max_principal_angle(b1, b2) if b1.shape[1] == b2.shape[1] else 1.0

@@ -40,7 +40,6 @@ __all__ = [
     "write_canonical",
     "pairs_to_matrix",
     "pairs_to_vector",
-    "sha256_digest",
     "load_system",
     "save_system",
     "load_state",
@@ -167,10 +166,6 @@ def pairs_to_vector(data, field: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
-def sha256_digest(path) -> str:
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _holds_bool(value) -> bool:
     # Iterative: a parsed document may nest deeper than the recursion limit.
     stack = [value]
@@ -183,8 +178,11 @@ def _holds_bool(value) -> bool:
     return False
 
 
-def _load_object(path, pair_fields: tuple[str, ...]) -> dict:
-    """The top-level object of a system or state file.
+def _load_object(path, pair_fields: tuple[str, ...]) -> tuple[dict, str]:
+    """The top-level object of a system or state file, and the digest of its bytes.
+
+    The file is read once; the digest, ``"sha256:<hex>"``, is that of the
+    very bytes parsed, so a report's ``inputs_digest`` names what was read.
 
     orjson parses the file; ``json`` reads only what orjson rejects, so
     that ``NaN``, numbers beyond double range and lone surrogates are
@@ -211,7 +209,7 @@ def _load_object(path, pair_fields: tuple[str, ...]) -> dict:
         for field in pair_fields:
             if _holds_bool(data.get(field)):
                 raise ValueError(f"{path}: field {field!r} holds a boolean, not a number")
-    return data
+    return data, "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
 def _require(data: dict, field: str, path):
@@ -228,13 +226,14 @@ def _decode(codec, value, field: str, path) -> np.ndarray:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def load_system(path) -> tuple[BipartiteSystem, str | None]:
+def load_system(path) -> tuple[BipartiteSystem, str | None, str]:
     """Read a system file; :class:`BipartiteSystem` checks its matrices.
 
-    Returns the system and its optional label.  Any defect is reported as
-    a ValueError naming the file and the offending field.
+    Returns the system, its optional label and the ``"sha256:<hex>"``
+    digest of the file's bytes.  Any defect is reported as a ValueError
+    naming the file and the offending field.
     """
-    data = _load_object(path, ("h_a", "h_b", "h_i"))
+    data, digest = _load_object(path, ("h_a", "h_b", "h_i"))
     dim_a = _require(data, "dim_a", path)
     dim_b = _require(data, "dim_b", path)
     for name, value in (("dim_a", dim_a), ("dim_b", dim_b)):
@@ -249,7 +248,7 @@ def load_system(path) -> tuple[BipartiteSystem, str | None]:
     label = data.get("label")
     if label is not None and not isinstance(label, str):
         raise ValueError(f"{path}: field 'label' must be a string")
-    return sys, label
+    return sys, label, digest
 
 
 def save_system(sys: BipartiteSystem, path, label: str | None = None) -> None:
@@ -269,11 +268,12 @@ def load_state(path) -> dict:
     """Read a state file holding either a pure vector or a density matrix.
 
     Returns ``{"kind": "vector", "value": ...}`` or
-    ``{"kind": "rho", "value": ...}`` plus the optional label.  Validation
+    ``{"kind": "rho", "value": ...}`` plus the optional label and the
+    ``"sha256:<hex>"`` digest of the file's bytes.  Validation
     (normalization, density-matrix axioms) is left to the caller so it can
     map failures onto its own error contract.
     """
-    data = _load_object(path, ("vector", "rho"))
+    data, digest = _load_object(path, ("vector", "rho"))
     has_vec = "vector" in data
     has_rho = "rho" in data
     if has_vec == has_rho:
@@ -284,7 +284,7 @@ def load_state(path) -> dict:
     else:
         value = _decode(pairs_to_matrix, data["rho"], "rho", path)
         kind = "rho"
-    return {"kind": kind, "value": value, "label": data.get("label")}
+    return {"kind": kind, "value": value, "label": data.get("label"), "digest": digest}
 
 
 def save_state_vector(psi, path, label: str | None = None) -> None:

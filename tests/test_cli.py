@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import shutil
 import subprocess
@@ -385,6 +386,23 @@ class TestSpinStar:
         assert run_cli("spin-star", "--n", "3", "--omega0", "1.0", "--omega", "0.7",
                        "--gammas", "3,4") == 1
 
+    def test_verdict_is_residual_within_tolerance(self, tmp_path):
+        # at --tol 1e-200 the sector computation finds no sector: every claim but
+        # the eigenvector one fails, and each report verdict is the library's
+        from ifestates import SpinStarParams, verify_spin_star_claims
+
+        out = tmp_path / "report.json"
+        argv = ["--n", "3", "--omega0", "1.0", "--omega", "0.7", "--gammas", "3,4,5",
+                "--check-all", "--tol", "1e-200"]
+        assert run_cli("spin-star", *argv, "--out", str(out)) == 6
+        claims = json.loads(out.read_text())["claims"]
+        results = verify_spin_star_claims(SpinStarParams(3, 1.0, 0.7, (3.0, 4.0, 5.0)), 1e-200)
+        assert [c["name"] for c in claims] == [r.name for r in results]
+        assert [c["pass"] for c in claims] == [r.passed for r in results] == [False] * 3 + [True]
+        for claim in claims:
+            assert claim["pass"] == (claim["residual"] <= claim["tolerance"])
+        assert claims[1]["residual"] >= 1.0
+
     def test_golden_report(self, data_dir, tmp_path):
         out = tmp_path / "report.json"
         run_cli("spin-star", "--n", "2", "--omega0", "1.0", "--omega", "0.7",
@@ -515,6 +533,32 @@ class TestMixed:
             traces.append(json.loads(out.read_text())["traces"])
         assert traces[0] == traces[1]
         assert [t["label"] for t in traces[0]] == ["density_matrix"]
+
+
+class TestInputsDigest:
+    """``inputs_digest`` names the bytes each command parsed, read once per file."""
+
+    @pytest.mark.parametrize("command, system, state", [
+        ("sectors", "system_spin_star_n2.json", None),
+        ("oracle-diff", "system_two_sectors.json", None),
+        ("verify", "system_spin_star_n2.json", "state_ife_n2.json"),
+        ("verify", "system_spin_star_n2.json", "rho_ife_n2.json"),
+        ("mixed", "system_spin_star_n2.json", "rho_ife_n2.json"),
+    ], ids=["sectors", "oracle-diff", "verify-vector", "verify-rho", "mixed"])
+    def test_digest_of_each_file_read_once(self, data_dir, tmp_path, monkeypatch,
+                                           command, system, state):
+        inputs = [data_dir / name for name in (system, state) if name]
+        argv = [command, str(inputs[0]), "--out", str(tmp_path / "report.json")]
+        if state:
+            argv += ["--state", str(inputs[1]), "--steps", "5"]
+        reads = []
+        real_read = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path) or real_read(path))
+        assert run_cli(*argv) == 0
+        assert sorted(reads) == sorted(inputs)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["inputs_digest"] == ",".join(
+            "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs)
 
 
 class TestParserContract:
@@ -700,7 +744,7 @@ class TestCommutatorFactorizations:
                                          monkeypatch):
         from ifestates.linalg import commutator
 
-        system, _ = load_system(star_file)
+        system, _, _ = load_system(star_file)
         c_eig = core._commutator(system).c
         targets = {"product": commutator(core.build_h0(system), system.h_i),
                    "eigenbasis": c_eig, "hermitian": 1j * c_eig}
@@ -777,7 +821,7 @@ class TestValidateOnce:
         assert not out.exists()
 
     def test_defect_file_routes_agree(self, star_file, tmp_path):
-        system, _ = load_system(defect_copy(star_file, tmp_path / "defect.json"))
+        system, _, _ = load_system(defect_copy(star_file, tmp_path / "defect.json"))
         for field in ("h_a", "h_b", "h_i"):
             assert hermiticity_defect(getattr(system, field)) == 0.0
         direct, oracle = ife_sectors(system), ife_sectors_oracle(system)

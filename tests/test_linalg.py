@@ -13,6 +13,7 @@ from ifestates.linalg import (
     require_unit_states,
     spectral_norm,
     subspace_equal,
+    subspace_residual,
 )
 
 from helpers import hermitian_eig, intersect_kernels, propagator, random_hermitian, random_unitary
@@ -253,6 +254,18 @@ class TestPrincipalAngleOnePass:
         assert calls == [(6, 3)]
         linalg.max_principal_angle(b[:, :3], b[:, 1:3])
         assert calls[1:] == [(6, 2), (6, 3)]
+
+
+class TestSubspaceResidual:
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=50, deadline=None, database=None)
+    def test_angle_for_equal_dimensions_else_one(self, seed, equal):
+        b1, b2 = _random_basis_pair(seed, equal=equal)
+        want = max_principal_angle(b1, b2) if equal else 1.0
+        assert subspace_residual(b1, b2) == want
+
+    def test_both_empty_is_zero(self):
+        assert subspace_residual(np.zeros((4, 0)), np.zeros((4, 0))) == 0.0
 
 
 class TestPropagator:

@@ -255,12 +255,13 @@ class TestParsers:
         if isinstance(ref, str):  # a file that is meant to fail its check
             assert fast == ref and "not Hermitian" in ref
         elif name.startswith("system"):
-            (sys_, label), (ref_sys, ref_label) = fast, ref
-            assert label == ref_label
+            (sys_, label, digest), (ref_sys, ref_label, ref_digest) = fast, ref
+            assert (label, digest) == (ref_label, ref_digest)
             for field in ("h_a", "h_b", "h_i"):
                 assert_same_bits(getattr(sys_, field), getattr(ref_sys, field))
         else:
-            assert (fast["kind"], fast["label"]) == (ref["kind"], ref["label"])
+            assert [fast[k] for k in ("kind", "label", "digest")] == \
+                [ref[k] for k in ("kind", "label", "digest")]
             assert_same_bits(fast["value"], ref["value"])
 
     @BOTH_PATHS
@@ -316,7 +317,7 @@ class TestSystemFiles:
         sys_ = generic_system(2, 3, rng)
         path = tmp_path / "sys.json"
         save_system(sys_, path, label="round trip")
-        loaded, label = load_system(path)
+        loaded, label, _ = load_system(path)
         assert label == "round trip"
         assert loaded.dim_a == 2 and loaded.dim_b == 3
         assert np.allclose(loaded.h_i, sys_.h_i)
