@@ -25,11 +25,8 @@ from .dynamics import (
     trace_pure_states,
 )
 from .linalg import (
-    commutator,
     kron,
     max_principal_angle,
-    null_space,
-    subspace_equal,
 )
 from .mixed import (
     check_density_matrix,
@@ -69,11 +66,8 @@ __all__ = [
     "FreeInvarianceError",
     "time_grid",
     "trace_pure_states",
-    "commutator",
     "kron",
     "max_principal_angle",
-    "null_space",
-    "subspace_equal",
     "check_density_matrix",
     "is_ife_mixed",
     "random_ife_mixed",

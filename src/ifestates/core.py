@@ -44,6 +44,7 @@ once per system and cached read-only on it.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -64,7 +65,6 @@ __all__ = [
     "IfeDecomposition",
     "build_h0",
     "build_total",
-    "cluster_values",
     "commutator_kernel",
     "ife_sectors",
     "ife_sectors_oracle",
@@ -93,11 +93,13 @@ class BipartiteSystem:
 
     ``h_a`` acts on the first factor (dimension ``dim_a``), ``h_b`` on the
     second (``dim_b``), and ``h_i`` on the full ``dim_a * dim_b`` product
-    space.  All three must be finite and Hermitian within ``hermitian_rtol``;
-    this is the only check of a system's matrices.  The system keeps
-    read-only copies of their Hermitian parts, so every operator built from
-    them is Hermitian without a further check, and factorizations computed
-    from it can be cached on it and shared by every routine that takes it.
+    space.  The dimensions must be positive integers (numpy integers are
+    stored as ``int``; a bool is no dimension).  All three matrices must be
+    finite and Hermitian within ``hermitian_rtol``; this is the only check
+    of a system's matrices.  The system keeps read-only copies of their
+    Hermitian parts, so every operator built from them is Hermitian without
+    a further check, and factorizations computed from it can be cached on
+    it and shared by every routine that takes it.
     """
 
     dim_a: int
@@ -109,8 +111,11 @@ class BipartiteSystem:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self, hermitian_rtol):
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise ValueError("subsystem dimensions must be positive")
+        for name in ("dim_a", "dim_b"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"field {name!r} must be a positive integer")
+            object.__setattr__(self, name, int(value))
         for name, op, dim in (
             ("h_a", self.h_a, self.dim_a),
             ("h_b", self.h_b, self.dim_b),
@@ -182,16 +187,6 @@ def _cluster_ranges(values, tol: float) -> list[tuple[int, int]]:
         return []
     cuts = [0, *(np.flatnonzero(np.diff(values) > tol) + 1).tolist(), len(values)]
     return list(zip(cuts[:-1], cuts[1:]))
-
-
-def cluster_values(values, tol: float) -> list[float]:
-    """Single-linkage clustering of a 1-d real array; returns cluster means.
-
-    Values whose sorted gaps are at most ``tol`` merge into one cluster, so
-    a degenerate eigenvalue split by roundoff yields a single candidate.
-    """
-    values = np.sort(np.asarray(values, dtype=float))
-    return [float(values[lo:hi].mean()) + 0.0 for lo, hi in _cluster_ranges(values, tol)]
 
 
 def _cached(sys: BipartiteSystem, key, compute):
@@ -508,6 +503,7 @@ def classify_pure(psi, sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL):
     commutator is nonzero only through roundoff, membership via
     :func:`ife_sectors` is the more robust test.
     """
+    require_rel_tol(rel_tol)
     psi = require_unit_states(np.asarray(psi).reshape(-1), sys.dim)[:, 0]
     c = _coupling_eig(sys)[1].conj().T @ psi
     h_c = _snapped_spectrum(sys) * c

@@ -171,8 +171,12 @@ def trace_pure_states(sys: BipartiteSystem, states, times, *, alphas=None,
     times = _checked_times(times)
     states = require_unit_states(states, sys.dim)
     m = states.shape[1]
-    if alphas is not None and len(alphas) != m:
-        raise ValueError(f"expected {m} alphas (one per state), got {len(alphas)}")
+    if alphas is not None:
+        alphas = np.asarray(alphas, dtype=float)
+        if alphas.shape != (m,):
+            raise ValueError(f"expected {m} alphas (one per state), got shape {alphas.shape}")
+        if not np.isfinite(alphas).all():
+            raise ValueError("alphas must be finite")
     if observables is not None:
         o_a, o_b = _free_invariant_pair(sys, *observables)
 
@@ -184,7 +188,7 @@ def trace_pure_states(sys: BipartiteSystem, states, times, *, alphas=None,
         overlap = _eig_overlap(sys)
         coeff0 = v0.conj().T @ states
         phases0 = np.exp(-1j * np.outer(w0, times))
-        alpha_phases = np.exp(-1j * np.outer(np.asarray(alphas, dtype=float), times))
+        alpha_phases = np.exp(-1j * np.outer(alphas, times))
     # an observable that is the system's own h_a (h_b) reuses the energy product
     share_a = energies and observables is not None and o_a is sys.h_a
     share_b = energies and observables is not None and o_b is sys.h_b

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for kernel-intersection subspace work.
+"""Input checks, norms, the Kronecker product and principal angles.
 
 Everything operates on plain numpy arrays.  Operators are square complex
 matrices; a subspace is represented by a matrix whose orthonormal columns
@@ -23,10 +23,7 @@ __all__ = [
     "require_unit_states",
     "spectral_norm",
     "kron",
-    "commutator",
-    "null_space",
     "orthonormal_columns",
-    "subspace_equal",
     "max_principal_angle",
     "subspace_residual",
 ]
@@ -115,38 +112,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def commutator(a, b) -> np.ndarray:
-    """ab - ba for equal-dimension square matrices."""
-    a = as_operator(a)
-    b = as_operator(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch in commutator: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
-
-
-def null_space(a, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
-    """Orthonormal basis of the numerical kernel of ``a``.
-
-    A right singular vector belongs to the kernel when its singular value
-    is at or below ``rel_tol * sigma_max``.  A zero matrix (sigma_max = 0)
-    has the full space as its kernel.  ``a`` may be rectangular.
-    """
-    require_rel_tol(rel_tol)
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {a.shape}")
-    m, n = a.shape
-    if m == 0 or n == 0:
-        return np.eye(n, dtype=complex)
-    # Rows >= cols: the thin SVD already has every right singular vector.
-    _, s, vh = np.linalg.svd(a, full_matrices=m < n)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return np.eye(n, dtype=complex)
-    rank = int(np.sum(s > rel_tol * smax))
-    return vh[rank:].conj().T
-
-
 def orthonormal_columns(m) -> np.ndarray:
     """Orthonormal basis for the column span of ``m`` via thin QR.
 
@@ -172,22 +137,6 @@ def _check_same_ambient(b1, b2):
             f"ambient dimension mismatch: {b1.shape[0]} vs {b2.shape[0]}"
         )
     return b1, b2
-
-
-def subspace_equal(b1, b2, tol: float = 1e-8) -> bool:
-    """True iff the two orthonormal bases span the same subspace.
-
-    Requires equal dimension and every singular value of the cross-Gram
-    matrix ``B1^H B2`` (the cosines of the principal angles) within ``tol``
-    of 1.
-    """
-    b1, b2 = _check_same_ambient(b1, b2)
-    if b1.shape[1] != b2.shape[1]:
-        return False
-    if b1.shape[1] == 0:
-        return True
-    s = np.linalg.svd(b1.conj().T @ b2, compute_uv=False)
-    return bool(np.all(np.abs(1.0 - s) <= tol))
 
 
 def max_principal_angle(b1, b2) -> float:

@@ -1,4 +1,10 @@
-"""Seeded generators for test systems and random linear-algebra objects."""
+"""Seeded generators for test systems and random linear-algebra objects.
+
+Also the dense references the package's routes are checked against: the
+product-basis commutator, SVD null spaces and sectors, the Kronecker-built
+spin star, and generic subspace and clustering tools that only the tests
+use.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +19,15 @@ import orjson
 
 from ifestates import BipartiteSystem
 from ifestates import core
-from ifestates.core import NUMERICAL_ZERO_RTOL, IfeDecomposition, IfeSector, _eig, build_h0, build_total
+from ifestates.core import (
+    NUMERICAL_ZERO_RTOL,
+    IfeDecomposition,
+    IfeSector,
+    _cluster_ranges,
+    _eig,
+    build_h0,
+    build_total,
+)
 from ifestates.dynamics import _eig_overlap
 from ifestates.spin_star import (
     PAULI_Z,
@@ -26,12 +40,12 @@ from ifestates.spin_star import (
 from ifestates.linalg import (
     DEFAULT_REL_TOL,
     HERMITIAN_RTOL,
+    _check_same_ambient,
     as_operator,
-    commutator,
     kron,
-    null_space,
     orthonormal_columns,
     require_hermitian,
+    require_rel_tol,
     spectral_norm,
 )
 
@@ -87,6 +101,64 @@ def hermitian_eig(a, rel_tol=HERMITIAN_RTOL):
     package factorizes only operators it has already checked.
     """
     return np.linalg.eigh(require_hermitian(a, rel_tol))
+
+
+def commutator(a, b) -> np.ndarray:
+    """ab - ba for equal-dimension square matrices."""
+    a = as_operator(a)
+    b = as_operator(b)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch in commutator: {a.shape} vs {b.shape}")
+    return a @ b - b @ a
+
+
+def null_space(a, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
+    """Orthonormal basis of the numerical kernel of ``a``.
+
+    A right singular vector belongs to the kernel when its singular value
+    is at or below ``rel_tol * sigma_max``.  A zero matrix (sigma_max = 0)
+    has the full space as its kernel.  ``a`` may be rectangular.
+    """
+    require_rel_tol(rel_tol)
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {a.shape}")
+    m, n = a.shape
+    if m == 0 or n == 0:
+        return np.eye(n, dtype=complex)
+    # Rows >= cols: the thin SVD already has every right singular vector.
+    _, s, vh = np.linalg.svd(a, full_matrices=m < n)
+    smax = s[0] if s.size else 0.0
+    if smax == 0.0:
+        return np.eye(n, dtype=complex)
+    rank = int(np.sum(s > rel_tol * smax))
+    return vh[rank:].conj().T
+
+
+def subspace_equal(b1, b2, tol: float = 1e-8) -> bool:
+    """True iff the two orthonormal bases span the same subspace.
+
+    Requires equal dimension and every singular value of the cross-Gram
+    matrix ``B1^H B2`` (the cosines of the principal angles) within ``tol``
+    of 1.
+    """
+    b1, b2 = _check_same_ambient(b1, b2)
+    if b1.shape[1] != b2.shape[1]:
+        return False
+    if b1.shape[1] == 0:
+        return True
+    s = np.linalg.svd(b1.conj().T @ b2, compute_uv=False)
+    return bool(np.all(np.abs(1.0 - s) <= tol))
+
+
+def cluster_values(values, tol: float) -> list[float]:
+    """Single-linkage clustering of a 1-d real array; returns cluster means.
+
+    Values whose sorted gaps are at most ``tol`` merge into one cluster, so
+    a degenerate eigenvalue split by roundoff yields a single candidate.
+    """
+    values = np.sort(np.asarray(values, dtype=float))
+    return [float(values[lo:hi].mean()) + 0.0 for lo, hi in _cluster_ranges(values, tol)]
 
 
 def intersect_kernels(ops, rel_tol=1e-10):

@@ -17,7 +17,7 @@ from ifestates.core import ife_sectors, ife_sectors_oracle
 from ifestates.linalg import hermiticity_defect
 from ifestates.serialize import canonical_dumps, load_system, pairs_to_matrix
 
-from helpers import MALFORMED_FIELDS, edited_copy, matrix_to_pairs
+from helpers import MALFORMED_FIELDS, commutator, edited_copy, matrix_to_pairs
 
 
 def run_cli(*argv):
@@ -92,7 +92,7 @@ class TestSectors:
     @pytest.mark.parametrize("field, value", [("h_i", float("nan")), ("h_a", float("inf"))])
     def test_non_finite_field_exit_one(self, star_file, tmp_path, capsys, field, value):
         # rejected at load with the field named, not exit 2 from an SVD
-        doc = json.loads(open(star_file, encoding="utf-8").read())
+        doc = json.loads(Path(star_file).read_text(encoding="utf-8"))
         doc[field][0][0][0] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -742,8 +742,6 @@ class TestCommutatorFactorizations:
     ], ids=["sectors", "oracle-diff", "verify-sector", "mixed-samples", "mixed-state", "spin-star"])
     def test_svd_calls_of_the_commutator(self, argv, vectors, star_file, data_dir, tmp_path,
                                          monkeypatch):
-        from ifestates.linalg import commutator
-
         system, _, _ = load_system(star_file)
         c_eig = core._commutator(system).c
         targets = {"product": commutator(core.build_h0(system), system.h_i),

@@ -26,27 +26,27 @@ from ifestates import (
     spin_star_ife_basis,
     verify_spin_star_claims,
 )
-from ifestates.core import CLUSTER_TOL, NUMERICAL_ZERO_RTOL, cluster_values
+from ifestates.core import CLUSTER_TOL, NUMERICAL_ZERO_RTOL
 from ifestates.linalg import (
     DEFAULT_REL_TOL,
     HERMITIAN_RTOL,
-    commutator,
     hermiticity_defect,
     max_principal_angle,
-    null_space,
     spectral_norm,
-    subspace_equal,
 )
 
 from helpers import (
     DIM_PAIRS,
-    commuting_system,
+    cluster_values,
+    commutator,
     commutator_with_zero_flag,
+    commuting_system,
     conjugated_near_commuting_system,
     diagonal_multisector_system,
     factorized_operators,
     generic_system,
     intersect_kernels,
+    null_space,
     per_eigenspace_oracle,
     product_basis_classify,
     product_basis_sectors,
@@ -56,6 +56,7 @@ from helpers import (
     random_unitary,
     record_eigensolves,
     snapped_coupling,
+    subspace_equal,
     subspace_zero_system,
 )
 
@@ -111,6 +112,18 @@ class TestBuilders:
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             BipartiteSystem(2, 2, SZ, SZ, np.zeros((6, 6)))
+        one = np.eye(1)
+        for dims, ops, field in [((2.0, 2.0), (SZ, SZ, np.zeros((4, 4))), "dim_a"),
+                                 ((True, True), (one, one, one), "dim_a"),
+                                 ((0, 2), (one, SZ, SZ), "dim_a"),
+                                 ((2, "2"), (SZ, SZ, np.zeros((4, 4))), "dim_b")]:
+            with pytest.raises(ValueError, match=f"field '{field}' must be a positive integer"):
+                BipartiteSystem(*dims, *ops)
+
+    def test_numpy_integer_dimensions_stored_as_int(self):
+        sys_ = BipartiteSystem(np.int64(2), np.uint8(2), SZ, SZ, np.zeros((4, 4)))
+        assert type(sys_.dim_a) is int and type(sys_.dim_b) is int
+        assert ife_sectors(sys_).n_sectors == 1
 
     def test_non_hermitian_rejected(self):
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -1446,13 +1459,18 @@ class TestRelTolValidation:
         with pytest.raises(ValueError, match="rel_tol must be a positive finite number"):
             route(sys_, rel_tol)
 
+    @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_classify_pure_rejects_bad_rel_tol(self, rel_tol, star_system_n2):
+        # at rel_tol = inf a random unit state would pass as IFE
+        psi = random_state(star_system_n2.dim, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="rel_tol must be a positive finite number"):
+            classify_pure(psi, star_system_n2, rel_tol)
+
 
 class TestThinNullSpace:
     @pytest.mark.parametrize("shape", [(4, 4), (8, 3), (3, 8), (32, 16), (16, 32), (48, 48), (96, 24), (5, 1)])
     @pytest.mark.parametrize("rank_drop", [0, 1, 3])
     def test_bit_identical_to_full_svd(self, shape, rank_drop):
-        from ifestates.linalg import null_space
-
         rng = np.random.default_rng(shape[0] * 1000 + shape[1] * 10 + rank_drop)
         m, n = shape
         r = max(1, min(m, n) - rank_drop)

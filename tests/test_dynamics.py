@@ -371,6 +371,17 @@ class TestTracePureStates:
         with pytest.raises(ValueError, match="alphas"):
             trace_pure_states(star_system_n2, states, time_grid(1.0, 3), alphas=[0.0])
 
+    @pytest.mark.parametrize("alphas, message", [
+        (np.zeros((2, 2)), r"expected 2 alphas \(one per state\), got shape \(2, 2\)"),
+        ([0.0, float("nan")], "alphas must be finite"),
+        ([float("inf"), 0.0], "alphas must be finite"),
+    ], ids=["matrix", "nan", "inf"])
+    def test_rejects_malformed_alphas(self, star_system_n2, alphas, message):
+        # a (2, 2) array would pass a length check and np.outer would flatten it
+        states = np.eye(8, 2, dtype=complex)
+        with pytest.raises(ValueError, match=message):
+            trace_pure_states(star_system_n2, states, time_grid(1.0, 3), alphas=alphas)
+
     def test_free_invariance_checked_before_evolving(self, star_system_n2, monkeypatch):
         bad = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         calls = []

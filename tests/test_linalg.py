@@ -4,19 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifestates.linalg import (
-    commutator,
     kron,
     max_principal_angle,
-    null_space,
     orthonormal_columns,
     require_hermitian,
     require_unit_states,
     spectral_norm,
-    subspace_equal,
     subspace_residual,
 )
 
-from helpers import hermitian_eig, intersect_kernels, propagator, random_hermitian, random_unitary
+from helpers import (
+    commutator,
+    hermitian_eig,
+    intersect_kernels,
+    null_space,
+    propagator,
+    random_hermitian,
+    random_unitary,
+    subspace_equal,
+)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -14,18 +14,19 @@ from ifestates import (
     ife_sectors,
     multiplicity,
     spin_star_ife_basis,
-    subspace_equal,
     verify_spin_star_claims,
     weight_basis,
 )
-from ifestates.linalg import commutator, kron, max_principal_angle, spectral_norm
+from ifestates.linalg import kron, max_principal_angle, spectral_norm
 from ifestates.spin_star import PAULI_Z, admissible_r, dressed_blocks
 
 from helpers import (
     PAULI_PLUS,
+    commutator,
     kron_dressed_blocks,
     kron_spin_star,
     pauli_site,
+    subspace_equal,
     total_s_squared,
     total_sminus,
     total_splus,
