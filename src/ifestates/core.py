@@ -36,9 +36,10 @@ the block (:func:`_apply_local`).  The dense ``H_0`` is built only for
 
 The factorizations that several routines need (``eigh`` of ``H``, ``h_a``,
 ``h_b`` and ``H_I``, the spectrum of ``H_0`` built from the factors, the
-coupling clusters, ``C~`` with the eigenvalues of ``i C~``, and its
-eigenvectors once :func:`commutator_kernel` asks for them) are computed
-once per system and cached read-only on it.
+coupling clusters, ``C~`` with the eigenvalues of ``i C~`` once a
+nonzero commutator asks for them, and its eigenvectors once
+:func:`commutator_kernel` does) are computed once per system and cached
+read-only on it.
 """
 
 from __future__ import annotations
@@ -279,13 +280,30 @@ def _free_norm(sys: BipartiteSystem) -> float:
     return float(max(-a[0], a[-1]) + max(-b[0], b[-1]))
 
 
-@dataclass(frozen=True)
 class _Commutator:
-    """``C~ = V^H [H_0, H_bar_I] V``, its singular values ``s`` (descending) and numerical-zero flag."""
+    """``C~ = V^H [H_0, H_bar_I] V`` and its numerical-zero flag; ``s`` and ``norm`` on first read.
 
-    c: np.ndarray
-    s: np.ndarray
-    is_zero: bool
+    ``s`` holds the singular values of ``C`` in descending order,
+    ``|eigvalsh(i C~)|``, and ``norm`` is ``s[0]``.  ``||C||_2 <= ||C||_F``,
+    so a Frobenius norm at or below the zero threshold sets ``is_zero``
+    with no eigensolve; only a larger one reads ``norm``.  Both are
+    computed on first read and cached, and readers of a zero commutator
+    never ask for them.
+    """
+
+    def __init__(self, c: np.ndarray, scale: float):
+        self.c = c
+        self._s = None
+        self.is_zero = (_is_numerically_zero(float(np.linalg.norm(c)), scale)
+                        or _is_numerically_zero(self.norm, scale))
+
+    @property
+    def s(self) -> np.ndarray:
+        if self._s is None:
+            s = np.sort(np.abs(np.linalg.eigvalsh(1j * self.c)))[::-1]
+            s.flags.writeable = False
+            self._s = s
+        return self._s
 
     @property
     def norm(self) -> float:
@@ -293,7 +311,7 @@ class _Commutator:
 
 
 def _commutator(sys: BipartiteSystem) -> _Commutator:
-    """``C~ = H0~ o M`` and its singular values ``|eigvalsh(i C~)|``, once per system.
+    """``C~ = H0~ o M`` and its zero flag, once per system; its singular values when first read.
 
     ``H0~ = V^H (H_0 V)`` is one gemm: ``H_0 V`` is applied through ``h_a``
     and ``h_b`` (:func:`_apply_local`, ``O(d^2 (dim_a + dim_b))``), never
@@ -301,18 +319,16 @@ def _commutator(sys: BipartiteSystem) -> _Commutator:
     exactly anti-Hermitian; ``M_ij = w_bar_j - w_bar_i`` is 0 inside a
     cluster.  The rank at any ``rel_tol`` is a count over ``s``.  The
     commutator is numerically zero when
-    ``||C|| <= NUMERICAL_ZERO_RTOL * max(1, 2 (||h_a|| + ||h_b||) ||H_I||)``.
+    ``||C|| <= NUMERICAL_ZERO_RTOL * max(1, 2 (||h_a|| + ||h_b||) ||H_I||)``;
+    ``eigvalsh(i C~)`` runs only when ``||C~||_F`` exceeds that threshold.
     """
     def compute():
         _, v = _coupling_eig(sys)
         w_bar = _snapped_spectrum(sys)
         h0 = v.conj().T @ (_apply_local(sys, v, op_a=sys.h_a) + _apply_local(sys, v, op_b=sys.h_b))
         c = 0.5 * (h0 + h0.conj().T) * (w_bar - w_bar[:, None])
-        s = np.sort(np.abs(np.linalg.eigvalsh(1j * c)))[::-1]
-        for array in (c, s):
-            array.flags.writeable = False
-        is_zero = _is_numerically_zero(float(s[0]), 2.0 * _free_norm(sys) * _coupling_norm(sys))
-        return _Commutator(c, s, is_zero)
+        c.flags.writeable = False
+        return _Commutator(c, 2.0 * _free_norm(sys) * _coupling_norm(sys))
 
     return _cached(sys, "commutator", compute)
 
@@ -375,30 +391,39 @@ def ife_sectors(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDe
     With ``H_I = V diag(w) V^H``, ``Ker(H_I - alpha I)`` is spanned by the
     eigenvectors ``V[:, lo:hi]`` of the coupling cluster at ``alpha``, so the
     sector is ``V[:, lo:hi] Ker(C~[:, lo:hi])`` with ``C~`` the commutator of
-    the snapped coupling in the eigenbasis of ``H_I``: one thin SVD of the
-    ``d x m`` block of ``C~ / max(1, ||C||)`` per cluster.  A direction is
+    the snapped coupling in the eigenbasis of ``H_I``: the kernel of the
+    ``d x m`` block of ``C~ / max(1, ||C||)``, from its thin SVD.  The blocks
+    of all clusters of one width ``m`` share one batched ``numpy.linalg.svd``
+    call, and each block is factorized once.  A direction is
     kept when its singular value is at or below ``rel_tol * sigma_ref``, where
     ``sigma_ref = max(a / max(1, a), ||C|| / max(1, ||C||))`` and
     ``a = ||H_I - alpha I|| = max(|w_0 - alpha|, |w_{d-1} - alpha|)``
     (README, "Numerical conventions").  A numerically zero commutator
-    imposes no constraint, so the sector is the whole cluster eigenspace.
-    Clusters with an empty kernel are dropped.
+    imposes no constraint, so the sector is the whole cluster eigenspace,
+    and no singular value of it is read.  Clusters with an empty kernel are
+    dropped.
     """
     require_rel_tol(rel_tol)
     com = _commutator(sys)
     w, v = _coupling_eig(sys)
+    clusters = _coupling_clusters(sys)
+    if com.is_zero:
+        sectors = (IfeSector(alpha, v[:, lo:hi].copy()) for alpha, (lo, hi) in clusters)
+        return IfeDecomposition(tuple(sectors), sys.dim)
     scale = max(1.0, com.norm)
-    sectors = []
-    for alpha, (lo, hi) in _coupling_clusters(sys):
-        if com.is_zero:
-            basis = v[:, lo:hi].copy()
-        else:
+    by_width = {}  # cluster width -> indices of the clusters that wide
+    for j, (_, (lo, hi)) in enumerate(clusters):
+        by_width.setdefault(hi - lo, []).append(j)
+    bases = [None] * len(clusters)
+    for same in by_width.values():
+        blocks = np.stack([com.c[:, slice(*clusters[j][1])] for j in same])
+        _, s, vh = np.linalg.svd(blocks / scale, full_matrices=False)
+        for j, s_j, vh_j in zip(same, s, vh):
+            alpha, (lo, hi) = clusters[j]
             a = max(abs(w[0] - alpha), abs(w[-1] - alpha))
             cutoff = rel_tol * max(a / max(1.0, a), com.norm / scale)
-            _, s, vh = np.linalg.svd(com.c[:, lo:hi] / scale, full_matrices=False)
-            basis = v[:, lo:hi] @ vh[np.sum(s > cutoff):].conj().T
-        if basis.shape[1] > 0:
-            sectors.append(IfeSector(alpha, basis))
+            bases[j] = v[:, lo:hi] @ vh_j[np.sum(s_j > cutoff):].conj().T
+    sectors = (IfeSector(alpha, basis) for (alpha, _), basis in zip(clusters, bases) if basis.shape[1] > 0)
     return IfeDecomposition(tuple(sectors), sys.dim)
 
 

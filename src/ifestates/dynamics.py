@@ -72,13 +72,21 @@ def time_grid(t_max: float = 10.0, steps: int = 101) -> np.ndarray:
     return np.linspace(0.0, float(t_max), int(steps))
 
 
+def _float_array(values, name: str) -> np.ndarray:
+    """``np.asarray(values, dtype=float)``, with ``name`` in the error for ragged or non-numeric input."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be an array of numbers: {exc}") from None
+
+
 def _checked_times(times) -> np.ndarray:
     """``times`` as a float array, raising unless it is a non-empty, finite 1-D grid.
 
     Both tracers call it first, so a malformed grid is named before any
     factorization or product.
     """
-    times = np.asarray(times, dtype=float)
+    times = _float_array(times, "times")
     if times.ndim != 1 or times.size == 0:
         raise ValueError(f"times must be a non-empty 1-D grid, got shape {times.shape}")
     if not np.isfinite(times).all():
@@ -172,7 +180,7 @@ def trace_pure_states(sys: BipartiteSystem, states, times, *, alphas=None,
     states = require_unit_states(states, sys.dim)
     m = states.shape[1]
     if alphas is not None:
-        alphas = np.asarray(alphas, dtype=float)
+        alphas = _float_array(alphas, "alphas")
         if alphas.shape != (m,):
             raise ValueError(f"expected {m} alphas (one per state), got shape {alphas.shape}")
         if not np.isfinite(alphas).all():

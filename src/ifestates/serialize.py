@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -144,8 +145,36 @@ def write_canonical(obj, path) -> None:
     Path(path).write_text(canonical_dumps(obj), encoding="utf-8")
 
 
+def _flat_pairs(data, ndim: int) -> np.ndarray | None:
+    """float64 array of ``n`` ``[re, im]`` lists (``ndim`` 2) or of ``n`` lists of ``n`` of them (3), else None.
+
+    ``len`` and ``type`` checks decide the shape, and one ``np.fromiter``
+    reads the numbers of the flattened pairs, with the conversion of
+    ``np.asarray(data, dtype=float)``.  None for any other shape, or when a
+    number does not convert.
+    """
+    if type(data) is not list:
+        return None
+    n = len(data)
+    pairs = data
+    if ndim == 3:
+        if {*map(type, data)} != {list} or {*map(len, data)} != {n}:
+            return None
+        pairs = [*chain.from_iterable(data)]
+    if {*map(type, pairs)} != {list} or {*map(len, pairs)} != {2}:
+        return None
+    try:
+        flat = np.fromiter(chain.from_iterable(pairs), dtype=float, count=2 * len(pairs))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return flat.reshape((n,) * (ndim - 1) + (2,))
+
+
 def _pair_array(data, field: str, what: str, ndim: int) -> np.ndarray:
     """float64 array of a field that must be ``what``: ``ndim`` axes, the last of length 2."""
+    arr = _flat_pairs(data, ndim)
+    if arr is not None:
+        return arr
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -166,16 +195,31 @@ def pairs_to_vector(data, field: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
-def _holds_bool(value) -> bool:
+def _reject_non_numbers(value, field: str, path) -> None:
+    """Raise at the first boolean, null or string among the leaves of ``value``'s nested lists."""
     # Iterative: a parsed document may nest deeper than the recursion limit.
     stack = [value]
     while stack:
         item = stack.pop()
         if isinstance(item, list):
             stack.extend(item)
-        elif item is True or item is False:
-            return True
-    return False
+        elif isinstance(item, bool):
+            raise ValueError(f"{path}: field {field!r} holds a boolean, not a number")
+        elif item is None or isinstance(item, str):
+            what = "null" if item is None else f"the string {item!r}"
+            raise ValueError(f"{path}: field {field!r} must be made of numbers, not {what}")
+
+
+def _may_hold_non_numbers(raw: bytes, data: dict) -> bool:
+    """False only when no list inside ``data``, parsed from ``raw``, holds a boolean, null or string.
+
+    A ``true``, ``false`` or ``null`` token holds a ``u`` or an ``f``; the
+    one-byte tests come first, since the longer words take a slower search.
+    A string adds at least two ``"`` bytes to those of the top-level keys
+    and string values.
+    """
+    return (b"u" in raw and (b"true" in raw or b"null" in raw) or b"f" in raw and b"false" in raw
+            or raw.count(b'"') > 2 * sum(1 + isinstance(v, str) for v in data.values()))
 
 
 def _load_object(path, pair_fields: tuple[str, ...]) -> tuple[dict, str]:
@@ -189,9 +233,10 @@ def _load_object(path, pair_fields: tuple[str, ...]) -> tuple[dict, str]:
     handled as they always were.  Text that is not UTF-8, or nests too
     deeply for ``json``, is reported as not valid JSON.
 
-    numpy reads a JSON ``true`` as 1.0, so a boolean inside one of the
-    ``pair_fields`` is rejected here.  One can occur only where the file
-    holds a ``true`` or ``false`` token, so the fields are scanned only then.
+    numpy reads a JSON ``true`` as 1.0, ``null`` as NaN and a numeric
+    string as its number, so a boolean, null or string inside one of the
+    ``pair_fields`` is rejected here.  The fields are scanned only when the
+    bytes allow one (:func:`_may_hold_non_numbers`).
     """
     import orjson  # here: commands that read no file (--version, spin-star) skip its slow import
 
@@ -205,10 +250,10 @@ def _load_object(path, pair_fields: tuple[str, ...]) -> tuple[dict, str]:
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: top-level value must be an object")
-    if b"true" in raw or b"false" in raw:
+    if _may_hold_non_numbers(raw, data):
         for field in pair_fields:
-            if _holds_bool(data.get(field)):
-                raise ValueError(f"{path}: field {field!r} holds a boolean, not a number")
+            if field in data:
+                _reject_non_numbers(data[field], field, path)
     return data, "sha256:" + hashlib.sha256(raw).hexdigest()
 
 

@@ -275,6 +275,35 @@ def product_basis_sectors(sys_, rel_tol=DEFAULT_REL_TOL):
     return IfeDecomposition(tuple(sectors), sys_.dim)
 
 
+def per_cluster_sectors(sys_, rel_tol=DEFAULT_REL_TOL):
+    """Reference for ``ife_sectors``: ``(is_zero, kernel_dimension, decomposition)``.
+
+    The commutator ``C~`` is the cached one, but its zero flag and its
+    rank always come from ``eigvalsh(i C~)``, never from the Frobenius
+    bound, and each cluster's ``d x m`` block of ``C~ / max(1, ||C||)``
+    takes its own ``numpy.linalg.svd`` call.
+    """
+    c = core._commutator(sys_).c
+    s = np.sort(np.abs(np.linalg.eigvalsh(1j * c)))[::-1]
+    norm = float(s[0])
+    is_zero = core._is_numerically_zero(norm, 2.0 * core._free_norm(sys_) * core._coupling_norm(sys_))
+    kernel_dimension = sys_.dim if is_zero else int(np.sum(s <= rel_tol * norm))
+    w, v = core._coupling_eig(sys_)
+    scale = max(1.0, norm)
+    sectors = []
+    for alpha, (lo, hi) in core._coupling_clusters(sys_):
+        if is_zero:
+            basis = v[:, lo:hi].copy()
+        else:
+            a = max(abs(w[0] - alpha), abs(w[-1] - alpha))
+            cutoff = rel_tol * max(a / max(1.0, a), norm / scale)
+            _, s_k, vh = np.linalg.svd(c[:, lo:hi] / scale, full_matrices=False)
+            basis = v[:, lo:hi] @ vh[np.sum(s_k > cutoff):].conj().T
+        if basis.shape[1] > 0:
+            sectors.append(IfeSector(alpha, basis))
+    return is_zero, kernel_dimension, IfeDecomposition(tuple(sectors), sys_.dim)
+
+
 def product_basis_classify(psi, sys_, rel_tol=DEFAULT_REL_TOL):
     """Reference for ``classify_pure`` in the product basis: ``(alpha or None, well_posed)``.
 
@@ -424,6 +453,8 @@ MALFORMED_FIELDS = [
     ("ragged_pair", "system_spin_star_n2.json", "h_i", (0, 0), [0.0, 0.0, 0.0]),
     ("ragged_row", "system_spin_star_n2.json", "h_i", (1,), [[0.0, 0.0]]),
     ("string_entry", "system_spin_star_n2.json", "h_a", (0, 0, 0), "a"),
+    ("numeric_string_entry", "system_spin_star_n2.json", "h_a", (0, 0, 0), "1.5"),
+    ("null_entry", "system_spin_star_n2.json", "h_i", (0, 0, 0), None),
     ("true_entry", "system_spin_star_n2.json", "h_a", (0, 0, 0), True),
     ("false_entry", "system_spin_star_n2.json", "h_a", (0, 1, 0), False),
     ("integer_beyond_float", "system_spin_star_n2.json", "h_a", (0, 1, 0), 10 ** 400),
@@ -433,6 +464,7 @@ MALFORMED_FIELDS = [
     ("vector_string", "state_ife_n2.json", "vector", (1, 0), "a"),
     ("vector_ragged", "state_ife_n2.json", "vector", (1,), [0.6, 0.0, 0.0]),
     ("vector_false", "state_ife_n2.json", "vector", (0, 0), False),
+    ("vector_numeric_string", "state_ife_n2.json", "vector", (0, 1), "0"),
     ("vector_shape", "state_ife_n2.json", "vector", (), [[[0.6, 0.0]]]),
     ("rho_ragged", "rho_ife_n2.json", "rho", (0,), [[0.0, 0.0]]),
 ]

@@ -686,7 +686,9 @@ class TestOneFactorization:
                            "--out", str(out)) == 0
             dims.append(len(json.loads(out.read_text())["claims"]))
             # H, H_0, H_I and i C~ act on the 8-dim product space; h_a (2x2)
-            # and h_b (4x4) give the commutator's zero scale
+            # and h_b (4x4) give the commutator's zero scale.  The system
+            # commutes, so ||C~||_F settles the zero test and i C~ takes no
+            # eigensolve
             factors = tuple(sorted(a.shape[-1] for a in eigh_calls if a.shape[-1] != 8))
             commutators = sum(np.allclose(a, hermitian, rtol=0.0, atol=1e-12)
                               for a in eigh_calls if a.shape == hermitian.shape)
@@ -695,7 +697,7 @@ class TestOneFactorization:
             eigh_calls.clear()
         assert sorted(dims) == [1, 2, 5]
         assert max(operators for operators, _, _ in counts) <= 3 and len(set(counts)) == 1
-        assert counts[0][1:] == (1, (2, 4))
+        assert counts[0][1:] == (0, (2, 4))
 
     def test_mixed_samples_eigh_count_independent_of_samples(self, star_file, eigh_calls, tmp_path):
         counts = []
@@ -759,6 +761,26 @@ class TestCommutatorFactorizations:
         argv = [a.format(star=star_file, rho=data_dir / "rho_ife_n2.json") for a in argv]
         assert run_cli(*argv, "--out", str(tmp_path / "r.json")) == 0
         assert calls == [("eigvalsh", "hermitian")] + [("eigh", "hermitian")] * vectors
+
+    @pytest.mark.parametrize("argv", [
+        ["sectors"],
+        ["oracle-diff"],
+        ["verify", "--sector", "0", "--steps", "5"],
+        ["mixed", "--samples", "2", "--steps", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_zero_commutator_takes_no_eigensolve(self, argv, multisector_file, tmp_path,
+                                                 monkeypatch):
+        # a conjugated commuting system: ||C~||_F alone settles the zero test
+        com = core._commutator(load_system(multisector_file)[0])
+        assert com.is_zero and np.linalg.norm(com.c) > 0.0
+        calls = []
+        for name in ("svd", "eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, *args, name=name, fn=original, **kw: (
+                np.shape(a) == com.c.shape and np.abs(np.asarray(a)).max() <= 1e-12
+                and calls.append(name)) or fn(a, *args, **kw))
+        assert run_cli(argv[0], multisector_file, *argv[1:], "--out", str(tmp_path / "r.json")) == 0
+        assert calls == []
 
 
 def defect_copy(src, dst, rel_defect=3e-11, seed=5, fields=("h_a", "h_i")):

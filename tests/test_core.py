@@ -37,6 +37,7 @@ from ifestates.linalg import (
 
 from helpers import (
     DIM_PAIRS,
+    assert_same_bits,
     cluster_values,
     commutator,
     commutator_with_zero_flag,
@@ -47,6 +48,7 @@ from helpers import (
     generic_system,
     intersect_kernels,
     null_space,
+    per_cluster_sectors,
     per_eigenspace_oracle,
     product_basis_classify,
     product_basis_sectors,
@@ -465,16 +467,20 @@ class TestEmptinessCertificate:
     def test_spin_star_factorizes_one_thin_block_per_cluster(self, monkeypatch):
         p = SpinStarParams(5, 1.0, 0.7, (1.0, 1.37, 1.74, 2.11, 2.48))
         sys_ = build_spin_star(p)
-        core._commutator(sys_)  # eigvalsh of i C~, the commutator in the coupling eigenbasis
-        shapes = []
+        com = core._commutator(sys_)  # eigvalsh of i C~, the commutator in the coupling eigenbasis
+        matrices = []
         original = np.linalg.svd
-        monkeypatch.setattr(
-            np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or original(a, *args, **kw),
-        )
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: matrices.extend(
+            np.array(a).reshape(-1, *a.shape[-2:])) or original(a, *args, **kw))
         dec = ife_sectors(sys_)
         clusters = core._coupling_clusters(sys_)
         assert len(clusters) > 1
-        assert shapes == [(sys_.dim, hi - lo) for _, (lo, hi) in clusters]
+        # each cluster's d x m block is factorized exactly once, however the calls batch them
+        assert len(matrices) == len(clusters)
+        scale = max(1.0, com.norm)
+        for _, (lo, hi) in clusters:
+            block = com.c[:, lo:hi] / scale
+            assert sum(m.shape == block.shape and np.array_equal(m, block) for m in matrices) == 1
         assert dec.alphas == pytest.approx((0.0,), abs=1e-12)
         assert dec.sectors[0].dimension == 2 * comb(5, 2)
 
@@ -1321,6 +1327,72 @@ class TestCommutatorZeroThreshold:
         path = tmp_path / "cancel.json"
         save_system(sys_, path)
         assert cli_main(["oracle-diff", str(path), "--out", str(tmp_path / "r.json")]) == 0
+
+
+def assert_same_decomposition(dec, reference):
+    assert dec.alphas == reference.alphas and dec.dim == reference.dim
+    assert dimensions(dec) == dimensions(reference)
+    for sector, expected in zip(dec.sectors, reference.sectors):
+        assert_same_bits(sector.basis, expected.basis)
+
+
+def assert_matches_per_cluster_reference(sys_):
+    """Zero flag, kernel dimension and sector bases as in the route that always runs ``eigvalsh``."""
+    is_zero, kernel_dimension, reference = per_cluster_sectors(sys_)
+    assert core._commutator(sys_).is_zero == is_zero
+    assert core._commutator_kernel_dimension(sys_, DEFAULT_REL_TOL) == kernel_dimension
+    assert_same_decomposition(ife_sectors(sys_), reference)
+    return is_zero
+
+
+class TestFrobeniusZeroTest:
+    """``||C~||_F`` within the zero threshold settles ``is_zero`` with no eigensolve of ``i C~``.
+
+    Every answer equals the reference that always runs ``eigvalsh(i C~)``
+    and takes one SVD per cluster (``helpers.per_cluster_sectors``), bit
+    for bit, also where the clusters' SVDs are batched by width.
+    """
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(family=st.sampled_from(["commuting", "conjugated", "subspace_zero", "generic", "star", "near"]),
+           dims=st.sampled_from(DIM_PAIRS), seed=st.integers(0, 2**32 - 1),
+           strength_exp=st.floats(-12.0, -10.0))
+    def test_matches_eigvalsh_reference(self, family, dims, seed, strength_exp):
+        rng = np.random.default_rng(seed)
+        if family == "near":
+            sys_ = conjugated_near_commuting_system(*dims, rng, 10.0 ** strength_exp)
+        else:
+            sys_ = family_system(family, dims, rng)
+        assert_matches_per_cluster_reference(sys_)
+
+    def test_fixed_near_commuting_draw(self):
+        # 300 systems straddling the zero threshold: both branches are taken
+        rng = np.random.default_rng(2024)
+        zero = 0
+        for i in range(300):
+            dims = DIM_PAIRS[i % len(DIM_PAIRS)]
+            sys_ = conjugated_near_commuting_system(*dims, rng, 10 ** rng.uniform(-12, -10))
+            zero += assert_matches_per_cluster_reference(sys_)
+        assert 0 < zero < 300
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_stars_batch_bit_identical(self, n):
+        sys_ = star_system(n, np.random.default_rng(60 + n))
+        assert not assert_matches_per_cluster_reference(sys_)
+        assert len({hi - lo for _, (lo, hi) in core._coupling_clusters(sys_)}) > 1
+
+    def test_zero_commutator_takes_no_eigensolve(self, monkeypatch):
+        sys_ = commuting_system(2, 4, np.random.default_rng(61))
+        calls = record_eigensolves(monkeypatch)
+        dec = ife_sectors(sys_)
+        assert ife_exists(sys_) and commutator_kernel(sys_).shape == (8, 8)
+        assert classify_pure(dec.sectors[0].basis[:, 0], sys_) == pytest.approx(dec.alphas[0])
+        com = core._commutator(sys_)
+        assert com.is_zero and np.linalg.norm(com.c) > 0.0
+        assert factorized_operators(calls, sys_) == ["h_i", "h_a", "h_b"]
+        # the singular values are still there to read, computed once on demand
+        assert com.norm == com.s[0] and com.s is core._commutator(sys_).s
+        assert len(calls) == 4 and np.array_equal(calls[3], 1j * com.c)
 
 
 class TestCommutatorKernel:

@@ -56,7 +56,8 @@ class TestTimesValidation:
         ([np.nan, 1.0], "finite"),
         ([0.0, np.inf], "finite"),
         ([[0.0, 1.0], [2.0, 3.0]], "a non-empty 1-D grid"),
-    ], ids=["empty", "nan", "inf", "two_dimensional"])
+        ([0.0, [1.0, 2.0]], "an array of numbers"),
+    ], ids=["empty", "nan", "inf", "two_dimensional", "ragged"])
     def test_rejects_malformed_grid(self, star_system_n2, tracer, times, match):
         psi = np.eye(star_system_n2.dim, dtype=complex)[:, :1]
         with pytest.raises(ValueError, match=f"times must be {match}"):
@@ -375,7 +376,8 @@ class TestTracePureStates:
         (np.zeros((2, 2)), r"expected 2 alphas \(one per state\), got shape \(2, 2\)"),
         ([0.0, float("nan")], "alphas must be finite"),
         ([float("inf"), 0.0], "alphas must be finite"),
-    ], ids=["matrix", "nan", "inf"])
+        ([[0.0], [1.0, 2.0]], "alphas must be an array of numbers"),
+    ], ids=["matrix", "nan", "inf", "ragged"])
     def test_rejects_malformed_alphas(self, star_system_n2, alphas, message):
         # a (2, 2) array would pass a length check and np.outer would flatten it
         states = np.eye(8, 2, dtype=complex)

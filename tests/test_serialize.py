@@ -1,5 +1,6 @@
 import json
 import re
+import tempfile
 from importlib import resources
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ifestates import serialize
 from ifestates.serialize import (
     canonical_dumps,
     load_state,
@@ -87,6 +89,15 @@ NUMBER_TOKENS = st.one_of(
     FLOATS.map(lambda x: format(x, ".17g")),
     st.sampled_from(["1e-400", "-1e-400", str(2 ** 63), str(-2 ** 63), str(2 ** 64), str(-2 ** 64)]),
     st.integers(-2 ** 70, 2 ** 70).map(str),
+)
+
+
+# Leaves the pair readers must convert as np.asarray does: floats with
+# their edge values, signed zeros, and integers past 2**53 and 2**64.
+PAIR_LEAVES = st.one_of(
+    FLOATS,
+    st.integers(-2 ** 70, 2 ** 70),
+    st.sampled_from([0, -0.0, 5e-324, -5e-324, 2 ** 53 + 1, 2 ** 64 + 1, 10 ** 300, -10 ** 308]),
 )
 
 
@@ -201,6 +212,52 @@ class TestMalformedFields:
                            "label", (), "true or false")
         assert load_system(path)[1] == "true or false"
 
+    @pytest.mark.parametrize("value, what", [(None, "null"), ("1.5", "the string '1.5'")],
+                             ids=["null", "numeric_string"])
+    def test_null_and_string_entries_named(self, data_dir, tmp_path, value, what):
+        path = edited_copy(data_dir / "system_spin_star_n2.json", tmp_path / "bad.json",
+                           "h_i", (1, 2, 1), value)
+        with pytest.raises(ValueError) as info:
+            load_system(path)
+        assert str(info.value) == f"{path}: field 'h_i' must be made of numbers, not {what}"
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(label=st.text(alphabet='utfrsealn"\\ x', max_size=12),
+           extra=st.sampled_from([None, ["a", ["b"]], {"k": "v"}, "text"]),
+           leaf=st.sampled_from([None, True, False, "1.5", "a", 0.5, -2]),
+           field=st.sampled_from(["h_a", "h_b", "h_i"]), data=st.data())
+    def test_prefiltered_scan_equals_plain_scan(self, label, extra, leaf, field, data):
+        """The byte markers only skip scans that would find nothing."""
+        doc = json.loads((DATA_DIR / "system_spin_star_n2.json").read_text(encoding="utf-8"))
+        doc["label"] = label
+        if extra is not None:
+            doc["extra"] = extra
+        dim = len(doc[field])
+        i, j = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))
+        doc[field][i][j][data.draw(st.integers(0, 1))] = leaf
+        text = json.dumps(doc)
+        plain = not set('utf"') & set(label) and extra is None
+        numeric = isinstance(leaf, (int, float)) and not isinstance(leaf, bool)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "system.json"
+            path.write_text(text, encoding="utf-8")
+            raw = path.read_bytes()
+            if plain and numeric:  # nothing to find, so no scan
+                assert not serialize._may_hold_non_numbers(raw, orjson.loads(raw))
+            outcomes = []
+            for prefilter in (serialize._may_hold_non_numbers, lambda raw, data: True):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(serialize, "_may_hold_non_numbers", prefilter)
+                    try:
+                        sys_, got_label, _ = load_system(path)
+                        outcomes.append((got_label, sys_.h_a.tobytes(), sys_.h_b.tobytes(),
+                                         sys_.h_i.tobytes()))
+                    except ValueError as exc:
+                        outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        if not numeric:
+            assert str(outcomes[0]).startswith(f"{path}: field {field!r}")
+
 
 def _with_token(src, dst, field, index, token):
     """``edited_copy`` with the raw JSON ``token`` at ``doc[field][index...]``."""
@@ -309,6 +366,38 @@ class TestPairCodecs:
     def test_matrix_shape_enforced(self):
         with pytest.raises(ValueError, match="'m'"):
             pairs_to_matrix([[[1.0, 0.0], [0.0, 0.0]]], "m")
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(n=st.integers(1, 5), ndim=st.sampled_from([2, 3]), data=st.data())
+    def test_flat_pairs_equal_asarray(self, n, ndim, data):
+        """The ``np.fromiter`` path reads what ``np.asarray`` reads, bit for bit."""
+        shape = (n,) * (ndim - 1) + (2,)
+        size = int(np.prod(shape))
+        leaves = data.draw(st.lists(PAIR_LEAVES, min_size=size, max_size=size))
+        nested = np.array(leaves, dtype=object).reshape(shape).tolist()
+        assert serialize._flat_pairs(nested, ndim) is not None
+        assert_same_bits(serialize._pair_array(nested, "f", "pairs", ndim),
+                         np.asarray(nested, dtype=float))
+
+    @pytest.mark.parametrize("data, valid", [
+        ([[[1.0, 2.0, 3.0], [4.0]], [[1.0, 2.0], [3.0, 4.0]]], False),
+        ([[[1.0, 2.0]], [[3.0, 4.0]]], False),
+        ([[[1.0, 2.0], [3.0, 4.0]]], False),
+        ([["12"]], False),
+        ([[b"12"]], False),
+        ([[{"1": 0, "2": 0}]], False),
+        ([[[[1.0, 2.0], [3.0, 4.0]]]], False),
+        ([[(1.0, 2.0)]], True),
+        ((([1.0, -0.0],),), True),
+    ], ids=["ragged_pair", "short_rows", "non_square", "string_pair", "bytes_pair", "dict_pair",
+            "nested_pair", "tuple_pair", "tuple_rows"])
+    def test_other_shapes_go_to_asarray(self, data, valid):
+        assert serialize._flat_pairs(data, 3) is None
+        if valid:
+            assert_same_bits(serialize._pair_array(data, "m", "pairs", 3), np.asarray(data, dtype=float))
+        else:
+            with pytest.raises(ValueError, match=r"field 'm' must be a square matrix of \[re, im\] pairs"):
+                pairs_to_matrix(data, "m")
 
 
 class TestSystemFiles:
