@@ -39,8 +39,12 @@ _IMAG_TOL = 1e-10
 # density-matrix deviation sizes its stacks by the same rule: the dense
 # form's ``c x d x d`` stacks of grid times, and the frequency form's slabs
 # of rows (at most four of these per slab) and their stacks of grid times.
-# Where one time fills a dense stack (``d >= 91``) the frequency form may
-# take over.
+# The dense form works in the interaction frame, ``||rho(t) - rho_0(t)||_F
+# = ||Y(t) rho~0 Y(t)^H - rho~||_F`` with ``Y(t)_ij = conj(p_i(t)) W_ij
+# p0_j(t)``, and builds each block's stack of ``Y`` once for a group of
+# ``max(1, _CHUNK_ENTRIES // d^2)`` states, as many states as times.
+# Where one time fills a dense stack (``d >= 91``) a group is one state,
+# and the frequency form may take over.
 _CHUNK_ENTRIES = 2**14
 
 

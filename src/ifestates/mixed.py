@@ -14,9 +14,16 @@ tracer, :func:`trace_density_matrix`, works in the eigenbases of
 levels and Bohr frequencies are sums and differences of ``e_i + f_j``):
 ``rho(t)`` is ``V (P(t) o rho~) V^H`` with ``rho~ = V^H rho V`` and the
 phase matrix ``P(t) = p p^H``, ``p = exp(-i w t)`` (``o`` is the entrywise
-product).  The deviation has two forms.  The dense form takes the grid in
-blocks of times sized by the pure-state tracer's ``_CHUNK_ENTRIES`` rule,
-one stacked pair of matrix products per block.  The frequency form expands
+product).  It takes one state or an ``m x d x d`` stack, in groups of
+``max(1, _CHUNK_ENTRIES // d^2)`` states (one state from ``d = 91`` on).
+The deviation has two forms.  The dense form works in the interaction
+frame: the diagonal unitaries ``diag(p(t))^*`` and ``diag(p(t))`` leave
+the Frobenius norm unchanged, so the deviation is ``||Y(t) rho~0 Y(t)^H -
+rho~||_F = ||Y(t) rho~0 - rho~ Y(t)||_F`` with ``Y(t)_ij = conj(p_i(t))
+W_ij p0_j(t)``, ``W = V^H V0``, ``rho~0 = V0^H rho V0``, and ``rho~``
+constant in time.  The grid goes in blocks of times sized by the
+pure-state tracer's ``_CHUNK_ENTRIES`` rule; per block, ``Y`` is built
+once and applied to every state of a group.  The frequency form expands
 the free evolution over the Bohr frequencies of ``H_0``, one ``d x d``
 term per frequency, and phases the terms for all grid times with one
 ``(times x frequencies) @ (frequencies x entries)`` product, taken in slabs
@@ -84,6 +91,43 @@ def _hermitian_state(rho, dim: int) -> np.ndarray:
     if rho.shape[0] != dim:
         raise ValueError(f"state has dimension {rho.shape[0]}, expected {dim}")
     return require_hermitian(rho, name="density matrix")
+
+
+def _block_size(dim: int) -> int:
+    """``max(1, _CHUNK_ENTRIES // d^2)``: grid times per dense block, and states per group.
+
+    A ``c x d x d`` stack of grid times and each ``m x d x d`` stack of a
+    group (the states, ``rho~`` and ``rho~0``) stay within
+    ``_CHUNK_ENTRIES`` entries.  From ``d = 91`` on a block is one time and
+    a group one state.
+    """
+    return max(1, _CHUNK_ENTRIES // dim**2)
+
+
+def _hermitian_states(rho, dim: int) -> tuple[np.ndarray, bool]:
+    """``rho`` as an ``m x d x d`` stack of Hermitian parts, and whether it was one matrix.
+
+    One matrix is checked by :func:`_hermitian_state` and comes back as a
+    stack of one.  A stack (a 3-D array, or a sequence of matrices of any
+    shapes) is checked one state at a time, and a rejection names the
+    state's index.
+    """
+    try:
+        stack = np.asarray(rho, dtype=complex)
+    except ValueError:  # ragged: a sequence of matrices of different shapes
+        stack = None
+    if stack is not None and stack.ndim != 3:
+        return _hermitian_state(stack, dim)[None], True
+    entries = list(rho if stack is None else stack)
+    states = []
+    for i, entry in enumerate(entries):
+        try:
+            states.append(_hermitian_state(entry, dim))
+        except ValueError as exc:
+            raise ValueError(f"stack entry {i}: {exc}") from None
+    if stack is not None and all(state is entry for state, entry in zip(states, entries)):
+        return stack, False  # every state exactly Hermitian: the array itself, not a copy
+    return np.stack(states), False
 
 
 def block_structure_residuals(rho, dec: IfeDecomposition) -> tuple[float, float]:
@@ -210,7 +254,7 @@ def _uses_frequencies(sys: BipartiteSystem, steps: int) -> bool:
     the dense form's ``2 T d^3``.
     """
     d = sys.dim
-    if _CHUNK_ENTRIES // d**2 > 1:
+    if _block_size(d) > 1:
         return False
     freq = _free_frequencies(sys)
     return (freq.pair.shape[0] + 1) * d + steps * freq.nu.size < 2 * steps * d
@@ -280,74 +324,105 @@ def _hermitian_deviation_squares(sys: BipartiteSystem, rho, rho_eig, times) -> n
 
 
 def _deviation(sys: BipartiteSystem, rho, rho_eig, times) -> np.ndarray:
-    """``||rho(t) - rho_0(t)||_F`` at each time, given ``rho~ = V^H rho V``.
+    """``||rho(t) - rho_0(t)||_F`` of each state of a group at each time, given ``rho~ = V^H rho V``.
 
-    ``= ||P(t) o rho~ - W (P0(t) o rho~0) W^H||_F`` in the eigenbasis of
-    ``H``, with ``rho~0 = V0^H rho V0`` and ``W = V^H V0``.
+    ``rho`` and ``rho_eig`` are ``m x d x d`` stacks of at most
+    :func:`_block_size` states; the result is ``m x T``.  In the
+    eigenbasis of ``H`` the deviation is ``||P(t) o rho~ - W (P0(t) o
+    rho~0) W^H||_F``, with ``rho~0 = V0^H rho V0`` and ``W = V^H V0``.
 
-    Dense form: the grid is taken in blocks of ``c = max(1, _CHUNK_ENTRIES
-    // d^2)`` times; the ``c x d x d`` stacks of both Hadamard products are
-    formed by broadcasting, and the block takes one stacked ``W @ X @ W^H``
-    and one stacked norm.  At ``d >= 91`` a block is one time: two ``d x
-    d`` products per step.
+    Dense form, in the interaction frame: ``P(t) o X = diag(p) X
+    diag(p)^*``, and multiplying by the diagonal unitaries ``diag(p)^*``
+    on the left and ``diag(p)`` on the right does not change the Frobenius
+    norm, so the deviation is ``||Y(t) rho~0 Y(t)^H - rho~||_F`` with
+    ``Y(t)_ij = conj(p_i(t)) W_ij p0_j(t)``; ``rho~`` does not depend on
+    time.  ``Y`` is unitary, so multiplying by it on the right gives the
+    form computed, ``||Y rho~0 - rho~ Y||_F``: two products and no
+    adjoint.  The grid is taken in blocks of ``c = max(1, _CHUNK_ENTRIES
+    // d^2)`` times.  Per block, the ``c x d x d`` stack of ``Y`` is built
+    once and applied to every state of the group, a state at a time: the
+    stacked products ``Y @ rho~0`` and ``rho~ @ Y``, their difference and
+    its norms, in three stacks allocated once per call.  A state's
+    deviation so has the same bits in any group.  At ``d >= 91`` a block
+    is one time and a group one state: two ``d x d`` products per step.
 
     Frequency form, where :func:`_uses_frequencies` selects it (``d >= 91``
     and ``(K + 1) d^3 + T Q d^2 < 2 T d^3`` for ``K`` levels and ``Q``
-    Bohr frequencies of ``H_0``): see :func:`_hermitian_deviation_squares`;
-    ``rho`` is Hermitian by the state contract.  Snapping each
-    eigenvalue to its level and each level difference to its frequency
-    moves every phase rate by at most ``spread``, so the result differs
-    from the dense form by at most ``spread * max|t| * ||rho||_F`` beyond
-    roundoff.
+    Bohr frequencies of ``H_0``), one state at a time: see
+    :func:`_hermitian_deviation_squares`; ``rho`` is Hermitian by the
+    state contract.  Snapping each eigenvalue to its level and each level
+    difference to its frequency moves every phase rate by at most
+    ``spread``, so the result differs from the dense form by at most
+    ``spread * max|t| * ||rho||_F`` beyond roundoff.
 
     A function of its own, so that ``rho~0`` and the last block are freed
     before the energies are traced.
     """
     if _uses_frequencies(sys, times.size):
-        return np.sqrt(_hermitian_deviation_squares(sys, rho, rho_eig, times))
+        return np.sqrt([_hermitian_deviation_squares(sys, state, state_eig, times)
+                        for state, state_eig in zip(rho, rho_eig)])
     w = _eig(sys)[0]
     w0, v0 = _eig(sys, free=True)
     rho0_eig = v0.conj().T @ rho @ v0
     overlap = _eig_overlap(sys)
-    overlap_h = overlap.conj().T
-    chunk = max(1, _CHUNK_ENTRIES // sys.dim**2)
-    deviation = np.empty(times.size)
+    chunk = _block_size(sys.dim)
+    # three c x d x d stacks for the whole call: Y, Y rho~0 and rho~ Y
+    frame = np.empty((min(chunk, times.size), sys.dim, sys.dim), dtype=complex)
+    left, right = np.empty_like(frame), np.empty_like(frame)
+    deviation = np.empty((rho.shape[0], times.size))
     for lo in range(0, times.size, chunk):
         t = times[lo:lo + chunk]
+        y, y_rho0, rho_y = frame[:t.size], left[:t.size], right[:t.size]
         p, p0 = np.exp(-1j * np.outer(t, w)), np.exp(-1j * np.outer(t, w0))  # row k is p(t_k)
-        free = overlap @ (p0[:, :, None] * p0[:, None, :].conj() * rho0_eig) @ overlap_h
-        free -= p[:, :, None] * p[:, None, :].conj() * rho_eig
-        deviation[lo:lo + chunk] = np.linalg.norm(free, axis=(1, 2))
+        np.multiply(overlap, p0[:, None, :], out=y)
+        y *= p.conj()[:, :, None]  # Y(t_k)
+        for j in range(rho.shape[0]):  # a state at a time, so that the stacks stay in cache
+            np.matmul(y, rho0_eig[j], out=y_rho0)
+            np.matmul(rho_eig[j], y, out=rho_y)
+            y_rho0 -= rho_y
+            sq = np.square(y_rho0.view(float), out=y_rho0.view(float))
+            deviation[j, lo:lo + chunk] = np.sqrt(sq.sum(axis=(1, 2)))
     return deviation
 
 
 def trace_density_matrix(sys: BipartiteSystem, rho, times, *,
-                         energies: bool = False) -> EvolutionReport:
-    """Evolution traces of a density matrix ``rho`` on the grid ``times``.
+                         energies: bool = False) -> EvolutionReport | list[EvolutionReport]:
+    """Evolution traces of a density matrix ``rho``, or of a stack of them, on the grid ``times``.
 
     The report carries the deviation ``||rho(t) - rho_0(t)||_F`` of the
     full from the free conjugation at each time and its maximum (~0
     exactly for IFE mixed states); with ``energies``, also the subsystem
-    energies ``Tr(rho(t) H_A (x) I)`` and ``Tr(rho(t) I (x) H_B)``.  The
-    grid is checked, ``rho`` must be a finite Hermitian matrix of the
-    system's dimension (its exact Hermitian part is traced), and ``rho~ =
-    V^H rho V`` is formed once per call; the spectra come from the
-    system's cache.  The energies are ``Tr(rho(t) O) = p(t)^T (rho~ o
+    energies ``Tr(rho(t) H_A (x) I)`` and ``Tr(rho(t) I (x) H_B)``.  One
+    ``d x d`` matrix gives one report; an ``m x d x d`` stack (or a
+    sequence of matrices) gives a list of ``m`` reports, each with the
+    bits its state gives traced alone.  The grid is checked, each state
+    must be a finite Hermitian matrix of the system's dimension (its exact
+    Hermitian part is traced; a stack's rejections name the state), and
+    the spectra come from the system's cache.  States are traced in
+    groups of :func:`_block_size` states, with ``rho~ = V^H rho V`` formed
+    once per state.  The energies are ``Tr(rho(t) O) = p(t)^T (rho~ o
     O~^T) p(t)^*`` with ``O~ = V^H O V``, one ``T x d x d`` product per
-    observable for the whole grid.
+    observable and state for the whole grid.
     """
     times = _checked_times(times)
-    rho = _hermitian_state(rho, sys.dim)
+    rho, single = _hermitian_states(rho, sys.dim)
     w, v = _eig(sys)
-    rho_eig = v.conj().T @ rho @ v
-    deviation = _deviation(sys, rho, rho_eig, times)
-    fields = {}
-    if energies:
-        phases = np.exp(-1j * np.outer(times, w))  # row k is p(t_k)
-        for key, op_v in (("energy_a", _apply_local(sys, v, op_a=sys.h_a)),
-                          ("energy_b", _apply_local(sys, v, op_b=sys.h_b))):
-            weights = rho_eig * (v.conj().T @ op_v).T
-            fields[key] = ((phases @ weights) * phases.conj()).sum(axis=1).real
-    return EvolutionReport(times=times, deviation=deviation,
-                           max_deviation=float(deviation.max()), **fields)
-
+    reports, observables = [], None
+    group = _block_size(sys.dim)
+    for lo in range(0, rho.shape[0], group):
+        states = rho[lo:lo + group]
+        rho_eig = v.conj().T @ states @ v
+        deviation = _deviation(sys, states, rho_eig, times)
+        fields = {}
+        if energies:
+            if observables is None:  # after the first deviation, whose stacks are freed by now
+                phases = np.exp(-1j * np.outer(times, w))  # row k is p(t_k)
+                observables = [(key, (v.conj().T @ op_v).T) for key, op_v in (
+                    ("energy_a", _apply_local(sys, v, op_a=sys.h_a)),
+                    ("energy_b", _apply_local(sys, v, op_b=sys.h_b)))]
+            for key, op_eig_t in observables:
+                fields[key] = ((phases @ (rho_eig * op_eig_t)) * phases.conj()).sum(axis=2).real
+        for j, dev in enumerate(deviation):
+            reports.append(EvolutionReport(times=times, deviation=dev, max_deviation=float(dev.max()),
+                                           **{key: values[j] for key, values in fields.items()}))
+    return reports[0] if single else reports

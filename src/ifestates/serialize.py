@@ -25,6 +25,7 @@ still read and then rejected with its field named.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -231,7 +232,8 @@ def _load_object(path, pair_fields: tuple[str, ...]) -> tuple[dict, str]:
     orjson parses the file; ``json`` reads only what orjson rejects, so
     that ``NaN``, numbers beyond double range and lone surrogates are
     handled as they always were.  Text that is not UTF-8, or nests too
-    deeply for ``json``, is reported as not valid JSON.
+    deeply for ``json``, is reported as not valid JSON.  The cyclic
+    garbage collector is paused during the parse.
 
     numpy reads a JSON ``true`` as 1.0, ``null`` as NaN and a numeric
     string as its number, so a boolean, null or string inside one of the
@@ -241,13 +243,21 @@ def _load_object(path, pair_fields: tuple[str, ...]) -> tuple[dict, str]:
     import orjson  # here: commands that read no file (--version, spin-star) skip its slow import
 
     raw = Path(path).read_bytes()
+    # A parse makes a list per [re, im] pair and no garbage, so the cyclic
+    # collector is paused while it runs; the caller's setting comes back after.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        data = orjson.loads(raw)
-    except orjson.JSONDecodeError:
         try:
-            data = json.loads(raw.decode("utf-8"))
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+            data = orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            try:
+                data = json.loads(raw.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    finally:
+        if collecting:
+            gc.enable()
     if not isinstance(data, dict):
         raise ValueError(f"{path}: top-level value must be an object")
     if _may_hold_non_numbers(raw, data):

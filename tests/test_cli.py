@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,15 @@ from ifestates import core
 from ifestates.cli import main
 from ifestates.core import ife_sectors, ife_sectors_oracle
 from ifestates.linalg import hermiticity_defect
-from ifestates.serialize import canonical_dumps, load_system, pairs_to_matrix
+from ifestates.mixed import (
+    _block_size,
+    block_structure_residuals,
+    random_ife_mixed,
+    trace_density_matrix,
+)
+from ifestates.serialize import canonical_dumps, load_system, pairs_to_matrix, save_system
 
-from helpers import MALFORMED_FIELDS, commutator, edited_copy, matrix_to_pairs
+from helpers import MALFORMED_FIELDS, commutator, commuting_system, edited_copy, matrix_to_pairs
 
 
 def run_cli(*argv):
@@ -533,6 +540,57 @@ class TestMixed:
             traces.append(json.loads(out.read_text())["traces"])
         assert traces[0] == traces[1]
         assert [t["label"] for t in traces[0]] == ["density_matrix"]
+
+
+def commuting_file(tmp_path, dim_a, dim_b, seed):
+    path = tmp_path / f"commuting_{dim_a * dim_b}.json"
+    save_system(commuting_system(dim_a, dim_b, np.random.default_rng(seed)), path)
+    return path
+
+
+class TestMixedSampleGroups:
+    """Sampling mode draws, checks and traces its samples a group at a time."""
+
+    def test_groups_report_what_one_sample_at_a_time_gives(self, tmp_path):
+        # d = 64: groups of four, so six samples take two groups
+        path = commuting_file(tmp_path, 4, 16, 90)
+        assert _block_size(64) == 4
+        out = tmp_path / "report.json"
+        assert run_cli("mixed", str(path), "--samples", "6", "--seed", "7", "--steps", "21",
+                       "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        system = load_system(path)[0]
+        dec = ife_sectors(system)
+        weights = np.full(dec.n_sectors, 1.0 / dec.n_sectors)
+        times = cli.time_grid(10.0, 21)
+        expected, names = [], []
+        for i in range(6):
+            rho = random_ife_mixed(dec, weights, 7 + i)
+            outside, cross = block_structure_residuals(rho, dec)
+            expected.append({"seed": 7 + i, "outside_norm": outside, "cross_norm": cross,
+                             "max_deviation": trace_density_matrix(system, rho, times).max_deviation})
+            names += [f"sample_{i}_block_structure", f"sample_{i}_dynamical_deviation"]
+        assert report["samples"] == expected
+        assert [c["name"] for c in report["claims"]] == names
+
+    def test_peak_memory_does_not_grow_with_samples(self, tmp_path):
+        # d = 128 takes groups of one state, so eight samples peak as two do:
+        # a group of eight would hold eight d x d stacks of each kind (2 MiB apiece)
+        path = commuting_file(tmp_path, 4, 32, 91)
+        assert _block_size(128) == 1
+        run_cli("mixed", str(path), "--samples", "1", "--steps", "11",
+                "--out", str(tmp_path / "warm.json"))
+        peaks = {}
+        for k in (2, 8):
+            tracemalloc.start()
+            try:
+                assert run_cli("mixed", str(path), "--samples", str(k), "--steps", "11",
+                               "--out", str(tmp_path / f"{k}.json")) == 0
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the margin is one d x d complex matrix (256 KiB)
+        assert abs(peaks[8] - peaks[2]) < 128**2 * 16, peaks
 
 
 class TestInputsDigest:

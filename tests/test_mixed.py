@@ -24,7 +24,12 @@ from ifestates import (
 from ifestates.dynamics import _CHUNK_ENTRIES
 from ifestates.linalg import kron
 from ifestates import mixed
-from ifestates.mixed import _free_frequencies, _uses_frequencies, block_structure_residuals
+from ifestates.mixed import (
+    _block_size,
+    _free_frequencies,
+    _uses_frequencies,
+    block_structure_residuals,
+)
 
 from helpers import (
     DIM_PAIRS,
@@ -39,6 +44,7 @@ from helpers import (
     random_state,
     random_unitary,
     record_eigensolves,
+    subspace_zero_system,
 )
 
 
@@ -442,6 +448,78 @@ class TestBlockedDeviation:
         finally:
             tracemalloc.stop()
         assert peak < (8 * sys_.dim**2 + 6 * _CHUNK_ENTRIES) * 16
+
+
+def stack_test_system(case):
+    """A spin star with ``N`` spins, or a ``DIM_PAIRS`` system of one of the three families."""
+    rng = np.random.default_rng(80)
+    if case[0] == "star":
+        n = case[1]
+        return build_spin_star(SpinStarParams(n, 1.0, 1.3, tuple(1.0 + 0.3 * rng.random(n))))
+    family, (dim_a, dim_b) = case
+    return {"commuting": commuting_system, "subspace_zero": subspace_zero_system,
+            "generic": generic_system}[family](dim_a, dim_b, rng)
+
+
+STACK_CASES = [("star", n) for n in range(1, 6)] + [
+    (family, dims) for family in ("commuting", "subspace_zero", "generic") for dims in DIM_PAIRS]
+
+
+class TestStackedStates:
+    """A stack of states is traced in groups, each state with the bits it gives alone."""
+
+    @pytest.mark.parametrize("case", STACK_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+    def test_stack_gives_the_bits_of_each_state_alone(self, case):
+        sys_ = stack_test_system(case)
+        rng = np.random.default_rng(81)
+        # at d = 64 a group is four states, so five states take two groups
+        rhos = np.stack([random_density_matrix(sys_.dim, rng) for _ in range(5)])
+        times = np.linspace(0.5, 10.0, 101)
+        stacked = trace_density_matrix(sys_, rhos, times, energies=True)
+        assert len(stacked) == 5
+        for rho, report in zip(rhos, stacked):
+            alone = trace_density_matrix(sys_, rho, times, energies=True)
+            for field in ("deviation", "energy_a", "energy_b"):
+                assert np.array_equal(getattr(report, field), getattr(alone, field)), field
+            assert report.max_deviation == alone.max_deviation
+            assert_allclose(report.deviation, per_step_mixed_deviation(sys_, rho, times),
+                            rtol=0, atol=agreement_tol(sys_))
+
+    def test_block_size(self):
+        assert [_block_size(d) for d in (2, 8, 32, 64, 90, 91, 128, 512)] \
+            == [4096, 256, 16, 4, 2, 1, 1, 1]
+
+    def test_sequence_of_matrices_is_a_stack(self, diag_system):
+        rng = np.random.default_rng(82)
+        rhos = [random_density_matrix(6, rng) for _ in range(3)]
+        times = time_grid(2.0, 5)
+        from_list = trace_density_matrix(diag_system, rhos, times)
+        from_array = trace_density_matrix(diag_system, np.stack(rhos), times)
+        assert [r.max_deviation for r in from_list] == [r.max_deviation for r in from_array]
+        assert trace_density_matrix(diag_system, np.empty((0, 6, 6)), times) == []
+
+    @pytest.mark.parametrize("case, message", [
+        ("non_hermitian", "stack entry 2: density matrix is not Hermitian"),
+        ("wrong_dimension", "stack entry 1: state has dimension 4, expected 6"),
+        ("nan", "stack entry 0: density matrix has non-finite entries"),
+        ("not_square", "stack entry 1: expected a square matrix, got shape \\(6, 5\\)"),
+        ("wrong_dimension_array", "stack entry 0: state has dimension 4, expected 6"),
+    ])
+    def test_rejection_names_the_state(self, diag_system, case, message):
+        rng = np.random.default_rng(83)
+        rhos = [random_density_matrix(6, rng) for _ in range(3)]
+        if case == "non_hermitian":
+            rhos[2] = rhos[2] + 1e-3 * np.triu(np.ones((6, 6)), 1)
+        elif case == "wrong_dimension":
+            rhos[1] = np.eye(4) / 4.0
+        elif case == "nan":
+            rhos[0][1, 2] = np.nan
+        elif case == "not_square":
+            rhos[1] = rhos[1][:, :5]
+        else:
+            rhos = np.full((2, 4, 4), 0.25)
+        with pytest.raises(ValueError, match=message):
+            trace_density_matrix(diag_system, rhos, time_grid(1.0, 3))
 
 
 # H_0 has 14 levels and 31 Bohr frequencies.

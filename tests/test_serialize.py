@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import tempfile
@@ -351,6 +352,72 @@ class TestParsers:
         with pytest.raises(ValueError) as info:
             read(load_system, path)
         assert str(info.value) == f"{path}: not valid JSON: {ref.value}"
+
+
+def _gc_case(case, data_dir, tmp_path):
+    """A loader and a file that ends a load as ``case`` says: a good load, or one rejection."""
+    star = data_dir / "system_spin_star_n2.json"
+    bad = tmp_path / "bad.json"
+    if case == "system":
+        return load_system, star
+    if case == "state":
+        return load_state, data_dir / "rho_ife_n2.json"
+    if case in ("not_json", "top_level_list", "missing_field"):
+        bad.write_text({"not_json": "{not json", "top_level_list": "[]",
+                        "missing_field": '{"dim_a": 2, "dim_b": 2}'}[case])
+        return load_system, bad
+    if case == "nan":  # orjson rejects the token, json reads it, the field check rejects it
+        return load_system, _with_token(star, bad, "h_i", (0, 0, 0), "NaN")
+    if case == "boolean":  # rejected by the scan for non-numbers
+        return load_system, _with_token(star, bad, "h_a", (0, 0, 0), "true")
+    return load_system, data_dir / "system_bad_hermitian.json"  # case == "not_hermitian"
+
+
+class TestGarbageCollector:
+    """The cyclic collector is paused for a parse and left as the caller had it."""
+
+    CASES = ["system", "state", "not_json", "top_level_list", "missing_field", "nan",
+             "boolean", "not_hermitian"]
+
+    @pytest.fixture(autouse=True)
+    def collector_on_after(self):
+        """A load that fails to restore the collector fails its own test, not the next one."""
+        yield
+        gc.enable()
+
+    @staticmethod
+    def _load(load, path):
+        try:
+            load(path)
+        except ValueError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_enabled_again_after_load(self, data_dir, tmp_path, case):
+        load, path = _gc_case(case, data_dir, tmp_path)
+        assert gc.isenabled()
+        assert self._load(load, path) == (case in ("system", "state"))
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_disabled_caller_keeps_it_disabled(self, data_dir, tmp_path, case):
+        load, path = _gc_case(case, data_dir, tmp_path)
+        gc.disable()
+        self._load(load, path)
+        assert not gc.isenabled()
+
+    def test_paused_during_the_parse(self, data_dir, monkeypatch):
+        seen = []
+        loads = orjson.loads
+
+        def recording(raw):
+            seen.append(gc.isenabled())
+            return loads(raw)
+
+        monkeypatch.setattr(orjson, "loads", recording)
+        load_system(data_dir / "system_spin_star_n2.json")
+        assert seen == [False] and gc.isenabled()
 
 
 class TestPairCodecs:
