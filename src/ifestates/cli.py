@@ -35,13 +35,13 @@ from .core import (
     ife_sectors_oracle,
 )
 from .dynamics import time_grid, trace_pure_states
-from .linalg import DEFAULT_REL_TOL, require_unit_states, subspace_residual
+from .linalg import DEFAULT_REL_TOL, _require_dimension, require_unit_states, subspace_residual
 from .mixed import (
+    _block_residuals,
     _block_size,
-    block_structure_residuals,
+    _trace_states,
     check_density_matrix,
     random_ife_mixed,
-    trace_density_matrix,
 )
 from .serialize import (
     FILE_HERMITIAN_RTOL,
@@ -273,15 +273,16 @@ def _verify_vectors(system, states, times, tol, labels) -> tuple[list, list]:
 
 
 def _traced_rho(system, value, times) -> tuple[np.ndarray, float, list]:
-    """A density matrix from a file through its gate, and its deviation traced with energies.
+    """A density matrix from a file through its one gate, and its deviation traced with energies.
 
-    The gate checks Hermiticity at ``FILE_HERMITIAN_RTOL``, trace and
-    positivity; :func:`trace_density_matrix` then checks the dimension,
-    finiteness and Hermiticity (the state contract).
+    The gate is :func:`check_density_matrix` (finite, Hermitian at
+    ``FILE_HERMITIAN_RTOL``, unit trace, positive semidefinite), then the
+    system's dimension; the tracer's core and the block residuals of
+    ``mixed --state`` take the gated ``rho`` without a second check.
     Returns the gated ``rho``, its maximal deviation and its trace list.
     """
-    rho = check_density_matrix(value, FILE_HERMITIAN_RTOL)
-    trace = trace_density_matrix(system, rho, times, energies=True)
+    rho = _require_dimension(check_density_matrix(value, FILE_HERMITIAN_RTOL), system.dim)
+    trace = _trace_states(system, rho[None], times, True)[0]
     return rho, trace.max_deviation, [_trace_lists(trace, {"vector": 0, "label": "density_matrix"})]
 
 
@@ -418,7 +419,7 @@ def cmd_mixed(args) -> int:
         digest += "," + state["digest"]
         rho, deviation, traces = _traced_rho(system, state["value"], times)
         block_tol = args.tol if args.tol is not None else 1e-8 * float(np.linalg.norm(rho))
-        outside, cross = block_structure_residuals(rho, dec)
+        outside, cross = _block_residuals(rho, dec)
         claims = [
             _claim("sector_support", outside, block_tol),
             _claim("cross_sector_coherence", cross, block_tol),
@@ -430,7 +431,8 @@ def cmd_mixed(args) -> int:
     else:
         # sampling mode: draw seeded random sector-block states and self-check,
         # a group of states at a time, so the tracer shares its phases within a
-        # group and holds one state at a time from d = 91 on
+        # group and holds one state at a time from d = 91 on; the samples are
+        # exactly Hermitian, so they go to the cores unchecked
         weights = np.full(dec.n_sectors, 1.0 / dec.n_sectors)
         block_tol = args.tol if args.tol is not None else 1e-9
         claims, samples = [], []
@@ -438,8 +440,8 @@ def cmd_mixed(args) -> int:
         for lo in range(0, args.samples, group):
             indices = range(lo, min(lo + group, args.samples))
             rhos = np.array([random_ife_mixed(dec, weights, args.seed + i) for i in indices])
-            residuals = [block_structure_residuals(rho, dec) for rho in rhos]
-            reports = trace_density_matrix(system, rhos, times)
+            residuals = [_block_residuals(rho, dec) for rho in rhos]
+            reports = _trace_states(system, rhos, times, False)
             for i, (outside, cross), report in zip(indices, residuals, reports):
                 dev_max = report.max_deviation
                 claims.append(_claim(f"sample_{i}_block_structure", max(outside, cross), block_tol))

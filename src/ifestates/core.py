@@ -88,6 +88,13 @@ def _is_numerically_zero(norm: float, scale: float) -> bool:
     return norm <= NUMERICAL_ZERO_RTOL * max(1.0, scale)
 
 
+def _positive_dimension(value, name: str) -> int:
+    """The rule for ``dim_a`` and ``dim_b``: ``value`` as an ``int`` if a positive integer, else raise."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"field {name!r} must be a positive integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BipartiteSystem:
     """Two finite subsystems with free parts ``h_a``, ``h_b`` and coupling ``h_i``.
@@ -113,10 +120,7 @@ class BipartiteSystem:
 
     def __post_init__(self, hermitian_rtol):
         for name in ("dim_a", "dim_b"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-                raise ValueError(f"field {name!r} must be a positive integer")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _positive_dimension(getattr(self, name), name))
         for name, op, dim in (
             ("h_a", self.h_a, self.dim_a),
             ("h_b", self.h_b, self.dim_b),

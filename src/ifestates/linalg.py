@@ -80,6 +80,13 @@ def require_rel_tol(rel_tol) -> None:
         raise ValueError("rel_tol must be a positive finite number")
 
 
+def _require_dimension(state: np.ndarray, dim: int) -> np.ndarray:
+    """``state``, raising unless its first axis, the state space, has length ``dim``."""
+    if state.shape[0] != dim:
+        raise ValueError(f"state has dimension {state.shape[0]}, expected {dim}")
+    return state
+
+
 def require_unit_states(states, dim: int) -> np.ndarray:
     """``states`` as a ``dim x m`` complex block of unit columns; a 1-d vector is one column.
 
@@ -90,8 +97,7 @@ def require_unit_states(states, dim: int) -> np.ndarray:
         states = states[:, None]
     if states.ndim != 2:
         raise ValueError(f"expected a state vector or a block of state columns, got shape {states.shape}")
-    if states.shape[0] != dim:
-        raise ValueError(f"state has dimension {states.shape[0]}, expected {dim}")
+    _require_dimension(states, dim)
     norms = np.linalg.norm(states, axis=0)
     bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-10)
     if bad.size:

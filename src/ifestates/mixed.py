@@ -14,10 +14,13 @@ tracer, :func:`trace_density_matrix`, works in the eigenbases of
 levels and Bohr frequencies are sums and differences of ``e_i + f_j``):
 ``rho(t)`` is ``V (P(t) o rho~) V^H`` with ``rho~ = V^H rho V`` and the
 phase matrix ``P(t) = p p^H``, ``p = exp(-i w t)`` (``o`` is the entrywise
-product).  It takes one state or an ``m x d x d`` stack, in groups of
-``max(1, _CHUNK_ENTRIES // d^2)`` states (one state from ``d = 91`` on).
-The deviation has two forms.  The dense form works in the interaction
-frame: the diagonal unitaries ``diag(p(t))^*`` and ``diag(p(t))`` leave
+product).  It takes one state and returns one report.  Both entry points
+check their state and hand it to a private core that takes it as checked,
+so the CLI checks a file's state once, at its gate, and its samples never;
+:func:`_trace_states` takes a stack, in groups of ``max(1, _CHUNK_ENTRIES
+// d^2)`` states (one state from ``d = 91`` on).  The deviation has two
+forms.  The dense form works in the interaction frame: the diagonal
+unitaries ``diag(p(t))^*`` and ``diag(p(t))`` leave
 the Frobenius norm unchanged, so the deviation is ``||Y(t) rho~0 Y(t)^H -
 rho~||_F = ||Y(t) rho~0 - rho~ Y(t)||_F`` with ``Y(t)_ij = conj(p_i(t))
 W_ij p0_j(t)``, ``W = V^H V0``, ``rho~0 = V0^H rho V0``, and ``rho~``
@@ -47,7 +50,7 @@ from .core import (
     _free_norm,
 )
 from .dynamics import _CHUNK_ENTRIES, EvolutionReport, _checked_times, _eig_overlap
-from .linalg import HERMITIAN_RTOL, as_operator, require_hermitian
+from .linalg import HERMITIAN_RTOL, _require_dimension, as_operator, require_hermitian
 
 __all__ = [
     "check_density_matrix",
@@ -87,10 +90,7 @@ def _hermitian_state(rho, dim: int) -> np.ndarray:
     and positivity are left to :func:`check_density_matrix`: its eigensolve
     would add a factorization to every sampled state.
     """
-    rho = as_operator(rho)
-    if rho.shape[0] != dim:
-        raise ValueError(f"state has dimension {rho.shape[0]}, expected {dim}")
-    return require_hermitian(rho, name="density matrix")
+    return require_hermitian(_require_dimension(as_operator(rho), dim), name="density matrix")
 
 
 def _block_size(dim: int) -> int:
@@ -104,32 +104,6 @@ def _block_size(dim: int) -> int:
     return max(1, _CHUNK_ENTRIES // dim**2)
 
 
-def _hermitian_states(rho, dim: int) -> tuple[np.ndarray, bool]:
-    """``rho`` as an ``m x d x d`` stack of Hermitian parts, and whether it was one matrix.
-
-    One matrix is checked by :func:`_hermitian_state` and comes back as a
-    stack of one.  A stack (a 3-D array, or a sequence of matrices of any
-    shapes) is checked one state at a time, and a rejection names the
-    state's index.
-    """
-    try:
-        stack = np.asarray(rho, dtype=complex)
-    except ValueError:  # ragged: a sequence of matrices of different shapes
-        stack = None
-    if stack is not None and stack.ndim != 3:
-        return _hermitian_state(stack, dim)[None], True
-    entries = list(rho if stack is None else stack)
-    states = []
-    for i, entry in enumerate(entries):
-        try:
-            states.append(_hermitian_state(entry, dim))
-        except ValueError as exc:
-            raise ValueError(f"stack entry {i}: {exc}") from None
-    if stack is not None and all(state is entry for state, entry in zip(states, entries)):
-        return stack, False  # every state exactly Hermitian: the array itself, not a copy
-    return np.stack(states), False
-
-
 def block_structure_residuals(rho, dec: IfeDecomposition) -> tuple[float, float]:
     """(outside_norm, cross_norm) measuring departure from sector-block form.
 
@@ -141,8 +115,12 @@ def block_structure_residuals(rho, dec: IfeDecomposition) -> tuple[float, float]
     Hermitian, so block ``(j, i)`` is the adjoint of block ``(i, j)`` and
     the blocks above the diagonal (``i < j``) suffice.
     """
+    return _block_residuals(_hermitian_state(rho, dec.dim), dec)
+
+
+def _block_residuals(rho: np.ndarray, dec: IfeDecomposition) -> tuple[float, float]:
+    """:func:`block_structure_residuals` of a Hermitian ``rho`` of the decomposition's dimension."""
     total = dec.total_basis()
-    rho = _hermitian_state(rho, total.shape[0])
     compressed = total.conj().T @ rho @ total
     inside = total @ compressed @ total.conj().T
     outside = float(np.linalg.norm(rho - inside))
@@ -159,10 +137,10 @@ def is_ife_mixed(rho, dec: IfeDecomposition, tol: float | None = None) -> bool:
     Default tolerance is 1e-8 * ||rho||_F, matching the sector
     orthogonality tolerance.
     """
-    rho = check_density_matrix(rho)
+    rho = _require_dimension(check_density_matrix(rho), dec.dim)
     if tol is None:
         tol = 1e-8 * float(np.linalg.norm(rho))
-    outside, cross = block_structure_residuals(rho, dec)
+    outside, cross = _block_residuals(rho, dec)
     return outside <= tol and cross <= tol
 
 
@@ -250,14 +228,16 @@ def _uses_frequencies(sys: BipartiteSystem, steps: int) -> bool:
     """Whether :func:`_deviation` takes the frequency form for a grid of ``steps`` times.
 
     Only where the dense form takes one time per block (``d >= 91``) and
-    the flop count ``(K + 1) d^3 + T Q d^2`` of the frequency form is below
-    the dense form's ``2 T d^3``.
+    the flop count of the frequency form, ``d^3`` for the products ``Z_a``,
+    ``Q d^3 / 2`` for the terms ``S_q`` and ``T Q d^2 / 2`` for phasing them
+    (see :func:`_hermitian_deviation_squares`), is below the dense form's
+    ``2 T d^3``.
     """
     d = sys.dim
     if _block_size(d) > 1:
         return False
-    freq = _free_frequencies(sys)
-    return (freq.pair.shape[0] + 1) * d + steps * freq.nu.size < 2 * steps * d
+    n_freq = _free_frequencies(sys).nu.size
+    return 2 * d + n_freq * d + steps * n_freq < 4 * steps * d
 
 
 def _hermitian_deviation_squares(sys: BipartiteSystem, rho, rho_eig, times) -> np.ndarray:
@@ -347,8 +327,8 @@ def _deviation(sys: BipartiteSystem, rho, rho_eig, times) -> np.ndarray:
     is one time and a group one state: two ``d x d`` products per step.
 
     Frequency form, where :func:`_uses_frequencies` selects it (``d >= 91``
-    and ``(K + 1) d^3 + T Q d^2 < 2 T d^3`` for ``K`` levels and ``Q``
-    Bohr frequencies of ``H_0``), one state at a time: see
+    and ``d^3 + Q d^3 / 2 + T Q d^2 / 2 < 2 T d^3`` for the ``Q`` Bohr
+    frequencies of ``H_0``), one state at a time: see
     :func:`_hermitian_deviation_squares`; ``rho`` is Hermitian by the
     state contract.  Snapping each eigenvalue to its level and each level
     difference to its frequency moves every phase rate by at most
@@ -386,26 +366,34 @@ def _deviation(sys: BipartiteSystem, rho, rho_eig, times) -> np.ndarray:
 
 
 def trace_density_matrix(sys: BipartiteSystem, rho, times, *,
-                         energies: bool = False) -> EvolutionReport | list[EvolutionReport]:
-    """Evolution traces of a density matrix ``rho``, or of a stack of them, on the grid ``times``.
+                         energies: bool = False) -> EvolutionReport:
+    """Evolution traces of a density matrix ``rho`` on the grid ``times``.
 
     The report carries the deviation ``||rho(t) - rho_0(t)||_F`` of the
     full from the free conjugation at each time and its maximum (~0
     exactly for IFE mixed states); with ``energies``, also the subsystem
-    energies ``Tr(rho(t) H_A (x) I)`` and ``Tr(rho(t) I (x) H_B)``.  One
-    ``d x d`` matrix gives one report; an ``m x d x d`` stack (or a
-    sequence of matrices) gives a list of ``m`` reports, each with the
-    bits its state gives traced alone.  The grid is checked, each state
-    must be a finite Hermitian matrix of the system's dimension (its exact
-    Hermitian part is traced; a stack's rejections name the state), and
-    the spectra come from the system's cache.  States are traced in
-    groups of :func:`_block_size` states, with ``rho~ = V^H rho V`` formed
-    once per state.  The energies are ``Tr(rho(t) O) = p(t)^T (rho~ o
-    O~^T) p(t)^*`` with ``O~ = V^H O V``, one ``T x d x d`` product per
-    observable and state for the whole grid.
+    energies ``Tr(rho(t) H_A (x) I)`` and ``Tr(rho(t) I (x) H_B)``.  The
+    grid is checked, then the state, which must be a finite Hermitian
+    ``d x d`` matrix of the system's dimension (its exact Hermitian part
+    is traced); the spectra come from the system's cache.  See
+    :func:`_trace_states`.
     """
     times = _checked_times(times)
-    rho, single = _hermitian_states(rho, sys.dim)
+    return _trace_states(sys, _hermitian_state(rho, sys.dim)[None], times, energies)[0]
+
+
+def _trace_states(sys: BipartiteSystem, rho: np.ndarray, times: np.ndarray,
+                  energies: bool) -> list[EvolutionReport]:
+    """Reports of an ``m x d x d`` stack of Hermitian states on a checked grid.
+
+    The core of :func:`trace_density_matrix`, which the CLI calls directly
+    on its gated file state and its sampled states.  States are traced in
+    groups of :func:`_block_size` states, with ``rho~ = V^H rho V`` formed
+    once per state, and each state gives the bits it gives traced alone.
+    The energies are ``Tr(rho(t) O) = p(t)^T (rho~ o O~^T) p(t)^*`` with
+    ``O~ = V^H O V``, one ``T x d x d`` product per observable and state
+    for the whole grid.
+    """
     w, v = _eig(sys)
     reports, observables = [], None
     group = _block_size(sys.dim)
@@ -425,4 +413,4 @@ def trace_density_matrix(sys: BipartiteSystem, rho, times, *,
         for j, dev in enumerate(deviation):
             reports.append(EvolutionReport(times=times, deviation=dev, max_deviation=float(dev.max()),
                                            **{key: values[j] for key, values in fields.items()}))
-    return reports[0] if single else reports
+    return reports

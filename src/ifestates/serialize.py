@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BipartiteSystem
+from .core import BipartiteSystem, _positive_dimension
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
@@ -273,7 +273,7 @@ def _require(data: dict, field: str, path):
     return data[field]
 
 
-def _decode(codec, value, field: str, path) -> np.ndarray:
+def _decode(codec, value, field: str, path):
     """``codec(value, field)`` with the file named in any error."""
     try:
         return codec(value, field)
@@ -289,11 +289,8 @@ def load_system(path) -> tuple[BipartiteSystem, str | None, str]:
     naming the file and the offending field.
     """
     data, digest = _load_object(path, ("h_a", "h_b", "h_i"))
-    dim_a = _require(data, "dim_a", path)
-    dim_b = _require(data, "dim_b", path)
-    for name, value in (("dim_a", dim_a), ("dim_b", dim_b)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ValueError(f"{path}: field {name!r} must be a positive integer")
+    dim_a, dim_b = (_decode(_positive_dimension, _require(data, name, path), name, path)
+                    for name in ("dim_a", "dim_b"))
     mats = [_decode(pairs_to_matrix, _require(data, name, path), name, path)
             for name in ("h_a", "h_b", "h_i")]
     try:

@@ -12,7 +12,7 @@ import orjson
 import pytest
 
 import ifestates.cli as cli
-from ifestates import core
+from ifestates import core, linalg
 from ifestates.cli import main
 from ifestates.core import ife_sectors, ife_sectors_oracle
 from ifestates.linalg import hermiticity_defect
@@ -839,6 +839,39 @@ class TestCommutatorFactorizations:
                 and calls.append(name)) or fn(a, *args, **kw))
         assert run_cli(argv[0], multisector_file, *argv[1:], "--out", str(tmp_path / "r.json")) == 0
         assert calls == []
+
+
+@pytest.fixture()
+def hermitian_checks(monkeypatch):
+    """The ``name`` of every ``require_hermitian`` call, through any package module."""
+    names = []
+    original = linalg.require_hermitian
+
+    def counted(a, rel_tol=linalg.HERMITIAN_RTOL, name="operator"):
+        names.append(name)
+        return original(a, rel_tol, name)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("ifestates") and hasattr(module, "require_hermitian"):
+            monkeypatch.setattr(module, "require_hermitian", counted)
+    return names
+
+
+class TestOneHermiticityCheckPerState:
+    """A file's density matrix is checked once, at its gate; a sample never."""
+
+    @pytest.mark.parametrize("argv, checks", [
+        (["mixed", "--state"], 1),
+        (["verify", "--state"], 1),
+        (["mixed", "--samples", "3"], 0),
+    ], ids=["mixed_state", "verify_state", "mixed_samples"])
+    def test_density_matrix_checks(self, star_file, data_dir, tmp_path, hermitian_checks,
+                                   argv, checks):
+        if argv[-1] == "--state":
+            argv = argv + [str(data_dir / "rho_ife_n2.json")]
+        out = tmp_path / "r.json"
+        assert run_cli(argv[0], star_file, *argv[1:], "--steps", "5", "--out", str(out)) == 0
+        assert hermitian_checks.count("density matrix") == checks
 
 
 def defect_copy(src, dst, rel_defect=3e-11, seed=5, fields=("h_a", "h_i")):

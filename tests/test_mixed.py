@@ -192,6 +192,11 @@ class TestIsIfeMixed:
         assert not is_ife_mixed(rho, diag_dec)
         assert trace_density_matrix(diag_system, rho, time_grid()).max_deviation > 1e-3
 
+    def test_dimension_mismatch(self, diag_dec):
+        # checked after the density-matrix axioms, before the residuals
+        with pytest.raises(ValueError, match="state has dimension 4, expected 6"):
+            is_ife_mixed(np.eye(4) / 4.0, diag_dec)
+
 
 class TestRandomIfeMixed:
     def test_single_sector_rank_one(self, diag_dec, diag_system):
@@ -466,16 +471,18 @@ STACK_CASES = [("star", n) for n in range(1, 6)] + [
 
 
 class TestStackedStates:
-    """A stack of states is traced in groups, each state with the bits it gives alone."""
+    """The tracer's core takes a stack in groups, each state with the bits it gives alone."""
 
     @pytest.mark.parametrize("case", STACK_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
     def test_stack_gives_the_bits_of_each_state_alone(self, case):
         sys_ = stack_test_system(case)
         rng = np.random.default_rng(81)
-        # at d = 64 a group is four states, so five states take two groups
-        rhos = np.stack([random_density_matrix(sys_.dim, rng) for _ in range(5)])
+        # at d = 64 a group is four states, so five states take two groups;
+        # the core takes its states as checked, so they go in as Hermitian parts
+        rhos = np.stack([check_density_matrix(random_density_matrix(sys_.dim, rng))
+                         for _ in range(5)])
         times = np.linspace(0.5, 10.0, 101)
-        stacked = trace_density_matrix(sys_, rhos, times, energies=True)
+        stacked = mixed._trace_states(sys_, rhos, times, True)
         assert len(stacked) == 5
         for rho, report in zip(rhos, stacked):
             alone = trace_density_matrix(sys_, rho, times, energies=True)
@@ -488,38 +495,6 @@ class TestStackedStates:
     def test_block_size(self):
         assert [_block_size(d) for d in (2, 8, 32, 64, 90, 91, 128, 512)] \
             == [4096, 256, 16, 4, 2, 1, 1, 1]
-
-    def test_sequence_of_matrices_is_a_stack(self, diag_system):
-        rng = np.random.default_rng(82)
-        rhos = [random_density_matrix(6, rng) for _ in range(3)]
-        times = time_grid(2.0, 5)
-        from_list = trace_density_matrix(diag_system, rhos, times)
-        from_array = trace_density_matrix(diag_system, np.stack(rhos), times)
-        assert [r.max_deviation for r in from_list] == [r.max_deviation for r in from_array]
-        assert trace_density_matrix(diag_system, np.empty((0, 6, 6)), times) == []
-
-    @pytest.mark.parametrize("case, message", [
-        ("non_hermitian", "stack entry 2: density matrix is not Hermitian"),
-        ("wrong_dimension", "stack entry 1: state has dimension 4, expected 6"),
-        ("nan", "stack entry 0: density matrix has non-finite entries"),
-        ("not_square", "stack entry 1: expected a square matrix, got shape \\(6, 5\\)"),
-        ("wrong_dimension_array", "stack entry 0: state has dimension 4, expected 6"),
-    ])
-    def test_rejection_names_the_state(self, diag_system, case, message):
-        rng = np.random.default_rng(83)
-        rhos = [random_density_matrix(6, rng) for _ in range(3)]
-        if case == "non_hermitian":
-            rhos[2] = rhos[2] + 1e-3 * np.triu(np.ones((6, 6)), 1)
-        elif case == "wrong_dimension":
-            rhos[1] = np.eye(4) / 4.0
-        elif case == "nan":
-            rhos[0][1, 2] = np.nan
-        elif case == "not_square":
-            rhos[1] = rhos[1][:, :5]
-        else:
-            rhos = np.full((2, 4, 4), 0.25)
-        with pytest.raises(ValueError, match=message):
-            trace_density_matrix(diag_system, rhos, time_grid(1.0, 3))
 
 
 # H_0 has 14 levels and 31 Bohr frequencies.
@@ -606,6 +581,16 @@ class TestFrequencyForm:
         assert_allclose(report.deviation, per_step_mixed_deviation(sys_, rho, times),
                         rtol=0, atol=agreement_tol(sys_))
 
+    def test_count_includes_the_terms(self):
+        # h_a with two levels and h_b with six: 12 levels of H_0 and 3 * 31 = 93
+        # frequencies, whose terms S_q (Q d^3 / 2) cost more than 26 dense steps
+        rng = np.random.default_rng(77)
+        h_b = np.diag(np.repeat(rng.standard_normal(6), [11, 11, 11, 11, 10, 10]))
+        sys_ = BipartiteSystem(2, 64, np.diag([0.0, 0.37]), h_b, random_hermitian(128, rng))
+        freq = _free_frequencies(sys_)
+        assert (freq.pair.shape[0], freq.nu.size) == (12, 93)
+        assert not _uses_frequencies(sys_, 26)
+
     def test_snapping_error_within_spread_bound(self):
         # one eigenvalue of h_a moved by a third of the level tolerance: H_0's
         # levels are split, and snapping them to their means moves each phase
@@ -653,6 +638,8 @@ def contract_test_state(case, dec):
         rho = random_ife_mixed(dec, np.full(dec.n_sectors, 1.0 / dec.n_sectors), 7)
         rho[3, 5] = np.nan
         return rho
+    if case == "stack":  # the entry points take one state
+        return np.stack([np.eye(dec.dim) / dec.dim] * 2)
     if case == "non_hermitian":
         rng = np.random.default_rng(76)
         z = rng.standard_normal((dec.dim,) * 2) + 1j * rng.standard_normal((dec.dim,) * 2)
@@ -673,6 +660,7 @@ class TestStateContract:
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     @pytest.mark.parametrize("case, message", [
         pytest.param("wrong_dimension", "state has dimension 4, expected 128", id="wrong_dimension"),
+        pytest.param("stack", "expected a square matrix, got shape \\(2, 128, 128\\)", id="stack"),
         pytest.param("nan", "density matrix has non-finite entries", id="nan"),
         pytest.param("non_hermitian", "density matrix is not Hermitian", id="non_hermitian"),
         # only the blocks above the diagonal are summed, so without the
