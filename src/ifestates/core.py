@@ -34,18 +34,20 @@ multiplies a block it acts through ``h_a`` and ``h_b`` on the factors of
 the block (:func:`_apply_local`).  The dense ``H_0`` is built only for
 ``H = H_0 + H_I`` and for the spin-star eigenvector claim.
 
-The factorizations that several routines need (``eigh`` of ``H``, ``h_a``,
-``h_b`` and ``H_I``, the spectrum of ``H_0`` built from the factors, the
-coupling clusters, ``C~`` with the eigenvalues of ``i C~`` once a
-nonzero commutator asks for them, and its eigenvectors once
-:func:`commutator_kernel` does) are computed once per system and cached
-read-only on it.
+Everything that several routines read (``eigh`` of ``h_a``, ``h_b``,
+``H_I`` and ``H``, the coupling clusters, the spectrum of ``H_0``, ``C~``
+with its singular values, zero flag and eigenvectors, ``W = V^H V0`` and
+the Bohr frequencies of ``H_0``) is one function of the system, decorated
+by :func:`_per_system`: it is computed on first call and cached read-only
+on the system, so each is taken at most once per system.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import InitVar, dataclass, field
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,38 +188,56 @@ class IfeDecomposition:
         return np.hstack([s.basis for s in self.sectors])
 
 
-def _cluster_ranges(values, tol: float) -> list[tuple[int, int]]:
-    """Index ranges of the single-linkage clusters of an ascending 1-d array."""
-    if len(values) == 0:
-        return []
-    cuts = [0, *(np.flatnonzero(np.diff(values) > tol) + 1).tolist(), len(values)]
-    return list(zip(cuts[:-1], cuts[1:]))
+def _cluster_bounds(values, tol: float) -> np.ndarray:
+    """Single-linkage clusters of an ascending 1-d array, cut wherever a gap exceeds ``tol``: ``b[k]:b[k + 1]``.
 
-
-def _cached(sys: BipartiteSystem, key, compute):
-    """``compute()`` once per system and key; cached arrays are read-only.
-
-    A tuple result has each of its arrays made read-only.  Every routine
-    that takes the same system then shares one result of the same call on
-    the same array, so sharing changes no bits.
+    The one clustering rule: of the coupling spectrum, the oracle's
+    eigenspaces of ``H_0`` and the levels and Bohr frequencies of ``H_0``.
     """
-    if key not in sys._cache:
-        value = compute()
-        for item in value if isinstance(value, tuple) else (value,):
-            if isinstance(item, np.ndarray):
-                item.flags.writeable = False
-        sys._cache[key] = value
-    return sys._cache[key]
+    return np.concatenate(([0], np.flatnonzero(np.diff(values) > tol) + 1, [len(values)]))
 
 
+def _cluster_ranges(values, tol: float) -> list[tuple[int, int]]:
+    """``(lo, hi)`` of each cluster of :func:`_cluster_bounds`."""
+    bounds = _cluster_bounds(values, tol).tolist()
+    return list(zip(bounds[:-1], bounds[1:])) if len(values) else []
+
+
+def _cluster_means(values, tol: float):
+    """``(bounds, label, means)``: :func:`_cluster_bounds`, each value's cluster and each cluster's mean."""
+    bounds = _cluster_bounds(values, tol)
+    label = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    return bounds, label, np.bincount(label, weights=values) / np.bincount(label)
+
+
+def _per_system(compute):
+    """``compute(sys)`` on first call, then cached on ``sys`` under ``compute``, its arrays read-only.
+
+    Arrays inside a tuple are made read-only too.  Every routine shares one
+    result of the same call on the same arrays, so sharing changes no bits.
+    """
+    @functools.wraps(compute)
+    def entry(sys: BipartiteSystem):
+        if compute not in sys._cache:
+            value = compute(sys)
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, np.ndarray):
+                    item.flags.writeable = False
+            sys._cache[compute] = value
+        return sys._cache[compute]
+
+    return entry
+
+
+@_per_system
 def _factor_eig(sys: BipartiteSystem):
-    """``(e_a, V_a, e_b, V_b)``: ``eigh`` of ``h_a`` and of ``h_b``, once per system.
+    """``(e_a, V_a, e_b, V_b)``: ``eigh`` of ``h_a`` and of ``h_b``.
 
     The two small factorizations from which the spectrum of ``H_0``
-    (:func:`_eig`) and the bound ``||h_a|| + ||h_b||`` (:func:`_free_norm`)
-    are read.
+    (:func:`_free_eig`) and the bound ``||h_a|| + ||h_b||``
+    (:func:`_free_norm`) are read.
     """
-    return _cached(sys, "factor_eig", lambda: (*np.linalg.eigh(sys.h_a), *np.linalg.eigh(sys.h_b)))
+    return (*np.linalg.eigh(sys.h_a), *np.linalg.eigh(sys.h_b))
 
 
 def _apply_local(sys: BipartiteSystem, block: np.ndarray, op_a=None, op_b=None) -> np.ndarray:
@@ -237,9 +257,10 @@ def _apply_local(sys: BipartiteSystem, block: np.ndarray, op_a=None, op_b=None) 
     return x.reshape(block.shape)
 
 
+@_per_system
 def _coupling_eig(sys: BipartiteSystem):
-    """``eigh(H_I)`` as ``(w, v)``: the one factorization of the coupling, once per system."""
-    return _cached(sys, "coupling_eig", lambda: tuple(np.linalg.eigh(sys.h_i)))
+    """``eigh(H_I)`` as ``(w, v)``: the one factorization of the coupling."""
+    return tuple(np.linalg.eigh(sys.h_i))
 
 
 def _coupling_norm(sys: BipartiteSystem) -> float:
@@ -252,19 +273,16 @@ def _alpha_tol(sys: BipartiteSystem) -> float:
     return CLUSTER_TOL * max(1.0, _coupling_norm(sys))
 
 
+@_per_system
 def _coupling_clusters(sys: BipartiteSystem) -> tuple[tuple[float, tuple[int, int]], ...]:
-    """``(alpha, (lo, hi))`` for each cluster of the coupling spectrum ``w``, cached per system.
+    """``(alpha, (lo, hi))`` for each cluster of the coupling spectrum ``w``.
 
     Eigenvalues closer than :func:`_alpha_tol` share a cluster; ``alpha``
     is the mean of ``w[lo:hi]`` and ``V[:, lo:hi]`` spans its eigenspace.
     Both sector routes take their alphas from here.
     """
-    def compute():
-        w, _ = _coupling_eig(sys)
-        return tuple((float(w[lo:hi].mean()) + 0.0, (lo, hi))
-                     for lo, hi in _cluster_ranges(w, _alpha_tol(sys)))
-
-    return _cached(sys, "coupling_clusters", compute)
+    w, _ = _coupling_eig(sys)
+    return tuple((float(w[lo:hi].mean()) + 0.0, (lo, hi)) for lo, hi in _cluster_ranges(w, _alpha_tol(sys)))
 
 
 def _snapped_spectrum(sys: BipartiteSystem) -> np.ndarray:
@@ -284,57 +302,45 @@ def _free_norm(sys: BipartiteSystem) -> float:
     return float(max(-a[0], a[-1]) + max(-b[0], b[-1]))
 
 
-class _Commutator:
-    """``C~ = V^H [H_0, H_bar_I] V`` and its numerical-zero flag; ``s`` and ``norm`` on first read.
-
-    ``s`` holds the singular values of ``C`` in descending order,
-    ``|eigvalsh(i C~)|``, and ``norm`` is ``s[0]``.  ``||C||_2 <= ||C||_F``,
-    so a Frobenius norm at or below the zero threshold sets ``is_zero``
-    with no eigensolve; only a larger one reads ``norm``.  Both are
-    computed on first read and cached, and readers of a zero commutator
-    never ask for them.
-    """
-
-    def __init__(self, c: np.ndarray, scale: float):
-        self.c = c
-        self._s = None
-        self.is_zero = (_is_numerically_zero(float(np.linalg.norm(c)), scale)
-                        or _is_numerically_zero(self.norm, scale))
-
-    @property
-    def s(self) -> np.ndarray:
-        if self._s is None:
-            s = np.sort(np.abs(np.linalg.eigvalsh(1j * self.c)))[::-1]
-            s.flags.writeable = False
-            self._s = s
-        return self._s
-
-    @property
-    def norm(self) -> float:
-        return float(self.s[0])
-
-
-def _commutator(sys: BipartiteSystem) -> _Commutator:
-    """``C~ = H0~ o M`` and its zero flag, once per system; its singular values when first read.
+@_per_system
+def _commutator(sys: BipartiteSystem) -> np.ndarray:
+    """``C~ = V^H [H_0, H_bar_I] V = H0~ o M``, the commutator in the eigenbasis of ``H_I``.
 
     ``H0~ = V^H (H_0 V)`` is one gemm: ``H_0 V`` is applied through ``h_a``
     and ``h_b`` (:func:`_apply_local`, ``O(d^2 (dim_a + dim_b))``), never
     through the dense ``H_0``.  It is made exactly Hermitian, so ``C~`` is
     exactly anti-Hermitian; ``M_ij = w_bar_j - w_bar_i`` is 0 inside a
-    cluster.  The rank at any ``rel_tol`` is a count over ``s``.  The
-    commutator is numerically zero when
-    ``||C|| <= NUMERICAL_ZERO_RTOL * max(1, 2 (||h_a|| + ||h_b||) ||H_I||)``;
-    ``eigvalsh(i C~)`` runs only when ``||C~||_F`` exceeds that threshold.
+    cluster.
     """
-    def compute():
-        _, v = _coupling_eig(sys)
-        w_bar = _snapped_spectrum(sys)
-        h0 = v.conj().T @ (_apply_local(sys, v, op_a=sys.h_a) + _apply_local(sys, v, op_b=sys.h_b))
-        c = 0.5 * (h0 + h0.conj().T) * (w_bar - w_bar[:, None])
-        c.flags.writeable = False
-        return _Commutator(c, 2.0 * _free_norm(sys) * _coupling_norm(sys))
+    _, v = _coupling_eig(sys)
+    w_bar = _snapped_spectrum(sys)
+    h0 = v.conj().T @ (_apply_local(sys, v, op_a=sys.h_a) + _apply_local(sys, v, op_b=sys.h_b))
+    return 0.5 * (h0 + h0.conj().T) * (w_bar - w_bar[:, None])
 
-    return _cached(sys, "commutator", compute)
+
+@_per_system
+def _commutator_values(sys: BipartiteSystem) -> np.ndarray:
+    """The singular values of ``C``, ``|eigvalsh(i C~)|``, descending: ``||C||`` first, a rank is a count."""
+    return np.sort(np.abs(np.linalg.eigvalsh(1j * _commutator(sys))))[::-1]
+
+
+@_per_system
+def _commutator_is_zero(sys: BipartiteSystem) -> bool:
+    """Whether ``||C|| <= NUMERICAL_ZERO_RTOL * max(1, 2 (||h_a|| + ||h_b||) ||H_I||)``.
+
+    ``||C||_2 <= ||C~||_F``, so a Frobenius norm at or below the threshold
+    settles the test with no eigensolve; only a larger one reads
+    :func:`_commutator_values`.
+    """
+    frobenius = float(np.linalg.norm(_commutator(sys)))
+    scale = 2.0 * _free_norm(sys) * _coupling_norm(sys)
+    return _is_numerically_zero(frobenius, scale) or _is_numerically_zero(float(_commutator_values(sys)[0]), scale)
+
+
+@_per_system
+def _commutator_eig(sys: BipartiteSystem):
+    """``eigh(i C~)`` as ``(lambda, q)``: the commutator kernel's vectors."""
+    return tuple(np.linalg.eigh(1j * _commutator(sys)))
 
 
 def _commutator_kernel_dimension(sys: BipartiteSystem, rel_tol: float) -> int:
@@ -343,8 +349,10 @@ def _commutator_kernel_dimension(sys: BipartiteSystem, rel_tol: float) -> int:
     A numerically zero commutator has rank 0.
     """
     require_rel_tol(rel_tol)
-    com = _commutator(sys)
-    return sys.dim if com.is_zero else int(np.sum(com.s <= rel_tol * com.norm))
+    if _commutator_is_zero(sys):
+        return sys.dim
+    s = _commutator_values(sys)
+    return int(np.sum(s <= rel_tol * s[0]))
 
 
 def commutator_kernel(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
@@ -357,36 +365,77 @@ def commutator_kernel(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) ->
     takes no factorization.  The result is a fresh array.
     """
     k = _commutator_kernel_dimension(sys, rel_tol)
-    com = _commutator(sys)
-    if com.is_zero:
+    if _commutator_is_zero(sys):
         return np.eye(sys.dim, dtype=complex)
-    lam, q = _cached(sys, "commutator_eig", lambda: tuple(np.linalg.eigh(1j * com.c)))
+    lam, q = _commutator_eig(sys)
     return _coupling_eig(sys)[1] @ q[:, np.argsort(np.abs(lam), kind="stable")[:k]]
 
 
-def _eig(sys: BipartiteSystem, free: bool = False):
-    """``(w, V)`` with ``V diag(w) V^H`` equal to ``H`` (or to ``H_0`` when ``free``), once per system.
+@_per_system
+def _total_eig(sys: BipartiteSystem):
+    """``eigh(H)`` as ``(w, V)``, ``V diag(w) V^H = H``: the one eigensolve of the full Hamiltonian."""
+    return tuple(np.linalg.eigh(build_total(sys)))
 
-    ``H`` takes one ``eigh``.  ``H_0`` takes none of its own: its spectrum
-    is built from the factors' (:func:`_factor_eig`), ``w0`` the sums
-    ``e_a[i] + e_b[j]`` in ascending order and ``V0`` the matching columns
-    ``V_a[:, i] (x) V_b[:, j]`` of ``kron(V_a, V_b)``.  The sort is a stable
-    argsort of the sums in Kronecker order, so exactly equal sums keep the
-    ``(i, j)`` order.  Cached on ``sys`` with read-only arrays, so the
-    tracers and the oracle share one spectrum of each Hamiltonian.  No
-    commutator is involved, so the oracle's sectors stay independent of the
-    direct route.
+
+@_per_system
+def _free_eig(sys: BipartiteSystem):
+    """``(w0, V0)`` with ``V0 diag(w0) V0^H = H_0``, built from the factors' spectra with no eigensolve.
+
+    ``w0`` holds the sums ``e_a[i] + e_b[j]`` (:func:`_factor_eig`) in
+    ascending order and ``V0`` the matching columns ``V_a[:, i] (x)
+    V_b[:, j]`` of ``kron(V_a, V_b)``.  The sort is a stable argsort of the
+    sums in Kronecker order, so exactly equal sums keep the ``(i, j)``
+    order.  No commutator is involved, so the oracle's sectors stay
+    independent of the direct route.
     """
-    if not free:
-        return _cached(sys, ("eig", False), lambda: tuple(np.linalg.eigh(build_total(sys))))
+    e_a, v_a, e_b, v_b = _factor_eig(sys)
+    w0 = np.add.outer(e_a, e_b).ravel()
+    order = np.argsort(w0, kind="stable")
+    return w0[order], kron(v_a, v_b)[:, order]
 
-    def compute():
-        e_a, v_a, e_b, v_b = _factor_eig(sys)
-        w0 = np.add.outer(e_a, e_b).ravel()
-        order = np.argsort(w0, kind="stable")
-        return w0[order], kron(v_a, v_b)[:, order]
 
-    return _cached(sys, ("eig", True), compute)
+@_per_system
+def _eig_overlap(sys: BipartiteSystem) -> np.ndarray:
+    """``W = V^H V0``: the eigenbasis of ``H_0`` in that of ``H``, for both tracers."""
+    return _total_eig(sys)[1].conj().T @ _free_eig(sys)[1]
+
+
+class _FreeFrequencies(NamedTuple):
+    """The levels of ``H_0`` and the Bohr frequencies between them."""
+
+    bounds: np.ndarray  # level a is eigenvalues bounds[a]:bounds[a + 1] of _free_eig(sys)
+    nu: np.ndarray  # the Q Bohr frequencies
+    pair: np.ndarray  # K x K: e_a - e_b is the frequency nu[pair[a, b]]
+    spread: float  # bound on |w0_i - w0_j - nu[pair[a, b]]| for i in level a, j in level b
+
+
+@_per_system
+def _free_frequencies(sys: BipartiteSystem) -> _FreeFrequencies:
+    """Levels ``e_a`` of ``H_0`` and Bohr frequencies ``nu_q``, for the mixed deviation's frequency form.
+
+    Eigenvalues of ``H_0`` whose sorted gaps are at most ``tol =
+    NUMERICAL_ZERO_RTOL * max(1, ||h_a|| + ||h_b||)`` (the scale of the
+    commutator's zero test) form one level, at their mean; the differences
+    ``e_a - e_b`` are grouped into frequencies at the same ``tol``.  Should
+    a chain of differences closer than ``tol`` give one level two partners
+    at one frequency, every difference is kept as a frequency of its own,
+    so that ``pair[:, b]`` never repeats a frequency.  The oracle's
+    eigenspaces of ``H_0`` are cut at ``CLUSTER_TOL`` instead: they decide
+    sector ranks, while these levels only snap phase rates, which moves
+    the deviation by at most ``spread * max|t| * ||rho||_F``.
+    """
+    w0 = _free_eig(sys)[0]
+    tol = NUMERICAL_ZERO_RTOL * max(1.0, _free_norm(sys))
+    bounds, level, levels = _cluster_means(w0, tol)
+    k = levels.size
+    diffs = np.subtract.outer(levels, levels).ravel()  # entry a * k + b is e_a - e_b
+    order = np.argsort(diffs, kind="stable")
+    freq = np.empty(k * k, dtype=np.intp)
+    _, freq[order], nu = _cluster_means(diffs[order], tol)
+    if np.unique(freq * k + np.arange(k * k) % k).size < k * k:  # a repeat in a column
+        freq[order], nu = np.arange(k * k), diffs[order]
+    spread = 2.0 * np.abs(w0 - levels[level]).max() + np.abs(diffs - nu[freq]).max()
+    return _FreeFrequencies(bounds, nu, freq.reshape(k, k), float(spread))
 
 
 def ife_sectors(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDecomposition:
@@ -408,24 +457,24 @@ def ife_sectors(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDe
     dropped.
     """
     require_rel_tol(rel_tol)
-    com = _commutator(sys)
     w, v = _coupling_eig(sys)
     clusters = _coupling_clusters(sys)
-    if com.is_zero:
+    if _commutator_is_zero(sys):
         sectors = (IfeSector(alpha, v[:, lo:hi].copy()) for alpha, (lo, hi) in clusters)
         return IfeDecomposition(tuple(sectors), sys.dim)
-    scale = max(1.0, com.norm)
+    c, norm = _commutator(sys), float(_commutator_values(sys)[0])
+    scale = max(1.0, norm)
     by_width = {}  # cluster width -> indices of the clusters that wide
     for j, (_, (lo, hi)) in enumerate(clusters):
         by_width.setdefault(hi - lo, []).append(j)
     bases = [None] * len(clusters)
     for same in by_width.values():
-        blocks = np.stack([com.c[:, slice(*clusters[j][1])] for j in same])
+        blocks = np.stack([c[:, slice(*clusters[j][1])] for j in same])
         _, s, vh = np.linalg.svd(blocks / scale, full_matrices=False)
         for j, s_j, vh_j in zip(same, s, vh):
             alpha, (lo, hi) = clusters[j]
             a = max(abs(w[0] - alpha), abs(w[-1] - alpha))
-            cutoff = rel_tol * max(a / max(1.0, a), com.norm / scale)
+            cutoff = rel_tol * max(a / max(1.0, a), norm / scale)
             bases[j] = v[:, lo:hi] @ vh_j[np.sum(s_j > cutoff):].conj().T
     sectors = (IfeSector(alpha, basis) for (alpha, _), basis in zip(clusters, bases) if basis.shape[1] > 0)
     return IfeDecomposition(tuple(sectors), sys.dim)
@@ -470,8 +519,9 @@ def ife_sectors_oracle(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -
     """
     require_rel_tol(rel_tol)
     _, v = _coupling_eig(sys)
-    w0, v0 = _eig(sys, free=True)
+    w0, v0 = _free_eig(sys)
     clusters = _coupling_clusters(sys)
+    # at CLUSTER_TOL, for these eigenspaces decide ranks (see _free_frequencies)
     spaces = _cluster_ranges(w0, CLUSTER_TOL * max(1.0, float(np.abs(w0).max())))
     # Clusters (rows of G) and eigenspaces of H_0 (columns) are contiguous index
     # ranges: block (j, k) is the rows of cluster j, columns col_lo[k] + arange(n[k]).
@@ -517,8 +567,12 @@ def ife_sectors_oracle(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -
 
 
 def ife_exists(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> bool:
-    """True iff Ker[H_0, H_I] is nontrivial (existence of IFE states)."""
-    return _commutator_kernel_dimension(sys, rel_tol) > 0
+    """True iff the system has an IFE state: :func:`ife_sectors` finds at least one sector.
+
+    A nontrivial ``Ker[H_0, H_I]`` is not enough: a vector of it need not be
+    an eigenvector of ``H_I``.
+    """
+    return ife_sectors(sys, rel_tol).n_sectors > 0
 
 
 def classify_pure(psi, sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL):
@@ -537,8 +591,8 @@ def classify_pure(psi, sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL):
     c = _coupling_eig(sys)[1].conj().T @ psi
     h_c = _snapped_spectrum(sys) * c
     alpha = float(np.vdot(c, h_c).real)
-    com = _commutator(sys)
     hi_norm = _coupling_norm(sys)
     eig_ok = _is_numerically_zero(hi_norm, 1.0) or np.linalg.norm(h_c - alpha * c) <= rel_tol * hi_norm
-    comm_ok = com.is_zero or np.linalg.norm(com.c @ c) <= rel_tol * com.norm
+    comm_ok = _commutator_is_zero(sys) or (
+        np.linalg.norm(_commutator(sys) @ c) <= rel_tol * _commutator_values(sys)[0])
     return alpha if (eig_ok and comm_ok) else None

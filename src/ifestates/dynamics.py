@@ -3,10 +3,10 @@ energies, and covariance of free-invariant observable pairs.
 
 All propagation is exact spectral propagation of time-independent
 Hamiltonians (units with hbar = 1).  ``H = V diag(w) V^H`` is
-diagonalized once per system; the spectrum of ``H_0`` is built from those
-of ``h_a`` and ``h_b`` (``core._eig``: sums ``e_i + f_j`` in ascending
-order, exact ties in Kronecker ``(i, j)`` order).  Both are cached on the
-system.
+diagonalized once per system (``core._total_eig``); the spectrum of
+``H_0`` is built from those of ``h_a`` and ``h_b`` (``core._free_eig``:
+sums ``e_i + f_j`` in ascending order, exact ties in Kronecker ``(i, j)``
+order).  Both are cached on the system.
 :func:`trace_pure_states` evolves a whole block of states at once: the
 eigenbasis coefficients ``V^H S`` are phased for every grid time and
 mapped back with one matrix product per block of columns, and local
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BipartiteSystem, _apply_local, _cached, _eig
+from .core import BipartiteSystem, _apply_local, _eig_overlap, _free_eig, _total_eig
 from .linalg import require_hermitian, require_unit_states, spectral_norm
 
 __all__ = [
@@ -36,15 +36,7 @@ _IMAG_TOL = 1e-10
 # Complex entries of one evolved ``d x m_chunk x T`` block: the pure-state
 # tracer takes as many columns per matrix product as fit, at least one, so
 # its working set stays a few MB whatever the number of states.  The
-# density-matrix deviation sizes its stacks by the same rule: the dense
-# form's ``c x d x d`` stacks of grid times, and the frequency form's slabs
-# of rows (at most four of these per slab) and their stacks of grid times.
-# The dense form works in the interaction frame, ``||rho(t) - rho_0(t)||_F
-# = ||Y(t) rho~0 Y(t)^H - rho~||_F`` with ``Y(t)_ij = conj(p_i(t)) W_ij
-# p0_j(t)``, and builds each block's stack of ``Y`` once for a group of
-# ``max(1, _CHUNK_ENTRIES // d^2)`` states, as many states as times.
-# Where one time fills a dense stack (``d >= 91``) a group is one state,
-# and the frequency form may take over.
+# density-matrix tracer sizes its stacks by the same rule (see ``mixed``).
 _CHUNK_ENTRIES = 2**14
 
 
@@ -96,11 +88,6 @@ def _checked_times(times) -> np.ndarray:
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
     return times
-
-
-def _eig_overlap(sys: BipartiteSystem) -> np.ndarray:
-    """``W = V^H V0``: the eigenbasis of ``H_0`` in that of ``H``, once per system."""
-    return _cached(sys, "eig_overlap", lambda: _eig(sys)[1].conj().T @ _eig(sys, free=True)[1])
 
 
 def _real_expectations(bra: np.ndarray, applied: np.ndarray, shape, what: str) -> np.ndarray:
@@ -192,11 +179,11 @@ def trace_pure_states(sys: BipartiteSystem, states, times, *, alphas=None,
     if observables is not None:
         o_a, o_b = _free_invariant_pair(sys, *observables)
 
-    w, v = _eig(sys)
+    w, v = _total_eig(sys)
     coeff = v.conj().T @ states
     phases = np.exp(-1j * np.outer(w, times))
     if alphas is not None:
-        w0, v0 = _eig(sys, free=True)
+        w0, v0 = _free_eig(sys)
         overlap = _eig_overlap(sys)
         coeff0 = v0.conj().T @ states
         phases0 = np.exp(-1j * np.outer(w0, times))

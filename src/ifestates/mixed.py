@@ -1,24 +1,29 @@
 """IFE mixed states: sector-block structure tests and generators.
 
-A density matrix evolves identically under the full and the free
-Hamiltonian exactly when it is block diagonal across the IFE sectors:
-supported on the union of the sector subspaces with no coherence between
-different sectors.  This module recognizes that structure, draws random
-states that have it, and measures the dynamical deviation directly.
+A density matrix that is block diagonal across the IFE sectors (supported
+on the union of the sector subspaces, with no coherence between different
+sectors) evolves identically under the full and the free Hamiltonian.
+The condition is sufficient, not necessary: ``I / d`` commutes with both
+Hamiltonians and so evolves interaction-free, yet it carries weight
+outside the sectors whenever they do not span the whole space.  This
+module recognizes the sector-block structure, draws random states that
+have it, and measures the dynamical deviation directly, which decides
+interaction-free evolution for any state.
 
 :func:`block_structure_residuals` compresses ``rho`` onto the concatenated
 sector bases once and reads both residuals off that one matrix.  The one
 tracer, :func:`trace_density_matrix`, works in the eigenbases of
 ``H = V diag(w) V^H`` and ``H_0 = V0 diag(w0) V0^H``, cached on the system
-(``H_0``'s is built from the factors' spectra, ``core._eig``, so its
+(``H_0``'s is built from the factors' spectra, ``core._free_eig``, so its
 levels and Bohr frequencies are sums and differences of ``e_i + f_j``):
 ``rho(t)`` is ``V (P(t) o rho~) V^H`` with ``rho~ = V^H rho V`` and the
 phase matrix ``P(t) = p p^H``, ``p = exp(-i w t)`` (``o`` is the entrywise
 product).  It takes one state and returns one report.  Both entry points
 check their state and hand it to a private core that takes it as checked,
 so the CLI checks a file's state once, at its gate, and its samples never;
-:func:`_trace_states` takes a stack, in groups of ``max(1, _CHUNK_ENTRIES
-// d^2)`` states (one state from ``d = 91`` on).  The deviation has two
+:func:`_trace_states` takes a stack of one group, at most ``max(1,
+_CHUNK_ENTRIES // d^2)`` states (one state from ``d = 91`` on), and the
+CLI draws its samples a group at a time.  The deviation has two
 forms.  The dense form works in the interaction frame: the diagonal
 unitaries ``diag(p(t))^*`` and ``diag(p(t))`` leave
 the Frobenius norm unchanged, so the deviation is ``||Y(t) rho~0 Y(t)^H -
@@ -36,20 +41,18 @@ of rows; it runs at ``d >= 91`` when a flop count says it is cheaper (see
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .core import (
-    NUMERICAL_ZERO_RTOL,
     BipartiteSystem,
     IfeDecomposition,
     _apply_local,
-    _cached,
-    _eig,
-    _free_norm,
+    _eig_overlap,
+    _free_eig,
+    _free_frequencies,
+    _total_eig,
 )
-from .dynamics import _CHUNK_ENTRIES, EvolutionReport, _checked_times, _eig_overlap
+from .dynamics import _CHUNK_ENTRIES, EvolutionReport, _checked_times
 from .linalg import HERMITIAN_RTOL, _require_dimension, as_operator, require_hermitian
 
 __all__ = [
@@ -176,54 +179,6 @@ def random_ife_mixed(dec: IfeDecomposition, weights, seed: int) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
-class _FreeFrequencies(NamedTuple):
-    """The levels of ``H_0`` and the Bohr frequencies between them."""
-
-    bounds: np.ndarray  # level a is eigenvalues bounds[a]:bounds[a + 1] of _eig(sys, free=True)
-    nu: np.ndarray  # the Q Bohr frequencies
-    pair: np.ndarray  # K x K: e_a - e_b is the frequency nu[pair[a, b]]
-    spread: float  # bound on |w0_i - w0_j - nu[pair[a, b]]| for i in level a, j in level b
-
-
-def _snap(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Single-linkage cluster of each value of an ascending array, and the cluster means.
-
-    The rule of ``core._cluster_ranges``, vectorized for the ``K^2`` level
-    differences.
-    """
-    cluster = np.concatenate(([0], np.cumsum(np.diff(values) > tol)))
-    return cluster, np.bincount(cluster, weights=values) / np.bincount(cluster)
-
-
-def _free_frequencies(sys: BipartiteSystem) -> _FreeFrequencies:
-    """Levels ``e_a`` of ``H_0`` and Bohr frequencies ``nu_q``, once per system.
-
-    Eigenvalues of ``H_0`` whose sorted gaps are at most ``tol =
-    NUMERICAL_ZERO_RTOL * max(1, ||h_a|| + ||h_b||)`` (the scale of the
-    commutator's zero test) form one level, at their mean; the differences
-    ``e_a - e_b`` are grouped into frequencies at the same ``tol``.  Should
-    a chain of differences closer than ``tol`` give one level two partners
-    at one frequency, every difference is kept as a frequency of its own,
-    so that ``pair[:, b]`` never repeats a frequency.
-    """
-    def compute():
-        w0 = _eig(sys, free=True)[0]
-        tol = NUMERICAL_ZERO_RTOL * max(1.0, _free_norm(sys))
-        level, levels = _snap(w0, tol)
-        k = levels.size
-        diffs = np.subtract.outer(levels, levels).ravel()  # entry a * k + b is e_a - e_b
-        order = np.argsort(diffs, kind="stable")
-        freq = np.empty(k * k, dtype=np.intp)
-        freq[order], nu = _snap(diffs[order], tol)
-        if np.unique(freq * k + np.arange(k * k) % k).size < k * k:  # a repeat in a column
-            freq[order], nu = np.arange(k * k), diffs[order]
-        spread = 2.0 * np.abs(w0 - levels[level]).max() + np.abs(diffs - nu[freq]).max()
-        bounds = np.searchsorted(level, np.arange(k + 1))
-        return _FreeFrequencies(bounds, nu, freq.reshape(k, k), float(spread))
-
-    return _cached(sys, "free_frequencies", compute)
-
-
 def _uses_frequencies(sys: BipartiteSystem, steps: int) -> bool:
     """Whether :func:`_deviation` takes the frequency form for a grid of ``steps`` times.
 
@@ -257,8 +212,8 @@ def _hermitian_deviation_squares(sys: BipartiteSystem, rho, rho_eig, times) -> n
     ``_CHUNK_ENTRIES``.  The slab height keeps the ``(K + 1 + 2 Q) |R| d``
     entries of ``Z``, ``X`` and ``S`` within ``4 * _CHUNK_ENTRIES``.
     """
-    w = _eig(sys)[0]
-    v0 = _eig(sys, free=True)[1]
+    w = _total_eig(sys)[0]
+    v0 = _free_eig(sys)[1]
     rho0_eig = v0.conj().T @ rho @ v0
     overlap = _eig_overlap(sys)
     overlap_h = overlap.conj().T
@@ -341,8 +296,8 @@ def _deviation(sys: BipartiteSystem, rho, rho_eig, times) -> np.ndarray:
     if _uses_frequencies(sys, times.size):
         return np.sqrt([_hermitian_deviation_squares(sys, state, state_eig, times)
                         for state, state_eig in zip(rho, rho_eig)])
-    w = _eig(sys)[0]
-    w0, v0 = _eig(sys, free=True)
+    w = _total_eig(sys)[0]
+    w0, v0 = _free_eig(sys)
     rho0_eig = v0.conj().T @ rho @ v0
     overlap = _eig_overlap(sys)
     chunk = _block_size(sys.dim)
@@ -387,30 +342,24 @@ def _trace_states(sys: BipartiteSystem, rho: np.ndarray, times: np.ndarray,
     """Reports of an ``m x d x d`` stack of Hermitian states on a checked grid.
 
     The core of :func:`trace_density_matrix`, which the CLI calls directly
-    on its gated file state and its sampled states.  States are traced in
-    groups of :func:`_block_size` states, with ``rho~ = V^H rho V`` formed
-    once per state, and each state gives the bits it gives traced alone.
-    The energies are ``Tr(rho(t) O) = p(t)^T (rho~ o O~^T) p(t)^*`` with
-    ``O~ = V^H O V``, one ``T x d x d`` product per observable and state
-    for the whole grid.
+    on its gated file state and on each group of its sampled states.  The
+    stack is one group: at most :func:`_block_size` states, which bounds
+    its stacks ``rho~ = V^H rho V`` and ``rho~0``.  Each state gives the
+    bits it gives traced alone.  The energies are ``Tr(rho(t) O) = p(t)^T
+    (rho~ o O~^T) p(t)^*`` with ``O~ = V^H O V``, one ``T x d x d`` product
+    per observable and state for the whole grid, taken after the deviation
+    has freed its stacks.
     """
-    w, v = _eig(sys)
-    reports, observables = [], None
-    group = _block_size(sys.dim)
-    for lo in range(0, rho.shape[0], group):
-        states = rho[lo:lo + group]
-        rho_eig = v.conj().T @ states @ v
-        deviation = _deviation(sys, states, rho_eig, times)
-        fields = {}
-        if energies:
-            if observables is None:  # after the first deviation, whose stacks are freed by now
-                phases = np.exp(-1j * np.outer(times, w))  # row k is p(t_k)
-                observables = [(key, (v.conj().T @ op_v).T) for key, op_v in (
-                    ("energy_a", _apply_local(sys, v, op_a=sys.h_a)),
-                    ("energy_b", _apply_local(sys, v, op_b=sys.h_b)))]
-            for key, op_eig_t in observables:
-                fields[key] = ((phases @ (rho_eig * op_eig_t)) * phases.conj()).sum(axis=2).real
-        for j, dev in enumerate(deviation):
-            reports.append(EvolutionReport(times=times, deviation=dev, max_deviation=float(dev.max()),
-                                           **{key: values[j] for key, values in fields.items()}))
-    return reports
+    w, v = _total_eig(sys)
+    rho_eig = v.conj().T @ rho @ v
+    deviation = _deviation(sys, rho, rho_eig, times)
+    fields = {}
+    if energies:
+        phases = np.exp(-1j * np.outer(times, w))  # row k is p(t_k)
+        for key, op_v in (("energy_a", _apply_local(sys, v, op_a=sys.h_a)),
+                          ("energy_b", _apply_local(sys, v, op_b=sys.h_b))):
+            op_eig_t = (v.conj().T @ op_v).T
+            fields[key] = ((phases @ (rho_eig * op_eig_t)) * phases.conj()).sum(axis=2).real
+    return [EvolutionReport(times=times, deviation=dev, max_deviation=float(dev.max()),
+                            **{key: values[j] for key, values in fields.items()})
+            for j, dev in enumerate(deviation)]

@@ -24,11 +24,12 @@ from ifestates.core import (
     IfeDecomposition,
     IfeSector,
     _cluster_ranges,
-    _eig,
+    _eig_overlap,
+    _free_eig,
+    _total_eig,
     build_h0,
     build_total,
 )
-from ifestates.dynamics import _eig_overlap
 from ifestates.spin_star import (
     PAULI_Z,
     DressedBasis,
@@ -60,6 +61,16 @@ def record_eigensolves(monkeypatch) -> list:
         original = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda a, *args, fn=original, **kwargs:
                             seen.append(np.array(a)) or fn(a, *args, **kwargs))
+    return seen
+
+
+def record_factorizations(monkeypatch) -> list:
+    """Patch ``np.linalg.eigh``, ``eigvalsh`` and ``svd`` to record ``(function, copy of the matrix)`` per call."""
+    seen = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, name=name, fn=original, **kwargs:
+                            seen.append((name, np.array(a))) or fn(a, *args, **kwargs))
     return seen
 
 
@@ -215,8 +226,8 @@ def per_step_mixed_deviation(sys_, rho, times):
     system's cached spectra: two ``d x d`` products per step.  The
     reference for the blocked deviation of ``trace_density_matrix``.
     """
-    w, v = _eig(sys_)
-    w0, v0 = _eig(sys_, free=True)
+    w, v = _total_eig(sys_)
+    w0, v0 = _free_eig(sys_)
     rho = as_operator(rho)
     rho_eig = v.conj().T @ rho @ v
     rho0_eig = v0.conj().T @ rho @ v0
@@ -283,7 +294,7 @@ def per_cluster_sectors(sys_, rel_tol=DEFAULT_REL_TOL):
     bound, and each cluster's ``d x m`` block of ``C~ / max(1, ||C||)``
     takes its own ``numpy.linalg.svd`` call.
     """
-    c = core._commutator(sys_).c
+    c = core._commutator(sys_)
     s = np.sort(np.abs(np.linalg.eigvalsh(1j * c)))[::-1]
     norm = float(s[0])
     is_zero = core._is_numerically_zero(norm, 2.0 * core._free_norm(sys_) * core._coupling_norm(sys_))
@@ -340,7 +351,7 @@ def per_eigenspace_oracle(sys_, rel_tol=DEFAULT_REL_TOL):
     roundoff level.  Commutator-free, like the principal-angle oracle it
     checks.
     """
-    w0, v0 = _eig(sys_, free=True)
+    w0, v0 = _free_eig(sys_)
     smax0 = float(np.abs(w0).max()) if w0.size else 0.0
     by_size = {}
     for lo, hi in core._cluster_ranges(w0, core.CLUSTER_TOL * max(1.0, smax0)):

@@ -18,13 +18,23 @@ from ifestates.core import ife_sectors, ife_sectors_oracle
 from ifestates.linalg import hermiticity_defect
 from ifestates.mixed import (
     _block_size,
+    _uses_frequencies,
     block_structure_residuals,
     random_ife_mixed,
     trace_density_matrix,
 )
-from ifestates.serialize import canonical_dumps, load_system, pairs_to_matrix, save_system
+from ifestates.serialize import canonical_dumps, load_state, load_system, pairs_to_matrix, save_system
 
-from helpers import MALFORMED_FIELDS, commutator, commuting_system, edited_copy, matrix_to_pairs
+from helpers import (
+    MALFORMED_FIELDS,
+    commutator,
+    commuting_system,
+    edited_copy,
+    factorized_operators,
+    matrix_to_pairs,
+    record_factorizations,
+    snapped_coupling,
+)
 
 
 def run_cli(*argv):
@@ -730,12 +740,70 @@ def eigh_calls(monkeypatch):
     return calls
 
 
+STAR_N2_ARGS = ["--n", "2", "--omega0", "1.0", "--omega", "0.7", "--gammas", "3,4"]
+SVD_BLOCKS_N2 = [("svd", "other", (2, 8, 2)), ("svd", "other", (1, 8, 4))]  # ife_sectors' cluster blocks
+SECTORS_N2 = [("eigh", "h_i", (8, 8)), ("eigh", "h_a", (2, 2)), ("eigh", "h_b", (4, 4)),
+              ("eigvalsh", "i C~", (8, 8)), *SVD_BLOCKS_N2]
+
+
+class TestFactorizationLedger:
+    """Every ``eigh``, ``eigvalsh`` and ``svd`` a command takes, in order, as ``(function, operator, shape)``.
+
+    Operators are named as in ``helpers.factorized_operators``, and further
+    ``"i C~"`` (the commutator in the coupling eigenbasis, times ``i``) and
+    ``"rho"`` (the state file's density matrix), each matched to ``1e-12``.
+    Each factorization is taken once per system, in the same order whatever
+    routine asks for it first.
+    """
+
+    @pytest.mark.parametrize("argv, ledger", [
+        (["sectors", "{star}"], SECTORS_N2),
+        (["oracle-diff", "{star}"],
+         [*SECTORS_N2, ("svd", "other", (2, 8, 1)), ("svd", "other", (2, 8, 2))]),
+        (["verify", "{star}", "--sector", "0", "--steps", "5"], [*SECTORS_N2, ("eigh", "H", (8, 8))]),
+        (["verify", "{star}", "--state", "{psi}", "--steps", "5"],
+         [("eigh", "H", (8, 8)), ("eigh", "h_a", (2, 2)), ("eigh", "h_b", (4, 4))]),
+        (["mixed", "{star}", "--state", "{rho}", "--steps", "5"],
+         [*SECTORS_N2, ("eigvalsh", "rho", (8, 8)), ("eigh", "H", (8, 8))]),
+        (["mixed", "{star}", "--samples", "2", "--steps", "5"], [*SECTORS_N2, ("eigh", "H", (8, 8))]),
+        (["spin-star", *STAR_N2_ARGS, "--check-all"],
+         [*SECTORS_N2[:4], ("eigh", "i C~", (8, 8)), *SVD_BLOCKS_N2, ("eigvalsh", "H", (8, 8))]),
+        # a commuting system: the zero test needs no eigvalsh, and no cluster an SVD
+        (["mixed", "{d128}", "--samples", "2", "--steps", "26"],
+         [("eigh", "h_i", (128, 128)), ("eigh", "h_a", (4, 4)), ("eigh", "h_b", (32, 32)),
+          ("eigh", "H", (128, 128))]),
+    ], ids=["sectors", "oracle-diff", "verify-sector", "verify-state", "mixed-state",
+            "mixed-samples", "spin-star", "mixed-frequency"])
+    def test_ledger(self, argv, ledger, star_file, data_dir, tmp_path, monkeypatch):
+        path = star_file
+        if "{d128}" in argv:
+            path = str(tmp_path / "d128.json")
+            save_system(commuting_system(4, 32, np.random.default_rng(70)), path)
+        system = load_system(path)[0]
+        if "{d128}" in argv:
+            assert _uses_frequencies(system, 26)  # the mixed deviation takes the frequency form
+        _, v = np.linalg.eigh(system.h_i)
+        product = commutator(core.build_h0(system), snapped_coupling(system))
+        rho = load_state(data_dir / "rho_ife_n2.json")["value"]
+        targets = {"i C~": 1j * (v.conj().T @ product @ v), "rho": rho}
+        seen = record_factorizations(monkeypatch)
+        argv = [a.format(star=path, d128=path, psi=data_dir / "state_ife_n2.json",
+                         rho=data_dir / "rho_ife_n2.json") for a in argv]
+        assert run_cli(*argv, "--out", str(tmp_path / "r.json")) == 0
+        monkeypatch.undo()
+        names = factorized_operators([a for _, a in seen], system)
+        names = [next((key for key, t in targets.items() if name == "other" and a.shape == t.shape
+                       and np.allclose(a, t, rtol=0.0, atol=1e-12)), name)
+                 for name, (_, a) in zip(names, seen)]
+        assert [(fn, name, a.shape) for name, (fn, a) in zip(names, seen)] == ledger
+
+
 class TestOneFactorization:
     """verify and mixed diagonalize H, H_0 and H_I once per system."""
 
     def test_verify_sector_eigh_count_independent_of_dimension(self, multisector_file,
                                                                 eigh_calls, tmp_path):
-        hermitian = 1j * core._commutator(load_system(multisector_file)[0]).c
+        hermitian = 1j * core._commutator(load_system(multisector_file)[0])
         eigh_calls.clear()
         dims, counts = [], []
         for k in range(3):
@@ -803,7 +871,7 @@ class TestCommutatorFactorizations:
     def test_svd_calls_of_the_commutator(self, argv, vectors, star_file, data_dir, tmp_path,
                                          monkeypatch):
         system, _, _ = load_system(star_file)
-        c_eig = core._commutator(system).c
+        c_eig = core._commutator(system)
         targets = {"product": commutator(core.build_h0(system), system.h_i),
                    "eigenbasis": c_eig, "hermitian": 1j * c_eig}
         calls = []
@@ -829,13 +897,14 @@ class TestCommutatorFactorizations:
     def test_zero_commutator_takes_no_eigensolve(self, argv, multisector_file, tmp_path,
                                                  monkeypatch):
         # a conjugated commuting system: ||C~||_F alone settles the zero test
-        com = core._commutator(load_system(multisector_file)[0])
-        assert com.is_zero and np.linalg.norm(com.c) > 0.0
+        system = load_system(multisector_file)[0]
+        c_eig = core._commutator(system)
+        assert core._commutator_is_zero(system) and np.linalg.norm(c_eig) > 0.0
         calls = []
         for name in ("svd", "eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda a, *args, name=name, fn=original, **kw: (
-                np.shape(a) == com.c.shape and np.abs(np.asarray(a)).max() <= 1e-12
+                np.shape(a) == c_eig.shape and np.abs(np.asarray(a)).max() <= 1e-12
                 and calls.append(name)) or fn(a, *args, **kw))
         assert run_cli(argv[0], multisector_file, *argv[1:], "--out", str(tmp_path / "r.json")) == 0
         assert calls == []

@@ -467,7 +467,7 @@ class TestEmptinessCertificate:
     def test_spin_star_factorizes_one_thin_block_per_cluster(self, monkeypatch):
         p = SpinStarParams(5, 1.0, 0.7, (1.0, 1.37, 1.74, 2.11, 2.48))
         sys_ = build_spin_star(p)
-        com = core._commutator(sys_)  # eigvalsh of i C~, the commutator in the coupling eigenbasis
+        c_eig = core._commutator(sys_)  # the commutator in the coupling eigenbasis
         matrices = []
         original = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: matrices.extend(
@@ -477,9 +477,9 @@ class TestEmptinessCertificate:
         assert len(clusters) > 1
         # each cluster's d x m block is factorized exactly once, however the calls batch them
         assert len(matrices) == len(clusters)
-        scale = max(1.0, com.norm)
+        scale = max(1.0, float(core._commutator_values(sys_)[0]))
         for _, (lo, hi) in clusters:
-            block = com.c[:, lo:hi] / scale
+            block = c_eig[:, lo:hi] / scale
             assert sum(m.shape == block.shape and np.array_equal(m, block) for m in matrices) == 1
         assert dec.alphas == pytest.approx((0.0,), abs=1e-12)
         assert dec.sectors[0].dimension == 2 * comb(5, 2)
@@ -545,13 +545,13 @@ class TestSharedFactorization:
         ife_sectors(sys_, 1e-9)
         assert ife_exists(sys_, 1e-2)
         kernels = [commutator_kernel(sys_, rel_tol) for rel_tol in (1e-10, 1e-6, 1e-2, 1e-10)]
-        com = core._commutator(sys_)
-        assert core._commutator(sys_) is com
+        c_eig = core._commutator(sys_)
+        assert core._commutator(sys_) is c_eig
         # one eigvalsh of i C~ for the values, one eigh for the kernels, and
         # no SVD of the commutator in either basis
-        assert [name for name, a in calls if np.array_equal(a, 1j * com.c)] == ["eigvalsh", "eigh"]
+        assert [name for name, a in calls if np.array_equal(a, 1j * c_eig)] == ["eigvalsh", "eigh"]
         assert not [name for name, a in calls if name == "svd"
-                    and (np.allclose(a, com.c, atol=1e-12) or np.allclose(a, product, atol=1e-12))]
+                    and (np.allclose(a, c_eig, atol=1e-12) or np.allclose(a, product, atol=1e-12))]
         assert oracle.dim == dec.dim == sys_.dim
         assert np.array_equal(kernels[0], kernels[3]) and kernels[0] is not kernels[3]
 
@@ -568,7 +568,7 @@ class TestSharedFactorization:
         # the oracle adds only the coupling's one factorization
         assert factorized_operators(factorized, sys_) == ["H", "h_a", "h_b", "h_i"]
         assert oracle.sectors and oracle.alphas == pytest.approx(ife_sectors(sys_).alphas)
-        _, v0 = core._eig(sys_, free=True)
+        _, v0 = core._free_eig(sys_)
         with pytest.raises(ValueError):
             v0[0, 0] = 7.0
 
@@ -604,8 +604,7 @@ class TestSharedFactorization:
         assert sys_.h_i[0, 0] == 1.0
         with pytest.raises(ValueError):
             sys_.h_i[0, 0] = 7.0
-        com = core._commutator(sys_)
-        for array, index in ((com.c, (0, 0)), (com.s, 0)):
+        for array, index in ((core._commutator(sys_), (0, 0)), (core._commutator_values(sys_), 0)):
             with pytest.raises(ValueError):
                 array[index] = 7.0
         # the kernel is a fresh array: writing to it leaves the cache alone
@@ -690,6 +689,16 @@ class TestIfeExists:
 
     def test_spin_star_always_allows(self, star_system_n2):
         assert ife_exists(star_system_n2)
+
+    def test_kernel_without_coupling_eigenvector(self):
+        # Ker[H_0, H_I] is e_1, which H_I maps to (0.7, -0.2, 0.5): a nontrivial
+        # kernel holding no H_I eigenvector, so no IFE state
+        sys_ = BipartiteSystem(1, 3, [[0.0]], np.diag([0.0, 0.0, 1.0]),
+                               [[0.3, 0.7, 0.0], [0.7, -0.2, 0.5], [0.0, 0.5, 0.9]])
+        kernel = commutator_kernel(sys_)
+        assert kernel.shape == (3, 1) and abs(abs(kernel[0, 0]) - 1.0) < 1e-12
+        assert ife_sectors(sys_).n_sectors == ife_sectors_oracle(sys_).n_sectors == 0
+        assert not ife_exists(sys_)
 
     def test_agrees_with_sectors(self):
         rng = np.random.default_rng(11)
@@ -1243,7 +1252,7 @@ class TestFreeSpectrumFromFactors:
             sys_ = commuting_system(4, 32, rng)
         else:
             sys_ = family_system(family, dims, rng)
-        w0, v0 = core._eig(sys_, free=True)
+        w0, v0 = core._free_eig(sys_)
         h0 = build_h0(sys_)
         w_ref, v_ref = np.linalg.eigh(h0)
         scale = max(1.0, spectral_norm(sys_.h_a) + spectral_norm(sys_.h_b))
@@ -1263,7 +1272,7 @@ class TestFreeSpectrumFromFactors:
         # e = f = (0, 1), with f_0 the eigenvalue of |1> and f_1 that of |0>:
         # e_0 + f_1 and e_1 + f_0 tie at exactly 1
         sys_ = BipartiteSystem(2, 2, np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), np.zeros((4, 4)))
-        w0, v0 = core._eig(sys_, free=True)
+        w0, v0 = core._free_eig(sys_)
         assert w0.tolist() == [0.0, 1.0, 1.0, 2.0]
         # (i, j) = (0, 1), the product state |0>|0>, before (1, 0), the state |1>|1>
         assert np.array_equal(np.abs(v0[:, 1:3]), np.eye(4)[:, [0, 3]])
@@ -1316,10 +1325,9 @@ class TestCommutatorZeroThreshold:
         sys_ = cancelling_commuting_system()
         assert np.allclose(sys_.h_a, -1e4 * np.eye(2), atol=1e-8)
         assert np.allclose(sys_.h_b, 1e4 * np.eye(2), atol=1e-8)
-        com = core._commutator(sys_)
         threshold = NUMERICAL_ZERO_RTOL * 2.0 * core._free_norm(sys_) * core._coupling_norm(sys_)
-        assert 1e-8 < com.norm < 1e-6 and threshold == pytest.approx(8.0e-4, rel=1e-9)
-        assert com.is_zero and commutator_with_zero_flag(sys_)[1]
+        assert 1e-8 < core._commutator_values(sys_)[0] < 1e-6 and threshold == pytest.approx(8.0e-4, rel=1e-9)
+        assert core._commutator_is_zero(sys_) and commutator_with_zero_flag(sys_)[1]
         direct, oracle = ife_sectors(sys_), ife_sectors_oracle(sys_)
         assert direct.alphas == oracle.alphas == pytest.approx((-2e4, -1e4, 1e4))
         assert dimensions(direct) == dimensions(oracle) == [2, 1, 1]
@@ -1339,7 +1347,7 @@ def assert_same_decomposition(dec, reference):
 def assert_matches_per_cluster_reference(sys_):
     """Zero flag, kernel dimension and sector bases as in the route that always runs ``eigvalsh``."""
     is_zero, kernel_dimension, reference = per_cluster_sectors(sys_)
-    assert core._commutator(sys_).is_zero == is_zero
+    assert core._commutator_is_zero(sys_) == is_zero
     assert core._commutator_kernel_dimension(sys_, DEFAULT_REL_TOL) == kernel_dimension
     assert_same_decomposition(ife_sectors(sys_), reference)
     return is_zero
@@ -1387,12 +1395,13 @@ class TestFrobeniusZeroTest:
         dec = ife_sectors(sys_)
         assert ife_exists(sys_) and commutator_kernel(sys_).shape == (8, 8)
         assert classify_pure(dec.sectors[0].basis[:, 0], sys_) == pytest.approx(dec.alphas[0])
-        com = core._commutator(sys_)
-        assert com.is_zero and np.linalg.norm(com.c) > 0.0
+        c_eig = core._commutator(sys_)
+        assert core._commutator_is_zero(sys_) and np.linalg.norm(c_eig) > 0.0
         assert factorized_operators(calls, sys_) == ["h_i", "h_a", "h_b"]
         # the singular values are still there to read, computed once on demand
-        assert com.norm == com.s[0] and com.s is core._commutator(sys_).s
-        assert len(calls) == 4 and np.array_equal(calls[3], 1j * com.c)
+        s = core._commutator_values(sys_)
+        assert s is core._commutator_values(sys_)
+        assert len(calls) == 4 and np.array_equal(calls[3], 1j * c_eig)
 
 
 class TestCommutatorKernel:
@@ -1407,12 +1416,15 @@ class TestCommutatorKernel:
 
         sys_ = family_system(family, dims, np.random.default_rng(seed))
         kernel = commutator_kernel(sys_, rel_tol)
-        com = core._commutator(sys_)
+        is_zero, s = core._commutator_is_zero(sys_), core._commutator_values(sys_)
         product, product_is_zero = commutator_with_zero_flag(sys_)
-        assert com.is_zero == product_is_zero
-        rank = 0 if com.is_zero else int(np.sum(com.s > rel_tol * com.s[0]))
+        assert is_zero == product_is_zero
+        rank = 0 if is_zero else int(np.sum(s > rel_tol * s[0]))
         assert kernel.shape == (sys_.dim, sys_.dim - rank)
-        assert ife_exists(sys_, rel_tol) == (rank < sys_.dim)
+        # existence is a sector, which lies in the kernel; a nontrivial kernel
+        # alone is not enough, since its vectors need not be H_I eigenvectors
+        assert ife_exists(sys_, rel_tol) == (ife_sectors(sys_, rel_tol).n_sectors > 0)
+        assert rank < sys_.dim or not ife_exists(sys_, rel_tol)
         with tempfile.TemporaryDirectory() as tmp:
             path, out = Path(tmp) / "system.json", Path(tmp) / "r.json"
             save_system(sys_, path)

@@ -24,9 +24,9 @@ from ifestates import (
 from ifestates.dynamics import _CHUNK_ENTRIES
 from ifestates.linalg import kron
 from ifestates import mixed
+from ifestates.core import _free_frequencies
 from ifestates.mixed import (
     _block_size,
-    _free_frequencies,
     _uses_frequencies,
     block_structure_residuals,
 )
@@ -191,6 +191,15 @@ class TestIsIfeMixed:
         rho = np.outer(chi, chi.conj())
         assert not is_ife_mixed(rho, diag_dec)
         assert trace_density_matrix(diag_system, rho, time_grid()).max_deviation > 1e-3
+
+    def test_sector_block_form_is_sufficient_not_necessary(self, star_system_n2):
+        # I/8 commutes with H and H_0, so it evolves interaction-free, yet
+        # three quarters of it lie outside the 4-dimensional sector
+        dec = ife_sectors(star_system_n2)
+        rho = np.eye(8) / 8.0
+        assert trace_density_matrix(star_system_n2, rho, time_grid()).max_deviation < 1e-12
+        assert block_structure_residuals(rho, dec) == (0.25, 0.0)
+        assert not is_ife_mixed(rho, dec)
 
     def test_dimension_mismatch(self, diag_dec):
         # checked after the density-matrix axioms, before the residuals
@@ -471,18 +480,21 @@ STACK_CASES = [("star", n) for n in range(1, 6)] + [
 
 
 class TestStackedStates:
-    """The tracer's core takes a stack in groups, each state with the bits it gives alone."""
+    """The tracer's core takes a group of states, each with the bits it gives alone."""
 
     @pytest.mark.parametrize("case", STACK_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
     def test_stack_gives_the_bits_of_each_state_alone(self, case):
         sys_ = stack_test_system(case)
         rng = np.random.default_rng(81)
-        # at d = 64 a group is four states, so five states take two groups;
-        # the core takes its states as checked, so they go in as Hermitian parts
+        # at d = 64 a group is four states, so five states go in as two groups,
+        # as the CLI's samples do; the core takes its states as checked, so
+        # they go in as Hermitian parts
         rhos = np.stack([check_density_matrix(random_density_matrix(sys_.dim, rng))
                          for _ in range(5)])
         times = np.linspace(0.5, 10.0, 101)
-        stacked = mixed._trace_states(sys_, rhos, times, True)
+        group = _block_size(sys_.dim)
+        stacked = [report for lo in range(0, 5, group)
+                   for report in mixed._trace_states(sys_, rhos[lo:lo + group], times, True)]
         assert len(stacked) == 5
         for rho, report in zip(rhos, stacked):
             alone = trace_density_matrix(sys_, rho, times, energies=True)
