@@ -35,10 +35,12 @@ from .core import (
     ife_sectors_oracle,
 )
 from .dynamics import time_grid, trace_pure_states
-from .linalg import DEFAULT_REL_TOL, _require_dimension, require_unit_states, subspace_residual
+from .linalg import DEFAULT_REL_TOL, SUBSPACE_ANGLE_TOL, _require_dimension, require_unit_states, subspace_residual
 from .mixed import (
     _block_residuals,
     _block_size,
+    _block_tol,
+    _deviation_tol,
     _trace_states,
     check_density_matrix,
     random_ife_mixed,
@@ -72,7 +74,6 @@ EXIT_MISMATCH = 6
 
 # Documented default seed for the sampling checks of `mixed`.
 DEFAULT_SEED = 20260811
-SUBSPACE_ANGLE_TOL = 1e-7
 
 
 class CliInputError(ValueError):
@@ -261,10 +262,7 @@ def cmd_sectors(args) -> int:
 def _verify_vectors(system, states, times, tol, labels) -> tuple[list, list]:
     """Claims and traces of the columns of ``states``, each at its own ``<psi|H_I|psi>``."""
     alphas = [float(a) for a in (states.conj() * (system.h_i @ states)).sum(axis=0).real]
-    reports = trace_pure_states(
-        system, states, times, alphas=alphas, energies=True,
-        observables=(system.h_a, system.h_b),
-    )
+    reports = trace_pure_states(system, states, times, alphas)
     claims, traces = [], []
     for j, (alpha, report) in enumerate(zip(alphas, reports)):
         traces.append(_trace_lists(report, {"vector": j, "alpha": alpha, "label": labels[j]}))
@@ -296,7 +294,7 @@ def cmd_verify(args) -> int:
         state = load_state(args.state)
         digest += "," + state["digest"]
         if state["kind"] == "rho":
-            tol = args.tol if args.tol is not None else 1e-8 * system.dim
+            tol = args.tol if args.tol is not None else _deviation_tol(system.dim)
             _, deviation, traces = _traced_rho(system, state["value"], times)
             claims = [_claim("ife_evolution_density_matrix", deviation, tol)]
         else:
@@ -409,7 +407,7 @@ def cmd_mixed(args) -> int:
     system, label, digest = load_system(args.input)
     dec = ife_sectors(system, DEFAULT_REL_TOL)
     times = time_grid(args.t_max, args.steps)
-    deviation_tol = 1e-8 * system.dim
+    deviation_tol = _deviation_tol(system.dim)
 
     block_tol = traces = samples = None
     if args.state:
@@ -418,7 +416,7 @@ def cmd_mixed(args) -> int:
             raise CliInputError(f"{args.state}: 'rho' field required for mixed checks")
         digest += "," + state["digest"]
         rho, deviation, traces = _traced_rho(system, state["value"], times)
-        block_tol = args.tol if args.tol is not None else 1e-8 * float(np.linalg.norm(rho))
+        block_tol = args.tol if args.tol is not None else _block_tol(rho)
         outside, cross = _block_residuals(rho, dec)
         claims = [
             _claim("sector_support", outside, block_tol),

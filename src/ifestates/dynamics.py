@@ -7,11 +7,12 @@ diagonalized once per system (``core._total_eig``); the spectrum of
 ``H_0`` is built from those of ``h_a`` and ``h_b`` (``core._free_eig``:
 sums ``e_i + f_j`` in ascending order, exact ties in Kronecker ``(i, j)``
 order).  Both are cached on the system.
-:func:`trace_pure_states` evolves a whole block of states at once: the
-eigenbasis coefficients ``V^H S`` are phased for every grid time and
-mapped back with one matrix product per block of columns, and local
-observables act on the ``dim_a x dim_b`` factors of that block, never
-through a Kronecker product.  One state is a block of one column.
+:func:`trace_pure_states` traces the same outputs for every state (the
+deviation, both energies and one covariance) and evolves a whole block of
+states at once: the eigenbasis coefficients ``V^H S`` are phased for
+every grid time and mapped back with one matrix product per block of
+columns, and local observables act on the ``dim_a x dim_b`` factors of
+that block, never through a Kronecker product.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class FreeInvarianceError(ValueError):
 
 @dataclass(frozen=True)
 class EvolutionReport:
-    """Per-time-step traces; fields not computed by a tracer stay None."""
+    """Per-time-step traces; the density-matrix tracer leaves ``covariance`` and unasked energies None."""
 
     times: np.ndarray
     deviation: np.ndarray | None = None
@@ -109,48 +110,43 @@ def _real_expectations(bra: np.ndarray, applied: np.ndarray, shape, what: str) -
 
 
 def _free_invariant_pair(sys: BipartiteSystem, o_a, o_b):
-    """Validated observables; raises :class:`FreeInvarianceError` unless both are free-invariant.
-
-    The system's own ``h_a`` (``h_b``) was checked when the system was built
-    and commutes with itself, so it is passed through as is.
-    """
+    """Validated observables; raises :class:`FreeInvarianceError` unless both are free-invariant."""
     pair = []
     for name, op, h_free in (("o_a", o_a, sys.h_a), ("o_b", o_b, sys.h_b)):
-        if op is not h_free:
-            op = require_hermitian(op, name=name)
-            if op.shape != h_free.shape:
-                raise ValueError(f"{name} has shape {op.shape}, expected {h_free.shape}")
-            defect = spectral_norm(op @ h_free - h_free @ op)
-            scale = max(1.0, spectral_norm(op) * spectral_norm(h_free))
-            if defect > 1e-10 * scale:
-                raise FreeInvarianceError(
-                    f"{name} does not commute with its free Hamiltonian "
-                    f"(relative defect {defect / scale:.3e}); covariance constancy does not apply"
-                )
+        op = require_hermitian(op, name=name)
+        if op.shape != h_free.shape:
+            raise ValueError(f"{name} has shape {op.shape}, expected {h_free.shape}")
+        defect = spectral_norm(op @ h_free - h_free @ op)
+        scale = max(1.0, spectral_norm(op) * spectral_norm(h_free))
+        if defect > 1e-10 * scale:
+            raise FreeInvarianceError(
+                f"{name} does not commute with its free Hamiltonian "
+                f"(relative defect {defect / scale:.3e}); covariance constancy does not apply"
+            )
         pair.append(op)
     return pair
 
 
-def trace_pure_states(sys: BipartiteSystem, states, times, *, alphas=None,
-                      energies: bool = False, observables=None) -> list[EvolutionReport]:
+def trace_pure_states(sys: BipartiteSystem, states, times, alphas, *,
+                      observables=None) -> list[EvolutionReport]:
     """Evolution traces of every column of a ``d x m`` block of unit states.
 
-    The block is evolved under ``H`` and, when ``alphas`` are given, under
-    ``H_0``.  Both spectra come from the system's cache, so only the first
-    call on a system pays for an eigensolve: one of ``H``, and those of
-    ``h_a`` and ``h_b``, from which the spectrum of ``H_0`` is built.  One
-    report per column carries the traces requested:
+    The block is evolved under ``H`` and under ``H_0``.  Both spectra come
+    from the system's cache, so only the first call on a system pays for
+    an eigensolve: one of ``H``, and those of ``h_a`` and ``h_b``, from
+    which the spectrum of ``H_0`` is built.  One report per column carries
+    every trace:
 
-    * ``alphas`` (one per column): ``deviation[k] = || exp(-iHt_k) psi -
-      exp(-i alpha t_k) exp(-iH_0 t_k) psi ||`` and its maximum, ~0
+    * ``deviation[k] = || exp(-iHt_k) psi - exp(-i alpha t_k) exp(-iH_0
+      t_k) psi ||`` and its maximum, with ``alphas`` one per column; ~0
       exactly for members of the sector at ``alpha``;
-    * ``energies``: ``<H_A (x) I>`` and ``<I (x) H_B>``;
-    * ``observables = (o_a, o_b)``: the covariance
-      ``<O_A O_B> - <O_A><O_B>``.  Both must be Hermitian and commute with
-      their subsystem's free Hamiltonian (free invariance), else
-      :class:`FreeInvarianceError`; checked once per call.  When an
-      observable is the system's own ``h_a`` (``h_b``) and ``energies``
-      is set, its mean is the energy trace, not a second expectation.
+    * ``energy_a`` and ``energy_b``: ``<H_A (x) I>`` and ``<I (x) H_B>``;
+    * ``covariance``: ``<O_A O_B> - <O_A><O_B>`` of ``observables = (o_a,
+      o_b)``.  By default the pair is the system's own ``(h_a, h_b)``,
+      whose means are the energy traces.  A given pair must be Hermitian
+      and commute with its subsystem's free Hamiltonian (free
+      invariance), else :class:`FreeInvarianceError`; checked once per
+      call, before anything is evolved.
 
     With ``H = V diag(w) V^H``, ``H_0 = V0 diag(w0) V0^H`` and the
     eigenbasis coefficients ``C = V^H S``, ``C0 = V0^H S``, the evolved
@@ -170,79 +166,64 @@ def trace_pure_states(sys: BipartiteSystem, states, times, *, alphas=None,
     times = _checked_times(times)
     states = require_unit_states(states, sys.dim)
     m = states.shape[1]
-    if alphas is not None:
-        alphas = _float_array(alphas, "alphas")
-        if alphas.shape != (m,):
-            raise ValueError(f"expected {m} alphas (one per state), got shape {alphas.shape}")
-        if not np.isfinite(alphas).all():
-            raise ValueError("alphas must be finite")
+    alphas = _float_array(alphas, "alphas")
+    if alphas.shape != (m,):
+        raise ValueError(f"expected {m} alphas (one per state), got shape {alphas.shape}")
+    if not np.isfinite(alphas).all():
+        raise ValueError("alphas must be finite")
     if observables is not None:
         o_a, o_b = _free_invariant_pair(sys, *observables)
 
     w, v = _total_eig(sys)
     coeff = v.conj().T @ states
     phases = np.exp(-1j * np.outer(w, times))
-    if alphas is not None:
-        w0, v0 = _free_eig(sys)
-        overlap = _eig_overlap(sys)
-        coeff0 = v0.conj().T @ states
-        phases0 = np.exp(-1j * np.outer(w0, times))
-        alpha_phases = np.exp(-1j * np.outer(alphas, times))
-    # an observable that is the system's own h_a (h_b) reuses the energy product
-    share_a = energies and observables is not None and o_a is sys.h_a
-    share_b = energies and observables is not None and o_b is sys.h_b
-
-    keys = (["deviation"] if alphas is not None else []) \
-        + (["energy_a", "energy_b"] if energies else []) \
-        + (["covariance"] if observables is not None else [])
-    traces = {key: np.empty((m, times.size)) for key in keys}
+    w0, v0 = _free_eig(sys)
+    overlap = _eig_overlap(sys)
+    coeff0 = v0.conj().T @ states
+    phases0 = np.exp(-1j * np.outer(w0, times))
+    alpha_phases = np.exp(-1j * np.outer(alphas, times))
+    deviation, energy_a, energy_b, covariance = np.empty((4, m, times.size))
 
     def trace_chunk(cols: slice) -> None:
         # a function, so that each chunk's blocks are freed before the next
         shape = (cols.stop - cols.start, times.size)
         # eigenbasis coefficients of the evolved states, one column per (state, time)
         amp = (coeff[:, cols, None] * phases[:, None, :]).reshape(sys.dim, -1)
-        if alphas is not None:
-            free = coeff0[:, cols, None] * phases0[:, None, :]
-            free *= alpha_phases[None, cols, :]
-            free = overlap @ free.reshape(sys.dim, -1)
-            free -= amp
-            traces["deviation"][cols] = np.linalg.norm(free, axis=0).reshape(shape)
-            del free
+        free = coeff0[:, cols, None] * phases0[:, None, :]
+        free *= alpha_phases[None, cols, :]
+        free = overlap @ free.reshape(sys.dim, -1)
+        free -= amp
+        deviation[cols] = np.linalg.norm(free, axis=0).reshape(shape)
+        del free
         full = v @ amp
         del amp
-        if not (energies or observables is not None):
-            return
         # O x for every observable, then conj(x) in place of x; each
         # expectation overwrites its O x, so at most four blocks are live
-        if energies:
-            h_a_x = _apply_local(sys, full, op_a=sys.h_a)
-            h_b_x = _apply_local(sys, full, op_b=sys.h_b)
-        if observables is not None:
-            o_a_x = None if share_a else _apply_local(sys, full, op_a=o_a)
-            o_b_x = h_b_x if share_b else _apply_local(sys, full, op_b=o_b)
+        # for the default pair, whose O_B x is H_B x
+        h_a_x = _apply_local(sys, full, op_a=sys.h_a)
+        h_b_x = _apply_local(sys, full, op_b=sys.h_b)
+        if observables is None:
+            joint_x = _apply_local(sys, h_b_x, op_a=sys.h_a)
+        else:
+            o_a_x = _apply_local(sys, full, op_a=o_a)
+            o_b_x = _apply_local(sys, full, op_b=o_b)
             joint_x = _apply_local(sys, o_b_x, op_a=o_a)
         bra = np.conj(full, out=full)
-        if energies:
-            traces["energy_a"][cols] = _real_expectations(bra, h_a_x, shape, "subsystem-a energy")
-            traces["energy_b"][cols] = _real_expectations(bra, h_b_x, shape, "subsystem-b energy")
-        if observables is not None:
-            joint = _real_expectations(bra, joint_x, shape, "joint observable")
-            mean_a = traces["energy_a"][cols] if share_a else \
-                _real_expectations(bra, o_a_x, shape, "subsystem-a observable")
-            mean_b = traces["energy_b"][cols] if share_b else \
-                _real_expectations(bra, o_b_x, shape, "subsystem-b observable")
-            traces["covariance"][cols] = joint - mean_a * mean_b
+        energy_a[cols] = _real_expectations(bra, h_a_x, shape, "subsystem-a energy")
+        energy_b[cols] = _real_expectations(bra, h_b_x, shape, "subsystem-b energy")
+        joint = _real_expectations(bra, joint_x, shape, "joint observable")
+        if observables is None:
+            mean_a, mean_b = energy_a[cols], energy_b[cols]
+        else:
+            mean_a = _real_expectations(bra, o_a_x, shape, "subsystem-a observable")
+            mean_b = _real_expectations(bra, o_b_x, shape, "subsystem-b observable")
+        covariance[cols] = joint - mean_a * mean_b
 
     chunk = max(1, _CHUNK_ENTRIES // (sys.dim * times.size))
     for lo in range(0, m, chunk):
         trace_chunk(slice(lo, min(lo + chunk, m)))
 
-    reports = []
-    for j in range(m):
-        fields = {key: values[j] for key, values in traces.items()}
-        if alphas is not None:
-            fields["max_deviation"] = float(fields["deviation"].max())
-        reports.append(EvolutionReport(times=times, **fields))
-    return reports
-
+    return [EvolutionReport(times=times, deviation=deviation[j], energy_a=energy_a[j],
+                            energy_b=energy_b[j], covariance=covariance[j],
+                            max_deviation=float(deviation[j].max()))
+            for j in range(m)]

@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "DEFAULT_REL_TOL",
     "HERMITIAN_RTOL",
+    "SUBSPACE_ANGLE_TOL",
     "as_operator",
     "hermiticity_defect",
     "require_hermitian",
@@ -32,6 +33,9 @@ __all__ = [
 DEFAULT_REL_TOL = 1e-10
 # Hermiticity check: max|A - A^H| <= HERMITIAN_RTOL * max(1, ||A||_F).
 HERMITIAN_RTOL = 1e-12
+# Largest principal angle (radians) at which a subspace_residual claim
+# passes: two computations of one subspace agree.
+SUBSPACE_ANGLE_TOL = 1e-7
 
 
 def as_operator(a) -> np.ndarray:

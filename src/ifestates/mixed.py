@@ -134,15 +134,28 @@ def _block_residuals(rho: np.ndarray, dec: IfeDecomposition) -> tuple[float, flo
     return outside, cross
 
 
+def _block_tol(rho: np.ndarray) -> float:
+    """Default block-structure tolerance, ``1e-8 * ||rho||_F``."""
+    return 1e-8 * float(np.linalg.norm(rho))
+
+
+def _deviation_tol(dim: int) -> float:
+    """Default tolerance ``1e-8 * d`` on the maximal deviation of a density matrix."""
+    return 1e-8 * dim
+
+
 def is_ife_mixed(rho, dec: IfeDecomposition, tol: float | None = None) -> bool:
     """True iff rho is supported inside the sectors with no cross coherence.
 
-    Default tolerance is 1e-8 * ||rho||_F, matching the sector
-    orthogonality tolerance.
+    ``tol``, a finite number >= 0, bounds both residuals of
+    :func:`block_structure_residuals`; by default it is ``1e-8 *
+    ||rho||_F``, matching the sector orthogonality tolerance.
     """
+    if tol is not None and not (tol >= 0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     rho = _require_dimension(check_density_matrix(rho), dec.dim)
     if tol is None:
-        tol = 1e-8 * float(np.linalg.norm(rho))
+        tol = _block_tol(rho)
     outside, cross = _block_residuals(rho, dec)
     return outside <= tol and cross <= tol
 

@@ -39,6 +39,7 @@ from .core import (
 )
 from .linalg import (
     DEFAULT_REL_TOL,
+    SUBSPACE_ANGLE_TOL,
     kron,
     orthonormal_columns,
     spectral_norm,
@@ -375,14 +376,13 @@ def verify_spin_star_claims(
     h0 = build_h0(sys)
     h = h0 + sys.h_i
 
-    angle_tol = 1e-7
     claims = []
 
     # Ker H_I from the cached eigh(H_I): |w| are the singular values of H_I
     w, v = _coupling_eig(sys)
     ker_hi = v[:, np.abs(w) <= rel_tol * _coupling_norm(sys)]
     resid = subspace_residual(ker_comm, ker_hi)
-    claims.append(ClaimResult("commutator_kernel_equals_interaction_kernel", resid, angle_tol))
+    claims.append(ClaimResult("commutator_kernel_equals_interaction_kernel", resid, SUBSPACE_ANGLE_TOL))
 
     # a count other than one scores at least max(1, ||H_I||), 1e8 times the tolerance
     dec = ife_sectors(sys, rel_tol)
@@ -397,7 +397,7 @@ def verify_spin_star_claims(
         resid = subspace_residual(analytic, dec.sectors[0].basis)
     else:
         resid = 1.0
-    claims.append(ClaimResult("analytic_basis_matches_numerical", resid, angle_tol))
+    claims.append(ClaimResult("analytic_basis_matches_numerical", resid, SUBSPACE_ANGLE_TOL))
 
     h_norm = float(np.abs(np.linalg.eigvalsh(h)).max())
     eig_tol = 1e-9

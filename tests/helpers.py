@@ -16,8 +16,9 @@ from unittest import mock
 
 import numpy as np
 import orjson
+from hypothesis import strategies as st
 
-from ifestates import BipartiteSystem
+from ifestates import BipartiteSystem, SpinStarParams, build_spin_star
 from ifestates import core
 from ifestates.core import (
     NUMERICAL_ZERO_RTOL,
@@ -603,6 +604,34 @@ def diagonal_multisector_system(rng, dim_a=2, dim_b=3, values=(-1.0, 0.5, 2.0)):
         np.diag(rng.integers(-2, 3, dim_b).astype(float)),
         np.diag(d_i),
     )
+
+
+def star_system(n, rng):
+    gammas = tuple(rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0]) for _ in range(n))
+    return build_spin_star(SpinStarParams(n, 1.0, 0.7, gammas))
+
+
+FAMILIES = st.sampled_from(["commuting", "conjugated", "subspace_zero", "generic", "star"])
+
+
+def family_system(family, dims, rng):
+    """A seeded system of one of the ``FAMILIES``; a star ignores ``dims``."""
+    if family == "star":
+        return star_system(1 + int(rng.integers(3)), rng)
+    if family in ("commuting", "conjugated"):
+        return commuting_system(*dims, rng, conjugate=family == "conjugated")
+    return {"subspace_zero": subspace_zero_system, "generic": generic_system}[family](*dims, rng)
+
+
+def locally_rotated(sys_, rng):
+    """The system conjugated by a random local unitary ``U = U_A (x) U_B``, and ``U``."""
+    u_a, u_b = random_unitary(sys_.dim_a, rng), random_unitary(sys_.dim_b, rng)
+    u = np.kron(u_a, u_b)
+    rotated = BipartiteSystem(
+        sys_.dim_a, sys_.dim_b,
+        u_a @ sys_.h_a @ u_a.conj().T, u_b @ sys_.h_b @ u_b.conj().T, u @ sys_.h_i @ u.conj().T,
+    )
+    return rotated, u
 
 
 PAULI_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)

@@ -139,19 +139,18 @@ def test_criterion_4_conservation_laws(star_parameter_sets):
         s_z = total_sz(params.n_spins)
         for j in range(basis.shape[1]):
             psi = basis[:, j]
-            (energies,) = trace_pure_states(system, psi, GRID, energies=True)
-            if np.abs(energies.energy_a - energies.energy_a[0]).max() > 1e-9:
+            (report,) = trace_pure_states(system, psi, GRID, [0.0], observables=(PAULI_Z, s_z))
+            if np.abs(report.energy_a - report.energy_a[0]).max() > 1e-9:
                 problems.append(f"{params}: vector {j} energy_a drifts")
-            if np.abs(energies.energy_b - energies.energy_b[0]).max() > 1e-9:
+            if np.abs(report.energy_b - report.energy_b[0]).max() > 1e-9:
                 problems.append(f"{params}: vector {j} energy_b drifts")
-            (report,) = trace_pure_states(system, psi, GRID, observables=(PAULI_Z, s_z))
             cov = report.covariance
             if np.abs(cov - cov[0]).max() > 1e-8:
                 problems.append(f"{params}: vector {j} covariance drifts")
         # counter-check: the fully flipped product state exchanges energy
         flipped = np.zeros(system.dim, dtype=complex)
         flipped[2 ** params.n_spins - 1] = 1.0  # |+, down...down>
-        (report,) = trace_pure_states(system, flipped, GRID, energies=True)
+        (report,) = trace_pure_states(system, flipped, GRID, [0.0])
         swing = float(np.ptp(report.energy_a))
         if swing > 0.05:
             oscillation_seen = True

@@ -37,6 +37,7 @@ from ifestates.linalg import (
 
 from helpers import (
     DIM_PAIRS,
+    FAMILIES,
     assert_same_bits,
     cluster_values,
     commutator,
@@ -45,8 +46,10 @@ from helpers import (
     conjugated_near_commuting_system,
     diagonal_multisector_system,
     factorized_operators,
+    family_system,
     generic_system,
     intersect_kernels,
+    locally_rotated,
     null_space,
     per_cluster_sectors,
     per_eigenspace_oracle,
@@ -58,6 +61,7 @@ from helpers import (
     random_unitary,
     record_eigensolves,
     snapped_coupling,
+    star_system,
     subspace_equal,
     subspace_zero_system,
 )
@@ -816,11 +820,6 @@ class TestCommutatorKernelInvarianceProbe:
             )
 
 
-def star_system(n, rng):
-    gammas = tuple(rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0]) for _ in range(n))
-    return build_spin_star(SpinStarParams(n, 1.0, 0.7, gammas))
-
-
 def free_eigenspaces(sys_):
     """Eigenvector blocks V0_k of H_0, clustered as in the oracle."""
     w0, v0 = np.linalg.eigh(build_h0(sys_))
@@ -1036,24 +1035,6 @@ class TestCouplingCache:
         assert calls == ["eigh"]
 
 
-def family_system(family, dims, rng):
-    if family == "star":
-        return star_system(1 + int(rng.integers(3)), rng)
-    if family in ("commuting", "conjugated"):
-        return commuting_system(*dims, rng, conjugate=family == "conjugated")
-    return {"subspace_zero": subspace_zero_system, "generic": generic_system}[family](*dims, rng)
-
-
-def locally_rotated(sys_, rng):
-    """The system conjugated by a random local unitary ``U_A (x) U_B``."""
-    u_a, u_b = random_unitary(sys_.dim_a, rng), random_unitary(sys_.dim_b, rng)
-    u = np.kron(u_a, u_b)
-    return BipartiteSystem(
-        sys_.dim_a, sys_.dim_b,
-        u_a @ sys_.h_a @ u_a.conj().T, u_b @ sys_.h_b @ u_b.conj().T, u @ sys_.h_i @ u.conj().T,
-    )
-
-
 def dimensions(dec):
     return [s.dimension for s in dec.sectors]
 
@@ -1076,7 +1057,6 @@ def mixing_split_system(split, seed, alpha=0.5):
 
 
 ROUTES = pytest.mark.parametrize("route", [ife_sectors, ife_sectors_oracle])
-FAMILIES = st.sampled_from(["commuting", "conjugated", "subspace_zero", "generic", "star"])
 
 
 def unpruned_sectors(sys_, rel_tol=DEFAULT_REL_TOL):
@@ -1447,7 +1427,7 @@ class TestSectorInvariants:
     def test_dimensions_invariant_under_local_unitaries(self, route, family, dims, seed):
         rng = np.random.default_rng(seed)
         sys_ = family_system(family, dims, rng)
-        before, after = route(sys_), route(locally_rotated(sys_, rng))
+        before, after = route(sys_), route(locally_rotated(sys_, rng)[0])
         assert dimensions(after) == dimensions(before)
         scale = max(1.0, spectral_norm(sys_.h_i))
         assert after.alphas == pytest.approx(before.alphas, rel=0.0, abs=1e-9 * scale)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,12 +22,15 @@ from ifestates.spin_star import PAULI_Z
 
 from helpers import (
     DIM_PAIRS,
+    FAMILIES,
     agreement_tol,
     commuting_system,
     diagonal_multisector_system,
     evolve_pure,
     factorized_operators,
+    family_system,
     generic_system,
+    locally_rotated,
     random_hermitian,
     random_state,
     record_eigensolves,
@@ -62,7 +65,7 @@ class TestTimesValidation:
         psi = np.eye(star_system_n2.dim, dtype=complex)[:, :1]
         with pytest.raises(ValueError, match=f"times must be {match}"):
             if tracer == "pure":
-                trace_pure_states(star_system_n2, psi, times, alphas=[0.0], energies=True)
+                trace_pure_states(star_system_n2, psi, times, [0.0])
             else:
                 trace_density_matrix(star_system_n2, psi @ psi.conj().T, times, energies=True)
 
@@ -123,21 +126,21 @@ class TestDeviationTrace:
 class TestEnergyTrace:
     def test_ife_state_has_flat_energies(self, star_params_n2, star_system_n2):
         basis = spin_star_ife_basis(star_params_n2).sectors[0].basis
-        (report,) = trace_pure_states(star_system_n2, basis[:, 2], time_grid(), energies=True)
+        (report,) = trace_pure_states(star_system_n2, basis[:, 2], time_grid(), [0.0])
         assert np.ptp(report.energy_a) <= 1e-9
         assert np.ptp(report.energy_b) <= 1e-9
 
     def test_full_hamiltonian_eigenvector_is_stationary(self, star_system_n2):
         # stationary states conserve every mean value without being IFE
         _, v = np.linalg.eigh(build_total(star_system_n2))
-        (report,) = trace_pure_states(star_system_n2, v[:, 0], time_grid(), energies=True)
+        (report,) = trace_pure_states(star_system_n2, v[:, 0], time_grid(), [0.0])
         assert np.ptp(report.energy_a) <= 1e-9
         assert np.ptp(report.energy_b) <= 1e-9
 
     def test_flip_flop_state_oscillates(self, star_system_n2):
         psi = np.zeros(8, dtype=complex)
         psi[3] = 1.0
-        (report,) = trace_pure_states(star_system_n2, psi, time_grid(), energies=True)
+        (report,) = trace_pure_states(star_system_n2, psi, time_grid(), [0.0])
         assert np.ptp(report.energy_a) > 0.1 * 1.0  # omega0 = 1
 
 
@@ -145,7 +148,7 @@ class TestCovarianceTrace:
     def test_ife_state_energy_covariance_flat(self, star_params_n2, star_system_n2):
         basis = spin_star_ife_basis(star_params_n2).sectors[0].basis
         (report,) = trace_pure_states(
-            star_system_n2, basis[:, 1], time_grid(),
+            star_system_n2, basis[:, 1], time_grid(), [0.0],
             observables=(star_system_n2.h_a, star_system_n2.h_b),
         )
         assert np.ptp(report.covariance) <= 1e-9
@@ -154,7 +157,7 @@ class TestCovarianceTrace:
         rng = np.random.default_rng(4)
         psi = random_state(8, rng)
         (report,) = trace_pure_states(
-            star_system_n2, psi, time_grid(0.5, 6), observables=(np.eye(2), star_system_n2.h_b),
+            star_system_n2, psi, time_grid(0.5, 6), [0.0], observables=(np.eye(2), star_system_n2.h_b),
         )
         assert np.abs(report.covariance).max() <= 1e-12
 
@@ -162,7 +165,7 @@ class TestCovarianceTrace:
         # superpose the two dressing branches so sigma_z actually fluctuates
         basis = spin_star_ife_basis(star_params_n2).sectors[0].basis
         psi = (basis[:, 0] + basis[:, 2]) / np.sqrt(2)
-        (report,) = trace_pure_states(star_system_n2, psi, time_grid(),
+        (report,) = trace_pure_states(star_system_n2, psi, time_grid(), [0.0],
                                       observables=(PAULI_Z, total_sz(2)))
         assert np.ptp(report.covariance) <= 1e-9
         assert np.abs(report.covariance).max() > 1e-3
@@ -173,7 +176,7 @@ class TestCovarianceTrace:
         sys_ = diagonal_multisector_system(rng)
         dec = ife_sectors(sys_)
         psi = dec.sectors[0].basis[:, 0]
-        (report,) = trace_pure_states(sys_, psi, time_grid(), energies=True)
+        (report,) = trace_pure_states(sys_, psi, time_grid(), [dec.sectors[0].alpha])
         assert np.ptp(report.energy_a) <= 1e-9
 
     def test_random_free_invariant_observables_flat(self, star_params_n2, star_system_n2):
@@ -185,7 +188,8 @@ class TestCovarianceTrace:
         for _ in range(5):
             o_a = np.diag(rng.standard_normal(2)).astype(complex)
             o_b = np.diag(rng.standard_normal(4)).astype(complex)
-            (report,) = trace_pure_states(star_system_n2, psi, time_grid(), observables=(o_a, o_b))
+            (report,) = trace_pure_states(star_system_n2, psi, time_grid(), [0.0],
+                                          observables=(o_a, o_b))
             assert np.ptp(report.covariance) <= 1e-8
 
     def test_free_invariance_enforced(self, star_system_n2):
@@ -193,7 +197,7 @@ class TestCovarianceTrace:
         psi = random_state(8, rng)
         bad = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)  # fails [o_a, sigma_z] = 0
         with pytest.raises(FreeInvarianceError, match="does not commute"):
-            trace_pure_states(star_system_n2, psi, time_grid(1, 3),
+            trace_pure_states(star_system_n2, psi, time_grid(1, 3), [0.0],
                               observables=(bad, star_system_n2.h_b))
 
     def test_own_free_hamiltonians_not_checked_again(self, star_system_n2, monkeypatch):
@@ -205,14 +209,15 @@ class TestCovarianceTrace:
                             lambda op, **kw: checked.append(kw["name"]) or original(op, **kw))
         psi = random_state(8, np.random.default_rng(9))
         h_a, h_b = star_system_n2.h_a, star_system_n2.h_b
-        shared = trace_pure_states(star_system_n2, psi, time_grid(1.0, 4), energies=True,
-                                   observables=(h_a, h_b))[0]
+        # the default pair is the system's own (h_a, h_b): its means are the energies
+        shared = trace_pure_states(star_system_n2, psi, time_grid(1.0, 4), [0.0])[0]
         assert not checked
-        # a copy of h_b is a user observable: checked, and its mean is a second expectation
-        copied = trace_pure_states(star_system_n2, psi, time_grid(1.0, 4), energies=True,
+        # a given pair is a user observable, checked, and its means are expectations of
+        # their own, which take the same products as the energies
+        copied = trace_pure_states(star_system_n2, psi, time_grid(1.0, 4), [0.0],
                                    observables=(h_a, h_b.copy()))[0]
-        assert checked == ["o_b"]
-        assert_allclose(copied.covariance, shared.covariance, rtol=0, atol=1e-12)
+        assert checked == ["o_a", "o_b"]
+        assert_array_equal(copied.covariance, shared.covariance)
 
     def test_unitarity_along_grid(self, star_system_n2):
         rng = np.random.default_rng(7)
@@ -299,22 +304,17 @@ class TestTracePureStates:
         times = time_grid(t_max, steps)
         alphas = [float(np.vdot(psi, sys_.h_i @ psi).real) for psi in states.T]
 
-        reports = trace_pure_states(
-            sys_, states, times, alphas=alphas, energies=True,
-            observables=(sys_.h_a, sys_.h_b),
-        )
+        reports = trace_pure_states(sys_, states, times, alphas, observables=(sys_.h_a, sys_.h_b))
         assert_agrees_with_references(sys_, states, times, alphas, reports)
         atol = agreement_tol(sys_)
         for j in range(m):
             psi = states[:, j]
             deviation, energy_a, energy_b, covariance = reference_traces(sys_, psi, alphas[j], times)
-            # one-column calls, one trace each, agree with the references too
-            (single,) = trace_pure_states(sys_, psi, times, alphas=[alphas[j]])
+            # one-column calls with the default pair agree with the references too
+            (single,) = trace_pure_states(sys_, psi, times, [alphas[j]])
             assert_allclose(single.deviation, deviation, rtol=0, atol=atol)
-            (single,) = trace_pure_states(sys_, psi, times, energies=True)
             assert_allclose(single.energy_a, energy_a, rtol=0, atol=atol)
             assert_allclose(single.energy_b, energy_b, rtol=0, atol=atol)
-            (single,) = trace_pure_states(sys_, psi, times, observables=(sys_.h_a, sys_.h_b))
             assert_allclose(single.covariance, covariance, rtol=0, atol=atol)
 
     def test_agrees_with_three_tracers_across_chunks(self):
@@ -327,10 +327,7 @@ class TestTracePureStates:
         states = random_unit_columns(sys_.dim, 2 * per_chunk + per_chunk // 2, rng)
         assert sys_.dim * states.shape[1] * times.size > 2 * _CHUNK_ENTRIES
         alphas = [float(np.vdot(psi, sys_.h_i @ psi).real) for psi in states.T]
-        reports = trace_pure_states(
-            sys_, states, times, alphas=alphas, energies=True,
-            observables=(sys_.h_a, sys_.h_b),
-        )
+        reports = trace_pure_states(sys_, states, times, alphas)
         assert_agrees_with_references(sys_, states, times, alphas, reports)
 
     @pytest.mark.parametrize("family", ["commuting", "star", "generic"])
@@ -340,32 +337,34 @@ class TestTracePureStates:
         times = time_grid(4.0, 9)
         states = random_unit_columns(sys_.dim, 5, rng)
         alphas = rng.uniform(-1.0, 1.0, 5)
-        batch = trace_pure_states(sys_, states, times, alphas=alphas, energies=True,
-                                  observables=(sys_.h_a, sys_.h_b))
+        batch = trace_pure_states(sys_, states, times, alphas)
         atol = agreement_tol(sys_)
-        # one-column calls, one trace each: blocked products round
-        # differently, so the columns agree to roundoff, not to the bit
+        # one-column calls: blocked products round differently, so the
+        # columns agree to roundoff, not to the bit
         for j, psi in enumerate(states.T):
-            (single,) = trace_pure_states(sys_, psi, times, alphas=[alphas[j]])
+            (single,) = trace_pure_states(sys_, psi, times, [alphas[j]])
             assert_allclose(single.deviation, batch[j].deviation, rtol=0, atol=atol)
-            (single,) = trace_pure_states(sys_, psi, times, energies=True)
             assert_allclose(single.energy_a, batch[j].energy_a, rtol=0, atol=atol)
             assert_allclose(single.energy_b, batch[j].energy_b, rtol=0, atol=atol)
-            (single,) = trace_pure_states(sys_, psi, times, observables=(sys_.h_a, sys_.h_b))
             assert_allclose(single.covariance, batch[j].covariance, rtol=0, atol=atol)
 
-    def test_only_requested_traces_are_filled(self, star_system_n2):
-        psi = random_state(8, np.random.default_rng(9))
-        (report,) = trace_pure_states(star_system_n2, psi, time_grid(1.0, 4), energies=True)
-        assert report.deviation is None and report.covariance is None
-        assert report.energy_a.shape == (4,)
+    def test_every_report_carries_every_trace(self, star_system_n2):
+        states = random_unit_columns(8, 2, np.random.default_rng(9))
+        for report in trace_pure_states(star_system_n2, states, time_grid(1.0, 4), [0.0, 0.5]):
+            for trace in (report.deviation, report.energy_a, report.energy_b, report.covariance):
+                assert trace.shape == (4,) and np.isfinite(trace).all()
+            assert report.max_deviation == report.deviation.max()
+
+    def test_alphas_are_required(self, star_system_n2):
+        with pytest.raises(TypeError, match="alphas"):
+            trace_pure_states(star_system_n2, np.eye(8, 1, dtype=complex), time_grid(1.0, 3))
 
     def test_rejects_unnormalized_column(self, star_system_n2):
         states = np.zeros((8, 2), dtype=complex)
         states[0, 0] = 1.0
         states[1, 1] = 2.0
         with pytest.raises(ValueError, match="not normalized"):
-            trace_pure_states(star_system_n2, states, time_grid(1.0, 3))
+            trace_pure_states(star_system_n2, states, time_grid(1.0, 3), [0.0, 0.0])
 
     def test_rejects_alpha_count_mismatch(self, star_system_n2):
         states = np.eye(8, 2, dtype=complex)
@@ -391,7 +390,7 @@ class TestTracePureStates:
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or original(a))
         with pytest.raises(FreeInvarianceError):
             trace_pure_states(star_system_n2, np.eye(8, 3, dtype=complex), time_grid(1.0, 3),
-                              observables=(bad, star_system_n2.h_b))
+                              [0.0] * 3, observables=(bad, star_system_n2.h_b))
         assert not calls
 
     def test_spectra_factorized_once_per_system(self, monkeypatch):
@@ -400,8 +399,39 @@ class TestTracePureStates:
         times = time_grid(2.0, 5)
         states = np.eye(6, 4, dtype=complex)
         for _ in range(3):
-            trace_pure_states(sys_, states, times, alphas=[0.0] * 4, energies=True,
-                              observables=(sys_.h_a, sys_.h_b))
+            trace_pure_states(sys_, states, times, [0.0] * 4, observables=(sys_.h_a, sys_.h_b))
             trace_pure_states(sys_, states[:, 0], times, alphas=[0.0])
         # H, and the factors from which the spectrum of H_0 is built, shared by every later trace
         assert factorized_operators(calls, sys_) == ["H", "h_a", "h_b"]
+
+
+class TestLocalUnitaryInvariance:
+    """A local unitary ``U = U_A (x) U_B`` applied to the system and the
+    states leaves every trace of both tracers unchanged: it maps ``H`` and
+    ``H_0`` to ``U H U^H`` and ``U H_0 U^H``, and ``h_a``, ``h_b`` to their
+    conjugates by ``U_A`` and ``U_B``."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(family=FAMILIES, dims=st.sampled_from(DIM_PAIRS), seed=st.integers(0, 2**32 - 1),
+           t_max=st.sampled_from([0.7, 10.0]))
+    def test_traces_invariant(self, family, dims, seed, t_max):
+        rng = np.random.default_rng(seed)
+        sys_ = family_system(family, dims, rng)
+        rotated, u = locally_rotated(sys_, rng)
+        states = random_unit_columns(sys_.dim, 3, rng)
+        times = time_grid(t_max, 9)
+        alphas = [float(np.vdot(psi, sys_.h_i @ psi).real) for psi in states.T]
+        atol = agreement_tol(sys_)
+        before = trace_pure_states(sys_, states, times, alphas)
+        after = trace_pure_states(rotated, u @ states, times, alphas)
+        for original, turned in zip(before, after):
+            for key in ("deviation", "energy_a", "energy_b", "covariance"):
+                assert_allclose(getattr(turned, key), getattr(original, key),
+                                rtol=0, atol=atol, err_msg=key)
+
+        rho = (states * rng.dirichlet(np.ones(3))) @ states.conj().T
+        original = trace_density_matrix(sys_, rho, times, energies=True)
+        turned = trace_density_matrix(rotated, u @ rho @ u.conj().T, times, energies=True)
+        for key in ("deviation", "energy_a", "energy_b"):
+            assert_allclose(getattr(turned, key), getattr(original, key),
+                            rtol=0, atol=atol, err_msg=key)

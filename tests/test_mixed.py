@@ -38,6 +38,7 @@ from helpers import (
     diagonal_multisector_system,
     factorized_operators,
     generic_system,
+    locally_rotated,
     per_step_mixed_deviation,
     project_to_sectors,
     random_hermitian,
@@ -200,6 +201,13 @@ class TestIsIfeMixed:
         assert trace_density_matrix(star_system_n2, rho, time_grid()).max_deviation < 1e-12
         assert block_structure_residuals(rho, dec) == (0.25, 0.0)
         assert not is_ife_mixed(rho, dec)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")], ids=["nan", "negative", "inf"])
+    def test_rejects_malformed_tol(self, star_system_n2, tol):
+        dec = ife_sectors(star_system_n2)
+        psi = dec.sectors[0].basis[:, 0]
+        with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+            is_ife_mixed(np.outer(psi, psi.conj()), dec, tol=tol)
 
     def test_dimension_mismatch(self, diag_dec):
         # checked after the density-matrix axioms, before the residuals
@@ -557,10 +565,7 @@ class TestFrequencyForm:
         # evolves as rho does on the original, so the deviation is the same
         sys_, dec = degenerate_128
         rng = np.random.default_rng(72)
-        u_a, u_b = random_unitary(sys_.dim_a, rng), random_unitary(sys_.dim_b, rng)
-        u = kron(u_a, u_b)
-        rotated = BipartiteSystem(sys_.dim_a, sys_.dim_b, u_a @ sys_.h_a @ u_a.conj().T,
-                                  u_b @ sys_.h_b @ u_b.conj().T, u @ sys_.h_i @ u.conj().T)
+        rotated, u = locally_rotated(sys_, rng)
         times = time_grid(10.0, 26)
         assert _uses_frequencies(rotated, times.size)
         for name, rho in frequency_test_states(dec, rng).items():
