@@ -109,8 +109,13 @@ def _real_expectations(bra: np.ndarray, applied: np.ndarray, shape, what: str) -
     return vals.real
 
 
-def _free_invariant_pair(sys: BipartiteSystem, o_a, o_b):
-    """Validated observables; raises :class:`FreeInvarianceError` unless both are free-invariant."""
+def _free_invariant_pair(sys: BipartiteSystem, observables):
+    """Validated ``(o_a, o_b)``; raises :class:`FreeInvarianceError` unless both are free-invariant."""
+    size = len(observables) if hasattr(observables, "__len__") else None
+    if size != 2 or isinstance(observables, (str, bytes)):
+        of_size = "" if size is None else f" of length {size}"
+        raise ValueError(f"observables must be a pair (o_a, o_b), got {type(observables).__name__}{of_size}")
+    o_a, o_b = observables
     pair = []
     for name, op, h_free in (("o_a", o_a, sys.h_a), ("o_b", o_b, sys.h_b)):
         op = require_hermitian(op, name=name)
@@ -143,10 +148,11 @@ def trace_pure_states(sys: BipartiteSystem, states, times, alphas, *,
     * ``energy_a`` and ``energy_b``: ``<H_A (x) I>`` and ``<I (x) H_B>``;
     * ``covariance``: ``<O_A O_B> - <O_A><O_B>`` of ``observables = (o_a,
       o_b)``.  By default the pair is the system's own ``(h_a, h_b)``,
-      whose means are the energy traces.  A given pair must be Hermitian
+      whose means are the energy traces.  ``observables`` must hold
+      exactly two operators, else ValueError; each must be Hermitian
       and commute with its subsystem's free Hamiltonian (free
       invariance), else :class:`FreeInvarianceError`; checked once per
-      call, before anything is evolved.
+      call, before anything is factorized or evolved.
 
     With ``H = V diag(w) V^H``, ``H_0 = V0 diag(w0) V0^H`` and the
     eigenbasis coefficients ``C = V^H S``, ``C0 = V0^H S``, the evolved
@@ -172,7 +178,7 @@ def trace_pure_states(sys: BipartiteSystem, states, times, alphas, *,
     if not np.isfinite(alphas).all():
         raise ValueError("alphas must be finite")
     if observables is not None:
-        o_a, o_b = _free_invariant_pair(sys, *observables)
+        o_a, o_b = _free_invariant_pair(sys, observables)
 
     w, v = _total_eig(sys)
     coeff = v.conj().T @ states

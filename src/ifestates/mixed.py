@@ -151,7 +151,9 @@ def is_ife_mixed(rho, dec: IfeDecomposition, tol: float | None = None) -> bool:
     :func:`block_structure_residuals`; by default it is ``1e-8 *
     ||rho||_F``, matching the sector orthogonality tolerance.
     """
-    if tol is not None and not (tol >= 0 and np.isfinite(tol)):
+    if tol is not None and (isinstance(tol, (bool, np.bool_))
+                            or not isinstance(tol, (int, float, np.integer, np.floating))
+                            or not (tol >= 0 and np.isfinite(tol))):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     rho = _require_dimension(check_density_matrix(rho), dec.dim)
     if tol is None:

@@ -13,9 +13,17 @@ Besides dicts, lists, strings, numbers, booleans and None, a document may
 hold numpy arrays as leaves: float64 vectors (1-D), emitted as their
 ``tolist()``, and complex128 vectors or matrices (1-D or 2-D), emitted as
 ``[re, im]`` pairs in the layout above.  An array leaf gives exactly the
-bytes of its list form; each row is formatted by one ``%`` over a
-``%.17g`` template, the same conversion ``format(x, ".17g")`` makes.  Any
-other dtype or number of dimensions raises TypeError.
+bytes of its list form.  Any other dtype or number of dimensions raises
+TypeError.
+
+The emitter walks the document once.  The walk lays the text out with a
+``%s`` per float of an array leaf (a row's layout is cached by its
+length, kind and indent) and pools those floats; literal text escapes
+``%`` as ``%%``.  Then each distinct bit pattern of the pool is converted
+once, by one ``%.17g`` template (the conversion ``format(x, ".17g")``
+makes), and one ``%`` fills the layout.  A report repeats its time grid
+in every trace, and its conserved quantities stay constant along each
+one, so most of its floats are converted once for many places.
 
 System and state files are parsed with orjson.  The documents it rejects
 (``NaN``/``Infinity`` tokens, numbers beyond double range, lone
@@ -25,6 +33,7 @@ still read and then rejected with its field named.
 
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
 import json
@@ -74,28 +83,37 @@ def _bracketed(items: list[str], indent: int) -> str:
     return f"[\n{inner}\n{pad}]"
 
 
-def _array_text(arr: np.ndarray, indent: int) -> str:
-    """Text of a float64 vector or a complex128 vector or matrix, as its list form."""
+@functools.lru_cache(maxsize=256)
+def _row_layout(length: int, is_complex: bool, indent: int) -> str:
+    """Layout of a row of ``length`` floats or ``[re, im]`` pairs at ``indent``: ``%s`` per float."""
+    if is_complex:
+        return _bracketed([_bracketed(["%s", "%s"], indent + 1)] * length, indent)
+    return _bracketed(["%s"] * length, indent)
+
+
+def _array_leaf(arr: np.ndarray, out: list, pool: list, indent: int) -> None:
+    """Lay out a float64 vector or a complex128 vector or matrix, pooling its floats."""
     if arr.dtype == np.float64 and arr.ndim == 1:
         floats = arr
     elif arr.dtype == np.complex128 and arr.ndim in (1, 2):
         # Interleaved (re, im) per entry: the order of the [re, im] pairs.
-        floats = np.ascontiguousarray(arr).view(np.float64)
+        floats = np.ascontiguousarray(arr).view(np.float64).reshape(-1)
     else:
         raise TypeError(f"cannot serialize array of dtype {arr.dtype} with {arr.ndim} dimensions")
     if not np.isfinite(floats).all():
         raise _non_finite(float(floats[~np.isfinite(floats)][0]))
-    if arr.dtype == np.float64:
-        return _bracketed(["%.17g"] * arr.size, indent) % tuple(floats.tolist())
-    depth = indent + arr.ndim
-    pair = _bracketed(["%.17g", "%.17g"], depth)
-    row = _bracketed([pair] * arr.shape[-1], depth - 1)
-    if arr.ndim == 1:
-        return row % tuple(floats.tolist())
-    return _bracketed([row % tuple(values) for values in floats.tolist()], indent)
+    row = _row_layout(arr.shape[-1], arr.dtype == np.complex128, indent + arr.ndim - 1)
+    out.append(row if arr.ndim == 1 else _bracketed([row] * arr.shape[0], indent))
+    pool.append(floats)
 
 
-def _canonical(obj, out: list, indent: int) -> None:
+def _literal(text: str) -> str:
+    """JSON string of ``text`` as it stands in the layout, where ``%`` is a conversion."""
+    # json.dumps(text) without its encoder set-up: the same ASCII escapes.
+    return json.encoder.encode_basestring_ascii(text).replace("%", "%%")
+
+
+def _canonical(obj, out: list, pool: list, indent: int) -> None:
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -106,8 +124,8 @@ def _canonical(obj, out: list, indent: int) -> None:
         for i, key in enumerate(keys):
             if not isinstance(key, str):
                 raise TypeError(f"object keys must be strings, got {key!r}")
-            out.append(f"{pad}  {json.dumps(key)}: ")
-            _canonical(obj[key], out, indent + 1)
+            out.append(f"{pad}  {_literal(key)}: ")
+            _canonical(obj[key], out, pool, indent + 1)
             out.append(",\n" if i + 1 < len(keys) else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -117,11 +135,11 @@ def _canonical(obj, out: list, indent: int) -> None:
         out.append("[\n")
         for i, item in enumerate(obj):
             out.append(pad + "  ")
-            _canonical(item, out, indent + 1)
+            _canonical(item, out, pool, indent + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "]")
     elif isinstance(obj, np.ndarray):
-        out.append(_array_text(obj, indent))
+        _array_leaf(obj, out, pool, indent)
     elif isinstance(obj, (bool, np.bool_)) or obj is None:
         out.append(json.dumps(bool(obj) if obj is not None else None))
     elif isinstance(obj, (int, np.integer)):
@@ -129,17 +147,29 @@ def _canonical(obj, out: list, indent: int) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(_format_float(float(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_literal(obj))
     else:
         raise TypeError(f"cannot serialize value of type {type(obj).__name__}")
 
 
 def canonical_dumps(obj) -> str:
-    """Canonical JSON text: sorted keys, 17-digit floats, trailing newline."""
+    """Canonical JSON text: sorted keys, 17-digit floats, trailing newline.
+
+    One walk lays the document out with a ``%s`` per float of its array
+    leaves and pools those floats; each distinct bit pattern of the pool
+    is then converted once, and one ``%`` fills the layout.
+    """
     out: list[str] = []
-    _canonical(obj, out, 0)
+    pool: list[np.ndarray] = []
+    _canonical(obj, out, pool, 0)
     out.append("\n")
-    return "".join(out)
+    texts = []
+    if pool:
+        # Bit patterns, not values: 0.0 and -0.0 print differently.
+        bits, where = np.unique(np.concatenate(pool).view(np.int64), return_inverse=True)
+        distinct = ("%.17g " * bits.size % tuple(bits.view(np.float64).tolist())).split()
+        texts = np.array(distinct, dtype=object)[where].tolist()
+    return "".join(out) % tuple(texts)
 
 
 def write_canonical(obj, path) -> None:

@@ -456,6 +456,89 @@ def vector_to_pairs(v):
     return [[float(x.real), float(x.imag)] for x in v]
 
 
+def _reference_bracketed(items, indent):
+    if not items:
+        return "[]"
+    pad = "  " * indent
+    inner = ",\n".join(pad + "  " + item for item in items)
+    return f"[\n{inner}\n{pad}]"
+
+
+def _reference_array_text(arr, indent):
+    """One array leaf on its own: a layout per array, each row filled by one ``%``."""
+    if arr.dtype == np.float64 and arr.ndim == 1:
+        floats = arr
+    elif arr.dtype == np.complex128 and arr.ndim in (1, 2):
+        floats = np.ascontiguousarray(arr).view(np.float64)
+    else:
+        raise TypeError(f"cannot serialize array of dtype {arr.dtype} with {arr.ndim} dimensions")
+    if not np.isfinite(floats).all():
+        bad = float(floats[~np.isfinite(floats)][0])
+        raise ValueError(f"non-finite value {bad!r} cannot be serialized")
+    if arr.dtype == np.float64:
+        return _reference_bracketed(["%.17g"] * arr.size, indent) % tuple(floats.tolist())
+    depth = indent + arr.ndim
+    pair = _reference_bracketed(["%.17g", "%.17g"], depth)
+    row = _reference_bracketed([pair] * arr.shape[-1], depth - 1)
+    if arr.ndim == 1:
+        return row % tuple(floats.tolist())
+    return _reference_bracketed([row % tuple(values) for values in floats.tolist()], indent)
+
+
+def _reference_canonical(obj, out, indent):
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        keys = sorted(obj)
+        for i, key in enumerate(keys):
+            if not isinstance(key, str):
+                raise TypeError(f"object keys must be strings, got {key!r}")
+            out.append(f"{pad}  {json.dumps(key)}: ")
+            _reference_canonical(obj[key], out, indent + 1)
+            out.append(",\n" if i + 1 < len(keys) else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if len(obj) == 0:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, item in enumerate(obj):
+            out.append(pad + "  ")
+            _reference_canonical(item, out, indent + 1)
+            out.append(",\n" if i + 1 < len(obj) else "\n")
+        out.append(pad + "]")
+    elif isinstance(obj, np.ndarray):
+        out.append(_reference_array_text(obj, indent))
+    elif isinstance(obj, (bool, np.bool_)) or obj is None:
+        out.append(json.dumps(bool(obj) if obj is not None else None))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        if not np.isfinite(obj):
+            raise ValueError(f"non-finite value {float(obj)!r} cannot be serialized")
+        out.append(format(float(obj), ".17g"))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    else:
+        raise TypeError(f"cannot serialize value of type {type(obj).__name__}")
+
+
+def reference_dumps(obj) -> str:
+    """Canonical JSON text built leaf by leaf, every float converted where it stands.
+
+    The reference for :func:`ifestates.serialize.canonical_dumps`, which
+    converts each distinct float of a document once: the emitter it
+    replaced, with one layout per array and one ``%`` per row.
+    """
+    out = []
+    _reference_canonical(obj, out, 0)
+    out.append("\n")
+    return "".join(out)
+
+
 # Malformed numeric fields, each an edit of a file under tests/data:
 # (case id, file, field, index, value) sets ``doc[field][index...] = value``,
 # or the whole field when ``index`` is empty.  Each must be rejected on load

@@ -393,6 +393,19 @@ class TestTracePureStates:
                               [0.0] * 3, observables=(bad, star_system_n2.h_b))
         assert not calls
 
+    @pytest.mark.parametrize("pair", [
+        lambda h_a, h_b: (h_a,),
+        lambda h_a, h_b: (h_a, h_b, h_b),
+        lambda h_a, h_b: "ab",
+    ], ids=["one", "three", "string"])
+    def test_observables_must_be_a_pair(self, star_params_n2, monkeypatch, pair):
+        sys_ = build_spin_star(star_params_n2)  # a fresh system: nothing factorized yet
+        calls = record_eigensolves(monkeypatch)
+        with pytest.raises(ValueError, match=r"observables must be a pair \(o_a, o_b\)"):
+            trace_pure_states(sys_, np.eye(8, 1, dtype=complex), time_grid(1.0, 3), [0.0],
+                              observables=pair(sys_.h_a, sys_.h_b))
+        assert not calls
+
     def test_spectra_factorized_once_per_system(self, monkeypatch):
         calls = record_eigensolves(monkeypatch)
         sys_ = commuting_system(2, 3, np.random.default_rng(11))

@@ -202,7 +202,9 @@ class TestIsIfeMixed:
         assert block_structure_residuals(rho, dec) == (0.25, 0.0)
         assert not is_ife_mixed(rho, dec)
 
-    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")], ids=["nan", "negative", "inf"])
+    # True would count as 1.0, and a string meets numpy's TypeError
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), True, "1e-3"],
+                             ids=["nan", "negative", "inf", "bool", "string"])
     def test_rejects_malformed_tol(self, star_system_n2, tol):
         dec = ife_sectors(star_system_n2)
         psi = dec.sectors[0].basis[:, 0]

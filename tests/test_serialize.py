@@ -31,6 +31,7 @@ from helpers import (
     generic_system,
     matrix_to_pairs,
     random_hermitian,
+    reference_dumps,
     stdlib_decoded,
     vector_to_pairs,
 )
@@ -196,6 +197,73 @@ class TestArrayLeaves:
     def test_other_arrays_rejected(self, arr):
         with pytest.raises(TypeError, match="cannot serialize array"):
             canonical_dumps({"x": arr})
+
+
+# Text that is a conversion to the ``%`` operator, as keys and labels.
+PERCENT_TEXT = st.one_of(
+    st.sampled_from(["%", "%s", "%%", "%(x)s", "100% %s %% %(x)s", "label"]),
+    st.text(alphabet="%s(x)d ", max_size=8),
+)
+# Values whose 17-digit texts differ only in sign or in the last digits.
+NEAR_EQUAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, 0.1, 0.30000000000000004]
+
+
+@st.composite
+def _pooled_documents(draw):
+    """A document whose array leaves and scalars share floats, with ``%`` in its text."""
+    repeated = draw(FLOATS)
+    values = st.one_of(FLOATS, st.just(repeated), st.sampled_from(NEAR_EQUAL_FLOATS))
+
+    def floats(shape):
+        return hnp.arrays(np.float64, shape, elements=values)
+
+    @st.composite
+    def complex_arrays(draw_, shape):
+        arr = np.empty(draw_(shape), dtype=complex)
+        arr.real, arr.imag = draw_(floats(arr.shape)), draw_(floats(arr.shape))
+        return arr
+
+    sizes = st.integers(0, 5)
+    leaves = st.one_of(
+        values, st.integers(-3, 3), st.booleans(), st.none(), PERCENT_TEXT,
+        sizes.flatmap(lambda n: floats((n,))),
+        complex_arrays(st.tuples(sizes)),
+        complex_arrays(st.tuples(sizes, sizes)),
+    )
+    return draw(st.recursive(
+        leaves,
+        lambda kids: st.lists(kids, max_size=4) | st.dictionaries(PERCENT_TEXT, kids, max_size=4),
+        max_leaves=16,
+    ))
+
+
+class TestPooledConversion:
+    """Each distinct float is converted once; the text is that of the per-leaf emitter."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(doc=_pooled_documents())
+    def test_same_bytes_as_reference(self, doc):
+        assert canonical_dumps(doc) == reference_dumps(doc)
+
+    def test_repeated_float_and_signed_zeros(self):
+        x = 0.1
+        doc = {
+            "traces": [{"times": np.full(4, x), "value": x, "%s": np.array([x, -0.0, 0.0, 5e-324])}
+                       for _ in range(3)],
+            "basis": np.array([[complex(x, -0.0), complex(0.0, x)], [complex(5e-324, -5e-324), 0j]]),
+            "empty": [np.zeros(0), np.zeros((3, 0), dtype=complex), np.zeros((0, 2), dtype=complex)],
+            "label": "100% %s %% %(x)s",
+        }
+        text = canonical_dumps(doc)
+        assert text == reference_dumps(doc)
+        assert '"label": "100% %s %% %(x)s"' in text and '"%s": [' in text
+        assert text.count("0.10000000000000001") == 3 * 6 + 2
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_in_second_array_named(self, bad):
+        doc = {"a": np.array([1.0, -2.0]), "b": np.array([3.0, bad]), "c": np.array([-float("inf")])}
+        with pytest.raises(ValueError, match=re.escape(f"non-finite value {bad!r} cannot")):
+            canonical_dumps(doc)
 
 
 class TestMalformedFields:
