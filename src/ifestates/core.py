@@ -377,21 +377,33 @@ def _total_eig(sys: BipartiteSystem):
     return tuple(np.linalg.eigh(build_total(sys)))
 
 
+def _free_factors(sys: BipartiteSystem):
+    """``(order, level_a, level_b)`` for the columns of ``V0`` (:func:`_free_eig`).
+
+    ``order`` is the stable argsort of the sums ``e_a[i] + e_b[j]``
+    (:func:`_factor_eig`) in Kronecker order, so exactly equal sums keep
+    the ``(i, j)`` order: ``V0``'s column ``k`` is ``V_a[:, i] (x) V_b[:,
+    j]`` with ``i * dim_b + j = order[k]``, and ``level_a[k] = e_a[i]``
+    and ``level_b[k] = e_b[j]`` are its eigenvalues of ``h_a (x) I`` and
+    ``I (x) h_b``.
+    """
+    e_a, _, e_b, _ = _factor_eig(sys)
+    order = np.argsort(np.add.outer(e_a, e_b).ravel(), kind="stable")
+    return order, e_a[order // e_b.size], e_b[order % e_b.size]
+
+
 @_per_system
 def _free_eig(sys: BipartiteSystem):
     """``(w0, V0)`` with ``V0 diag(w0) V0^H = H_0``, built from the factors' spectra with no eigensolve.
 
-    ``w0`` holds the sums ``e_a[i] + e_b[j]`` (:func:`_factor_eig`) in
-    ascending order and ``V0`` the matching columns ``V_a[:, i] (x)
-    V_b[:, j]`` of ``kron(V_a, V_b)``.  The sort is a stable argsort of the
-    sums in Kronecker order, so exactly equal sums keep the ``(i, j)``
-    order.  No commutator is involved, so the oracle's sectors stay
-    independent of the direct route.
+    ``w0`` holds the sums ``e_a[i] + e_b[j]`` in ascending order and ``V0``
+    the matching columns ``V_a[:, i] (x) V_b[:, j]`` of ``kron(V_a, V_b)``,
+    in the order of :func:`_free_factors`.  No commutator is involved, so
+    the oracle's sectors stay independent of the direct route.
     """
-    e_a, v_a, e_b, v_b = _factor_eig(sys)
-    w0 = np.add.outer(e_a, e_b).ravel()
-    order = np.argsort(w0, kind="stable")
-    return w0[order], kron(v_a, v_b)[:, order]
+    _, v_a, _, v_b = _factor_eig(sys)
+    order, level_a, level_b = _free_factors(sys)
+    return level_a + level_b, kron(v_a, v_b)[:, order]
 
 
 @_per_system

@@ -4,15 +4,12 @@ energies, and covariance of free-invariant observable pairs.
 All propagation is exact spectral propagation of time-independent
 Hamiltonians (units with hbar = 1).  ``H = V diag(w) V^H`` is
 diagonalized once per system (``core._total_eig``); the spectrum of
-``H_0`` is built from those of ``h_a`` and ``h_b`` (``core._free_eig``:
-sums ``e_i + f_j`` in ascending order, exact ties in Kronecker ``(i, j)``
-order).  Both are cached on the system.
-:func:`trace_pure_states` traces the same outputs for every state (the
-deviation, both energies and one covariance) and evolves a whole block of
-states at once: the eigenbasis coefficients ``V^H S`` are phased for
-every grid time and mapped back with one matrix product per block of
-columns, and local observables act on the ``dim_a x dim_b`` factors of
-that block, never through a Kronecker product.
+``H_0`` is built from those of ``h_a`` and ``h_b`` (``core._free_eig``).
+Both are cached on the system.  :func:`trace_pure_states` traces the
+deviation, both energies and one covariance of a whole block of states
+in the eigenbasis of ``H_0``, where the free evolution and the
+subsystem energies are diagonal: one matrix product per block of
+columns maps the phased coefficients ``V^H S`` there.
 """
 
 from __future__ import annotations
@@ -21,7 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BipartiteSystem, _apply_local, _eig_overlap, _free_eig, _total_eig
+from .core import (
+    BipartiteSystem,
+    _apply_local,
+    _eig_overlap,
+    _factor_eig,
+    _free_eig,
+    _free_factors,
+    _total_eig,
+)
 from .linalg import require_hermitian, require_unit_states, spectral_norm
 
 __all__ = [
@@ -31,8 +36,8 @@ __all__ = [
     "trace_pure_states",
 ]
 
-# Each evolved expectation of a Hermitian observable must be real up to this
-# imaginary residue.
+# Each mean of a given observable pair must be real up to this imaginary
+# residue; the energies and the default pair's means are real by construction.
 _IMAG_TOL = 1e-10
 # Complex entries of one evolved ``d x m_chunk x T`` block: the pure-state
 # tracer takes as many columns per matrix product as fit, at least one, so
@@ -136,11 +141,10 @@ def trace_pure_states(sys: BipartiteSystem, states, times, alphas, *,
                       observables=None) -> list[EvolutionReport]:
     """Evolution traces of every column of a ``d x m`` block of unit states.
 
-    The block is evolved under ``H`` and under ``H_0``.  Both spectra come
-    from the system's cache, so only the first call on a system pays for
-    an eigensolve: one of ``H``, and those of ``h_a`` and ``h_b``, from
-    which the spectrum of ``H_0`` is built.  One report per column carries
-    every trace:
+    The block is evolved under ``H`` and under ``H_0``, whose spectra come
+    from the system's cache: only the first call on a system pays for the
+    eigensolves of ``H``, ``h_a`` and ``h_b``, from which the spectrum of
+    ``H_0`` is built.  One report per column carries every trace:
 
     * ``deviation[k] = || exp(-iHt_k) psi - exp(-i alpha t_k) exp(-iH_0
       t_k) psi ||`` and its maximum, with ``alphas`` one per column; ~0
@@ -154,20 +158,24 @@ def trace_pure_states(sys: BipartiteSystem, states, times, alphas, *,
       invariance), else :class:`FreeInvarianceError`; checked once per
       call, before anything is factorized or evolved.
 
-    With ``H = V diag(w) V^H``, ``H_0 = V0 diag(w0) V0^H`` and the
-    eigenbasis coefficients ``C = V^H S``, ``C0 = V0^H S``, the evolved
-    states of a block of columns at every grid time are the one product
-    ``X = V @ A`` with ``A[:, (j, k)] = C[:, j] * exp(-i w t_k)``, a
-    ``d x (m_chunk T)`` matrix.  The deviation is taken in the eigenbasis
-    of ``H``: the norm of each column of ``A - W @ A0``, where ``W = V^H
-    V0`` (cached per system) and ``A0[:, (j, k)] = C0[:, j] * exp(-i (w0 +
-    alpha_j) t_k)``.  Observables act on ``X`` through its ``dim_a x
-    dim_b`` factors, and each expectation is a column sum of ``conj(X) *
-    (O X)``.  Columns are taken ``m_chunk`` at a time, as many as keep
-    the ``d x m_chunk x T`` block within ``_CHUNK_ENTRIES`` complex
-    entries (at least one).  Blocked products round differently from one
-    state at a time: the traces agree with one-state traces to about
-    ``1e-13 * max(1, ||h_a||) * max(1, ||h_b||)``, not to the last bit.
+    With ``H = V diag(w) V^H``, ``H_0 = V0 diag(w0) V0^H``, ``W = V^H V0``
+    (cached per system), ``C = V^H S`` and ``C0 = V0^H S``, a block of
+    columns is traced from one product ``X0 = W^H @ A`` with ``A[:, (j, k)]
+    = C[:, j] * exp(-i w t_k)``: column ``(j, k)`` of ``X0`` is ``V0^H
+    psi_j(t_k)``.  The deviation is the column norm of ``X0 - A0``, with
+    ``A0[:, (j, k)] = C0[:, j] * exp(-i (w0 + alpha_j) t_k)``.  ``V0``'s
+    columns are products of eigenvectors of ``h_a`` and ``h_b``
+    (``core._free_factors``), so ``h_a (x) I``, ``I (x) h_b`` and ``h_a
+    (x) h_b`` are diagonal there, and the energies and the default pair's
+    joint mean are one real product of their eigenvalues with ``|X0|^2``.
+    A given pair acts as ``V_a^H o_a V_a`` and ``V_b^H o_b V_b`` on the
+    ``dim_a x dim_b`` factors of ``X0`` in Kronecker order; each of its
+    means is a column sum of ``conj(X0) * (O X0)``.  Columns go
+    ``m_chunk`` at a time, as many as keep the ``d x m_chunk x T`` block
+    within ``_CHUNK_ENTRIES`` complex entries (at least one).  Blocked
+    products round differently from one state at a time: the traces agree
+    with one-state traces to about ``1e-13 * max(1, ||h_a||) * max(1,
+    ||h_b||)``, not to the last bit.
     """
     times = _checked_times(times)
     states = require_unit_states(states, sys.dim)
@@ -184,45 +192,37 @@ def trace_pure_states(sys: BipartiteSystem, states, times, alphas, *,
     coeff = v.conj().T @ states
     phases = np.exp(-1j * np.outer(w, times))
     w0, v0 = _free_eig(sys)
-    overlap = _eig_overlap(sys)
+    overlap_h = _eig_overlap(sys).conj().T
     coeff0 = v0.conj().T @ states
     phases0 = np.exp(-1j * np.outer(w0, times))
     alpha_phases = np.exp(-1j * np.outer(alphas, times))
+    order, level_a, level_b = _free_factors(sys)
+    levels = np.stack([level_a, level_b, level_a * level_b])  # h_a (x) I, I (x) h_b, h_a (x) h_b
+    if observables is not None:
+        _, v_a, _, v_b = _factor_eig(sys)
+        o_a, o_b = v_a.conj().T @ o_a @ v_a, v_b.conj().T @ o_b @ v_b
     deviation, energy_a, energy_b, covariance = np.empty((4, m, times.size))
 
     def trace_chunk(cols: slice) -> None:
         # a function, so that each chunk's blocks are freed before the next
         shape = (cols.stop - cols.start, times.size)
-        # eigenbasis coefficients of the evolved states, one column per (state, time)
-        amp = (coeff[:, cols, None] * phases[:, None, :]).reshape(sys.dim, -1)
-        free = coeff0[:, cols, None] * phases0[:, None, :]
-        free *= alpha_phases[None, cols, :]
-        free = overlap @ free.reshape(sys.dim, -1)
-        free -= amp
+        # V0^H psi(t), one column per (state, time)
+        x0 = overlap_h @ (coeff[:, cols, None] * phases[:, None, :]).reshape(sys.dim, -1)
+        free = (coeff0[:, cols, None] * phases0[:, None, :] * alpha_phases[cols]).reshape(sys.dim, -1)
+        free -= x0
         deviation[cols] = np.linalg.norm(free, axis=0).reshape(shape)
-        del free
-        full = v @ amp
-        del amp
-        # O x for every observable, then conj(x) in place of x; each
-        # expectation overwrites its O x, so at most four blocks are live
-        # for the default pair, whose O_B x is H_B x
-        h_a_x = _apply_local(sys, full, op_a=sys.h_a)
-        h_b_x = _apply_local(sys, full, op_b=sys.h_b)
+        energy_a[cols], energy_b[cols], joint = (levels @ (x0.real**2 + x0.imag**2)).reshape(3, *shape)
         if observables is None:
-            joint_x = _apply_local(sys, h_b_x, op_a=sys.h_a)
-        else:
-            o_a_x = _apply_local(sys, full, op_a=o_a)
-            o_b_x = _apply_local(sys, full, op_b=o_b)
-            joint_x = _apply_local(sys, o_b_x, op_a=o_a)
-        bra = np.conj(full, out=full)
-        energy_a[cols] = _real_expectations(bra, h_a_x, shape, "subsystem-a energy")
-        energy_b[cols] = _real_expectations(bra, h_b_x, shape, "subsystem-b energy")
+            covariance[cols] = joint - energy_a[cols] * energy_b[cols]
+            return
+        x = x0[np.argsort(order)]  # X0 in Kronecker order, where the pair acts on the factors
+        o_a_x = _apply_local(sys, x, op_a=o_a)
+        o_b_x = _apply_local(sys, x, op_b=o_b)
+        joint_x = _apply_local(sys, o_b_x, op_a=o_a)
+        bra = np.conj(x, out=x)
         joint = _real_expectations(bra, joint_x, shape, "joint observable")
-        if observables is None:
-            mean_a, mean_b = energy_a[cols], energy_b[cols]
-        else:
-            mean_a = _real_expectations(bra, o_a_x, shape, "subsystem-a observable")
-            mean_b = _real_expectations(bra, o_b_x, shape, "subsystem-b observable")
+        mean_a = _real_expectations(bra, o_a_x, shape, "subsystem-a observable")
+        mean_b = _real_expectations(bra, o_b_x, shape, "subsystem-b observable")
         covariance[cols] = joint - mean_a * mean_b
 
     chunk = max(1, _CHUNK_ENTRIES // (sys.dim * times.size))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ifestates import (
+    BipartiteSystem,
     FreeInvarianceError,
     SpinStarParams,
     build_h0,
@@ -213,11 +214,12 @@ class TestCovarianceTrace:
         shared = trace_pure_states(star_system_n2, psi, time_grid(1.0, 4), [0.0])[0]
         assert not checked
         # a given pair is a user observable, checked, and its means are expectations of
-        # their own, which take the same products as the energies
+        # their own, taken through its factor-eigenbasis matrices: the same covariance
+        # to roundoff, not to the bit
         copied = trace_pure_states(star_system_n2, psi, time_grid(1.0, 4), [0.0],
                                    observables=(h_a, h_b.copy()))[0]
         assert checked == ["o_a", "o_b"]
-        assert_array_equal(copied.covariance, shared.covariance)
+        assert_allclose(copied.covariance, shared.covariance, rtol=0, atol=agreement_tol(star_system_n2))
 
     def test_unitarity_along_grid(self, star_system_n2):
         rng = np.random.default_rng(7)
@@ -227,9 +229,10 @@ class TestCovarianceTrace:
             assert abs(np.linalg.norm(evolve_pure(h, psi, t)) - 1.0) <= 1e-10
 
 
-def reference_traces(sys_, psi, alpha, times):
+def reference_traces(sys_, psi, alpha, times, observables=None):
     """Deviation, energies and covariance as three one-state tracers computed
-    them: each tracer diagonalizes its generators and evolves psi again."""
+    them: each tracer diagonalizes its generators and evolves psi again.  The
+    covariance is that of ``observables``, by default ``(h_a, h_b)``."""
 
     def evolved(h):
         w, v = np.linalg.eigh(h)
@@ -246,9 +249,10 @@ def reference_traces(sys_, psi, alpha, times):
     energy_a = expectation(states, kron(sys_.h_a, eye_b))
     energy_b = expectation(states, kron(eye_a, sys_.h_b))
     states = evolved(build_total(sys_))
-    covariance = (expectation(states, kron(sys_.h_a, sys_.h_b))
-                  - expectation(states, kron(sys_.h_a, eye_b))
-                  * expectation(states, kron(eye_a, sys_.h_b)))
+    o_a, o_b = (sys_.h_a, sys_.h_b) if observables is None else observables
+    covariance = (expectation(states, kron(o_a, o_b))
+                  - expectation(states, kron(o_a, eye_b))
+                  * expectation(states, kron(eye_a, o_b)))
     return deviation, energy_a, energy_b, covariance
 
 
@@ -268,12 +272,12 @@ def random_unit_columns(dim, m, rng):
     return z / np.linalg.norm(z, axis=0)
 
 
-def assert_agrees_with_references(sys_, states, times, alphas, reports):
+def assert_agrees_with_references(sys_, states, times, alphas, reports, observables=None):
     atol = agreement_tol(sys_)
     assert len(reports) == states.shape[1]
     for j, report in enumerate(reports):
         deviation, energy_a, energy_b, covariance = reference_traces(
-            sys_, states[:, j], alphas[j], times)
+            sys_, states[:, j], alphas[j], times, observables)
         assert_allclose(report.deviation, deviation, rtol=0, atol=atol)
         assert report.max_deviation == report.deviation.max()
         assert_allclose(report.energy_a, energy_a, rtol=0, atol=atol)
@@ -416,6 +420,36 @@ class TestTracePureStates:
             trace_pure_states(sys_, states[:, 0], times, alphas=[0.0])
         # H, and the factors from which the spectrum of H_0 is built, shared by every later trace
         assert factorized_operators(calls, sys_) == ["H", "h_a", "h_b"]
+
+
+class TestTiedFreeLevels:
+    """``H_0`` with exactly tied sums ``e_a[i] + e_b[j]``: the tracer weights
+    ``V0``'s columns with their factor eigenvalues, so it must pair each column
+    with the eigenvalues that ``_free_eig`` sorted it by, ties included."""
+
+    # the sort of the sums is no involution here, so a Kronecker layout read
+    # through the sort instead of its inverse shows too
+    @pytest.mark.parametrize("levels_b", [(1.5, 0.0, 0.5, 2.0), (1.0, 0.0, 2.5, 1.0)],
+                             ids=["tied_sums", "degenerate_h_b"])
+    def test_every_trace_agrees_with_references(self, levels_b):
+        rng = np.random.default_rng(16)
+        h_a, h_b = np.diag([0.0, 1.0]), np.diag(levels_b)
+        sys_ = BipartiteSystem(2, 4, h_a, h_b, random_hermitian(8, rng))
+        sums = np.add.outer([0.0, 1.0], np.sort(levels_b)).ravel()  # the eigenvalues ascend
+        order = np.argsort(sums, kind="stable")
+        assert np.unique(sums).size < sums.size  # exact ties between distinct (i, j)
+        assert not np.array_equal(order[order], np.arange(8))
+        # o_b mixes the eigenvectors of each eigenvalue of h_b: for the degenerate
+        # h_b, the eigenpair at 1, so V_b^H o_b V_b is not diagonal
+        o_a = random_hermitian(2, rng) * np.eye(2)
+        o_b = random_hermitian(4, rng) * np.equal.outer(levels_b, levels_b)
+        states = random_unit_columns(8, 4, rng)
+        times = time_grid(10.0, 21)
+        alphas = [float(np.vdot(psi, sys_.h_i @ psi).real) for psi in states.T]
+        reports = trace_pure_states(sys_, states, times, alphas)
+        assert_agrees_with_references(sys_, states, times, alphas, reports)
+        reports = trace_pure_states(sys_, states, times, alphas, observables=(o_a, o_b))
+        assert_agrees_with_references(sys_, states, times, alphas, reports, (o_a, o_b))
 
 
 class TestLocalUnitaryInvariance:
