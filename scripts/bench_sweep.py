@@ -2,8 +2,9 @@
 """Sweep spin stars N = 3..8 through the CLI and write ``BENCH_<sha>.json``.
 
 For each star (``omega0 = 1``, ``omega = 1.3``, ``gammas = 1 + 0.3 U(0, 1)``
-drawn from ``default_rng(N)``) it times ``verify --sector 0`` and
-``sectors --include-bases`` in-process (``cli.main``) and as subprocesses
+drawn from ``default_rng(N)``) it times ``verify --sector 0``,
+``sectors --include-bases`` and ``spin-star --check-all`` on the star's
+own flags in-process (``cli.main``) and as subprocesses
 (``python -m ifestates.cli``), and ``canonical_dumps`` alone on each
 command's report.  Every timing keeps its raw samples next to their
 median and interquartile range.  BLAS runs on one thread.  Run from the
@@ -45,7 +46,6 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = range(3, 9)
 REPEATS = 9
-COMMANDS = {"verify": ["--sector", "0"], "sectors": ["--include-bases"]}
 
 _report: dict = {}  # in a worker: the warmed-up command's argv and report
 
@@ -98,12 +98,26 @@ def package_dir() -> str:
     return str(Path(ifestates.__file__).resolve().parent)
 
 
+def star_gammas(n: int) -> tuple[float, ...]:
+    rng = np.random.default_rng(n)
+    return tuple(float(g) for g in 1.0 + 0.3 * rng.uniform(0.0, 1.0, n))
+
+
+def command_argvs(n: int, path: Path) -> dict[str, list[str]]:
+    """Each timed command's argv on the star of ``n`` bath spins saved at ``path``."""
+    out = ["--out", f"{path}.out"]
+    return {
+        "verify": ["verify", str(path), "--sector", "0", *out],
+        "sectors": ["sectors", str(path), "--include-bases", *out],
+        "spin-star": ["spin-star", "--n", str(n), "--omega0", "1", "--omega", "1.3",
+                      "--gammas", ",".join(repr(g) for g in star_gammas(n)), "--check-all", *out],
+    }
+
+
 def write_star(n: int, path: str) -> None:
     from ifestates import SpinStarParams, build_spin_star, serialize
 
-    rng = np.random.default_rng(n)
-    gammas = tuple(float(g) for g in 1.0 + 0.3 * rng.uniform(0.0, 1.0, n))
-    serialize.save_system(build_spin_star(SpinStarParams(n, 1.0, 1.3, gammas)), path)
+    serialize.save_system(build_spin_star(SpinStarParams(n, 1.0, 1.3, star_gammas(n))), path)
 
 
 def warm_up(argv: list[str]) -> None:
@@ -163,8 +177,9 @@ def main() -> int:
             paths = [Path(tmp) / f"star_n{n}_{i}.json" for i in range(len(sources))]
             for worker, path in zip(workers, paths):
                 worker.submit(write_star, n, str(path)).result()
-            for command, flags in COMMANDS.items():
-                argvs = [[command, str(path), *flags, "--out", f"{path}.out"] for path in paths]
+            per_source = [command_argvs(n, path) for path in paths]
+            for command in per_source[0]:
+                argvs = [argvs_of[command] for argvs_of in per_source]
                 for worker, argv in zip(workers, argvs):
                     worker.submit(warm_up, argv).result()
                 times = [{"in_process": [], "subprocess": [], "canonical_dumps": []} for _ in sources]
@@ -182,7 +197,7 @@ def main() -> int:
                 for star, name, samples, argv in zip(stars, names, times, argvs):
                     star[command] = {key: summary(values) for key, values in samples.items()}
                     star[command]["report_bytes"] = Path(argv[-1]).stat().st_size
-                    print(f"{name} N={n} {command:8s} in-process "
+                    print(f"{name} N={n} {command:9s} in-process "
                           f"{star[command]['in_process']['median_ms']:9.2f} ms  subprocess "
                           f"{star[command]['subprocess']['median_ms']:9.2f} ms  canonical_dumps "
                           f"{star[command]['canonical_dumps']['median_ms']:8.2f} ms", flush=True)

@@ -105,6 +105,8 @@ def main() -> int:
     run(["sectors", str(star_path)], DATA / "report_sectors_n2.json")
     run(["spin-star", "--n", "2", "--omega0", "1.0", "--omega", "0.7",
          "--gammas", "3,4", "--check-all"], DATA / "report_spin_star_n2.json")
+    run(["spin-star", "--n", "3", "--omega0", "1.0", "--omega", "0.4",
+         "--gammas", "1.0,1.2,1.4", "--check-all"], DATA / "report_spin_star_n3.json")
     run(["oracle-diff", str(star_path)], DATA / "report_oracle_diff_n2.json")
     run(["verify", str(star_path), "--state", str(DATA / "state_ife_n2.json")],
         DATA / "report_verify_ife_n2.json")

@@ -110,16 +110,40 @@ def require_unit_states(states, dim: int) -> np.ndarray:
 
 
 def spectral_norm(a) -> float:
-    """Largest singular value; 0 for empty matrices."""
+    """Largest singular value of a matrix, from one values-only SVD; 0 for empty input.
+
+    The bits equal those of ``np.linalg.norm(a, 2)``, which takes the same
+    ``svd(a, compute_uv=False)`` and returns its maximum, the first value.
+    A vector gives its Euclidean norm, as ``np.linalg.norm`` does; any other
+    non-empty shape raises ``ValueError``.
+    """
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    if a.ndim == 1:
+        return float(np.linalg.norm(a))
+    if a.ndim != 2:
+        raise ValueError(f"expected a vector or a matrix, got shape {a.shape}")
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with a-index major, b-index minor ordering."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product with a-index major, b-index minor ordering, as a complex array.
+
+    One broadcast product: each axis of ``a`` is paired with the matching
+    axis of ``b`` (the shorter shape padded with leading 1s) and the pairs
+    are merged.  Every entry is the one complex multiply ``np.kron`` makes,
+    so the bits, shape and layout equal those of ``np.kron`` for any ndim.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim == 0 or b.ndim == 0:
+        return a * b
+    nd = max(a.ndim, b.ndim)
+    a = a.reshape((1,) * (nd - a.ndim) + a.shape)
+    b = b.reshape((1,) * (nd - b.ndim) + b.shape)
+    product = a[(slice(None), None) * nd] * b[(None, slice(None)) * nd]
+    return product.reshape([m * n for m, n in zip(a.shape, b.shape)])
 
 
 def orthonormal_columns(m) -> np.ndarray:

@@ -366,6 +366,8 @@ def verify_spin_star_claims(
     eigenvector residuals are relative to the norm of H.  A claim passes
     exactly when its residual is within its tolerance.
     ``blocks`` is ``dressed_blocks(p)`` when the caller already has it.
+    Each block is embedded once: claim 4 reads its columns of the analytic
+    basis that claim 3 compares.
     """
     _require_off_resonance(p)
     if blocks is None:
@@ -402,10 +404,12 @@ def verify_spin_star_claims(
     h_norm = float(np.abs(np.linalg.eigvalsh(h)).max())
     eig_tol = 1e-9
     worst = 0.0
+    start = 0
     for block in blocks:
         sign = 1.0 if block.branch == "plus" else -1.0
         energy = sign * (p.omega0 + 2.0 * block.r * p.omega)
-        vecs = _embed_block(block)
+        vecs = analytic[:, start:start + block.count]
+        start += block.count
         for op in (h0, h):
             resid = spectral_norm(op @ vecs - energy * vecs)
             worst = max(worst, resid / max(h_norm, 1e-300))

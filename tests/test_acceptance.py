@@ -285,6 +285,8 @@ def test_criterion_8_cli_contract(data_dir, tmp_path):
         "report_sectors_n2.json": (0, ["sectors", star]),
         "report_spin_star_n2.json": (0, ["spin-star", "--n", "2", "--omega0", "1.0",
                                          "--omega", "0.7", "--gammas", "3,4", "--check-all"]),
+        "report_spin_star_n3.json": (0, ["spin-star", "--n", "3", "--omega0", "1.0", "--omega",
+                                         "0.4", "--gammas", "1.0,1.2,1.4", "--check-all"]),
         "report_oracle_diff_n2.json": (0, ["oracle-diff", star]),
         "report_verify_ife_n2.json": (0, ["verify", star, "--state",
                                           str(data_dir / "state_ife_n2.json")]),

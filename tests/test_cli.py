@@ -759,7 +759,8 @@ class TestFactorizationLedger:
     @pytest.mark.parametrize("argv, ledger", [
         (["sectors", "{star}"], SECTORS_N2),
         (["oracle-diff", "{star}"],
-         [*SECTORS_N2, ("svd", "other", (2, 8, 1)), ("svd", "other", (2, 8, 2))]),
+         [*SECTORS_N2, ("svd", "other", (2, 8, 1)), ("svd", "other", (2, 8, 2)),
+          ("svd", "other", (8, 4))]),  # the spectral norm of the principal-angle residual
         (["verify", "{star}", "--sector", "0", "--steps", "5"], [*SECTORS_N2, ("eigh", "H", (8, 8))]),
         (["verify", "{star}", "--state", "{psi}", "--steps", "5"],
          [("eigh", "H", (8, 8)), ("eigh", "h_a", (2, 2)), ("eigh", "h_b", (4, 4))]),
@@ -767,7 +768,10 @@ class TestFactorizationLedger:
          [*SECTORS_N2, ("eigvalsh", "rho", (8, 8)), ("eigh", "H", (8, 8))]),
         (["mixed", "{star}", "--samples", "2", "--steps", "5"], [*SECTORS_N2, ("eigh", "H", (8, 8))]),
         (["spin-star", *STAR_N2_ARGS, "--check-all"],
-         [*SECTORS_N2[:4], ("eigh", "i C~", (8, 8)), *SVD_BLOCKS_N2, ("eigvalsh", "H", (8, 8))]),
+         # spectral norms: claim 1 and claim 3 residuals, then claim 4's per-block
+         # residuals of H_0 and H on each of the four single-column blocks
+         [*SECTORS_N2[:4], ("eigh", "i C~", (8, 8)), ("svd", "other", (8, 4)), *SVD_BLOCKS_N2,
+          ("svd", "other", (8, 4)), ("eigvalsh", "H", (8, 8)), *[("svd", "other", (8, 1))] * 8]),
         # a commuting system: the zero test needs no eigvalsh, and no cluster an SVD
         (["mixed", "{d128}", "--samples", "2", "--steps", "26"],
          [("eigh", "h_i", (128, 128)), ("eigh", "h_a", (4, 4)), ("eigh", "h_b", (32, 32)),

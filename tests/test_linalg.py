@@ -54,6 +54,42 @@ class TestKron:
         assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), rtol=1e-15, atol=0)
 
 
+# Entries with signed zeros in either part, so a product that differs from
+# np.kron's only in the sign of a zero shows in the bytes.
+_ENTRIES = st.builds(complex, st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-1e3, 1e3),
+                     st.sampled_from([0.0, -0.0, 0.5]) | st.floats(-1e3, 1e3))
+# 1-D and 2-D shapes with 1-row and 1-column ones among them
+_SHAPES = st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple)
+
+
+def _complex_arrays(shape):
+    size = int(np.prod(shape))
+    return st.lists(_ENTRIES, min_size=size, max_size=size).map(
+        lambda values: np.array(values, dtype=complex).reshape(shape))
+
+
+class TestKernelsMatchNumpy:
+    """``kron`` and ``spectral_norm`` return the bits of ``np.kron`` and ``np.linalg.norm(., 2)``."""
+
+    @given(_SHAPES.flatmap(_complex_arrays), _SHAPES.flatmap(_complex_arrays))
+    @settings(max_examples=300, deadline=None, database=None)
+    def test_kron_bytes(self, a, b):
+        got, want = kron(a, b), np.kron(a, b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(st.integers(1, 6), st.sampled_from(["column", "row", "matrix", "vector"]), st.data())
+    @settings(max_examples=200, deadline=None, database=None)
+    def test_spectral_norm_value(self, d, kind, data):
+        shape = {"column": (d, 1), "row": (1, d), "matrix": (d, data.draw(st.integers(2, 6))),
+                 "vector": (d,)}[kind]
+        a = data.draw(_complex_arrays(shape))
+        assert spectral_norm(a) == float(np.linalg.norm(a, 2))
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+    def test_spectral_norm_of_empty_is_zero(self, shape):
+        assert spectral_norm(np.zeros(shape, dtype=complex)) == 0.0
+
+
 class TestCommutator:
     def test_self_commutes(self):
         rng = np.random.default_rng(9)
