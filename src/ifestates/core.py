@@ -215,6 +215,7 @@ def _per_system(compute):
 
     Arrays inside a tuple are made read-only too.  Every routine shares one
     result of the same call on the same arrays, so sharing changes no bits.
+    ``SpinStarParams`` has a ``_cache`` too, for its analytic basis.
     """
     @functools.wraps(compute)
     def entry(sys: BipartiteSystem):

@@ -14,7 +14,9 @@ columns maps the phased coefficients ``V^H S`` there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -57,7 +59,7 @@ class FreeInvarianceError(ValueError):
 
 @dataclass(frozen=True)
 class EvolutionReport:
-    """Per-time-step traces; the density-matrix tracer leaves ``covariance`` and unasked energies None."""
+    """Per-time-step traces; the density-matrix tracer leaves ``covariance`` None."""
 
     times: np.ndarray
     deviation: np.ndarray | None = None
@@ -68,9 +70,11 @@ class EvolutionReport:
 
 
 def time_grid(t_max: float = 10.0, steps: int = 101) -> np.ndarray:
-    """Uniform grid of ``steps`` points on [0, t_max], endpoints included."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    """Uniform grid of ``steps`` points on [0, t_max]: ``steps`` an integer ``>= 1``, ``t_max`` finite."""
+    if isinstance(steps, bool) or not isinstance(steps, Integral) or steps < 1:
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+    if not (isinstance(t_max, Real) and math.isfinite(t_max)):
+        raise ValueError(f"t_max must be a finite number, got {t_max!r}")
     return np.linspace(0.0, float(t_max), int(steps))
 
 

@@ -335,21 +335,20 @@ def _deviation(sys: BipartiteSystem, rho, rho_eig, times) -> np.ndarray:
     return deviation
 
 
-def trace_density_matrix(sys: BipartiteSystem, rho, times, *,
-                         energies: bool = False) -> EvolutionReport:
+def trace_density_matrix(sys: BipartiteSystem, rho, times) -> EvolutionReport:
     """Evolution traces of a density matrix ``rho`` on the grid ``times``.
 
     The report carries the deviation ``||rho(t) - rho_0(t)||_F`` of the
     full from the free conjugation at each time and its maximum (~0
-    exactly for IFE mixed states); with ``energies``, also the subsystem
-    energies ``Tr(rho(t) H_A (x) I)`` and ``Tr(rho(t) I (x) H_B)``.  The
+    exactly for IFE mixed states), and the subsystem energies
+    ``Tr(rho(t) H_A (x) I)`` and ``Tr(rho(t) I (x) H_B)``.  The
     grid is checked, then the state, which must be a finite Hermitian
     ``d x d`` matrix of the system's dimension (its exact Hermitian part
     is traced); the spectra come from the system's cache.  See
     :func:`_trace_states`.
     """
     times = _checked_times(times)
-    return _trace_states(sys, _hermitian_state(rho, sys.dim)[None], times, energies)[0]
+    return _trace_states(sys, _hermitian_state(rho, sys.dim)[None], times, True)[0]
 
 
 def _trace_states(sys: BipartiteSystem, rho: np.ndarray, times: np.ndarray,
@@ -360,7 +359,8 @@ def _trace_states(sys: BipartiteSystem, rho: np.ndarray, times: np.ndarray,
     on its gated file state and on each group of its sampled states.  The
     stack is one group: at most :func:`_block_size` states, which bounds
     its stacks ``rho~ = V^H rho V`` and ``rho~0``.  Each state gives the
-    bits it gives traced alone.  The energies are ``Tr(rho(t) O) = p(t)^T
+    bits it gives traced alone.  ``energies`` is unset only for the CLI's
+    samples, which read none.  The energies are ``Tr(rho(t) O) = p(t)^T
     (rho~ o O~^T) p(t)^*`` with ``O~ = V^H O V``, one ``T x d x d`` product
     per observable and state for the whole grid, taken after the deviation
     has freed its stacks.

@@ -20,7 +20,7 @@ and verifies each structural claim against the numerical pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, isfinite
 from numbers import Integral
 
@@ -33,6 +33,7 @@ from .core import (
     _alpha_tol,
     _coupling_eig,
     _coupling_norm,
+    _per_system,
     build_h0,
     commutator_kernel,
     ife_sectors,
@@ -78,12 +79,13 @@ class ResonanceError(ValueError):
 
 @dataclass(frozen=True)
 class SpinStarParams:
-    """Model parameters: bath size, level splittings, couplings."""
+    """Model parameters: bath size, level splittings, couplings; the analytic basis is cached on them."""
 
     n_spins: int
     omega0: float
     omega: float
     gammas: tuple[float, ...]
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # bool is an Integral, but True is no bath size
@@ -324,36 +326,32 @@ def _embed_block(block: DressedBasis) -> np.ndarray:
     return kron(central, block.vectors)
 
 
-def _require_off_resonance(p: SpinStarParams) -> None:
-    """Raise :class:`ResonanceError` when omega0 == omega."""
+@_per_system
+def _analytic_basis(p: SpinStarParams) -> np.ndarray:
+    """The embedded :func:`dressed_blocks` side by side; resonance is refused before the dressing runs."""
     if p.omega0 == p.omega:
         raise ResonanceError(
             "omega0 == omega: commutator kernel is the whole space and the "
             "closed-form basis does not apply; use ife_sectors on the built system"
         )
+    return np.hstack([_embed_block(b) for b in dressed_blocks(p)])
 
 
-def spin_star_ife_basis(p: SpinStarParams, blocks: list[DressedBasis] | None = None) -> IfeDecomposition:
+def spin_star_ife_basis(p: SpinStarParams) -> IfeDecomposition:
     """Closed-form IFE decomposition: one sector at alpha = 0.
 
     The basis is the union over branches and total-spin values r of the
     embedded dressed blocks; its dimension is 2 * sum_r multiplicity(r).
-    Off resonance this also equals the commutator kernel.  ``blocks`` is
-    ``dressed_blocks(p)`` when the caller already has it.
+    Off resonance this also equals the commutator kernel.  The basis is
+    built once per parameter set and cached read-only on ``p``, so every
+    call returns the same array; at resonance it raises
+    :class:`ResonanceError`.
     """
-    _require_off_resonance(p)
-    if blocks is None:
-        blocks = dressed_blocks(p)
-    basis = np.hstack([_embed_block(b) for b in blocks])
-    sector = IfeSector(0.0, basis)
-    return IfeDecomposition((sector,), basis.shape[0])
+    basis = _analytic_basis(p)
+    return IfeDecomposition((IfeSector(0.0, basis),), basis.shape[0])
 
 
-def verify_spin_star_claims(
-    p: SpinStarParams,
-    rel_tol: float = DEFAULT_REL_TOL,
-    blocks: list[DressedBasis] | None = None,
-) -> list[ClaimResult]:
+def verify_spin_star_claims(p: SpinStarParams, rel_tol: float = DEFAULT_REL_TOL) -> list[ClaimResult]:
     """Check every structural claim of the closed-form solution numerically.
 
     1. Ker[H_0, H_I] coincides with Ker H_I.
@@ -364,14 +362,11 @@ def verify_spin_star_claims(
 
     Subspace claims are scored by :func:`~ifestates.linalg.subspace_residual`;
     eigenvector residuals are relative to the norm of H.  A claim passes
-    exactly when its residual is within its tolerance.
-    ``blocks`` is ``dressed_blocks(p)`` when the caller already has it.
-    Each block is embedded once: claim 4 reads its columns of the analytic
-    basis that claim 3 compares.
+    exactly when its residual is within its tolerance.  The claims score
+    the basis of :func:`spin_star_ife_basis`, read first, so resonance is
+    refused before anything is built.
     """
-    _require_off_resonance(p)
-    if blocks is None:
-        blocks = dressed_blocks(p)
+    analytic = spin_star_ife_basis(p).sectors[0].basis
 
     sys = build_spin_star(p)
     ker_comm = commutator_kernel(sys, rel_tol)  # its commutator is shared with ife_sectors below
@@ -394,7 +389,6 @@ def verify_spin_star_claims(
         resid = abs(dec.n_sectors - 1) * max(1.0, _coupling_norm(sys))
     claims.append(ClaimResult("single_sector_alpha_zero", resid, _alpha_tol(sys)))
 
-    analytic = spin_star_ife_basis(p, blocks).sectors[0].basis
     if dec.n_sectors == 1:
         resid = subspace_residual(analytic, dec.sectors[0].basis)
     else:
@@ -405,13 +399,13 @@ def verify_spin_star_claims(
     eig_tol = 1e-9
     worst = 0.0
     start = 0
-    for block in blocks:
-        sign = 1.0 if block.branch == "plus" else -1.0
-        energy = sign * (p.omega0 + 2.0 * block.r * p.omega)
-        vecs = analytic[:, start:start + block.count]
-        start += block.count
-        for op in (h0, h):
-            resid = spectral_norm(op @ vecs - energy * vecs)
-            worst = max(worst, resid / max(h_norm, 1e-300))
+    for sign in (1.0, -1.0):
+        for r in admissible_r(p.n_spins):
+            energy = sign * (p.omega0 + 2.0 * r * p.omega)
+            vecs = analytic[:, start:start + multiplicity(p.n_spins, r)]
+            start += vecs.shape[1]
+            for op in (h0, h):
+                resid = spectral_norm(op @ vecs - energy * vecs)
+                worst = max(worst, resid / max(h_norm, 1e-300))
     claims.append(ClaimResult("analytic_vectors_are_h0_and_h_eigenvectors", worst, eig_tol))
     return claims

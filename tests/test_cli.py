@@ -378,22 +378,22 @@ class TestSpinStar:
         assert "resonance" in capsys.readouterr().err
 
     def test_dressed_blocks_built_once_per_call(self, monkeypatch, tmp_path):
-        import ifestates.cli as cli
         import ifestates.spin_star as spin_star
 
         calls = []
 
-        def counted(module, name):
-            original = getattr(module, name)
-            monkeypatch.setattr(module, name,
+        def counted(name):
+            original = getattr(spin_star, name)
+            monkeypatch.setattr(spin_star, name,
                                 lambda *a, **k: calls.append(name) or original(*a, **k))
 
-        counted(spin_star, "dressed_blocks")
-        counted(cli, "dressed_blocks")
+        counted("dressed_blocks")
+        counted("_embed_block")
         code = run_cli("spin-star", "--n", "4", "--omega0", "1.0", "--omega", "0.7",
                        "--gammas", "1,1.2,0.8,1.5", "--check-all", "--out", str(tmp_path / "r.json"))
         assert code == 0
-        assert calls == ["dressed_blocks"]
+        # each of the 2 x 3 blocks is embedded once, for the report and the claims alike
+        assert calls == ["dressed_blocks"] + ["_embed_block"] * 6
 
     def test_bad_gammas_exit_one(self):
         assert run_cli("spin-star", "--n", "2", "--omega0", "1.0", "--omega", "0.7",

@@ -50,6 +50,19 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             time_grid(steps=0)
 
+    @pytest.mark.parametrize("steps", [0, -3, 2.7, 3.0, True, False, np.bool_(True), "3", None])
+    def test_rejects_bad_steps(self, steps):
+        with pytest.raises(ValueError, match="^steps must be an integer >= 1"):
+            time_grid(1.0, steps)
+
+    @pytest.mark.parametrize("t_max", [np.nan, np.inf, -np.inf, "oops", None])
+    def test_rejects_bad_t_max(self, t_max):
+        with pytest.raises(ValueError, match="^t_max must be a finite number"):
+            time_grid(t_max, 3)
+
+    def test_accepts_numpy_integer_steps(self):
+        assert np.array_equal(time_grid(2.0, np.int64(5)), time_grid(2.0, 5))
+
 
 class TestTimesValidation:
     """Both tracers check the grid first, with ``times`` named."""
@@ -68,7 +81,7 @@ class TestTimesValidation:
             if tracer == "pure":
                 trace_pure_states(star_system_n2, psi, times, [0.0])
             else:
-                trace_density_matrix(star_system_n2, psi @ psi.conj().T, times, energies=True)
+                trace_density_matrix(star_system_n2, psi @ psi.conj().T, times)
 
 
 class TestEvolvePure:
@@ -477,8 +490,8 @@ class TestLocalUnitaryInvariance:
                                 rtol=0, atol=atol, err_msg=key)
 
         rho = (states * rng.dirichlet(np.ones(3))) @ states.conj().T
-        original = trace_density_matrix(sys_, rho, times, energies=True)
-        turned = trace_density_matrix(rotated, u @ rho @ u.conj().T, times, energies=True)
+        original = trace_density_matrix(sys_, rho, times)
+        turned = trace_density_matrix(rotated, u @ rho @ u.conj().T, times)
         for key in ("deviation", "energy_a", "energy_b"):
             assert_allclose(getattr(turned, key), getattr(original, key),
                             rtol=0, atol=atol, err_msg=key)

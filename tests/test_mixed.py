@@ -287,8 +287,9 @@ class TestTraceDensityMatrix:
         weights = np.full(diag_dec.n_sectors, 1.0 / diag_dec.n_sectors)
         rho = random_ife_mixed(diag_dec, weights, 3)
         times = time_grid(2.0, 5)
-        plain = trace_density_matrix(diag_system, rho, times)
-        full = trace_density_matrix(diag_system, rho, times, energies=True)
+        full = trace_density_matrix(diag_system, rho, times)
+        # the CLI's samples read no energies: the private core skips them, with the same deviation bits
+        plain = mixed._trace_states(diag_system, rho[None], times, False)[0]
         assert plain.energy_a is None and plain.energy_b is None and plain.covariance is None
         assert full.covariance is None
         assert full.energy_a.shape == full.energy_b.shape == (5,)
@@ -302,7 +303,7 @@ class TestTraceDensityMatrix:
         import ifestates.mixed as mixed
 
         rho = random_ife_mixed(diag_dec, np.full(diag_dec.n_sectors, 1.0 / diag_dec.n_sectors), 4)
-        trace_density_matrix(diag_system, rho, time_grid(1.0, 3), energies=True)  # warm the cache
+        trace_density_matrix(diag_system, rho, time_grid(1.0, 3))  # warm the cache
 
         class Counted(np.ndarray):
             calls = 0
@@ -313,7 +314,7 @@ class TestTraceDensityMatrix:
 
         monkeypatch.setattr(mixed, "_hermitian_state",
                             lambda r, dim: np.asarray(r, dtype=complex).view(Counted))
-        trace_density_matrix(diag_system, rho, time_grid(1.0, 3), energies=True)
+        trace_density_matrix(diag_system, rho, time_grid(1.0, 3))
         assert Counted.calls == 2
 
 
@@ -373,7 +374,7 @@ class TestConsistencyInvariants:
     def test_energy_conserved_for_ife_mixed(self, star_params_n2, star_system_n2):
         dec = spin_star_ife_basis(star_params_n2)
         rho = random_ife_mixed(dec, [1.0], seed=21)
-        report = trace_density_matrix(star_system_n2, rho, time_grid(), energies=True)
+        report = trace_density_matrix(star_system_n2, rho, time_grid())
         e_a, e_b = report.energy_a, report.energy_b
         assert np.abs(e_a - e_a[0]).max() <= 1e-9
         assert np.abs(e_b - e_b[0]).max() <= 1e-9
@@ -407,7 +408,7 @@ class TestSharedSpectra:
         expected = np.array([float(np.linalg.norm(a - b)) for a, b in zip(full, free)])
         # the eigenbasis formulas change only the last bits
         atol = agreement_tol(sys_)
-        report = trace_density_matrix(sys_, rho, times, energies=True)
+        report = trace_density_matrix(sys_, rho, times)
         assert_allclose(report.deviation, expected, rtol=0, atol=atol)
         op_a = kron(sys_.h_a, np.eye(3))
         op_b = kron(np.eye(2), sys_.h_b)
@@ -422,13 +423,13 @@ class TestSharedSpectra:
         weights = np.full(diag_dec.n_sectors, 1.0 / diag_dec.n_sectors)
         for seed in range(4):
             rho = random_ife_mixed(diag_dec, weights, seed)
-            trace_density_matrix(sys_, rho, time_grid(1.0, 3), energies=True)
+            trace_density_matrix(sys_, rho, time_grid(1.0, 3))
         # H, and the factors from which the spectrum of H_0 is built
         assert factorized_operators(calls, sys_) == ["H", "h_a", "h_b"]
 
     def test_energy_trace_checks_dimension(self, diag_system):
         with pytest.raises(ValueError, match="state has dimension 4, expected 6"):
-            trace_density_matrix(diag_system, np.eye(4) / 4.0, time_grid(1.0, 3), energies=True)
+            trace_density_matrix(diag_system, np.eye(4) / 4.0, time_grid(1.0, 3))
 
 
 class TestBlockedDeviation:
@@ -464,10 +465,10 @@ class TestBlockedDeviation:
         rho = random_density_matrix(sys_.dim, rng)
         times = time_grid(10.0, 101)
         assert _uses_frequencies(sys_, times.size) == (family is commuting_system)
-        trace_density_matrix(sys_, rho, times, energies=True)  # warm the spectra cache
+        trace_density_matrix(sys_, rho, times)  # warm the spectra cache
         tracemalloc.start()
         try:
-            trace_density_matrix(sys_, rho, times, energies=True)
+            trace_density_matrix(sys_, rho, times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -507,7 +508,7 @@ class TestStackedStates:
                    for report in mixed._trace_states(sys_, rhos[lo:lo + group], times, True)]
         assert len(stacked) == 5
         for rho, report in zip(rhos, stacked):
-            alone = trace_density_matrix(sys_, rho, times, energies=True)
+            alone = trace_density_matrix(sys_, rho, times)
             for field in ("deviation", "energy_a", "energy_b"):
                 assert np.array_equal(getattr(report, field), getattr(alone, field)), field
             assert report.max_deviation == alone.max_deviation

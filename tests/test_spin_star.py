@@ -392,12 +392,19 @@ class TestVerifyClaims:
         # the kernel and the sectors read one cached commutator
         assert len(read) >= 2 and all(com is read[0] for com in read)
 
-    def test_given_blocks_give_identical_claims_and_basis(self):
+    def test_basis_cached_read_only_on_params(self):
         p = SpinStarParams(4, 1.0, 0.7, (1.0, 1.2, 0.8, 1.5))
-        blocks = dressed_blocks(p)
-        assert verify_spin_star_claims(p, blocks=blocks) == verify_spin_star_claims(p)
-        assert np.array_equal(spin_star_ife_basis(p, blocks).sectors[0].basis,
-                              spin_star_ife_basis(p).sectors[0].basis)
+        basis = spin_star_ife_basis(p).sectors[0].basis
+        assert spin_star_ife_basis(p).sectors[0].basis is basis
+        assert not basis.flags.writeable
+        claims = verify_spin_star_claims(p)
+        assert spin_star_ife_basis(p).sectors[0].basis is basis
+        # a fresh parameter set builds its own basis, with the same bits and the same claims
+        fresh = SpinStarParams(4, 1.0, 0.7, (1.0, 1.2, 0.8, 1.5))
+        assert fresh == p
+        assert verify_spin_star_claims(fresh) == claims
+        assert spin_star_ife_basis(fresh).sectors[0].basis is not basis
+        assert spin_star_ife_basis(fresh).sectors[0].basis.tobytes() == basis.tobytes()
 
     def test_h0_eigenvalue_of_top_state(self, star_params_n2, star_system_n2):
         # |+> (x) A_+|1,1> is an H_0 eigenvector at omega0 + 2 omega
