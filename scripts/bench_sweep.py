@@ -3,8 +3,8 @@
 
 For each star (``omega0 = 1``, ``omega = 1.3``, ``gammas = 1 + 0.3 U(0, 1)``
 drawn from ``default_rng(N)``) it times ``verify --sector 0``,
-``sectors --include-bases`` and ``spin-star --check-all`` on the star's
-own flags in-process (``cli.main``) and as subprocesses
+``sectors --include-bases``, ``oracle-diff`` and ``spin-star --check-all``
+on the star's own flags in-process (``cli.main``) and as subprocesses
 (``python -m ifestates.cli``), and ``canonical_dumps`` alone on each
 command's report.  Every timing keeps its raw samples next to their
 median and interquartile range.  BLAS runs on one thread.  Run from the
@@ -109,6 +109,7 @@ def command_argvs(n: int, path: Path) -> dict[str, list[str]]:
     return {
         "verify": ["verify", str(path), "--sector", "0", *out],
         "sectors": ["sectors", str(path), "--include-bases", *out],
+        "oracle-diff": ["oracle-diff", str(path), *out],
         "spin-star": ["spin-star", "--n", str(n), "--omega0", "1", "--omega", "1.3",
                       "--gammas", ",".join(repr(g) for g in star_gammas(n)), "--check-all", *out],
     }
@@ -197,7 +198,7 @@ def main() -> int:
                 for star, name, samples, argv in zip(stars, names, times, argvs):
                     star[command] = {key: summary(values) for key, values in samples.items()}
                     star[command]["report_bytes"] = Path(argv[-1]).stat().st_size
-                    print(f"{name} N={n} {command:9s} in-process "
+                    print(f"{name} N={n} {command:11s} in-process "
                           f"{star[command]['in_process']['median_ms']:9.2f} ms  subprocess "
                           f"{star[command]['subprocess']['median_ms']:9.2f} ms  canonical_dumps "
                           f"{star[command]['canonical_dumps']['median_ms']:8.2f} ms", flush=True)

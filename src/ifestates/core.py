@@ -110,6 +110,16 @@ class BipartiteSystem:
     Hermitian parts, so every operator built from them is Hermitian without
     a further check, and factorizations computed from it can be cached on
     it and shared by every routine that takes it.
+
+    The dtype is decided here, once: when the imaginary parts of all three
+    Hermitian parts are exactly zero the copies are float64, otherwise
+    complex128.  A real system's operators, eigenvectors, ``C~`` and
+    sector bases are then float64, and every ``eigh`` and ``svd`` of them
+    runs in real arithmetic; only the Hermitian ``i C~`` is complex, so the
+    commutator's singular values and :func:`commutator_kernel` come from a
+    complex factorization.  A real system's results match those of the same
+    matrices factorized as complex128 at roundoff; its sector bases may
+    differ from those by column signs, but span the same subspaces.
     """
 
     dim_a: int
@@ -123,6 +133,7 @@ class BipartiteSystem:
     def __post_init__(self, hermitian_rtol):
         for name in ("dim_a", "dim_b"):
             object.__setattr__(self, name, _positive_dimension(getattr(self, name), name))
+        parts = {}
         for name, op, dim in (
             ("h_a", self.h_a, self.dim_a),
             ("h_b", self.h_b, self.dim_b),
@@ -131,7 +142,10 @@ class BipartiteSystem:
             op = as_operator(op)
             if op.shape[0] != dim:
                 raise ValueError(f"field {name!r} has dimension {op.shape[0]}, expected {dim}")
-            op = require_hermitian(op, hermitian_rtol, name=f"field {name!r}").copy(order="K")
+            parts[name] = require_hermitian(op, hermitian_rtol, name=f"field {name!r}")
+        real = not any(op.imag.any() for op in parts.values())
+        for name, op in parts.items():
+            op = op.real.copy() if real else op.copy(order="K")
             op.flags.writeable = False
             object.__setattr__(self, name, op)
 
@@ -572,7 +586,7 @@ def ife_sectors_oracle(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -
     sectors = []
     for j, (alpha, _) in enumerate(clusters):
         if zero[j]:
-            sectors.append(IfeSector(alpha, np.eye(sys.dim, dtype=complex)))
+            sectors.append(IfeSector(alpha, np.eye(sys.dim, dtype=sys.h_i.dtype)))
         elif j in kernels:
             ordered = sorted(kernels[j], key=lambda kc: kc[0])  # by eigenspace of H_0
             sectors.append(IfeSector(alpha, np.hstack([columns for _, columns in ordered])))

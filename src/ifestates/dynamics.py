@@ -196,7 +196,8 @@ def trace_pure_states(sys: BipartiteSystem, states, times, alphas, *,
     coeff = v.conj().T @ states
     phases = np.exp(-1j * np.outer(w, times))
     w0, v0 = _free_eig(sys)
-    overlap_h = _eig_overlap(sys).conj().T
+    # complex once per call: a real system's W would otherwise be cast for every chunk's product
+    overlap_h = np.asarray(_eig_overlap(sys).conj().T, dtype=complex)
     coeff0 = v0.conj().T @ states
     phases0 = np.exp(-1j * np.outer(w0, times))
     alpha_phases = np.exp(-1j * np.outer(alphas, times))

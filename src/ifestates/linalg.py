@@ -1,10 +1,12 @@
 """Input checks, norms, the Kronecker product and principal angles.
 
-Everything operates on plain numpy arrays.  Operators are square complex
-matrices; a subspace is represented by a matrix whose orthonormal columns
-span it (a ``(dim, 0)`` array is the empty subspace).  All routines are
-pure functions and never mutate their inputs, so they are safe to call
-concurrently.
+Everything operates on plain numpy arrays.  Operators are square matrices,
+checked as complex ones; a subspace is represented by a matrix whose
+orthonormal columns span it (a ``(dim, 0)`` array is the empty subspace).
+The kernels (``kron``, ``spectral_norm``, ``orthonormal_columns`` and the
+principal angles) keep the dtype of their inputs, so real operands stay
+in real arithmetic.  All routines are pure functions and never mutate
+their inputs, so they are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -115,9 +117,10 @@ def spectral_norm(a) -> float:
     The bits equal those of ``np.linalg.norm(a, 2)``, which takes the same
     ``svd(a, compute_uv=False)`` and returns its maximum, the first value.
     A vector gives its Euclidean norm, as ``np.linalg.norm`` does; any other
-    non-empty shape raises ``ValueError``.
+    non-empty shape raises ``ValueError``.  The SVD runs in the dtype of
+    ``a``: a real matrix takes the real routine.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
     if a.size == 0:
         return 0.0
     if a.ndim == 1:
@@ -128,15 +131,16 @@ def spectral_norm(a) -> float:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with a-index major, b-index minor ordering, as a complex array.
+    """Kronecker product with a-index major, b-index minor ordering.
 
     One broadcast product: each axis of ``a`` is paired with the matching
     axis of ``b`` (the shorter shape padded with leading 1s) and the pairs
-    are merged.  Every entry is the one complex multiply ``np.kron`` makes,
-    so the bits, shape and layout equal those of ``np.kron`` for any ndim.
+    are merged.  Every entry is the one multiply ``np.kron`` makes, in the
+    result dtype of the two inputs (real times real is real), so the bits,
+    dtype, shape and layout equal those of ``np.kron`` for any ndim.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a = np.asarray(a)
+    b = np.asarray(b)
     if a.ndim == 0 or b.ndim == 0:
         return a * b
     nd = max(a.ndim, b.ndim)
@@ -150,9 +154,11 @@ def orthonormal_columns(m) -> np.ndarray:
     """Orthonormal basis for the column span of ``m`` via thin QR.
 
     Phases are fixed so the R factor has a real positive diagonal, which
-    makes the result deterministic for full-column-rank input.
+    makes the result deterministic for full-column-rank input.  The QR runs
+    in the dtype of ``m``, so a real matrix gives real columns (its phases
+    are signs).
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
     if m.shape[1] == 0:
         return m.copy()
     q, r = np.linalg.qr(m)
@@ -162,8 +168,8 @@ def orthonormal_columns(m) -> np.ndarray:
 
 
 def _check_same_ambient(b1, b2):
-    b1 = np.asarray(b1, dtype=complex)
-    b2 = np.asarray(b2, dtype=complex)
+    b1 = np.asarray(b1)
+    b2 = np.asarray(b2)
     if b1.ndim != 2 or b2.ndim != 2:
         raise ValueError("subspace bases must be 2-d arrays of column vectors")
     if b1.shape[0] != b2.shape[0]:

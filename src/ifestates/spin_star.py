@@ -64,7 +64,7 @@ __all__ = [
     "verify_spin_star_claims",
 ]
 
-PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+PAULI_Z = np.diag([1.0, -1.0])
 
 
 class ResonanceError(ValueError):
@@ -164,15 +164,16 @@ def build_spin_star(p: SpinStarParams) -> BipartiteSystem:
     """Assemble the spin-star Hamiltonian pieces as a bipartite system.
 
     Central-spin basis order |+>, |-> (sigma_z eigenvalues +1, -1); bath
-    spins tensor-ordered 1..N, each with basis |up>, |down>.
+    spins tensor-ordered 1..N, each with basis |up>, |down>.  Every entry
+    is real, so the system is stored and factorized real.
     """
     n = p.n_spins
     signs = _site_sz_signs(n)
     h_a = p.omega0 * PAULI_Z
-    # Scaled as a complex matrix: a negative omega gives its zeros the sign of omega * (0 + 0j).
-    h_b = p.omega * np.diag(signs.sum(axis=1).astype(complex))
+    # Scaled after np.diag: a negative omega gives its zeros the sign of omega * 0.0.
+    h_b = p.omega * np.diag(signs.sum(axis=1))
     # Each coupling term flips bath spin i: |+, i down> <-> |-, i up>.
-    h_i = np.zeros((2 * p.bath_dim, 2 * p.bath_dim), dtype=complex)
+    h_i = np.zeros((2 * p.bath_dim, 2 * p.bath_dim))
     for i, g in enumerate(p.gammas):
         up = np.flatnonzero(signs[:, i] > 0)
         down = up + 2 ** (n - 1 - i)
@@ -271,19 +272,19 @@ def _highest_weight_states(n: int) -> dict[int, np.ndarray]:
 
 
 def _weight_states(highest: np.ndarray, n: int, two_r: int, which: str) -> np.ndarray:
-    """Complex highest-weight columns, or their lowest-weight images ``exp(-i pi S_y) |r, r, nu>``.
+    """The real highest-weight columns, or their lowest-weight images ``exp(-i pi S_y) |r, r, nu>``.
 
     The rotation maps ``|up> -> |down>`` and ``|down> -> -|up>``: it reverses
     the product-state index and gives a sign per down spin, of which every
     ``S_z = r`` state has ``(n - 2r) / 2``.
     """
     if which == "highest":
-        return highest.astype(complex)
-    return (-1) ** ((n - two_r) // 2) * highest[::-1].astype(complex)
+        return highest
+    return (-1) ** ((n - two_r) // 2) * highest[::-1]
 
 
 def weight_basis(n: int, r: float, which: str = "highest") -> np.ndarray:
-    """Orthonormal basis of the highest- or lowest-weight states |r, +-r, nu>.
+    """Real orthonormal basis of the highest- or lowest-weight states |r, +-r, nu>.
 
     The states are constructed, not searched for: ``nu`` is the coupling
     path of :func:`_highest_weight_states`, which spans ``Ker(S_+)`` within
@@ -317,12 +318,8 @@ def dressed_blocks(p: SpinStarParams) -> list[DressedBasis]:
     return blocks
 
 
-_CENTRAL_UP = np.array([[1.0], [0.0]], dtype=complex)
-_CENTRAL_DOWN = np.array([[0.0], [1.0]], dtype=complex)
-
-
 def _embed_block(block: DressedBasis) -> np.ndarray:
-    central = _CENTRAL_UP if block.branch == "plus" else _CENTRAL_DOWN
+    central = [[1.0], [0.0]] if block.branch == "plus" else [[0.0], [1.0]]
     return kron(central, block.vectors)
 
 

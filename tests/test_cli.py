@@ -741,41 +741,46 @@ def eigh_calls(monkeypatch):
 
 
 STAR_N2_ARGS = ["--n", "2", "--omega0", "1.0", "--omega", "0.7", "--gammas", "3,4"]
-SVD_BLOCKS_N2 = [("svd", "other", (2, 8, 2)), ("svd", "other", (1, 8, 4))]  # ife_sectors' cluster blocks
-SECTORS_N2 = [("eigh", "h_i", (8, 8)), ("eigh", "h_a", (2, 2)), ("eigh", "h_b", (4, 4)),
-              ("eigvalsh", "i C~", (8, 8)), *SVD_BLOCKS_N2]
+F, C = "float64", "complex128"  # the dtype each factorization runs in
+# ife_sectors' cluster blocks
+SVD_BLOCKS_N2 = [("svd", "other", (2, 8, 2), F), ("svd", "other", (1, 8, 4), F)]
+SECTORS_N2 = [("eigh", "h_i", (8, 8), F), ("eigh", "h_a", (2, 2), F), ("eigh", "h_b", (4, 4), F),
+              ("eigvalsh", "i C~", (8, 8), C), *SVD_BLOCKS_N2]
 
 
 class TestFactorizationLedger:
-    """Every ``eigh``, ``eigvalsh`` and ``svd`` a command takes, in order, as ``(function, operator, shape)``.
+    """Every ``eigh``, ``eigvalsh`` and ``svd`` a command takes, in order, as ``(function, operator, shape, dtype)``.
 
     Operators are named as in ``helpers.factorized_operators``, and further
     ``"i C~"`` (the commutator in the coupling eigenbasis, times ``i``) and
     ``"rho"`` (the state file's density matrix), each matched to ``1e-12``.
     Each factorization is taken once per system, in the same order whatever
-    routine asks for it first.
+    routine asks for it first.  The star is real, so every factorization of
+    it runs in float64 but those of ``i C~`` and of the complex ``rho``; the
+    commuting ``d = 128`` system is complex, and so is each of its.
     """
 
     @pytest.mark.parametrize("argv, ledger", [
         (["sectors", "{star}"], SECTORS_N2),
         (["oracle-diff", "{star}"],
-         [*SECTORS_N2, ("svd", "other", (2, 8, 1)), ("svd", "other", (2, 8, 2)),
-          ("svd", "other", (8, 4))]),  # the spectral norm of the principal-angle residual
-        (["verify", "{star}", "--sector", "0", "--steps", "5"], [*SECTORS_N2, ("eigh", "H", (8, 8))]),
+         [*SECTORS_N2, ("svd", "other", (2, 8, 1), F), ("svd", "other", (2, 8, 2), F),
+          ("svd", "other", (8, 4), F)]),  # the spectral norm of the principal-angle residual
+        (["verify", "{star}", "--sector", "0", "--steps", "5"], [*SECTORS_N2, ("eigh", "H", (8, 8), F)]),
         (["verify", "{star}", "--state", "{psi}", "--steps", "5"],
-         [("eigh", "H", (8, 8)), ("eigh", "h_a", (2, 2)), ("eigh", "h_b", (4, 4))]),
+         [("eigh", "H", (8, 8), F), ("eigh", "h_a", (2, 2), F), ("eigh", "h_b", (4, 4), F)]),
         (["mixed", "{star}", "--state", "{rho}", "--steps", "5"],
-         [*SECTORS_N2, ("eigvalsh", "rho", (8, 8)), ("eigh", "H", (8, 8))]),
-        (["mixed", "{star}", "--samples", "2", "--steps", "5"], [*SECTORS_N2, ("eigh", "H", (8, 8))]),
+         [*SECTORS_N2, ("eigvalsh", "rho", (8, 8), C), ("eigh", "H", (8, 8), F)]),
+        (["mixed", "{star}", "--samples", "2", "--steps", "5"], [*SECTORS_N2, ("eigh", "H", (8, 8), F)]),
         (["spin-star", *STAR_N2_ARGS, "--check-all"],
          # spectral norms: claim 1 and claim 3 residuals, then claim 4's per-block
-         # residuals of H_0 and H on each of the four single-column blocks
-         [*SECTORS_N2[:4], ("eigh", "i C~", (8, 8)), ("svd", "other", (8, 4)), *SVD_BLOCKS_N2,
-          ("svd", "other", (8, 4)), ("eigvalsh", "H", (8, 8)), *[("svd", "other", (8, 1))] * 8]),
+         # residuals of H_0 and H on each of the four single-column blocks; claim 1
+         # reads the commutator kernel, whose vectors come from the complex eigh(i C~)
+         [*SECTORS_N2[:4], ("eigh", "i C~", (8, 8), C), ("svd", "other", (8, 4), C), *SVD_BLOCKS_N2,
+          ("svd", "other", (8, 4), F), ("eigvalsh", "H", (8, 8), F), *[("svd", "other", (8, 1), F)] * 8]),
         # a commuting system: the zero test needs no eigvalsh, and no cluster an SVD
         (["mixed", "{d128}", "--samples", "2", "--steps", "26"],
-         [("eigh", "h_i", (128, 128)), ("eigh", "h_a", (4, 4)), ("eigh", "h_b", (32, 32)),
-          ("eigh", "H", (128, 128))]),
+         [("eigh", "h_i", (128, 128), C), ("eigh", "h_a", (4, 4), C), ("eigh", "h_b", (32, 32), C),
+          ("eigh", "H", (128, 128), C)]),
     ], ids=["sectors", "oracle-diff", "verify-sector", "verify-state", "mixed-state",
             "mixed-samples", "spin-star", "mixed-frequency"])
     def test_ledger(self, argv, ledger, star_file, data_dir, tmp_path, monkeypatch):
@@ -799,7 +804,7 @@ class TestFactorizationLedger:
         names = [next((key for key, t in targets.items() if name == "other" and a.shape == t.shape
                        and np.allclose(a, t, rtol=0.0, atol=1e-12)), name)
                  for name, (_, a) in zip(names, seen)]
-        assert [(fn, name, a.shape) for name, (fn, a) in zip(names, seen)] == ledger
+        assert [(fn, name, a.shape, a.dtype.name) for name, (fn, a) in zip(names, seen)] == ledger
 
 
 class TestOneFactorization:

@@ -30,6 +30,7 @@ from ifestates.core import CLUSTER_TOL, NUMERICAL_ZERO_RTOL
 from ifestates.linalg import (
     DEFAULT_REL_TOL,
     HERMITIAN_RTOL,
+    SUBSPACE_ANGLE_TOL,
     hermiticity_defect,
     max_principal_angle,
     spectral_norm,
@@ -1511,6 +1512,107 @@ class TestSectorInvariants:
         assert classify_pure(psi, sys_) == pytest.approx(dec.alphas[0], abs=1e-12)
         save_system(sys_, tmp_path / "split.json")
         assert cli_main(["oracle-diff", str(tmp_path / "split.json"), "--out", str(tmp_path / "r.json")]) == 0
+
+
+def real_system(kind, dims, rng):
+    """A seeded system whose three matrices are real: a star or one of three real families.
+
+    ``"star"`` is the seeded star of ``N = dims[0]`` bath spins from
+    ``scripts/bench_sweep.py``; ``"subspace_zero"`` a real coupling with a
+    guaranteed alpha = 0 sector and a nonzero commutator; ``"conjugated"``
+    a commuting system conjugated by a real orthogonal ``O_A (x) O_B``;
+    ``"generic"`` random real symmetric parts.
+    """
+    if kind == "star":
+        n = dims[0]
+        gammas = tuple(1.0 + 0.3 * np.random.default_rng(n).uniform(0.0, 1.0, n))
+        return build_spin_star(SpinStarParams(n, 1.0, 1.3, gammas))
+    dim_a, dim_b = dims
+
+    def symmetric(d):
+        m = rng.standard_normal((d, d))
+        return 0.5 * (m + m.T)
+
+    if kind == "subspace_zero":
+        h_i = symmetric(dim_a * dim_b)
+        zero = rng.permutation(dim_a * dim_b)[:max(1, dim_a * dim_b // 3)]
+        h_i[zero, :] = h_i[:, zero] = 0.0
+        return BipartiteSystem(dim_a, dim_b, np.diag(rng.standard_normal(dim_a)),
+                               np.diag(rng.standard_normal(dim_b)), h_i)
+    if kind == "conjugated":
+        o_a, o_b = (np.linalg.qr(rng.standard_normal((d, d)))[0] for d in dims)
+        o = np.kron(o_a, o_b)
+        levels = [rng.integers(-2, 3, d).astype(float) for d in (dim_a, dim_b, dim_a * dim_b)]
+        return BipartiteSystem(dim_a, dim_b, *((u * e) @ u.T for u, e in zip((o_a, o_b, o), levels)))
+    return BipartiteSystem(dim_a, dim_b, symmetric(dim_a), symmetric(dim_b), symmetric(dim_a * dim_b))
+
+
+def phase_twin(sys_, rng):
+    """``(twin, d)``: ``sys_`` conjugated by the diagonal local phase unitary ``D = D_A (x) D_B = diag(d)``."""
+    d_a, d_b = (np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n)) for n in (sys_.dim_a, sys_.dim_b))
+    d = np.kron(d_a, d_b)
+    twin = BipartiteSystem(sys_.dim_a, sys_.dim_b, *(
+        (phases[:, None] * op) * phases.conj() for phases, op in ((d_a, sys_.h_a), (d_b, sys_.h_b),
+                                                                   (d, sys_.h_i))))
+    return twin, d
+
+
+class TestRealSystems:
+    """A system whose Hermitian parts are real is stored and factorized real.
+
+    Its complex twin under a diagonal local phase unitary ``D = D_A (x)
+    D_B`` has the same sectors, mapped by ``D``, and the same traces, but
+    every factorization in complex arithmetic.
+    """
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(kind=st.sampled_from(["star", "subspace_zero", "conjugated", "generic"]),
+           dims=st.sampled_from(DIM_PAIRS), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_phase_twin_has_the_same_sectors_and_traces(self, kind, dims, n, seed):
+        from ifestates import time_grid, trace_pure_states
+
+        rng = np.random.default_rng(seed)
+        sys_ = real_system(kind, (n, None) if kind == "star" else dims, rng)
+        twin, d = phase_twin(sys_, rng)
+        for route in (ife_sectors, ife_sectors_oracle):
+            real_dec, twin_dec = route(sys_), route(twin)
+            assert dimensions(real_dec) == dimensions(twin_dec)
+            assert real_dec.alphas == pytest.approx(twin_dec.alphas, rel=0.0, abs=core._alpha_tol(sys_))
+            for real_sector, twin_sector in zip(real_dec.sectors, twin_dec.sectors):
+                assert real_sector.basis.dtype == np.float64
+                assert max_principal_angle(d[:, None] * real_sector.basis, twin_sector.basis) \
+                    <= SUBSPACE_ANGLE_TOL
+        # a sector vector, if there is one, and a random real state
+        states = [random_state(sys_.dim, rng).real]
+        states[0] /= np.linalg.norm(states[0])
+        if real_dec.sectors:
+            states.append(real_dec.sectors[0].basis[:, 0])
+        psi = np.stack(states, axis=1)
+        alphas = np.einsum("ij,ij->j", psi, sys_.h_i @ psi)
+        times = time_grid(5.0, 11)
+        for real_report, twin_report in zip(trace_pure_states(sys_, psi, times, alphas),
+                                            trace_pure_states(twin, d[:, None] * psi, times, alphas)):
+            for key in ("deviation", "energy_a", "energy_b"):
+                assert np.abs(getattr(real_report, key) - getattr(twin_report, key)).max() <= 1e-12
+        for system, dtype in ((sys_, np.float64), (twin, np.complex128)):
+            assert system.h_i.dtype == dtype
+            w, v = core._coupling_eig(system)
+            total_w, total_v = core._total_eig(system)
+            assert w.dtype == total_w.dtype == np.float64  # eigenvalues are real either way
+            assert v.dtype == total_v.dtype == dtype
+
+    def test_real_parts_of_complex_input_are_stored_real(self):
+        sz = np.diag([1.0, -1.0]).astype(complex)
+        coupling = np.kron(sz, sz) * complex(1.0, -0.0)  # -0.0 imaginary parts are zero
+        sys_ = BipartiteSystem(2, 2, sz, sz, coupling)
+        for stored, given_ in zip((sys_.h_a, sys_.h_b, sys_.h_i), (sz, sz, coupling)):
+            assert stored.dtype == np.float64 and not stored.flags.writeable
+            assert stored.tobytes() == np.ascontiguousarray(given_.real).tobytes()
+        assert build_total(sys_).dtype == np.float64
+        # one imaginary entry anywhere keeps all three complex
+        tilted = sz + 1e-3j * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        mixed = BipartiteSystem(2, 2, sz, tilted, coupling)
+        assert {op.dtype for op in (mixed.h_a, mixed.h_b, mixed.h_i)} == {np.dtype(np.complex128)}
 
 
 class TestRelTolValidation:

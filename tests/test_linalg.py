@@ -68,14 +68,49 @@ def _complex_arrays(shape):
         lambda values: np.array(values, dtype=complex).reshape(shape))
 
 
+def _real_arrays(shape):
+    size = int(np.prod(shape))
+    return st.lists(_ENTRIES.map(lambda z: z.real), min_size=size, max_size=size).map(
+        lambda values: np.array(values, dtype=float).reshape(shape))
+
+
 class TestKernelsMatchNumpy:
-    """``kron`` and ``spectral_norm`` return the bits of ``np.kron`` and ``np.linalg.norm(., 2)``."""
+    """``kron`` and ``spectral_norm`` return the bits of ``np.kron`` and ``np.linalg.norm(., 2)``.
+
+    Both keep the dtype of their operands: real operands stay real.
+    """
 
     @given(_SHAPES.flatmap(_complex_arrays), _SHAPES.flatmap(_complex_arrays))
     @settings(max_examples=300, deadline=None, database=None)
     def test_kron_bytes(self, a, b):
         got, want = kron(a, b), np.kron(a, b)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(_SHAPES.flatmap(_real_arrays), _SHAPES.flatmap(_real_arrays) | _SHAPES.flatmap(_complex_arrays),
+           st.booleans())
+    @settings(max_examples=300, deadline=None, database=None)
+    def test_kron_bytes_with_a_real_operand(self, a, b, swap):
+        if swap:
+            a, b = b, a
+        got, want = kron(a, b), np.kron(a, b)
+        assert got.dtype == want.dtype == np.result_type(a, b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    @settings(max_examples=200, deadline=None, database=None)
+    def test_spectral_norm_of_a_real_matrix(self, rows, cols, data):
+        a = data.draw(_real_arrays((rows, cols)))
+        assert spectral_norm(a) == float(np.linalg.norm(a, 2))
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (5, 1), (6, 3), (8, 8)])
+    def test_orthonormal_columns_of_a_real_matrix_are_real(self, rows, cols):
+        m = np.random.default_rng(rows * cols).standard_normal((rows, cols))
+        q = orthonormal_columns(m)
+        assert q.dtype == np.float64
+        assert np.allclose(q.T @ q, np.eye(cols), rtol=0.0, atol=1e-14)
+        r = q.T @ m  # the R factor, upper triangular with a positive diagonal
+        assert np.allclose(np.tril(r, -1), 0.0, rtol=0.0, atol=1e-13)
+        assert (np.diagonal(r) > 0).all()
 
     @given(st.integers(1, 6), st.sampled_from(["column", "row", "matrix", "vector"]), st.data())
     @settings(max_examples=200, deadline=None, database=None)
