@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Sweep spin stars N = 3..8 through the CLI and write ``BENCH_<sha>.json``.
+"""Sweep spin stars N = 3..9 through the CLI and write ``BENCH_<sha>.json``.
 
 For each star (``omega0 = 1``, ``omega = 1.3``, ``gammas = 1 + 0.3 U(0, 1)``
-drawn from ``default_rng(N)``) it times ``verify --sector 0``,
-``sectors --include-bases``, ``oracle-diff`` and ``spin-star --check-all``
-on the star's own flags in-process (``cli.main``) and as subprocesses
+drawn from ``default_rng(N)``) it times ``verify --sector 0`` and
+``oracle-diff`` up to N = 8, and ``sectors --include-bases`` and
+``spin-star --check-all`` on the star's own flags up to N = 9 (``SIZES``),
+in-process (``cli.main``) and as subprocesses
 (``python -m ifestates.cli``), and ``canonical_dumps`` alone on each
 command's report.  Every timing keeps its raw samples next to their
 median and interquartile range.  BLAS runs on one thread.  Run from the
@@ -44,7 +45,9 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = range(3, 9)
+# The stars each command is timed on, by bath size N (d = 2^(N + 1)).
+SIZES = {"verify": range(3, 9), "sectors": range(3, 10), "oracle-diff": range(3, 9),
+         "spin-star": range(3, 10)}
 REPEATS = 9
 
 _report: dict = {}  # in a worker: the warmed-up command's argv and report
@@ -82,6 +85,7 @@ def header(src: Path) -> dict:
         "thread_pin": THREAD_PIN,
         "machine": {"processor": platform.processor() or platform.machine(), "cpus": os.cpu_count()},
         "repeats": REPEATS,
+        "sizes": {command: list(sizes) for command, sizes in SIZES.items()},
         "stars": {},
     }
 
@@ -173,13 +177,13 @@ def main() -> int:
             if worker.submit(package_dir).result() != str(src / "ifestates"):
                 raise SystemExit(f"error: a worker did not import ifestates from {src}")
             workers.append(worker)
-        for n in SIZES:
+        for n in sorted(set().union(*SIZES.values())):
             stars = [{"dim": 2 ** (n + 1)} for _ in sources]
             paths = [Path(tmp) / f"star_n{n}_{i}.json" for i in range(len(sources))]
             for worker, path in zip(workers, paths):
                 worker.submit(write_star, n, str(path)).result()
             per_source = [command_argvs(n, path) for path in paths]
-            for command in per_source[0]:
+            for command in (command for command in per_source[0] if n in SIZES[command]):
                 argvs = [argvs_of[command] for argvs_of in per_source]
                 for worker, argv in zip(workers, argvs):
                     worker.submit(warm_up, argv).result()

@@ -316,6 +316,49 @@ def per_cluster_sectors(sys_, rel_tol=DEFAULT_REL_TOL):
     return is_zero, kernel_dimension, IfeDecomposition(tuple(sectors), sys_.dim)
 
 
+def dense_chain(sys_, rel_tol=DEFAULT_REL_TOL):
+    """Reference for the per-block factorizations: the whole-matrix chain, ``(decomposition, s, kernel)``.
+
+    One ``eigh`` of the whole coupling, clusters cut at ``CLUSTER_TOL *
+    max(1, ||H_I||)`` with per-slice means, ``C~ = H0~ o M`` from that
+    ``V`` with ``H0~ = V^H H_0 V`` taken through the dense ``H_0``, one
+    ``eigvalsh(i C~)`` for the singular values ``s`` (descending) and one
+    ``eigh(i C~)`` for the commutator kernel.  Each cluster's sector is
+    ``V[:, lo:hi]`` times the kernel of its ``d x m`` block of
+    ``C~ / max(1, ||C||)`` at the cutoff of ``ife_sectors``.  The zero test
+    reads ``s[0]`` alone, never the Frobenius bound.
+    """
+    w, v = np.linalg.eigh(sys_.h_i)
+    hi_norm = float(np.abs(w).max())
+    clusters = [(float(w[lo:hi].mean()) + 0.0, lo, hi)
+                for lo, hi in _cluster_ranges(w, core.CLUSTER_TOL * max(1.0, hi_norm))]
+    w_bar = np.concatenate([np.full(hi - lo, alpha) for alpha, lo, hi in clusters])
+    h0 = v.conj().T @ build_h0(sys_) @ v
+    c = 0.5 * (h0 + h0.conj().T) * (w_bar - w_bar[:, None])
+    s = np.sort(np.abs(np.linalg.eigvalsh(1j * c)))[::-1]
+    norm = float(s[0])
+    free_norm = spectral_norm(sys_.h_a) + spectral_norm(sys_.h_b)
+    is_zero = core._is_numerically_zero(norm, 2.0 * free_norm * hi_norm)
+    if is_zero:
+        kernel = np.eye(sys_.dim, dtype=complex)
+    else:
+        lam, q = np.linalg.eigh(1j * c)
+        kernel = v @ q[:, np.argsort(np.abs(lam), kind="stable")[:int(np.sum(s <= rel_tol * norm))]]
+    scale = max(1.0, norm)
+    sectors = []
+    for alpha, lo, hi in clusters:
+        if is_zero:
+            basis = v[:, lo:hi].copy()
+        else:
+            a = max(abs(w[0] - alpha), abs(w[-1] - alpha))
+            cutoff = rel_tol * max(a / max(1.0, a), norm / scale)
+            _, s_k, vh = np.linalg.svd(c[:, lo:hi] / scale, full_matrices=False)
+            basis = v[:, lo:hi] @ vh[np.sum(s_k > cutoff):].conj().T
+        if basis.shape[1] > 0:
+            sectors.append(IfeSector(alpha, basis))
+    return IfeDecomposition(tuple(sectors), sys_.dim), s, kernel
+
+
 def product_basis_classify(psi, sys_, rel_tol=DEFAULT_REL_TOL):
     """Reference for ``classify_pure`` in the product basis: ``(alpha or None, well_posed)``.
 
@@ -653,6 +696,38 @@ def generic_system(dim_a, dim_b, rng):
         random_hermitian(dim_b, rng),
         random_hermitian(dim_a * dim_b, rng),
     )
+
+
+def permuted_block_system(dim_a, dim_b, n_blocks, real, rng):
+    """A system whose ``H_0`` and ``H_I`` are block diagonal on ``n_blocks`` index sets, shuffled.
+
+    ``h_a`` and ``h_b`` are diagonal with small integer entries, so ``H_0``
+    has a few degenerate levels and no off-diagonal entry.  The product
+    basis is cut into ``n_blocks`` runs and conjugated by a random
+    permutation.  Each block of the coupling is either a random Hermitian
+    matrix (real symmetric when ``real``), which breaks the commutator, or
+    commutes with ``H_0``: within each level of ``H_0`` it is a random
+    rotation of small integers, so exact coupling degeneracies cross blocks
+    and give sectors.  A commuting block splits further along the levels.
+    """
+    dim = dim_a * dim_b
+    h_a = np.diag(rng.integers(0, 2, dim_a).astype(float))
+    h_b = np.diag(rng.integers(0, 3, dim_b).astype(float))
+    levels = np.add.outer(np.diag(h_a), np.diag(h_b)).ravel()
+    order = rng.permutation(dim)
+    cuts = np.sort(rng.choice(np.arange(1, dim), n_blocks - 1, replace=False))
+    h_i = np.zeros((dim, dim), dtype=float if real else complex)
+    for block in np.split(order, cuts):
+        if rng.integers(2):
+            h = random_hermitian(block.size, rng)
+            h_i[np.ix_(block, block)] = h.real if real else h
+            continue
+        for level in np.unique(levels[block]):
+            part = block[levels[block] == level]
+            u = random_unitary(part.size, rng)
+            u = np.linalg.qr(u.real)[0] if real else u
+            h_i[np.ix_(part, part)] = (u * rng.integers(-2, 3, part.size)) @ u.conj().T
+    return BipartiteSystem(dim_a, dim_b, h_a, h_b, h_i)
 
 
 def acceptance_systems(seed=1234):

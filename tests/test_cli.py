@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import orjson
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph
 
 import ifestates.cli as cli
-from ifestates import core, linalg
+from ifestates import SpinStarParams, build_spin_star, core, linalg
 from ifestates.cli import main
 from ifestates.core import ife_sectors, ife_sectors_oracle
 from ifestates.linalg import hermiticity_defect
@@ -746,6 +748,15 @@ F, C = "float64", "complex128"  # the dtype each factorization runs in
 SVD_BLOCKS_N2 = [("svd", "other", (2, 8, 2), F), ("svd", "other", (1, 8, 4), F)]
 SECTORS_N2 = [("eigh", "h_i", (8, 8), F), ("eigh", "h_a", (2, 2), F), ("eigh", "h_b", (4, 4), F),
               ("eigvalsh", "i C~", (8, 8), C), *SVD_BLOCKS_N2]
+# The seeded N = 5 star of scripts/bench_sweep.py (d = 64) splits into N + 2 = 7
+# blocks of sizes 1, 6, 15, 20, 15, 6 and 1, so H_I and i C~ take one stacked
+# factorization per block size, in order of each size's first block
+STAR_N5_GAMMAS = tuple(float(g) for g in 1.0 + 0.3 * np.random.default_rng(5).uniform(0.0, 1.0, 5))
+STAR_N5_ARGS = ["--n", "5", "--omega0", "1.0", "--omega", "1.3", "--gammas", ",".join(map(repr, STAR_N5_GAMMAS))]
+BLOCKS_N5 = [(2, 1, 1), (2, 6, 6), (2, 15, 15), (1, 20, 20)]
+SVD_BLOCKS_N5 = [("svd", "other", (20, 64, 1), F), ("svd", "other", (12, 64, 2), F), ("svd", "other", (1, 64, 20), F)]
+SECTORS_N5 = [*[("eigh", "h_i", shape, F) for shape in BLOCKS_N5], ("eigh", "h_a", (2, 2), F),
+              ("eigh", "h_b", (32, 32), F), *[("eigvalsh", "i C~", shape, C) for shape in BLOCKS_N5], *SVD_BLOCKS_N5]
 
 
 class TestFactorizationLedger:
@@ -757,7 +768,9 @@ class TestFactorizationLedger:
     Each factorization is taken once per system, in the same order whatever
     routine asks for it first.  The star is real, so every factorization of
     it runs in float64 but those of ``i C~`` and of the complex ``rho``; the
-    commuting ``d = 128`` system is complex, and so is each of its.
+    commuting ``d = 128`` system is complex, and so is each of its.  The
+    N = 5 star (``d = 64``) is split, so there ``"h_i"`` and ``"i C~"``
+    name stacks of equal-size diagonal blocks of those operators.
     """
 
     @pytest.mark.parametrize("argv, ledger", [
@@ -803,6 +816,44 @@ class TestFactorizationLedger:
         names = factorized_operators([a for _, a in seen], system)
         names = [next((key for key, t in targets.items() if name == "other" and a.shape == t.shape
                        and np.allclose(a, t, rtol=0.0, atol=1e-12)), name)
+                 for name, (_, a) in zip(names, seen)]
+        assert [(fn, name, a.shape, a.dtype.name) for name, (fn, a) in zip(names, seen)] == ledger
+
+
+    @pytest.mark.parametrize("argv, ledger", [
+        (["sectors", "{star}"], SECTORS_N5),
+        (["spin-star", *STAR_N5_ARGS, "--check-all"],
+         # as for the n2 star, with claim 4's residuals on the blocks r = 5/2, 3/2
+         # and 1/2 (1, 4 and 5 columns) of each branch
+         [*SECTORS_N5[:10], *[("eigh", "i C~", shape, C) for shape in BLOCKS_N5], ("svd", "other", (64, 20), C),
+          *SVD_BLOCKS_N5, ("svd", "other", (64, 20), F), ("eigvalsh", "H", (64, 64), F),
+          *[("svd", "other", (64, k), F) for k in (1, 1, 4, 4, 5, 5) * 2]]),
+    ], ids=["sectors", "spin-star"])
+    def test_split_system_ledger(self, argv, ledger, tmp_path, monkeypatch):
+        path = str(tmp_path / "star_n5.json")
+        save_system(build_spin_star(SpinStarParams(5, 1.0, 1.3, STAR_N5_GAMMAS)), path)
+        system = load_system(path)[0]
+        # h_i is block diagonal on the components of the pattern of H_0 and H_I,
+        # and i C~ on the eigenvalue positions whose eigenvectors live on each
+        pattern = scipy.sparse.csr_matrix((core.build_h0(system) != 0) | (system.h_i != 0))
+        label = scipy.sparse.csgraph.connected_components(pattern, directed=False)[1]
+        blocks = [np.flatnonzero(label == k) for k in range(label.max() + 1)]
+        _, v = core._coupling_eig(system)
+        positions = [np.flatnonzero(np.abs(v[block]).sum(axis=0)) for block in blocks]
+        i_c = 1j * (v.conj().T @ commutator(core.build_h0(system), snapped_coupling(system)) @ v)
+        pieces = [("h_i", system.h_i, blocks), ("i C~", i_c, positions)]
+
+        def stacked_name(a):
+            return next((name for name, op, sets in pieces if a.dtype == op.dtype and all(
+                any(len(index) == len(block) and np.allclose(op[np.ix_(index, index)], block, rtol=0.0, atol=1e-12)
+                    for index in sets) for block in a)), "other")
+
+        seen = record_factorizations(monkeypatch)
+        argv = [a.format(star=path) for a in argv]
+        assert run_cli(*argv, "--out", str(tmp_path / "r.json")) == 0
+        monkeypatch.undo()
+        names = factorized_operators([a for _, a in seen], system)
+        names = [stacked_name(a) if a.ndim == 3 and a.shape[1] == a.shape[2] else name
                  for name, (_, a) in zip(names, seen)]
         assert [(fn, name, a.shape, a.dtype.name) for name, (fn, a) in zip(names, seen)] == ledger
 

@@ -4,10 +4,13 @@ import warnings
 from collections import Counter
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.csgraph
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +48,7 @@ from helpers import (
     commutator_with_zero_flag,
     commuting_system,
     conjugated_near_commuting_system,
+    dense_chain,
     diagonal_multisector_system,
     factorized_operators,
     family_system,
@@ -54,6 +58,7 @@ from helpers import (
     null_space,
     per_cluster_sectors,
     per_eigenspace_oracle,
+    permuted_block_system,
     product_basis_classify,
     product_basis_sectors,
     propagator,
@@ -1613,6 +1618,82 @@ class TestRealSystems:
         tilted = sz + 1e-3j * np.array([[0.0, 1.0], [-1.0, 0.0]])
         mixed = BipartiteSystem(2, 2, sz, tilted, coupling)
         assert {op.dtype for op in (mixed.h_a, mixed.h_b, mixed.h_i)} == {np.dtype(np.complex128)}
+
+
+class TestBlockFactorizations:
+    """A split system of at least ``BLOCK_MIN_DIM`` dimensions factorizes ``H_I`` and ``i C~`` block by block.
+
+    The blocks are the connected components of the nonzero pattern of
+    ``H_0`` and ``H_I``.  Sectors, the commutator's singular values and its
+    kernel agree with the whole-matrix chain of ``helpers.dense_chain``;
+    sector bases may differ from it by a rotation within each sector.
+    """
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(dims=st.sampled_from([(2, 32), (2, 40), (2, 48), (3, 22), (3, 27), (3, 32), (4, 16), (4, 20), (4, 24)]),
+           n_blocks=st.integers(2, 6), real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_dense_chain(self, dims, n_blocks, real, seed):
+        rng = np.random.default_rng(seed)
+        sys_ = permuted_block_system(*dims, n_blocks, real, rng)
+        assert core.BLOCK_MIN_DIM <= sys_.dim <= 96
+        pattern = scipy.sparse.csr_matrix((build_h0(sys_) != 0) | (sys_.h_i != 0))
+        label = scipy.sparse.csgraph.connected_components(pattern, directed=False)[1]
+        blocks = core._partition(sys_)
+        assert [b.tolist() for b in blocks] == [np.flatnonzero(label == k).tolist()
+                                                for k in dict.fromkeys(label.tolist())]
+        assert len(blocks) >= n_blocks
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+                mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+            decs = ife_sectors(sys_), ife_sectors_oracle(sys_)
+            s, kernel = core._commutator_values(sys_), commutator_kernel(sys_)
+        assert all(call.args[0].shape[-1] < sys_.dim for call in eigh.call_args_list + eigvalsh.call_args_list)
+        w, v = core._coupling_eig(sys_)
+        assert np.all(np.diff(w) >= 0.0)
+        assert all(np.unique(label[np.flatnonzero(column)]).size == 1 for column in v.T)  # one block each
+
+        reference, s_reference, kernel_reference = dense_chain(sys_)
+        for dec in decs:
+            assert dimensions(dec) == dimensions(reference)
+            assert dec.alphas == pytest.approx(reference.alphas, rel=0.0,
+                                               abs=1e-12 * max(1.0, core._coupling_norm(sys_)))
+            for got, want in zip(dec.sectors, reference.sectors):
+                assert max_principal_angle(got.basis, want.basis) <= SUBSPACE_ANGLE_TOL
+        assert np.abs(s - s_reference).max() <= 1e-12 * max(1.0, s_reference[0])
+        assert kernel.shape == kernel_reference.shape
+        assert max_principal_angle(kernel, kernel_reference) <= SUBSPACE_ANGLE_TOL
+
+        # local unitaries fill every entry: one block, and the whole-matrix eigh bit for bit
+        rotated, _ = locally_rotated(sys_, rng)
+        assert len(core._partition(rotated)) == 1
+        for got, want in zip(core._coupling_eig(rotated), np.linalg.eigh(rotated.h_i)):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_size_floor(self, n):
+        # the N = 4 star (d = 32) has six graph components but is below the floor: one block
+        sys_ = build_spin_star(SpinStarParams(n, 1.0, 1.3, tuple(1.0 + 0.1 * np.arange(n))))
+        assert (sys_.dim < core.BLOCK_MIN_DIM) == (n == 4)
+        assert len(core._partition(sys_)) == (1 if n == 4 else n + 2)
+
+
+class TestCouplingClusterMeans:
+    """Each cluster's alpha is the per-slice mean ``w[lo:hi].mean() + 0.0``, bit for bit."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(widths=st.lists(st.integers(1, 40), min_size=1, max_size=10), seed=st.integers(0, 2**32 - 1))
+    def test_alphas_bit_identical_to_per_slice_means(self, widths, seed):
+        rng = np.random.default_rng(seed)
+        # clusters 1 to 3 apart, spread over up to 5e-9 inside, well below the cluster tolerance
+        centers = np.cumsum(rng.uniform(1.0, 3.0, len(widths))) - rng.uniform(0.0, 30.0)
+        values = np.concatenate([c + rng.uniform(0.0, 5e-9, m) for c, m in zip(centers, widths)])
+        sys_ = BipartiteSystem(1, values.size, np.zeros((1, 1)), np.zeros((values.size, values.size)),
+                               np.diag(rng.permutation(values)))
+        w, _ = core._coupling_eig(sys_)
+        clusters = core._coupling_clusters(sys_)
+        assert [hi - lo for _, (lo, hi) in clusters] == widths
+        want = np.array([w[lo:hi].mean() + 0.0 for _, (lo, hi) in clusters])
+        assert_same_bits(np.array([alpha for alpha, _ in clusters]), want)
+        assert_same_bits(core._snapped_spectrum(sys_), np.repeat(want, widths))
 
 
 class TestRelTolValidation:
