@@ -2,9 +2,10 @@
 """Sweep spin stars N = 3..9 through the CLI and write ``BENCH_<sha>.json``.
 
 For each star (``omega0 = 1``, ``omega = 1.3``, ``gammas = 1 + 0.3 U(0, 1)``
-drawn from ``default_rng(N)``) it times ``verify --sector 0`` and
-``oracle-diff`` up to N = 8, and ``sectors --include-bases`` and
-``spin-star --check-all`` on the star's own flags up to N = 9 (``SIZES``),
+drawn from ``default_rng(N)``) it times ``verify --sector 0``,
+``oracle-diff`` and ``mixed --samples 3`` up to N = 8, and
+``sectors --include-bases`` and ``spin-star --check-all`` on the star's
+own flags up to N = 9 (``SIZES``),
 in-process (``cli.main``) and as subprocesses
 (``python -m ifestates.cli``), and ``canonical_dumps`` alone on each
 command's report.  Every timing keeps its raw samples next to their
@@ -47,7 +48,7 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 # The stars each command is timed on, by bath size N (d = 2^(N + 1)).
 SIZES = {"verify": range(3, 9), "sectors": range(3, 10), "oracle-diff": range(3, 9),
-         "spin-star": range(3, 10)}
+         "spin-star": range(3, 10), "mixed": range(3, 9)}
 REPEATS = 9
 
 _report: dict = {}  # in a worker: the warmed-up command's argv and report
@@ -116,6 +117,7 @@ def command_argvs(n: int, path: Path) -> dict[str, list[str]]:
         "oracle-diff": ["oracle-diff", str(path), *out],
         "spin-star": ["spin-star", "--n", str(n), "--omega0", "1", "--omega", "1.3",
                       "--gammas", ",".join(repr(g) for g in star_gammas(n)), "--check-all", *out],
+        "mixed": ["mixed", str(path), "--samples", "3", *out],
     }
 
 

@@ -42,12 +42,16 @@ is one function of the system, decorated by :func:`_per_system`: it is
 computed on first call and cached read-only on the system, so each is
 taken at most once per system.  The partition (:func:`_partition`) is the
 connected components of the graph with an edge wherever the stored
-``H_0`` or ``H_I`` has a nonzero entry; ``H_I`` and ``[H_0, H_I]`` are
-block diagonal on it, and ``C~`` on each block's eigenvalue positions, so
-on a system of at least :data:`BLOCK_MIN_DIM` dimensions that splits,
-``eigh(H_I)``, ``eigvalsh(i C~)`` and ``eigh(i C~)`` are taken block by
+``H_0`` or ``H_I`` has a nonzero entry; ``H_I``, ``H`` and ``[H_0, H_I]``
+are block diagonal on it, and ``C~`` on each block's eigenvalue
+positions.  Every eigensolve of a ``d x d`` operator goes through
+:func:`_eigh_on` or :func:`_eigvalsh_on` on these index sets: on a system
+of at least :data:`BLOCK_MIN_DIM` dimensions that splits, ``eigh(H_I)``,
+``eigh(H)``, ``eigvalsh(i C~)`` and ``eigh(i C~)`` are taken block by
 block, blocks of one size in one stacked call, and merged into the dense
-``d x d`` results every consumer reads.
+``d x d`` results every consumer reads.  Cluster means, of the coupling
+spectrum and of the levels and Bohr frequencies of ``H_0``, have one rule
+too (:func:`_cluster_means`).
 """
 
 from __future__ import annotations
@@ -97,7 +101,8 @@ NUMERICAL_ZERO_RTOL = 1e-12
 # The per-block chain of eigh(H_I), eigvalsh(i C~) and eigh(i C~) pays for
 # its gathers and stacked calls from here on: on the spin star, one BLAS
 # thread, it took 0.39 ms against 0.23 ms dense at d = 32 (N = 4), and
-# 0.87 ms against 1.69 ms at d = 64 (N = 5).
+# 0.87 ms against 1.69 ms at d = 64 (N = 5).  eigh(H) follows the same
+# partition, and so the same floor.
 BLOCK_MIN_DIM = 64
 
 
@@ -233,10 +238,20 @@ def _cluster_ranges(values, tol: float) -> list[tuple[int, int]]:
 
 
 def _cluster_means(values, tol: float):
-    """``(bounds, label, means)``: :func:`_cluster_bounds`, each value's cluster and each cluster's mean."""
+    """``(bounds, means)``: :func:`_cluster_bounds` and each cluster's mean, the one mean rule.
+
+    The means are taken per cluster width, one ``mean(axis=1)`` over the
+    gathered ``(count, width)`` rows, which sums each row as
+    ``values[lo:hi].mean()`` does, so they have its bits.  It gives the
+    alphas of the coupling and the levels and Bohr frequencies of ``H_0``.
+    """
     bounds = _cluster_bounds(values, tol)
-    label = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
-    return bounds, label, np.bincount(label, weights=values) / np.bincount(label)
+    lo, width = bounds[:-1], np.diff(bounds)
+    means = np.empty(width.size)
+    for m in set(width.tolist()):
+        same = width == m
+        means[same] = values[lo[same, None] + np.arange(m)].mean(axis=1)
+    return bounds, means
 
 
 def _per_system(compute):
@@ -402,19 +417,11 @@ def _coupling_clusters(sys: BipartiteSystem) -> tuple[tuple[float, tuple[int, in
 
     Eigenvalues closer than :func:`_alpha_tol` share a cluster; ``alpha``
     is the mean of ``w[lo:hi]`` and ``V[:, lo:hi]`` spans its eigenspace.
-    Both sector routes take their alphas from here.  The means are taken
-    per cluster width, one ``mean(axis=1)`` over the gathered ``(count,
-    width)`` rows, which sums each row as ``w[lo:hi].mean()`` does, so the
-    alphas have the same bits.
+    Both sector routes take their alphas from here, by :func:`_cluster_means`,
+    which has the bits of ``w[lo:hi].mean()``.
     """
-    w, _ = _coupling_eig(sys)
-    bounds = _cluster_bounds(w, _alpha_tol(sys))
-    lo, width = bounds[:-1], np.diff(bounds)
-    alphas = np.empty(width.size)
-    for m in set(width.tolist()):
-        same = width == m
-        alphas[same] = w[lo[same, None] + np.arange(m)].mean(axis=1)
-    return tuple(zip((alphas + 0.0).tolist(), zip(lo.tolist(), bounds[1:].tolist())))
+    bounds, alphas = _cluster_means(_coupling_eig(sys)[0], _alpha_tol(sys))
+    return tuple(zip((alphas + 0.0).tolist(), zip(bounds[:-1].tolist(), bounds[1:].tolist())))
 
 
 @_per_system
@@ -512,8 +519,13 @@ def commutator_kernel(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) ->
 
 @_per_system
 def _total_eig(sys: BipartiteSystem):
-    """``eigh(H)`` as ``(w, V)``, ``V diag(w) V^H = H``: the one eigensolve of the full Hamiltonian."""
-    return tuple(np.linalg.eigh(build_total(sys)))
+    """``eigh(H)`` as ``(w, V)``, ``V diag(w) V^H = H``: the one eigensolve of the full Hamiltonian.
+
+    ``H = H_0 + H_I`` is block diagonal on :func:`_partition`, so it is
+    factorized as ``H_I`` is (:func:`_eigh_on`): ``w`` ascending and ``V``
+    dense, each column exactly zero outside its block.
+    """
+    return _eigh_on(build_total(sys), _partition(sys))[:2]
 
 
 def _free_factors(sys: BipartiteSystem):
@@ -567,25 +579,29 @@ def _free_frequencies(sys: BipartiteSystem) -> _FreeFrequencies:
     Eigenvalues of ``H_0`` whose sorted gaps are at most ``tol =
     NUMERICAL_ZERO_RTOL * max(1, ||h_a|| + ||h_b||)`` (the scale of the
     commutator's zero test) form one level, at their mean; the differences
-    ``e_a - e_b`` are grouped into frequencies at the same ``tol``.  Should
-    a chain of differences closer than ``tol`` give one level two partners
-    at one frequency, every difference is kept as a frequency of its own,
-    so that ``pair[:, b]`` never repeats a frequency.  The oracle's
-    eigenspaces of ``H_0`` are cut at ``CLUSTER_TOL`` instead: they decide
-    sector ranks, while these levels only snap phase rates, which moves
-    the deviation by at most ``spread * max|t| * ||rho||_F``.
+    ``e_a - e_b`` are grouped into frequencies at the same ``tol``.  Both
+    means are :func:`_cluster_means`, the rule of the coupling's alphas.
+    Should a chain of differences closer than ``tol`` give one level two
+    partners at one frequency, every difference is kept as a frequency of
+    its own, so that ``pair[:, b]`` never repeats a frequency; the repeat
+    is found by a sort, since ``numpy.unique`` would import ``numpy.ma``.
+    The oracle's eigenspaces of ``H_0`` are cut at ``CLUSTER_TOL``
+    instead: they decide sector ranks, while these levels only snap phase
+    rates, which moves the deviation by at most ``spread * max|t| *
+    ||rho||_F``.
     """
     w0 = _free_eig(sys)[0]
     tol = NUMERICAL_ZERO_RTOL * max(1.0, _free_norm(sys))
-    bounds, level, levels = _cluster_means(w0, tol)
+    bounds, levels = _cluster_means(w0, tol)
     k = levels.size
     diffs = np.subtract.outer(levels, levels).ravel()  # entry a * k + b is e_a - e_b
     order = np.argsort(diffs, kind="stable")
+    freq_bounds, nu = _cluster_means(diffs[order], tol)
     freq = np.empty(k * k, dtype=np.intp)
-    _, freq[order], nu = _cluster_means(diffs[order], tol)
-    if np.unique(freq * k + np.arange(k * k) % k).size < k * k:  # a repeat in a column
+    freq[order] = np.repeat(np.arange(nu.size), np.diff(freq_bounds))
+    if not np.diff(np.sort(freq * k + np.arange(k * k) % k)).all():  # a repeat in a column
         freq[order], nu = np.arange(k * k), diffs[order]
-    spread = 2.0 * np.abs(w0 - levels[level]).max() + np.abs(diffs - nu[freq]).max()
+    spread = 2.0 * np.abs(w0 - np.repeat(levels, np.diff(bounds))).max() + np.abs(diffs - nu[freq]).max()
     return _FreeFrequencies(bounds, nu, freq.reshape(k, k), float(spread))
 
 

@@ -268,7 +268,8 @@ def _load_object(path, pair_fields: tuple[str, ...]) -> tuple[dict, str]:
     numpy reads a JSON ``true`` as 1.0, ``null`` as NaN and a numeric
     string as its number, so a boolean, null or string inside one of the
     ``pair_fields`` is rejected here.  The fields are scanned only when the
-    bytes allow one (:func:`_may_hold_non_numbers`).
+    bytes allow one (:func:`_may_hold_non_numbers`).  An optional
+    ``label`` must be a string, in system and state files alike.
     """
     import orjson  # here: commands that read no file (--version, spin-star) skip its slow import
 
@@ -294,6 +295,8 @@ def _load_object(path, pair_fields: tuple[str, ...]) -> tuple[dict, str]:
         for field in pair_fields:
             if field in data:
                 _reject_non_numbers(data[field], field, path)
+    if data.get("label") is not None and not isinstance(data["label"], str):
+        raise ValueError(f"{path}: field 'label' must be a string")
     return data, "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
@@ -327,10 +330,7 @@ def load_system(path) -> tuple[BipartiteSystem, str | None, str]:
         sys = BipartiteSystem(dim_a, dim_b, *mats, hermitian_rtol=FILE_HERMITIAN_RTOL)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    label = data.get("label")
-    if label is not None and not isinstance(label, str):
-        raise ValueError(f"{path}: field 'label' must be a string")
-    return sys, label, digest
+    return sys, data.get("label"), digest
 
 
 def save_system(sys: BipartiteSystem, path, label: str | None = None) -> None:

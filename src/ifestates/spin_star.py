@@ -33,6 +33,8 @@ from .core import (
     _alpha_tol,
     _coupling_eig,
     _coupling_norm,
+    _eigvalsh_on,
+    _partition,
     _per_system,
     build_h0,
     commutator_kernel,
@@ -392,7 +394,7 @@ def verify_spin_star_claims(p: SpinStarParams, rel_tol: float = DEFAULT_REL_TOL)
         resid = 1.0
     claims.append(ClaimResult("analytic_basis_matches_numerical", resid, SUBSPACE_ANGLE_TOL))
 
-    h_norm = float(np.abs(np.linalg.eigvalsh(h)).max())
+    h_norm = float(np.abs(_eigvalsh_on(h, _partition(sys))).max())  # H is block diagonal as H_I is
     eig_tol = 1e-9
     worst = 0.0
     start = 0

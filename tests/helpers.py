@@ -605,6 +605,9 @@ MALFORMED_FIELDS = [
     ("vector_numeric_string", "state_ife_n2.json", "vector", (0, 1), "0"),
     ("vector_shape", "state_ife_n2.json", "vector", (), [[[0.6, 0.0]]]),
     ("rho_ragged", "rho_ife_n2.json", "rho", (0,), [[0.0, 0.0]]),
+    ("label_number", "system_spin_star_n2.json", "label", (), 5),
+    ("state_label_number", "state_ife_n2.json", "label", (), 5),
+    ("rho_label_list", "rho_ife_n2.json", "label", (), ["a"]),
 ]
 
 

@@ -515,6 +515,19 @@ class TestMixed:
                        "--out", str(tmp_path / "r.json"))
         assert code == 3
 
+    def test_frequency_form_imports_no_masked_arrays(self, tmp_path):
+        # numpy.unique imports numpy.ma; the levels and Bohr frequencies of H_0
+        # are grouped without it, so a fresh interpreter never loads it
+        path, out = tmp_path / "d128.json", tmp_path / "r.json"
+        system = commuting_system(4, 32, np.random.default_rng(70))
+        assert _uses_frequencies(system, 26)
+        save_system(system, path)
+        argv = ["mixed", str(path), "--samples", "2", "--steps", "26", "--out", str(out)]
+        code = (f"import sys; from ifestates import cli; assert cli.main({argv!r}) == 0; "
+                "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_vector_state_rejected(self, star_file, data_dir):
         assert run_cli("mixed", star_file, "--state", str(data_dir / "state_ife_n2.json")) == 1
 
@@ -749,7 +762,7 @@ SVD_BLOCKS_N2 = [("svd", "other", (2, 8, 2), F), ("svd", "other", (1, 8, 4), F)]
 SECTORS_N2 = [("eigh", "h_i", (8, 8), F), ("eigh", "h_a", (2, 2), F), ("eigh", "h_b", (4, 4), F),
               ("eigvalsh", "i C~", (8, 8), C), *SVD_BLOCKS_N2]
 # The seeded N = 5 star of scripts/bench_sweep.py (d = 64) splits into N + 2 = 7
-# blocks of sizes 1, 6, 15, 20, 15, 6 and 1, so H_I and i C~ take one stacked
+# blocks of sizes 1, 6, 15, 20, 15, 6 and 1, so H_I, H and i C~ take one stacked
 # factorization per block size, in order of each size's first block
 STAR_N5_GAMMAS = tuple(float(g) for g in 1.0 + 0.3 * np.random.default_rng(5).uniform(0.0, 1.0, 5))
 STAR_N5_ARGS = ["--n", "5", "--omega0", "1.0", "--omega", "1.3", "--gammas", ",".join(map(repr, STAR_N5_GAMMAS))]
@@ -769,8 +782,8 @@ class TestFactorizationLedger:
     routine asks for it first.  The star is real, so every factorization of
     it runs in float64 but those of ``i C~`` and of the complex ``rho``; the
     commuting ``d = 128`` system is complex, and so is each of its.  The
-    N = 5 star (``d = 64``) is split, so there ``"h_i"`` and ``"i C~"``
-    name stacks of equal-size diagonal blocks of those operators.
+    N = 5 star (``d = 64``) is split, so there ``"h_i"``, ``"H"`` and
+    ``"i C~"`` name stacks of equal-size diagonal blocks of those operators.
     """
 
     @pytest.mark.parametrize("argv, ledger", [
@@ -822,13 +835,17 @@ class TestFactorizationLedger:
 
     @pytest.mark.parametrize("argv, ledger", [
         (["sectors", "{star}"], SECTORS_N5),
+        # H is block diagonal on the same blocks as h_i, and factorized in the same stacks
+        (["verify", "{star}", "--sector", "0", "--steps", "5"],
+         [*SECTORS_N5, *[("eigh", "H", shape, F) for shape in BLOCKS_N5]]),
         (["spin-star", *STAR_N5_ARGS, "--check-all"],
-         # as for the n2 star, with claim 4's residuals on the blocks r = 5/2, 3/2
-         # and 1/2 (1, 4 and 5 columns) of each branch
+         # as for the n2 star, with claim 4's ||H|| from the stacked blocks of H
+         # and its residuals on the blocks r = 5/2, 3/2 and 1/2 (1, 4 and 5
+         # columns) of each branch
          [*SECTORS_N5[:10], *[("eigh", "i C~", shape, C) for shape in BLOCKS_N5], ("svd", "other", (64, 20), C),
-          *SVD_BLOCKS_N5, ("svd", "other", (64, 20), F), ("eigvalsh", "H", (64, 64), F),
+          *SVD_BLOCKS_N5, ("svd", "other", (64, 20), F), *[("eigvalsh", "H", shape, F) for shape in BLOCKS_N5],
           *[("svd", "other", (64, k), F) for k in (1, 1, 4, 4, 5, 5) * 2]]),
-    ], ids=["sectors", "spin-star"])
+    ], ids=["sectors", "verify-sector", "spin-star"])
     def test_split_system_ledger(self, argv, ledger, tmp_path, monkeypatch):
         path = str(tmp_path / "star_n5.json")
         save_system(build_spin_star(SpinStarParams(5, 1.0, 1.3, STAR_N5_GAMMAS)), path)
@@ -841,7 +858,7 @@ class TestFactorizationLedger:
         _, v = core._coupling_eig(system)
         positions = [np.flatnonzero(np.abs(v[block]).sum(axis=0)) for block in blocks]
         i_c = 1j * (v.conj().T @ commutator(core.build_h0(system), snapped_coupling(system)) @ v)
-        pieces = [("h_i", system.h_i, blocks), ("i C~", i_c, positions)]
+        pieces = [("h_i", system.h_i, blocks), ("H", core.build_total(system), blocks), ("i C~", i_c, positions)]
 
         def stacked_name(a):
             return next((name for name, op, sets in pieces if a.dtype == op.dtype and all(

@@ -27,6 +27,9 @@ from ifestates import (
     ife_sectors,
     ife_sectors_oracle,
     spin_star_ife_basis,
+    time_grid,
+    trace_density_matrix,
+    trace_pure_states,
     verify_spin_star_claims,
 )
 from ifestates.core import CLUSTER_TOL, NUMERICAL_ZERO_RTOL
@@ -42,6 +45,7 @@ from ifestates.linalg import (
 from helpers import (
     DIM_PAIRS,
     FAMILIES,
+    agreement_tol,
     assert_same_bits,
     cluster_values,
     commutator,
@@ -1620,18 +1624,24 @@ class TestRealSystems:
         assert {op.dtype for op in (mixed.h_a, mixed.h_b, mixed.h_i)} == {np.dtype(np.complex128)}
 
 
+# Factor dimensions of the split systems of helpers.permuted_block_system, d = 64 to 96
+BLOCK_DIMS = [(2, 32), (2, 40), (2, 48), (3, 22), (3, 27), (3, 32), (4, 16), (4, 20), (4, 24)]
+
+
 class TestBlockFactorizations:
-    """A split system of at least ``BLOCK_MIN_DIM`` dimensions factorizes ``H_I`` and ``i C~`` block by block.
+    """A split system of at least ``BLOCK_MIN_DIM`` dimensions factorizes ``H_I``, ``i C~`` and ``H`` block by block.
 
     The blocks are the connected components of the nonzero pattern of
     ``H_0`` and ``H_I``.  Sectors, the commutator's singular values and its
     kernel agree with the whole-matrix chain of ``helpers.dense_chain``;
-    sector bases may differ from it by a rotation within each sector.
+    sector bases may differ from it by a rotation within each sector.  The
+    tracers, which read ``eigh(H)``, agree with the same tracers on a
+    whole-matrix ``eigh(H)``.
     """
 
     @settings(max_examples=30, deadline=None, database=None)
-    @given(dims=st.sampled_from([(2, 32), (2, 40), (2, 48), (3, 22), (3, 27), (3, 32), (4, 16), (4, 20), (4, 24)]),
-           n_blocks=st.integers(2, 6), real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @given(dims=st.sampled_from(BLOCK_DIMS), n_blocks=st.integers(2, 6), real=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
     def test_matches_the_dense_chain(self, dims, n_blocks, real, seed):
         rng = np.random.default_rng(seed)
         sys_ = permuted_block_system(*dims, n_blocks, real, rng)
@@ -1667,6 +1677,44 @@ class TestBlockFactorizations:
         assert len(core._partition(rotated)) == 1
         for got, want in zip(core._coupling_eig(rotated), np.linalg.eigh(rotated.h_i)):
             assert_same_bits(got, want)
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(dims=st.sampled_from(BLOCK_DIMS), n_blocks=st.integers(2, 6), real=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_total_eig_and_tracers(self, dims, n_blocks, real, seed):
+        rng = np.random.default_rng(seed)
+        sys_ = permuted_block_system(*dims, n_blocks, real, rng)
+        h = build_total(sys_)
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            w, v = core._total_eig(sys_)
+        assert eigh.call_args_list and all(call.args[0].shape[-1] < sys_.dim for call in eigh.call_args_list)
+        h_norm = float(np.abs(w).max())
+        assert np.abs(w - np.linalg.eigvalsh(h)).max() <= 1e-12 * max(1.0, h_norm)
+        label = np.empty(sys_.dim, dtype=int)
+        for k, block in enumerate(core._partition(sys_)):
+            label[block] = k
+        assert all(len(set(label[np.flatnonzero(column)].tolist())) == 1 for column in v.T)  # one block each
+
+        # the same system with one whole-matrix eigh(H), as below BLOCK_MIN_DIM
+        whole = BipartiteSystem(sys_.dim_a, sys_.dim_b, sys_.h_a, sys_.h_b, sys_.h_i)
+        with mock.patch.object(core, "_partition", lambda s: (np.arange(s.dim),)), \
+                mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            core._total_eig(whole)
+        assert [call.args[0].shape for call in eigh.call_args_list] == [h.shape]
+
+        dec = ife_sectors(sys_)
+        states = [random_state(sys_.dim, rng)]  # and up to three sector vectors
+        states += [sector.basis[:, 0] for sector in dec.sectors[:3]]
+        psi = np.stack(states, axis=1)
+        alphas = np.einsum("ij,ij->j", psi.conj(), sys_.h_i @ psi).real
+        rho = psi @ psi.conj().T / psi.shape[1]
+        times = time_grid(5.0, 11)
+        tol = agreement_tol(sys_)
+        pairs = list(zip(trace_pure_states(sys_, psi, times, alphas), trace_pure_states(whole, psi, times, alphas)))
+        pairs.append((trace_density_matrix(sys_, rho, times), trace_density_matrix(whole, rho, times)))
+        for got, want in pairs:
+            for key in ("deviation", "energy_a", "energy_b"):
+                assert np.abs(getattr(got, key) - getattr(want, key)).max() <= tol
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_size_floor(self, n):
