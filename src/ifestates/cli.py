@@ -35,18 +35,9 @@ from .core import (
     ife_sectors_oracle,
 )
 from .dynamics import time_grid, trace_pure_states
-from .linalg import DEFAULT_REL_TOL, SUBSPACE_ANGLE_TOL, _require_dimension, require_unit_states, subspace_residual
-from .mixed import (
-    _block_residuals,
-    _block_size,
-    _block_tol,
-    _deviation_tol,
-    _trace_states,
-    check_density_matrix,
-    random_ife_mixed,
-)
+from .linalg import DEFAULT_REL_TOL, SUBSPACE_ANGLE_TOL, subspace_residual
+from .mixed import _block_residuals, _block_tol, _deviation_tol, _sampled_checks, _trace_states
 from .serialize import (
-    FILE_HERMITIAN_RTOL,
     REPORT_SCHEMA_VERSION,
     canonical_dumps,
     load_state,
@@ -268,18 +259,10 @@ def _verify_vectors(system, states, times, tol, labels) -> tuple[list, list]:
     return claims, traces
 
 
-def _traced_rho(system, value, times) -> tuple[np.ndarray, float, list]:
-    """A density matrix from a file through its one gate, and its deviation traced with energies.
-
-    The gate is :func:`check_density_matrix` (finite, Hermitian at
-    ``FILE_HERMITIAN_RTOL``, unit trace, positive semidefinite), then the
-    system's dimension; the tracer's core and the block residuals of
-    ``mixed --state`` take the gated ``rho`` without a second check.
-    Returns the gated ``rho``, its maximal deviation and its trace list.
-    """
-    rho = _require_dimension(check_density_matrix(value, FILE_HERMITIAN_RTOL), system.dim)
-    trace = _trace_states(system, rho[None], times, True)[0]
-    return rho, trace.max_deviation, [_trace_lists(trace, {"vector": 0, "label": "density_matrix"})]
+def _traced_rho(system, rho, times) -> tuple[float, list]:
+    """The maximal deviation and the trace list of a density matrix checked by ``load_state``."""
+    trace = _trace_states(system, rho, times)
+    return trace.max_deviation, [_trace_lists(trace, {"vector": 0, "label": "density_matrix"})]
 
 
 def cmd_verify(args) -> int:
@@ -289,14 +272,14 @@ def cmd_verify(args) -> int:
 
     states = None
     if args.state:
-        state = load_state(args.state)
+        state = load_state(args.state, system.dim)
         digest += "," + state["digest"]
         if state["kind"] == "rho":
             tol = args.tol if args.tol is not None else _deviation_tol(system.dim)
-            _, deviation, traces = _traced_rho(system, state["value"], times)
+            deviation, traces = _traced_rho(system, state["value"], times)
             claims = [_claim("ife_evolution_density_matrix", deviation, tol)]
         else:
-            states, labels = require_unit_states(state["value"], system.dim), ["state"]
+            states, labels = state["value"][:, None], ["state"]
     elif args.sector is not None:
         dec = ife_sectors(system, DEFAULT_REL_TOL)
         if not 0 <= args.sector < dec.n_sectors:
@@ -311,15 +294,14 @@ def cmd_verify(args) -> int:
         tol = args.tol if args.tol is not None else 1e-9 * np.sqrt(system.dim)
         claims, traces = _verify_vectors(system, states, times, tol, labels)
 
-    code = _emit(
+    if args.csv:  # before the report, so that no report is left when the write fails
+        _write_traces_csv(args.csv, traces)
+    return _emit(
         args.out, "verify", digest,
         {"t_max": args.t_max, "steps": args.steps, "max_deviation_tol": tol}, started,
         label=label, claims=claims, traces=traces,
         exit_code=EXIT_OK if all(c["pass"] for c in claims) else EXIT_NOT_IFE,
     )
-    if args.csv:
-        _write_traces_csv(args.csv, traces)
-    return code
 
 
 # ----------------------------------------------------------------------
@@ -407,11 +389,12 @@ def cmd_mixed(args) -> int:
 
     block_tol = traces = samples = None
     if args.state:
-        state = load_state(args.state)
+        state = load_state(args.state, system.dim)
         if state["kind"] != "rho":
             raise CliInputError(f"{args.state}: 'rho' field required for mixed checks")
         digest += "," + state["digest"]
-        rho, deviation, traces = _traced_rho(system, state["value"], times)
+        rho = state["value"]
+        deviation, traces = _traced_rho(system, rho, times)
         block_tol = args.tol if args.tol is not None else _block_tol(rho)
         outside, cross = _block_residuals(rho, dec)
         claims = [
@@ -423,28 +406,20 @@ def cmd_mixed(args) -> int:
     elif dec.n_sectors == 0:
         claims, samples, code = None, [], EXIT_NO_SECTORS
     else:
-        # sampling mode: draw seeded random sector-block states and self-check,
-        # a group of states at a time, so the tracer shares its phases within a
-        # group and holds one state at a time from d = 91 on; the samples are
-        # exactly Hermitian, so they go to the cores unchecked
-        weights = np.full(dec.n_sectors, 1.0 / dec.n_sectors)
+        # sampling mode: seeded random sector-block states, self-checked
         block_tol = args.tol if args.tol is not None else 1e-9
         claims, samples = [], []
-        group = _block_size(system.dim)
-        for lo in range(0, args.samples, group):
-            indices = range(lo, min(lo + group, args.samples))
-            rhos = np.array([random_ife_mixed(dec, weights, args.seed + i) for i in indices])
-            residuals = [_block_residuals(rho, dec) for rho in rhos]
-            reports = _trace_states(system, rhos, times, False)
-            for i, (outside, cross), report in zip(indices, residuals, reports):
-                dev_max = report.max_deviation
-                claims.append(_claim(f"sample_{i}_block_structure", max(outside, cross), block_tol))
-                claims.append(_claim(f"sample_{i}_dynamical_deviation", dev_max, deviation_tol))
-                samples.append({"seed": args.seed + i, "max_deviation": dev_max,
-                                "outside_norm": outside, "cross_norm": cross})
+        seeds = range(args.seed, args.seed + args.samples)
+        for i, (seed, outside, cross, dev_max) in enumerate(_sampled_checks(system, dec, seeds, times)):
+            claims.append(_claim(f"sample_{i}_block_structure", max(outside, cross), block_tol))
+            claims.append(_claim(f"sample_{i}_dynamical_deviation", dev_max, deviation_tol))
+            samples.append({"seed": seed, "max_deviation": dev_max,
+                            "outside_norm": outside, "cross_norm": cross})
         code = EXIT_OK if all(c["pass"] for c in claims) else EXIT_NOT_IFE
 
-    _emit(
+    if args.csv:  # before the report, so that no report is left when the write fails
+        _write_traces_csv(args.csv, traces)
+    return _emit(
         args.out, "mixed", digest,
         {"block_tol": block_tol, "deviation_tol": deviation_tol,
          "t_max": args.t_max, "steps": args.steps},
@@ -453,9 +428,6 @@ def cmd_mixed(args) -> int:
         sectors=_sector_payload(dec, include_bases=False),
         exit_code=code,
     )
-    if args.csv:
-        _write_traces_csv(args.csv, traces)
-    return code
 
 
 # ----------------------------------------------------------------------

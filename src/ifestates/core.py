@@ -605,6 +605,16 @@ def _free_frequencies(sys: BipartiteSystem) -> _FreeFrequencies:
     return _FreeFrequencies(bounds, nu, freq.reshape(k, k), float(spread))
 
 
+def _kernel_cutoff(sys: BipartiteSystem, alpha, rel_tol: float):
+    """The cutoff on ``||C~ x|| / max(1, ||C||)`` of :func:`ife_sectors` and :func:`classify_pure` at each ``alpha``.
+
+    ``rel_tol * max(a / max(1, a), ||C|| / max(1, ||C||))`` with ``a = max(|w_0 - alpha|, |w_{d-1} - alpha|)``.
+    """
+    w, norm = _coupling_eig(sys)[0], float(_commutator_values(sys)[0])
+    a = np.maximum(np.abs(w[0] - alpha), np.abs(w[-1] - alpha))
+    return rel_tol * np.maximum(a / np.maximum(1.0, a), norm / max(1.0, norm))
+
+
 def ife_sectors(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDecomposition:
     """IFE sectors via the kernel-intersection characterization.
 
@@ -615,9 +625,7 @@ def ife_sectors(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDe
     ``d x m`` block of ``C~ / max(1, ||C||)``, from its thin SVD.  The blocks
     of all clusters of one width ``m`` share one batched ``numpy.linalg.svd``
     call, and each block is factorized once.  A direction is
-    kept when its singular value is at or below ``rel_tol * sigma_ref``, where
-    ``sigma_ref = max(a / max(1, a), ||C|| / max(1, ||C||))`` and
-    ``a = ||H_I - alpha I|| = max(|w_0 - alpha|, |w_{d-1} - alpha|)``
+    kept when its singular value is at or below :func:`_kernel_cutoff`
     (README, "Numerical conventions").  A numerically zero commutator
     imposes no constraint, so the sector is the whole cluster eigenspace,
     and no singular value of it is read.  The cutoffs and ranks of all
@@ -625,16 +633,13 @@ def ife_sectors(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDe
     kernel are dropped before any basis product is formed.
     """
     require_rel_tol(rel_tol)
-    w, v = _coupling_eig(sys)
+    v = _coupling_eig(sys)[1]
     clusters = _coupling_clusters(sys)
     if _commutator_is_zero(sys):
         sectors = (IfeSector(alpha, v[:, lo:hi].copy()) for alpha, (lo, hi) in clusters)
         return IfeDecomposition(tuple(sectors), sys.dim)
-    c, norm = _commutator(sys), float(_commutator_values(sys)[0])
-    scale = max(1.0, norm)
-    alphas = np.array([alpha for alpha, _ in clusters])
-    a = np.maximum(np.abs(w[0] - alphas), np.abs(w[-1] - alphas))
-    cutoff = rel_tol * np.maximum(a / np.maximum(1.0, a), norm / scale)
+    c, scale = _commutator(sys), max(1.0, float(_commutator_values(sys)[0]))
+    cutoff = _kernel_cutoff(sys, np.array([alpha for alpha, _ in clusters]), rel_tol)
     by_width = {}  # cluster width -> indices of the clusters that wide
     for j, (_, (lo, hi)) in enumerate(clusters):
         by_width.setdefault(hi - lo, []).append(j)
@@ -748,13 +753,11 @@ def ife_exists(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> bool:
 def classify_pure(psi, sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL):
     """Interaction eigenvalue of an IFE pure state, or None.
 
-    The candidate ``alpha = <psi|H_I|psi>`` is accepted when psi is an
-    eigenvector of the coupling at that value and lies in the commutator
-    kernel, both within ``rel_tol`` relative to the operator norms.  ``H_I``
-    is the snapped coupling, as in :func:`ife_sectors`, and both residuals
-    are taken on ``c = V^H psi`` in its eigenbasis.  For systems whose
-    commutator is nonzero only through roundoff, membership via
-    :func:`ife_sectors` is the more robust test.
+    The candidate ``alpha = <psi|H_I|psi>`` is accepted when ``||H_I c -
+    alpha c|| <= rel_tol ||H_I||`` and ``||C~ c|| / max(1, ||C||)`` is at
+    most :func:`_kernel_cutoff` at ``alpha``, the rule of :func:`ife_sectors`,
+    whose sector vectors it so accepts.  ``H_I`` is the snapped coupling and
+    ``c = V^H psi`` is ``psi`` in its eigenbasis.
     """
     require_rel_tol(rel_tol)
     psi = require_unit_states(np.asarray(psi).reshape(-1), sys.dim)[:, 0]
@@ -763,6 +766,7 @@ def classify_pure(psi, sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL):
     alpha = float(np.vdot(c, h_c).real)
     hi_norm = _coupling_norm(sys)
     eig_ok = _is_numerically_zero(hi_norm, 1.0) or np.linalg.norm(h_c - alpha * c) <= rel_tol * hi_norm
-    comm_ok = _commutator_is_zero(sys) or (
-        np.linalg.norm(_commutator(sys) @ c) <= rel_tol * _commutator_values(sys)[0])
+    comm_ok = _commutator_is_zero(sys) or (np.linalg.norm(_commutator(sys) @ c)
+                                           / max(1.0, float(_commutator_values(sys)[0]))
+                                           <= _kernel_cutoff(sys, alpha, rel_tol))
     return alpha if (eig_ok and comm_ok) else None

@@ -96,7 +96,7 @@ def _require_dimension(state: np.ndarray, dim: int) -> np.ndarray:
 def require_unit_states(states, dim: int) -> np.ndarray:
     """``states`` as a ``dim x m`` complex block of unit columns; a 1-d vector is one column.
 
-    Each column's norm must be within ``1e-10`` of 1.
+    Each column's norm must be within ``1e-10`` of 1, so a non-finite column fails.
     """
     states = np.asarray(states, dtype=complex)
     if states.ndim == 1:
@@ -105,7 +105,7 @@ def require_unit_states(states, dim: int) -> np.ndarray:
         raise ValueError(f"expected a state vector or a block of state columns, got shape {states.shape}")
     _require_dimension(states, dim)
     norms = np.linalg.norm(states, axis=0)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-10)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-10))  # a NaN norm fails too
     if bad.size:
         raise ValueError(f"state is not normalized: ||psi|| = {float(norms[bad[0]])!r}")
     return states

@@ -20,12 +20,12 @@ levels and Bohr frequencies are sums and differences of ``e_i + f_j``):
 phase matrix ``P(t) = p p^H``, ``p = exp(-i w t)`` (``o`` is the entrywise
 product).  It takes one state and returns one report.  Both entry points
 check their state and hand it to a private core that takes it as checked,
-so the CLI checks a file's state once, at its gate, and its samples never;
-:func:`_trace_states` takes a stack of one group, at most ``max(1,
-_CHUNK_ENTRIES // d^2)`` states (one state from ``d = 91`` on), and the
-CLI draws its samples a group at a time.  The deviation has two
-forms.  The dense form works in the interaction frame: the diagonal
-unitaries ``diag(p(t))^*`` and ``diag(p(t))`` leave
+so a file's state is checked once, by ``serialize.load_state``, and a
+sample never: :func:`_sampled_checks`, the sampling self-check of the
+CLI's ``mixed``, draws its states a group of at most ``max(1,
+_CHUNK_ENTRIES // d^2)`` at a time (one state from ``d = 91`` on).  The
+deviation has two forms.  The dense form works in the interaction frame:
+the diagonal unitaries ``diag(p(t))^*`` and ``diag(p(t))`` leave
 the Frobenius norm unchanged, so the deviation is ``||Y(t) rho~0 Y(t)^H -
 rho~||_F = ||Y(t) rho~0 - rho~ Y(t)||_F`` with ``Y(t)_ij = conj(p_i(t))
 W_ij p0_j(t)``, ``W = V^H V0``, ``rho~0 = V0^H rho V0``, and ``rho~``
@@ -348,33 +348,45 @@ def trace_density_matrix(sys: BipartiteSystem, rho, times) -> EvolutionReport:
     :func:`_trace_states`.
     """
     times = _checked_times(times)
-    return _trace_states(sys, _hermitian_state(rho, sys.dim)[None], times, True)[0]
+    return _trace_states(sys, _hermitian_state(rho, sys.dim), times)
 
 
-def _trace_states(sys: BipartiteSystem, rho: np.ndarray, times: np.ndarray,
-                  energies: bool) -> list[EvolutionReport]:
-    """Reports of an ``m x d x d`` stack of Hermitian states on a checked grid.
+def _trace_states(sys: BipartiteSystem, rho: np.ndarray, times: np.ndarray) -> EvolutionReport:
+    """The report of one Hermitian ``d x d`` state on a checked grid.
 
     The core of :func:`trace_density_matrix`, which the CLI calls directly
-    on its gated file state and on each group of its sampled states.  The
-    stack is one group: at most :func:`_block_size` states, which bounds
-    its stacks ``rho~ = V^H rho V`` and ``rho~0``.  Each state gives the
-    bits it gives traced alone.  ``energies`` is unset only for the CLI's
-    samples, which read none.  The energies are ``Tr(rho(t) O) = p(t)^T
-    (rho~ o O~^T) p(t)^*`` with ``O~ = V^H O V``, one ``T x d x d`` product
-    per observable and state for the whole grid, taken after the deviation
-    has freed its stacks.
+    on a file's density matrix, checked once by ``serialize.load_state``.
+    The energies are ``Tr(rho(t) O) = p(t)^T (rho~ o O~^T) p(t)^*`` with
+    ``rho~ = V^H rho V`` and ``O~ = V^H O V``, one ``T x d x d`` product per
+    observable for the whole grid, taken after the deviation has freed its
+    stacks.
     """
     w, v = _total_eig(sys)
     rho_eig = v.conj().T @ rho @ v
-    deviation = _deviation(sys, rho, rho_eig, times)
-    fields = {}
-    if energies:
-        phases = np.exp(-1j * np.outer(times, w))  # row k is p(t_k)
-        for key, op_v in (("energy_a", _apply_local(sys, v, op_a=sys.h_a)),
-                          ("energy_b", _apply_local(sys, v, op_b=sys.h_b))):
-            op_eig_t = (v.conj().T @ op_v).T
-            fields[key] = ((phases @ (rho_eig * op_eig_t)) * phases.conj()).sum(axis=2).real
-    return [EvolutionReport(times=times, deviation=dev, max_deviation=float(dev.max()),
-                            **{key: values[j] for key, values in fields.items()})
-            for j, dev in enumerate(deviation)]
+    deviation = _deviation(sys, rho[None], rho_eig[None], times)[0]
+    phases = np.exp(-1j * np.outer(times, w))  # row k is p(t_k)
+    energies = {}
+    for key, op_v in (("energy_a", _apply_local(sys, v, op_a=sys.h_a)),
+                      ("energy_b", _apply_local(sys, v, op_b=sys.h_b))):
+        op_eig_t = (v.conj().T @ op_v).T
+        energies[key] = ((phases @ (rho_eig * op_eig_t)) * phases.conj()).sum(axis=1).real
+    return EvolutionReport(times=times, deviation=deviation, max_deviation=float(deviation.max()),
+                           **energies)
+
+
+def _sampled_checks(sys: BipartiteSystem, dec: IfeDecomposition, seeds, times):
+    """``(seed, outside, cross, max_deviation)`` of each seed's equal-weight :func:`random_ife_mixed` state.
+
+    The sampling self-check of ``mixed``, on a checked grid.  The states are
+    exactly Hermitian, so they go to the cores unchecked, a group of
+    :func:`_block_size` at a time; a state's numbers are the same in any group.
+    """
+    weights = np.full(dec.n_sectors, 1.0 / dec.n_sectors)
+    v, group = _total_eig(sys)[1], _block_size(sys.dim)
+    for lo in range(0, len(seeds), group):
+        batch = seeds[lo:lo + group]
+        rhos = np.array([random_ife_mixed(dec, weights, seed) for seed in batch])
+        residuals = [_block_residuals(rho, dec) for rho in rhos]
+        deviation = _deviation(sys, rhos, v.conj().T @ rhos @ v, times)
+        for seed, (outside, cross), dev in zip(batch, residuals, deviation):
+            yield seed, outside, cross, float(dev.max())

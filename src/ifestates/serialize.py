@@ -44,6 +44,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import BipartiteSystem, _positive_dimension
+from .linalg import _require_dimension, require_unit_states
+from .mixed import check_density_matrix
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
@@ -346,26 +348,30 @@ def save_system(sys: BipartiteSystem, path, label: str | None = None) -> None:
     write_canonical(doc, path)
 
 
-def load_state(path) -> dict:
-    """Read a state file holding either a pure vector or a density matrix.
+def load_state(path, dim: int) -> dict:
+    """Read and check a state file, a pure vector or a density matrix, for a system of dimension ``dim``.
 
-    Returns ``{"kind": "vector", "value": ...}`` or
-    ``{"kind": "rho", "value": ...}`` plus the optional label and the
-    ``"sha256:<hex>"`` digest of the file's bytes.  Validation
-    (normalization, density-matrix axioms) is left to the caller so it can
-    map failures onto its own error contract.
+    Returns ``{"kind": "vector" or "rho", "value": ...}`` plus the optional
+    label and the ``"sha256:<hex>"`` digest of the file's bytes.  The one
+    check of a state file: a ``vector`` by :func:`require_unit_states`, a
+    ``rho`` by :func:`check_density_matrix` at ``FILE_HERMITIAN_RTOL`` (the
+    value is its Hermitian part), then for dimension.  Any defect is a
+    ValueError starting ``<path>: field 'vector'`` or ``<path>: field 'rho'``.
     """
     data, digest = _load_object(path, ("vector", "rho"))
-    has_vec = "vector" in data
-    has_rho = "rho" in data
-    if has_vec == has_rho:
+    if ("vector" in data) == ("rho" in data):
         raise ValueError(f"{path}: exactly one of 'vector' or 'rho' is required")
-    if has_vec:
-        value = _decode(pairs_to_vector, data["vector"], "vector", path)
-        kind = "vector"
+    kind = "vector" if "vector" in data else "rho"
+    if kind == "vector":
+        parse, check = pairs_to_vector, lambda psi: require_unit_states(psi, dim)[:, 0]
     else:
-        value = _decode(pairs_to_matrix, data["rho"], "rho", path)
-        kind = "rho"
+        parse, check = pairs_to_matrix, lambda rho: _require_dimension(
+            check_density_matrix(rho, FILE_HERMITIAN_RTOL), dim)
+    value = _decode(parse, data[kind], kind, path)
+    try:
+        value = check(value)
+    except ValueError as exc:
+        raise ValueError(f"{path}: field {kind!r}: {exc}") from None
     return {"kind": kind, "value": value, "label": data.get("label"), "digest": digest}
 
 

@@ -363,7 +363,9 @@ def product_basis_classify(psi, sys_, rel_tol=DEFAULT_REL_TOL):
     """Reference for ``classify_pure`` in the product basis: ``(alpha or None, well_posed)``.
 
     ``alpha = <psi|H_bar_I|psi>`` is accepted when ``||H_bar_I psi - alpha psi||``
-    is at most ``rel_tol ||H_I||`` and ``||C psi||`` at most ``rel_tol ||C||``.
+    is at most ``rel_tol ||H_I||`` and ``||C psi|| / max(1, ||C||)`` at most
+    the direct route's ``rel_tol * max(a / max(1, a), ||C|| / max(1, ||C||))``,
+    ``a = max(|w_0 - alpha|, |w_{d-1} - alpha|)`` over the spectrum of ``H_I``.
     ``well_posed`` is False when either residual lies within a factor of two
     of its cutoff, where roundoff may decide.
     """
@@ -375,7 +377,10 @@ def product_basis_classify(psi, sys_, rel_tol=DEFAULT_REL_TOL):
     if not core._is_numerically_zero(hi_norm, 1.0):
         checks.append((float(np.linalg.norm(h_psi - alpha * psi)), rel_tol * hi_norm))
     if not is_zero:
-        checks.append((float(np.linalg.norm(comm @ psi)), rel_tol * spectral_norm(comm)))
+        w, c_norm = np.linalg.eigvalsh(sys_.h_i), spectral_norm(comm)
+        a = max(abs(w[0] - alpha), abs(w[-1] - alpha))
+        cutoff = rel_tol * max(a / max(1.0, a), c_norm / max(1.0, c_norm))
+        checks.append((float(np.linalg.norm(comm @ psi)) / max(1.0, c_norm), cutoff))
     accepted = all(r <= cutoff for r, cutoff in checks)
     well_posed = not any(cutoff / 2.0 < r < 2.0 * cutoff for r, cutoff in checks)
     return (alpha if accepted else None), well_posed
@@ -586,7 +591,9 @@ def reference_dumps(obj) -> str:
 # (case id, file, field, index, value) sets ``doc[field][index...] = value``,
 # or the whole field when ``index`` is empty.  Each must be rejected on load
 # with the file and the field named.  A boolean 1 or 0 stands where the
-# number 1 or 0 is, so only its type is wrong.
+# number 1 or 0 is, so only its type is wrong.  The cases from
+# ``vector_dimension`` on parse and fail a check of the state itself,
+# against the n2 star's dimension 8.
 MALFORMED_FIELDS = [
     ("ragged_pair", "system_spin_star_n2.json", "h_i", (0, 0), [0.0, 0.0, 0.0]),
     ("ragged_row", "system_spin_star_n2.json", "h_i", (1,), [[0.0, 0.0]]),
@@ -608,6 +615,13 @@ MALFORMED_FIELDS = [
     ("label_number", "system_spin_star_n2.json", "label", (), 5),
     ("state_label_number", "state_ife_n2.json", "label", (), 5),
     ("rho_label_list", "rho_ife_n2.json", "label", (), ["a"]),
+    ("vector_dimension", "state_ife_n2.json", "vector", (), [[0.5, 0.0]] * 4),
+    ("vector_norm", "state_ife_n2.json", "vector", (0, 0), 0.5),
+    ("vector_nan", "state_ife_n2.json", "vector", (0, 0), float("nan")),
+    ("rho_not_hermitian", "rho_ife_n2.json", "rho", (0, 0, 1), 1.5e-9),
+    ("rho_trace", "rho_ife_n2.json", "rho", (3, 3, 0), 0.5),
+    ("rho_negative", "rho_ife_n2.json", "rho", (), matrix_to_pairs(np.diag([1.25, -0.25] + [0.0] * 6))),
+    ("rho_dimension", "rho_ife_n2.json", "rho", (), matrix_to_pairs(np.eye(4) / 4)),
 ]
 
 

@@ -313,6 +313,22 @@ class TestVerify:
         assert lines[0] == "vector,time,deviation,energy_a,energy_b,covariance"
         assert len(lines) == 102
 
+    @pytest.mark.parametrize("command, state", [("verify", "state_ife_n2.json"),
+                                                ("mixed", "rho_ife_n2.json")])
+    def test_unwritable_csv_leaves_no_report(self, star_file, data_dir, tmp_path, capsys,
+                                             command, state):
+        # the CSV goes first: no report may claim an exit code the process did not return
+        csv_path = tmp_path / "absent" / "x.csv"
+        argv = [command, star_file, "--state", str(data_dir / state), "--steps", "3",
+                "--csv", str(csv_path)]
+        out = tmp_path / "r.json"
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert not out.exists()
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(csv_path) in captured.err
+
     def test_unnormalized_state_exit_one(self, star_file, tmp_path):
         bad = tmp_path / "bad_state.json"
         bad.write_text('{"vector": [[1.0, 0.0], [1.0, 0.0]]}')
@@ -330,7 +346,8 @@ class TestVerify:
         state.write_text(json.dumps(payload), encoding="utf-8")
         out = tmp_path / "r.json"
         assert run_cli(command, star_file, "--state", str(state), "--out", str(out)) == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        field = next(iter(payload))
+        assert f"error: {state}: field {field!r}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_golden_report(self, star_file, data_dir, tmp_path):
@@ -819,7 +836,7 @@ class TestFactorizationLedger:
             assert _uses_frequencies(system, 26)  # the mixed deviation takes the frequency form
         _, v = np.linalg.eigh(system.h_i)
         product = commutator(core.build_h0(system), snapped_coupling(system))
-        rho = load_state(data_dir / "rho_ife_n2.json")["value"]
+        rho = load_state(data_dir / "rho_ife_n2.json", 8)["value"]
         targets = {"i C~": 1j * (v.conj().T @ product @ v), "rho": rho}
         seen = record_factorizations(monkeypatch)
         argv = [a.format(star=path, d128=path, psi=data_dir / "state_ife_n2.json",
@@ -1073,8 +1090,8 @@ class TestValidateOnce:
                             rel_defect=3e-9, fields=("rho",))
         out = tmp_path / "r.json"
         assert run_cli(command, star_file, "--state", state, "--out", str(out)) == 1
-        assert ("error: density matrix is not Hermitian: relative defect 3.000e-09 exceeds 1.0e-10"
-                in capsys.readouterr().err)
+        assert (f"error: {state}: field 'rho': density matrix is not Hermitian: "
+                "relative defect 3.000e-09 exceeds 1.0e-10" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_defect_file_routes_agree(self, star_file, tmp_path):

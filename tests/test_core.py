@@ -757,6 +757,22 @@ class TestClassifyPure:
         with pytest.raises(ValueError, match="dimension"):
             classify_pure(np.ones(4) / 2.0, star_system_n2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.one_of(FAMILIES, st.just("near")), dims=st.sampled_from(DIM_PAIRS),
+           seed=st.integers(0, 2**32 - 1), strength_exp=st.floats(-12.0, -10.0))
+    def test_accepts_every_sector_vector(self, family, dims, seed, strength_exp):
+        """``classify_pure`` and ``ife_sectors`` read the commutator by one cutoff."""
+        rng = np.random.default_rng(seed)
+        if family == "near":
+            sys_ = conjugated_near_commuting_system(*dims, rng, 10.0 ** strength_exp)
+        else:
+            sys_ = family_system(family, dims, rng)
+        tol = core._alpha_tol(sys_)
+        for sector in ife_sectors(sys_).sectors:
+            for psi in sector.basis.T:
+                alpha = classify_pure(psi, sys_)
+                assert alpha is not None and abs(alpha - sector.alpha) <= tol
+
 
 class TestEvolutionIdentity:
     times = np.linspace(0.0, 10.0, 101)

@@ -24,7 +24,7 @@ from ifestates import (
 from ifestates.dynamics import _CHUNK_ENTRIES
 from ifestates.linalg import kron
 from ifestates import mixed
-from ifestates.core import _free_frequencies
+from ifestates.core import _free_frequencies, _total_eig
 from ifestates.mixed import (
     _block_size,
     _uses_frequencies,
@@ -288,15 +288,13 @@ class TestTraceDensityMatrix:
         rho = random_ife_mixed(diag_dec, weights, 3)
         times = time_grid(2.0, 5)
         full = trace_density_matrix(diag_system, rho, times)
-        # the CLI's samples read no energies: the private core skips them, with the same deviation bits
-        plain = mixed._trace_states(diag_system, rho[None], times, False)[0]
-        assert plain.energy_a is None and plain.energy_b is None and plain.covariance is None
         assert full.covariance is None
         assert full.energy_a.shape == full.energy_b.shape == (5,)
-        for report in (plain, full):
-            assert np.array_equal(report.times, times)
-            assert report.max_deviation == float(report.deviation.max())
-        assert np.array_equal(plain.deviation, full.deviation)
+        assert np.array_equal(full.times, times)
+        assert full.max_deviation == float(full.deviation.max())
+        # the samples of mixed read no energies: the sampler takes the deviation alone, with its bits
+        (_, _, _, sampled), = mixed._sampled_checks(diag_system, diag_dec, [3], times)
+        assert sampled == full.max_deviation
 
     def test_one_compression_per_call(self, diag_system, diag_dec, monkeypatch):
         # rho~ = V^H rho V and rho~0 = V0^H rho V0: one conj().T @ rho each
@@ -491,29 +489,42 @@ STACK_CASES = [("star", n) for n in range(1, 6)] + [
 
 
 class TestStackedStates:
-    """The tracer's core takes a group of states, each with the bits it gives alone."""
+    """The deviation takes a group of states, each with the bits it gives alone."""
 
     @pytest.mark.parametrize("case", STACK_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
     def test_stack_gives_the_bits_of_each_state_alone(self, case):
         sys_ = stack_test_system(case)
         rng = np.random.default_rng(81)
         # at d = 64 a group is four states, so five states go in as two groups,
-        # as the CLI's samples do; the core takes its states as checked, so
-        # they go in as Hermitian parts
+        # as the samples of mixed do; the deviation takes its states as
+        # checked, so they go in as Hermitian parts
         rhos = np.stack([check_density_matrix(random_density_matrix(sys_.dim, rng))
                          for _ in range(5)])
         times = np.linspace(0.5, 10.0, 101)
-        group = _block_size(sys_.dim)
-        stacked = [report for lo in range(0, 5, group)
-                   for report in mixed._trace_states(sys_, rhos[lo:lo + group], times, True)]
-        assert len(stacked) == 5
-        for rho, report in zip(rhos, stacked):
-            alone = trace_density_matrix(sys_, rho, times)
-            for field in ("deviation", "energy_a", "energy_b"):
-                assert np.array_equal(getattr(report, field), getattr(alone, field)), field
-            assert report.max_deviation == alone.max_deviation
-            assert_allclose(report.deviation, per_step_mixed_deviation(sys_, rho, times),
+        group, v = _block_size(sys_.dim), _total_eig(sys_)[1]
+        grouped = np.concatenate([
+            mixed._deviation(sys_, rhos[lo:lo + group], v.conj().T @ rhos[lo:lo + group] @ v, times)
+            for lo in range(0, 5, group)])
+        for rho, deviation in zip(rhos, grouped):
+            assert np.array_equal(deviation, trace_density_matrix(sys_, rho, times).deviation)
+            assert_allclose(deviation, per_step_mixed_deviation(sys_, rho, times),
                             rtol=0, atol=agreement_tol(sys_))
+
+    @pytest.mark.parametrize("case", [c for c in STACK_CASES if c[0] != "generic"],
+                             ids=lambda c: f"{c[0]}-{c[1]}")
+    def test_sampler_gives_the_numbers_of_each_sample_alone(self, case):
+        # generic systems have no sector to sample
+        sys_ = stack_test_system(case)
+        dec = ife_sectors(sys_)
+        weights = np.full(dec.n_sectors, 1.0 / dec.n_sectors)
+        times = np.linspace(0.5, 10.0, 101)
+        seeds = range(40, 45)
+        checks = list(mixed._sampled_checks(sys_, dec, seeds, times))
+        assert [seed for seed, *_ in checks] == list(seeds)
+        for seed, outside, cross, max_deviation in checks:
+            rho = random_ife_mixed(dec, weights, seed)
+            assert (outside, cross) == block_structure_residuals(rho, dec)
+            assert max_deviation == trace_density_matrix(sys_, rho, times).max_deviation
 
     def test_block_size(self):
         assert [_block_size(d) for d in (2, 8, 32, 64, 90, 91, 128, 512)] \

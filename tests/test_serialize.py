@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import re
@@ -271,9 +272,8 @@ class TestMalformedFields:
                              ids=[c[0] for c in MALFORMED_FIELDS])
     def test_file_and_field_named(self, data_dir, tmp_path, case, name, field, index, value):
         path = edited_copy(data_dir / name, tmp_path / "bad.json", field, index, value)
-        load = load_system if name.startswith("system") else load_state
         with pytest.raises(ValueError) as info:
-            load(path)
+            _loader(name)(path)
         assert str(info.value).startswith(f"{path}: field {field!r}")
 
     def test_boolean_word_in_label_is_no_defect(self, data_dir, tmp_path):
@@ -343,6 +343,13 @@ def _data_files(prefixes):
     return sorted(p.name for p in DATA_DIR.glob("*.json") if p.name.startswith(prefixes))
 
 
+def _loader(name):
+    """The loader of a file named like those under tests/data; a state is checked against its system's dimension."""
+    if name.startswith("system"):
+        return load_system
+    return functools.partial(load_state, dim=6 if "two_sectors" in name else 8)
+
+
 # A loader call on the default path, and with orjson patched out.
 BOTH_PATHS = pytest.mark.parametrize(
     "read", [lambda load, path: load(path), stdlib_decoded], ids=["default", "stdlib"])
@@ -361,7 +368,7 @@ class TestParsers:
     @pytest.mark.parametrize("name", _data_files(("system", "state", "rho")))
     def test_data_files_match_stdlib_reference(self, data_dir, monkeypatch, name):
         path = data_dir / name
-        load = load_system if name.startswith("system") else load_state
+        load = _loader(name)
 
         def outcome(read):
             try:
@@ -429,7 +436,7 @@ def _gc_case(case, data_dir, tmp_path):
     if case == "system":
         return load_system, star
     if case == "state":
-        return load_state, data_dir / "rho_ife_n2.json"
+        return _loader("rho_ife_n2.json"), data_dir / "rho_ife_n2.json"
     if case in ("not_json", "top_level_list", "missing_field"):
         bad.write_text({"not_json": "{not json", "top_level_list": "[]",
                         "missing_field": '{"dim_a": 2, "dim_b": 2}'}[case])
@@ -593,7 +600,7 @@ class TestStateFiles:
         psi = np.array([1.0, 1j]) / np.sqrt(2)
         path = tmp_path / "state.json"
         save_state_vector(psi, path)
-        state = load_state(path)
+        state = load_state(path, 2)
         assert state["kind"] == "vector"
         assert np.allclose(state["value"], psi)
 
@@ -601,7 +608,7 @@ class TestStateFiles:
         rho = np.eye(3) / 3.0
         path = tmp_path / "rho.json"
         save_density_matrix(rho, path, label="mixed")
-        state = load_state(path)
+        state = load_state(path, 3)
         assert state["kind"] == "rho"
         assert state["label"] == "mixed"
         assert np.allclose(state["value"], rho)
@@ -610,7 +617,7 @@ class TestStateFiles:
         path = tmp_path / "both.json"
         path.write_text('{"vector": [[1.0, 0.0]], "rho": [[[1.0, 0.0]]]}')
         with pytest.raises(ValueError, match="exactly one"):
-            load_state(path)
+            load_state(path, 1)
 
 
 @pytest.fixture(scope="module")
