@@ -9,8 +9,12 @@ own flags up to N = 9 (``SIZES``),
 in-process (``cli.main``) and as subprocesses
 (``python -m ifestates.cli``), and ``canonical_dumps`` alone on each
 command's report.  Every timing keeps its raw samples next to their
-median and interquartile range.  BLAS runs on one thread.  Run from the
-repository root:
+median and interquartile range.  Each in-process sample also records the
+speed factor of ``benchmarks/run.py``'s ``SpeedProbe``, sampled by the
+same worker right after the run, and its timing keeps the median and
+interquartile range of the samples times their factors next to the raw
+ones, so a phase of machine drift moves the corrected figures less than
+the raw.  BLAS runs on one thread.  Run from the repository root:
 
     python scripts/bench_sweep.py [--src PATH [--src PATH ...]]
 
@@ -46,6 +50,8 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
+from run import SpeedProbe  # noqa: E402
 # The stars each command is timed on, by bath size N (d = 2^(N + 1)).
 SIZES = {"verify": range(3, 9), "sectors": range(3, 10), "oracle-diff": range(3, 9),
          "spin-star": range(3, 10), "mixed": range(3, 9)}
@@ -54,10 +60,18 @@ REPEATS = 9
 _report: dict = {}  # in a worker: the warmed-up command's argv and report
 
 
-def summary(samples: list[float]) -> dict:
-    """Median, interquartile range and raw samples, in milliseconds."""
+def summary(samples: list[float], factors: list[float] | None = None) -> dict:
+    """Median, interquartile range and raw samples, in milliseconds.
+
+    Given each sample's speed factor, also the factors and the median and
+    interquartile range of the corrected samples (sample times factor).
+    """
     q1, median, q3 = np.percentile(samples, [25, 50, 75])
-    return {"median_ms": median, "iqr_ms": q3 - q1, "raw_ms": samples}
+    doc = {"median_ms": median, "iqr_ms": q3 - q1, "raw_ms": samples}
+    if factors is not None:
+        q1, median, q3 = np.percentile(np.multiply(samples, factors), [25, 50, 75])
+        doc.update(speed_factors=factors, corrected_median_ms=median, corrected_iqr_ms=q3 - q1)
+    return doc
 
 
 def git(src: Path, *args: str) -> str:
@@ -145,17 +159,20 @@ def warm_up(argv: list[str]) -> None:
         cli.write_canonical = write
 
 
-def time_once(argv: list[str]) -> tuple[float, float]:
-    """Milliseconds of one ``cli.main(argv)`` and of one ``canonical_dumps`` of its report."""
+def time_once(argv: list[str]) -> tuple[float, float, float]:
+    """Milliseconds of one ``cli.main(argv)``, the speed factor beside it, and
+    milliseconds of one ``canonical_dumps`` of its report."""
     from ifestates import cli, serialize
 
     assert _report["argv"] == argv
+    probe = SpeedProbe()
     start = time.perf_counter()
     cli.main(argv)
     run_ms = (time.perf_counter() - start) * 1e3
+    probe.sample()
     start = time.perf_counter()
     serialize.canonical_dumps(_report["report"])
-    return run_ms, (time.perf_counter() - start) * 1e3
+    return run_ms, probe.factor(), (time.perf_counter() - start) * 1e3
 
 
 def main() -> int:
@@ -190,10 +207,12 @@ def main() -> int:
                 for worker, argv in zip(workers, argvs):
                     worker.submit(warm_up, argv).result()
                 times = [{"in_process": [], "subprocess": [], "canonical_dumps": []} for _ in sources]
+                factors = [[] for _ in sources]
                 for repeat in range(REPEATS):
                     order = range(len(sources))
                     for i in order if repeat % 2 == 0 else reversed(order):
-                        run_ms, dumps_ms = workers[i].submit(time_once, argvs[i]).result()
+                        run_ms, factor, dumps_ms = workers[i].submit(time_once, argvs[i]).result()
+                        factors[i].append(factor)
                         start = time.perf_counter()
                         subprocess.run([sys.executable, "-m", "ifestates.cli", *argvs[i]],
                                        env={**os.environ, "PYTHONPATH": str(sources[i])},
@@ -201,11 +220,13 @@ def main() -> int:
                         times[i]["subprocess"].append((time.perf_counter() - start) * 1e3)
                         times[i]["in_process"].append(run_ms)
                         times[i]["canonical_dumps"].append(dumps_ms)
-                for star, name, samples, argv in zip(stars, names, times, argvs):
-                    star[command] = {key: summary(values) for key, values in samples.items()}
+                for star, name, samples, speed, argv in zip(stars, names, times, factors, argvs):
+                    star[command] = {key: summary(values, speed if key == "in_process" else None)
+                                     for key, values in samples.items()}
                     star[command]["report_bytes"] = Path(argv[-1]).stat().st_size
                     print(f"{name} N={n} {command:11s} in-process "
-                          f"{star[command]['in_process']['median_ms']:9.2f} ms  subprocess "
+                          f"{star[command]['in_process']['median_ms']:9.2f} ms (corrected "
+                          f"{star[command]['in_process']['corrected_median_ms']:9.2f} ms)  subprocess "
                           f"{star[command]['subprocess']['median_ms']:9.2f} ms  canonical_dumps "
                           f"{star[command]['canonical_dumps']['median_ms']:8.2f} ms", flush=True)
             for doc, star in zip(docs, stars):

@@ -23,15 +23,21 @@ check their state and hand it to a private core that takes it as checked,
 so a file's state is checked once, by ``serialize.load_state``, and a
 sample never: :func:`_sampled_checks`, the sampling self-check of the
 CLI's ``mixed``, draws its states a group of at most ``max(1,
-_CHUNK_ENTRIES // d^2)`` at a time (one state from ``d = 91`` on).  The
+_CHUNK_ENTRIES // d^2)`` at a time (one state from ``d = 91`` on), each
+drawn once, as the exact state and, for the dense form, its sector factor
+``F`` (``rho = F F^H``, ``d x n`` for the ``n`` dimensions of the
+sectors).  The
 deviation has two forms.  The dense form works in the interaction frame:
 the diagonal unitaries ``diag(p(t))^*`` and ``diag(p(t))`` leave
 the Frobenius norm unchanged, so the deviation is ``||Y(t) rho~0 Y(t)^H -
-rho~||_F = ||Y(t) rho~0 - rho~ Y(t)||_F`` with ``Y(t)_ij = conj(p_i(t))
-W_ij p0_j(t)``, ``W = V^H V0``, ``rho~0 = V0^H rho V0``, and ``rho~``
-constant in time.  The grid goes in blocks of times sized by the
-pure-state tracer's ``_CHUNK_ENTRIES`` rule; per block, ``Y`` is built
-once and applied to every state of a group.  The frequency form expands
+rho~||_F`` with ``Y(t)_ij = conj(p_i(t)) W_ij p0_j(t)``, ``W = V^H V0``,
+``rho~0 = V0^H rho V0``, and ``rho~`` constant in time.  It is evaluated
+as ``||G G'^H - rho~||_F``, ``G = Y F0`` and ``G' = Y F0'``, from a
+splitting ``rho~0 = F0 F0'^H``: ``F0 = F0' = V0^H F`` for a sample (two
+``d^2 n`` products per step), ``F0 = rho~0`` and ``F0' = I`` for any
+other state (two ``d^3`` ones).  The grid goes in blocks of times sized
+by the pure-state tracer's ``_CHUNK_ENTRIES`` rule; per block, ``Y`` is
+built once and applied to every state of a group.  The frequency form expands
 the free evolution over the Bohr frequencies of ``H_0``, one ``d x d``
 term per frequency, and phases the terms for all grid times with one
 ``(times x frequencies) @ (frequencies x entries)`` product, taken in slabs
@@ -167,8 +173,9 @@ def random_ife_mixed(dec: IfeDecomposition, weights, seed: int) -> np.ndarray:
 
     Each sector receives an n_k x n_k positive semidefinite coefficient
     matrix G^H G from a seeded complex Gaussian, normalized to trace
-    ``weights[k]``; the weights must be nonnegative and sum to 1.
-    Deterministic for a fixed seed.
+    ``weights[k]``; the weights must be nonnegative and sum to 1, and the
+    seed must be an integer >= 0 (a ``bool`` is not one).  Deterministic
+    for a fixed seed.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (dec.n_sectors,):
@@ -179,19 +186,40 @@ def random_ife_mixed(dec: IfeDecomposition, weights, seed: int) -> np.ndarray:
         raise ValueError("weights must be finite and nonnegative")
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return _sector_sample(dec, weights, int(seed), factor=False)[1]
 
+
+def _sector_sample(dec: IfeDecomposition, weights: np.ndarray, seed: int, factor: bool = True):
+    """``(F, rho)`` of the :func:`random_ife_mixed` state of checked weights and seed.
+
+    One draw of the Wishart blocks gives both: ``rho``, with the bits
+    :func:`random_ife_mixed` returns, and its sector factor ``F = [B_k
+    G_k^H sqrt(w_k / ||G_k||_F^2)]_k``, ``d x n`` for the ``n`` sector
+    dimensions, with ``F F^H = rho`` to roundoff (a sector of weight 0
+    gives zero columns).  The dense deviation of a sample takes ``F``;
+    without ``factor`` it is not formed and ``F`` is None, for the callers
+    that take ``rho`` alone (:func:`random_ife_mixed`, and the samples of
+    the frequency form).
+    """
     rng = np.random.default_rng(seed)
     dim = dec.dim
     rho = np.zeros((dim, dim), dtype=complex)
+    pieces = []  # (B_k, G_k^H sqrt(w_k / ||G_k||_F^2)): F = [B_k @ piece]_k
     for sector, weight in zip(dec.sectors, weights):
         n = sector.dimension
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         if weight == 0.0:  # g is still drawn, so the later sectors keep their draws
+            pieces.append((sector.basis, np.zeros((n, n))))
             continue
         block = g.conj().T @ g
-        block *= weight / float(np.trace(block).real)
+        scale = weight / float(np.trace(block).real)
+        block *= scale
         rho += sector.basis @ block @ sector.basis.conj().T
-    return 0.5 * (rho + rho.conj().T)
+        pieces.append((sector.basis, np.sqrt(scale) * g.conj().T))
+    rho = 0.5 * (rho + rho.conj().T)
+    return (np.hstack([basis @ piece for basis, piece in pieces]) if factor else None), rho
 
 
 def _uses_frequencies(sys: BipartiteSystem, steps: int) -> bool:
@@ -273,11 +301,13 @@ def _hermitian_deviation_squares(sys: BipartiteSystem, rho, rho_eig, times) -> n
     return squares
 
 
-def _deviation(sys: BipartiteSystem, rho, rho_eig, times) -> np.ndarray:
+def _deviation(sys: BipartiteSystem, rho, rho_eig, times, factor=None) -> np.ndarray:
     """``||rho(t) - rho_0(t)||_F`` of each state of a group at each time, given ``rho~ = V^H rho V``.
 
     ``rho`` and ``rho_eig`` are ``m x d x d`` stacks of at most
-    :func:`_block_size` states; the result is ``m x T``.  In the
+    :func:`_block_size` states; the result is ``m x T``.  ``factor``, for
+    sampled states, is the ``m x d x n`` stack of their sector factors
+    (``F F^H = rho``, see :func:`_sector_sample`), else None.  In the
     eigenbasis of ``H`` the deviation is ``||P(t) o rho~ - W (P0(t) o
     rho~0) W^H||_F``, with ``rho~0 = V0^H rho V0`` and ``W = V^H V0``.
 
@@ -286,15 +316,18 @@ def _deviation(sys: BipartiteSystem, rho, rho_eig, times) -> np.ndarray:
     on the left and ``diag(p)`` on the right does not change the Frobenius
     norm, so the deviation is ``||Y(t) rho~0 Y(t)^H - rho~||_F`` with
     ``Y(t)_ij = conj(p_i(t)) W_ij p0_j(t)``; ``rho~`` does not depend on
-    time.  ``Y`` is unitary, so multiplying by it on the right gives the
-    form computed, ``||Y rho~0 - rho~ Y||_F``: two products and no
-    adjoint.  The grid is taken in blocks of ``c = max(1, _CHUNK_ENTRIES
+    time.  With a splitting ``rho~0 = F0 F0'^H`` it is ``||G G'^H -
+    rho~||_F`` for ``G = Y F0`` and ``G' = Y F0'``, the one evaluation for
+    every state: a sample takes ``F0 = F0' = V0^H F``, so ``G' = G`` and a
+    step costs two ``d^2 n`` products; any other state takes ``F0 =
+    rho~0`` and ``F0' = I``, so ``G' = Y`` and a step costs two ``d^3``
+    products.  The grid is taken in blocks of ``c = max(1, _CHUNK_ENTRIES
     // d^2)`` times.  Per block, the ``c x d x d`` stack of ``Y`` is built
-    once and applied to every state of the group, a state at a time: the
-    stacked products ``Y @ rho~0`` and ``rho~ @ Y``, their difference and
-    its norms, in three stacks allocated once per call.  A state's
-    deviation so has the same bits in any group.  At ``d >= 91`` a block
-    is one time and a group one state: two ``d x d`` products per step.
+    once and applied to every state of the group, a state at a time: ``G``
+    as one ``cd x d`` by ``d x n`` product, the stacked ``G G'^H``, its
+    difference from ``rho~`` and its norms, in three stacks allocated once
+    per call.  A state's deviation so has the same bits in any group.  At
+    ``d >= 91`` a block is one time and a group one state.
 
     Frequency form, where :func:`_uses_frequencies` selects it (``d >= 91``
     and ``d^3 + Q d^3 / 2 + T Q d^2 / 2 < 2 T d^3`` for the ``Q`` Bohr
@@ -313,24 +346,26 @@ def _deviation(sys: BipartiteSystem, rho, rho_eig, times) -> np.ndarray:
                         for state, state_eig in zip(rho, rho_eig)])
     w = _total_eig(sys)[0]
     w0, v0 = _free_eig(sys)
-    rho0_eig = v0.conj().T @ rho @ v0
+    # the splitting rho~0 = F0 F0'^H: F0 = F0' = V0^H F for samples, else F0 = rho~0 and F0' = I
+    left = v0.conj().T @ rho @ v0 if factor is None else v0.conj().T @ factor
     overlap = _eig_overlap(sys)
-    chunk = _block_size(sys.dim)
-    # three c x d x d stacks for the whole call: Y, Y rho~0 and rho~ Y
-    frame = np.empty((min(chunk, times.size), sys.dim, sys.dim), dtype=complex)
-    left, right = np.empty_like(frame), np.empty_like(frame)
+    d, chunk = sys.dim, _block_size(sys.dim)
+    # three stacks for the whole call: Y (c x d x d), G = Y F0 (c x d x n) and G G'^H - rho~
+    frame = np.empty((min(chunk, times.size), d, d), dtype=complex)
+    gram = np.empty(frame.shape[:2] + left.shape[2:], dtype=complex)
+    diff = np.empty_like(frame)
     deviation = np.empty((rho.shape[0], times.size))
     for lo in range(0, times.size, chunk):
         t = times[lo:lo + chunk]
-        y, y_rho0, rho_y = frame[:t.size], left[:t.size], right[:t.size]
+        y, g, out = frame[:t.size], gram[:t.size], diff[:t.size]
         p, p0 = np.exp(-1j * np.outer(t, w)), np.exp(-1j * np.outer(t, w0))  # row k is p(t_k)
         np.multiply(overlap, p0[:, None, :], out=y)
         y *= p.conj()[:, :, None]  # Y(t_k)
         for j in range(rho.shape[0]):  # a state at a time, so that the stacks stay in cache
-            np.matmul(y, rho0_eig[j], out=y_rho0)
-            np.matmul(rho_eig[j], y, out=rho_y)
-            y_rho0 -= rho_y
-            sq = np.square(y_rho0.view(float), out=y_rho0.view(float))
+            np.matmul(y.reshape(-1, d), left[j], out=g.reshape(-1, g.shape[2]))  # G = Y F0, one product
+            np.matmul(g, (y if factor is None else g).conj().swapaxes(1, 2), out=out)  # G G'^H
+            out -= rho_eig[j]
+            sq = np.square(out.view(float), out=out.view(float))
             deviation[j, lo:lo + chunk] = np.sqrt(sq.sum(axis=(1, 2)))
     return deviation
 
@@ -377,16 +412,23 @@ def _trace_states(sys: BipartiteSystem, rho: np.ndarray, times: np.ndarray) -> E
 def _sampled_checks(sys: BipartiteSystem, dec: IfeDecomposition, seeds, times):
     """``(seed, outside, cross, max_deviation)`` of each seed's equal-weight :func:`random_ife_mixed` state.
 
-    The sampling self-check of ``mixed``, on a checked grid.  The states are
+    The sampling self-check of ``mixed``, on a checked grid.  Each state is
+    drawn once, by :func:`_sector_sample`, as the exact state and, where the
+    deviation takes the dense form, its sector factor; the states are
     exactly Hermitian, so they go to the cores unchecked, a group of
-    :func:`_block_size` at a time; a state's numbers are the same in any group.
+    :func:`_block_size` at a time, the residuals from the state and the
+    dense deviation from the factor; a state's numbers are the same in any
+    group.
     """
     weights = np.full(dec.n_sectors, 1.0 / dec.n_sectors)
     v, group = _total_eig(sys)[1], _block_size(sys.dim)
+    dense = not _uses_frequencies(sys, times.size)  # only the dense form takes the factors
     for lo in range(0, len(seeds), group):
         batch = seeds[lo:lo + group]
-        rhos = np.array([random_ife_mixed(dec, weights, seed) for seed in batch])
+        factors, rhos = zip(*(_sector_sample(dec, weights, seed, dense) for seed in batch))
+        rhos = np.array(rhos)
         residuals = [_block_residuals(rho, dec) for rho in rhos]
-        deviation = _deviation(sys, rhos, v.conj().T @ rhos @ v, times)
+        deviation = _deviation(sys, rhos, v.conj().T @ rhos @ v, times,
+                               np.array(factors) if dense else None)
         for seed, (outside, cross), dev in zip(batch, residuals, deviation):
             yield seed, outside, cross, float(dev.max())

@@ -14,7 +14,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 import ifestates.cli as cli
-from ifestates import SpinStarParams, build_spin_star, core, linalg
+from ifestates import SpinStarParams, build_spin_star, core, linalg, mixed
 from ifestates.cli import main
 from ifestates.core import ife_sectors, ife_sectors_oracle
 from ifestates.linalg import hermiticity_defect
@@ -605,13 +605,19 @@ class TestMixedSampleGroups:
         dec = ife_sectors(system)
         weights = np.full(dec.n_sectors, 1.0 / dec.n_sectors)
         times = cli.time_grid(10.0, 21)
+        v = core._total_eig(system)[1]
         expected, names = [], []
         for i in range(6):
-            rho = random_ife_mixed(dec, weights, 7 + i)
+            factor, rho = mixed._sector_sample(dec, weights, 7 + i)
+            assert np.array_equal(rho, random_ife_mixed(dec, weights, 7 + i))
             outside, cross = block_structure_residuals(rho, dec)
+            # a sample is traced from its sector factor, as the factored core traces it alone
+            alone = mixed._deviation(system, rho[None], (v.conj().T @ rho @ v)[None], times, factor[None])
             expected.append({"seed": 7 + i, "outside_norm": outside, "cross_norm": cross,
-                             "max_deviation": trace_density_matrix(system, rho, times).max_deviation})
+                             "max_deviation": float(alone.max())})
             names += [f"sample_{i}_block_structure", f"sample_{i}_dynamical_deviation"]
+            assert abs(expected[-1]["max_deviation"]
+                       - trace_density_matrix(system, rho, times).max_deviation) <= 1e-13
         assert report["samples"] == expected
         assert [c["name"] for c in report["claims"]] == names
 
@@ -778,6 +784,8 @@ F, C = "float64", "complex128"  # the dtype each factorization runs in
 SVD_BLOCKS_N2 = [("svd", "other", (2, 8, 2), F), ("svd", "other", (1, 8, 4), F)]
 SECTORS_N2 = [("eigh", "h_i", (8, 8), F), ("eigh", "h_a", (2, 2), F), ("eigh", "h_b", (4, 4), F),
               ("eigvalsh", "i C~", (8, 8), C), *SVD_BLOCKS_N2]
+# The seeded N = 4 star of scripts/bench_sweep.py (d = 32), below the block floor
+STAR_N4_GAMMAS = tuple(float(g) for g in 1.0 + 0.3 * np.random.default_rng(4).uniform(0.0, 1.0, 4))
 # The seeded N = 5 star of scripts/bench_sweep.py (d = 64) splits into N + 2 = 7
 # blocks of sizes 1, 6, 15, 20, 15, 6 and 1, so H_I, H and i C~ take one stacked
 # factorization per block size, in order of each size's first block
@@ -814,6 +822,12 @@ class TestFactorizationLedger:
         (["mixed", "{star}", "--state", "{rho}", "--steps", "5"],
          [*SECTORS_N2, ("eigvalsh", "rho", (8, 8), C), ("eigh", "H", (8, 8), F)]),
         (["mixed", "{star}", "--samples", "2", "--steps", "5"], [*SECTORS_N2, ("eigh", "H", (8, 8), F)]),
+        # the seeded N = 4 star (d = 32) samples twelve of its 32 dimensions: the sector
+        # factors take no factorization of their own
+        (["mixed", "{star4}", "--samples", "3"],
+         [("eigh", "h_i", (32, 32), F), ("eigh", "h_a", (2, 2), F), ("eigh", "h_b", (16, 16), F),
+          ("eigvalsh", "i C~", (32, 32), C), ("svd", "other", (10, 32, 2), F), ("svd", "other", (1, 32, 12), F),
+          ("eigh", "H", (32, 32), F)]),
         (["spin-star", *STAR_N2_ARGS, "--check-all"],
          # spectral norms: claim 1 and claim 3 residuals, then claim 4's per-block
          # residuals of H_0 and H on each of the four single-column blocks; claim 1
@@ -825,12 +839,15 @@ class TestFactorizationLedger:
          [("eigh", "h_i", (128, 128), C), ("eigh", "h_a", (4, 4), C), ("eigh", "h_b", (32, 32), C),
           ("eigh", "H", (128, 128), C)]),
     ], ids=["sectors", "oracle-diff", "verify-sector", "verify-state", "mixed-state",
-            "mixed-samples", "spin-star", "mixed-frequency"])
+            "mixed-samples", "mixed-samples-n4", "spin-star", "mixed-frequency"])
     def test_ledger(self, argv, ledger, star_file, data_dir, tmp_path, monkeypatch):
         path = star_file
         if "{d128}" in argv:
             path = str(tmp_path / "d128.json")
             save_system(commuting_system(4, 32, np.random.default_rng(70)), path)
+        if "{star4}" in argv:
+            path = str(tmp_path / "star_n4.json")
+            save_system(build_spin_star(SpinStarParams(4, 1.0, 1.3, STAR_N4_GAMMAS)), path)
         system = load_system(path)[0]
         if "{d128}" in argv:
             assert _uses_frequencies(system, 26)  # the mixed deviation takes the frequency form
@@ -839,7 +856,7 @@ class TestFactorizationLedger:
         rho = load_state(data_dir / "rho_ife_n2.json", 8)["value"]
         targets = {"i C~": 1j * (v.conj().T @ product @ v), "rho": rho}
         seen = record_factorizations(monkeypatch)
-        argv = [a.format(star=path, d128=path, psi=data_dir / "state_ife_n2.json",
+        argv = [a.format(star=path, d128=path, star4=path, psi=data_dir / "state_ife_n2.json",
                          rho=data_dir / "rho_ife_n2.json") for a in argv]
         assert run_cli(*argv, "--out", str(tmp_path / "r.json")) == 0
         monkeypatch.undo()

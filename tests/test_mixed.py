@@ -27,16 +27,19 @@ from ifestates import mixed
 from ifestates.core import _free_frequencies, _total_eig
 from ifestates.mixed import (
     _block_size,
+    _deviation_tol,
     _uses_frequencies,
     block_structure_residuals,
 )
 
 from helpers import (
     DIM_PAIRS,
+    FAMILIES,
     agreement_tol,
     commuting_system,
     diagonal_multisector_system,
     factorized_operators,
+    family_system,
     generic_system,
     locally_rotated,
     per_step_mixed_deviation,
@@ -281,6 +284,18 @@ class TestRandomIfeMixed:
         with pytest.raises(ValueError, match="weights must be finite"):
             random_ife_mixed(dec, [bad], 0)
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1], ids=["float", "bool", "negative"])
+    def test_seed_must_be_an_integer_at_least_zero(self, diag_dec, seed):
+        # numpy would raise a TypeError for 1.5, take True as 1, and reject -1 without naming it
+        weights = np.full(diag_dec.n_sectors, 1.0 / diag_dec.n_sectors)
+        with pytest.raises(ValueError, match=r"seed must be an integer >= 0, got"):
+            random_ife_mixed(diag_dec, weights, seed)
+
+    def test_numpy_integer_seed_gives_the_bits_of_its_value(self, diag_dec):
+        weights = np.full(diag_dec.n_sectors, 1.0 / diag_dec.n_sectors)
+        assert np.array_equal(random_ife_mixed(diag_dec, weights, np.int64(3)),
+                              random_ife_mixed(diag_dec, weights, 3))
+
 
 class TestTraceDensityMatrix:
     def test_requested_fields(self, diag_system, diag_dec):
@@ -292,9 +307,10 @@ class TestTraceDensityMatrix:
         assert full.energy_a.shape == full.energy_b.shape == (5,)
         assert np.array_equal(full.times, times)
         assert full.max_deviation == float(full.deviation.max())
-        # the samples of mixed read no energies: the sampler takes the deviation alone, with its bits
+        # the samples of mixed read no energies: the sampler takes the deviation alone, from
+        # the sample's sector factor, so it agrees with the tracer to roundoff
         (_, _, _, sampled), = mixed._sampled_checks(diag_system, diag_dec, [3], times)
-        assert sampled == full.max_deviation
+        assert abs(sampled - full.max_deviation) <= agreement_tol(diag_system)
 
     def test_one_compression_per_call(self, diag_system, diag_dec, monkeypatch):
         # rho~ = V^H rho V and rho~0 = V0^H rho V0: one conj().T @ rho each
@@ -521,14 +537,74 @@ class TestStackedStates:
         seeds = range(40, 45)
         checks = list(mixed._sampled_checks(sys_, dec, seeds, times))
         assert [seed for seed, *_ in checks] == list(seeds)
+        v = _total_eig(sys_)[1]
         for seed, outside, cross, max_deviation in checks:
-            rho = random_ife_mixed(dec, weights, seed)
+            factor, rho = mixed._sector_sample(dec, weights, seed)
+            assert np.array_equal(rho, random_ife_mixed(dec, weights, seed))
             assert (outside, cross) == block_structure_residuals(rho, dec)
-            assert max_deviation == trace_density_matrix(sys_, rho, times).max_deviation
+            # the sampler traces the sample's sector factor: the bits of the factored core
+            # on that sample alone, and the tracer's deviation to roundoff
+            alone = mixed._deviation(sys_, rho[None], (v.conj().T @ rho @ v)[None], times, factor[None])
+            assert max_deviation == float(alone.max())
+            assert abs(max_deviation - trace_density_matrix(sys_, rho, times).max_deviation) \
+                <= agreement_tol(sys_)
 
     def test_block_size(self):
         assert [_block_size(d) for d in (2, 8, 32, 64, 90, 91, 128, 512)] \
             == [4096, 256, 16, 4, 2, 1, 1, 1]
+
+
+class TestFactoredDeviation:
+    """The dense deviation from a factor ``F`` of ``rho = F F^H``: two ``d^2 n`` products per step."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(family=FAMILIES, dims=st.sampled_from(DIM_PAIRS), seed=st.integers(0, 2**32 - 1))
+    def test_samples_agree_with_the_per_step_formula(self, family, dims, seed):
+        rng = np.random.default_rng(seed)
+        sys_ = family_system(family, dims, rng)
+        dec = ife_sectors(sys_)
+        assume(dec.n_sectors >= 1)
+        assert sys_.dim < 91  # the dense form
+        weights = rng.dirichlet(np.ones(dec.n_sectors))
+        if dec.n_sectors > 1 and rng.random() < 0.5:
+            weights[rng.integers(dec.n_sectors)] = 0.0
+            weights /= weights.sum()
+        times = np.linspace(0.0, 10.0, 41)
+        seeds = [int(k) for k in rng.integers(2**31, size=3)]
+        samples = [mixed._sector_sample(dec, weights, k) for k in seeds]
+        factors = np.array([factor for factor, _ in samples])
+        v = _total_eig(sys_)[1]
+        for k, (factor, rho) in zip(seeds, samples):
+            assert factor.shape == (sys_.dim, sum(s.dimension for s in dec.sectors))
+            assert np.array_equal(rho, random_ife_mixed(dec, weights, k))
+            assert_allclose(factor @ factor.conj().T, rho, rtol=0, atol=1e-14)
+        rhos = np.array([rho for _, rho in samples])
+        together = mixed._deviation(sys_, rhos, v.conj().T @ rhos @ v, times, factors)
+        for j, (factor, rho) in enumerate(samples):
+            # each sample gives the same bits in any group
+            alone = mixed._deviation(sys_, rho[None], (v.conj().T @ rho @ v)[None], times, factor[None])
+            assert np.array_equal(together[j], alone[0])
+            assert_allclose(together[j], per_step_mixed_deviation(sys_, factor @ factor.conj().T, times),
+                            rtol=0, atol=agreement_tol(sys_))
+            assert together[j].max() <= _deviation_tol(sys_.dim)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(family=FAMILIES, dims=st.sampled_from(DIM_PAIRS), seed=st.integers(0, 2**32 - 1),
+           full_rank=st.booleans())
+    def test_non_ife_factors_agree_with_the_per_step_formula(self, family, dims, seed, full_rank):
+        rng = np.random.default_rng(seed)
+        sys_ = family_system(family, dims, rng)
+        d = sys_.dim
+        rank = d if full_rank else int(rng.integers(1, d))
+        factor = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+        factor /= np.linalg.norm(factor)  # unit trace
+        rho = factor @ factor.conj().T
+        rho = 0.5 * (rho + rho.conj().T)
+        v, times = _total_eig(sys_)[1], np.linspace(0.0, 10.0, 41)
+        deviation = mixed._deviation(sys_, rho[None], (v.conj().T @ rho @ v)[None], times, factor[None])[0]
+        expected = per_step_mixed_deviation(sys_, rho, times)
+        assert expected.max() > 1e-2  # the states are far from IFE
+        assert_allclose(deviation, expected, rtol=0, atol=agreement_tol(sys_))
 
 
 # H_0 has 14 levels and 31 Bohr frequencies.
