@@ -9,12 +9,14 @@ own flags up to N = 9 (``SIZES``),
 in-process (``cli.main``) and as subprocesses
 (``python -m ifestates.cli``), and ``canonical_dumps`` alone on each
 command's report.  Every timing keeps its raw samples next to their
-median and interquartile range.  Each in-process sample also records the
-speed factor of ``benchmarks/run.py``'s ``SpeedProbe``, sampled by the
-same worker right after the run, and its timing keeps the median and
-interquartile range of the samples times their factors next to the raw
-ones, so a phase of machine drift moves the corrected figures less than
-the raw.  BLAS runs on one thread.  Run from the repository root:
+median and interquartile range.  Each in-process sample also records a
+speed factor: the median of ``PROBE_KERNELS`` kernels of
+``benchmarks/run.py``'s ``SpeedProbe``, each on a fresh probe so that its
+interval gate skips none, run by the same worker right after the run.
+Its timing keeps the median and interquartile range of the samples times
+their factors next to the raw ones, so a phase of machine drift moves the
+corrected figures less than the raw.  BLAS runs on one thread.  Run from
+the repository root:
 
     python scripts/bench_sweep.py [--src PATH [--src PATH ...]]
 
@@ -56,6 +58,9 @@ from run import SpeedProbe  # noqa: E402
 SIZES = {"verify": range(3, 9), "sectors": range(3, 10), "oracle-diff": range(3, 9),
          "spin-star": range(3, 10), "mixed": range(3, 9)}
 REPEATS = 9
+# SpeedProbe kernels behind each sample's speed factor: one kernel is
+# bimodal on a shared VM, and the median of three damps that.
+PROBE_KERNELS = 3
 
 _report: dict = {}  # in a worker: the warmed-up command's argv and report
 
@@ -100,6 +105,7 @@ def header(src: Path) -> dict:
         "thread_pin": THREAD_PIN,
         "machine": {"processor": platform.processor() or platform.machine(), "cpus": os.cpu_count()},
         "repeats": REPEATS,
+        "probe_kernels": PROBE_KERNELS,
         "sizes": {command: list(sizes) for command, sizes in SIZES.items()},
         "stars": {},
     }
@@ -161,18 +167,24 @@ def warm_up(argv: list[str]) -> None:
 
 def time_once(argv: list[str]) -> tuple[float, float, float]:
     """Milliseconds of one ``cli.main(argv)``, the speed factor beside it, and
-    milliseconds of one ``canonical_dumps`` of its report."""
+    milliseconds of one ``canonical_dumps`` of its report.
+
+    The factor is the median over ``PROBE_KERNELS`` fresh probes, one
+    kernel each.
+    """
     from ifestates import cli, serialize
 
     assert _report["argv"] == argv
-    probe = SpeedProbe()
+    probes = [SpeedProbe() for _ in range(PROBE_KERNELS)]
     start = time.perf_counter()
     cli.main(argv)
     run_ms = (time.perf_counter() - start) * 1e3
-    probe.sample()
+    for probe in probes:
+        probe.sample()
+    factor = float(np.median([probe.factor() for probe in probes]))
     start = time.perf_counter()
     serialize.canonical_dumps(_report["report"])
-    return run_ms, probe.factor(), (time.perf_counter() - start) * 1e3
+    return run_ms, factor, (time.perf_counter() - start) * 1e3
 
 
 def main() -> int:

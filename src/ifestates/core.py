@@ -622,36 +622,45 @@ def ife_sectors(sys: BipartiteSystem, rel_tol: float = DEFAULT_REL_TOL) -> IfeDe
     eigenvectors ``V[:, lo:hi]`` of the coupling cluster at ``alpha``, so the
     sector is ``V[:, lo:hi] Ker(C~[:, lo:hi])`` with ``C~`` the commutator of
     the snapped coupling in the eigenbasis of ``H_I``: the kernel of the
-    ``d x m`` block of ``C~ / max(1, ||C||)``, from its thin SVD.  The blocks
-    of all clusters of one width ``m`` share one batched ``numpy.linalg.svd``
-    call, and each block is factorized once.  A direction is
-    kept when its singular value is at or below :func:`_kernel_cutoff`
-    (README, "Numerical conventions").  A numerically zero commutator
-    imposes no constraint, so the sector is the whole cluster eigenspace,
-    and no singular value of it is read.  The cutoffs and ranks of all
-    clusters of one width are taken as arrays, and clusters with an empty
-    kernel are dropped before any basis product is formed.
+    ``d x m`` block of ``C~ / max(1, ||C||)``.  A direction is kept when its
+    singular value is at or below :func:`_kernel_cutoff` (README, "Numerical
+    conventions").
+
+    A cluster whose whole eigenspace is its kernel keeps ``V[:, lo:hi]`` as
+    the coupling store holds it, unrotated: on a split system each of its
+    vectors then lies on one block of :func:`_partition`.  That is every
+    cluster of a numerically zero commutator, which reads no singular
+    value, and every cluster whose block has a Frobenius norm at or below
+    its cutoff, since ``sigma_max <= ||block||_F``; one column-norm pass
+    over ``C~`` gives all of them.  The blocks of the other clusters take a
+    thin SVD, those of one width ``m`` in one batched ``numpy.linalg.svd``
+    call, each block once.  Only a partial kernel is rotated, to
+    ``V[:, lo:hi] vh[rank:]^H``; a rank of 0 keeps ``V[:, lo:hi]`` too, and
+    a full rank drops the cluster before any basis product is formed.
     """
     require_rel_tol(rel_tol)
     v = _coupling_eig(sys)[1]
     clusters = _coupling_clusters(sys)
-    if _commutator_is_zero(sys):
-        sectors = (IfeSector(alpha, v[:, lo:hi].copy()) for alpha, (lo, hi) in clusters)
-        return IfeDecomposition(tuple(sectors), sys.dim)
-    c, scale = _commutator(sys), max(1.0, float(_commutator_values(sys)[0]))
-    cutoff = _kernel_cutoff(sys, np.array([alpha for alpha, _ in clusters]), rel_tol)
-    by_width = {}  # cluster width -> indices of the clusters that wide
-    for j, (_, (lo, hi)) in enumerate(clusters):
-        by_width.setdefault(hi - lo, []).append(j)
-    bases = {}
-    for width, same in by_width.items():
-        blocks = np.stack([c[:, slice(*clusters[j][1])] for j in same])
-        _, s, vh = np.linalg.svd(blocks / scale, full_matrices=False)
-        rank = (s > cutoff[same, None]).sum(axis=1)
-        for j in np.flatnonzero(rank < width).tolist():
-            lo, hi = clusters[same[j]][1]
-            bases[same[j]] = v[:, lo:hi] @ vh[j, rank[j]:].conj().T
-    sectors = (IfeSector(clusters[j][0], bases[j]) for j in sorted(bases))
+    kernels = dict.fromkeys(range(len(clusters)))  # cluster -> rotation of a partial kernel, None if whole
+    if not _commutator_is_zero(sys):
+        c, scale = _commutator(sys), max(1.0, float(_commutator_values(sys)[0]))
+        cutoff = _kernel_cutoff(sys, np.array([alpha for alpha, _ in clusters]), rel_tol)
+        starts = np.array([lo for _, (lo, _) in clusters])
+        frobenius = np.sqrt(np.add.reduceat((c.real**2 + c.imag**2).sum(axis=0), starts)) / scale
+        by_width = {}  # cluster width -> indices of the clusters that wide and above their cutoff
+        for j in np.flatnonzero(frobenius > cutoff).tolist():
+            lo, hi = clusters[j][1]
+            by_width.setdefault(hi - lo, []).append(j)
+        for width, same in by_width.items():
+            blocks = np.stack([c[:, slice(*clusters[j][1])] for j in same])
+            _, s, vh = np.linalg.svd(blocks / scale, full_matrices=False)
+            for j, rank, rows in zip(same, (s > cutoff[same, None]).sum(axis=1).tolist(), vh):
+                if rank == width:
+                    del kernels[j]
+                elif rank:
+                    kernels[j] = rows[rank:].conj().T
+    sectors = (IfeSector(alpha, v[:, lo:hi].copy() if kernels[j] is None else v[:, lo:hi] @ kernels[j])
+               for j, (alpha, (lo, hi)) in enumerate(clusters) if j in kernels)
     return IfeDecomposition(tuple(sectors), sys.dim)
 
 

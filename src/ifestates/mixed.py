@@ -150,6 +150,11 @@ def _deviation_tol(dim: int) -> float:
     return 1e-8 * dim
 
 
+def _is_real_number(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer or float: no bool, and no string numpy would parse."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, (bool, np.bool_))
+
+
 def is_ife_mixed(rho, dec: IfeDecomposition, tol: float | None = None) -> bool:
     """True iff rho is supported inside the sectors with no cross coherence.
 
@@ -157,9 +162,7 @@ def is_ife_mixed(rho, dec: IfeDecomposition, tol: float | None = None) -> bool:
     :func:`block_structure_residuals`; by default it is ``1e-8 *
     ||rho||_F``, matching the sector orthogonality tolerance.
     """
-    if tol is not None and (isinstance(tol, (bool, np.bool_))
-                            or not isinstance(tol, (int, float, np.integer, np.floating))
-                            or not (tol >= 0 and np.isfinite(tol))):
+    if tol is not None and not (_is_real_number(tol) and tol >= 0 and np.isfinite(tol)):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     rho = _require_dimension(check_density_matrix(rho), dec.dim)
     if tol is None:
@@ -173,10 +176,12 @@ def random_ife_mixed(dec: IfeDecomposition, weights, seed: int) -> np.ndarray:
 
     Each sector receives an n_k x n_k positive semidefinite coefficient
     matrix G^H G from a seeded complex Gaussian, normalized to trace
-    ``weights[k]``; the weights must be nonnegative and sum to 1, and the
-    seed must be an integer >= 0 (a ``bool`` is not one).  Deterministic
-    for a fixed seed.
+    ``weights[k]``; the weights must be real numbers (no ``bool`` or
+    string), nonnegative and summing to 1, and the seed must be an integer
+    >= 0 (a ``bool`` is not one).  Deterministic for a fixed seed.
     """
+    if not all(map(_is_real_number, np.asarray(weights, dtype=object).ravel().tolist())):
+        raise ValueError(f"weights must be real numbers, got {weights!r}")
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (dec.n_sectors,):
         raise ValueError(

@@ -292,8 +292,10 @@ def per_cluster_sectors(sys_, rel_tol=DEFAULT_REL_TOL):
 
     The commutator ``C~`` is the cached one, but its zero flag and its
     rank always come from ``eigvalsh(i C~)``, never from the Frobenius
-    bound, and each cluster's ``d x m`` block of ``C~ / max(1, ||C||)``
-    takes its own ``numpy.linalg.svd`` call.
+    bound.  Each cluster's ``d x m`` block of ``C~ / max(1, ||C||)`` whose
+    Frobenius norm (``numpy.linalg.norm`` of the block) is above its cutoff
+    takes its own ``numpy.linalg.svd`` call.  A cluster of rank 0, by
+    either test, keeps ``V[:, lo:hi]`` unrotated.
     """
     c = core._commutator(sys_)
     s = np.sort(np.abs(np.linalg.eigvalsh(1j * c)))[::-1]
@@ -309,8 +311,13 @@ def per_cluster_sectors(sys_, rel_tol=DEFAULT_REL_TOL):
         else:
             a = max(abs(w[0] - alpha), abs(w[-1] - alpha))
             cutoff = rel_tol * max(a / max(1.0, a), norm / scale)
-            _, s_k, vh = np.linalg.svd(c[:, lo:hi] / scale, full_matrices=False)
-            basis = v[:, lo:hi] @ vh[np.sum(s_k > cutoff):].conj().T
+            block = c[:, lo:hi] / scale
+            if np.linalg.norm(block) <= cutoff:
+                basis = v[:, lo:hi].copy()
+            else:
+                _, s_k, vh = np.linalg.svd(block, full_matrices=False)
+                rank = int(np.sum(s_k > cutoff))
+                basis = v[:, lo:hi].copy() if rank == 0 else v[:, lo:hi] @ vh[rank:].conj().T
         if basis.shape[1] > 0:
             sectors.append(IfeSector(alpha, basis))
     return is_zero, kernel_dimension, IfeDecomposition(tuple(sectors), sys_.dim)

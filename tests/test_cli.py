@@ -780,8 +780,9 @@ def eigh_calls(monkeypatch):
 
 STAR_N2_ARGS = ["--n", "2", "--omega0", "1.0", "--omega", "0.7", "--gammas", "3,4"]
 F, C = "float64", "complex128"  # the dtype each factorization runs in
-# ife_sectors' cluster blocks
-SVD_BLOCKS_N2 = [("svd", "other", (2, 8, 2), F), ("svd", "other", (1, 8, 4), F)]
+# ife_sectors' cluster blocks above their cutoff: the star's alpha = 0 cluster is a
+# whole kernel, whose block is within its cutoff, and takes no SVD
+SVD_BLOCKS_N2 = [("svd", "other", (2, 8, 2), F)]
 SECTORS_N2 = [("eigh", "h_i", (8, 8), F), ("eigh", "h_a", (2, 2), F), ("eigh", "h_b", (4, 4), F),
               ("eigvalsh", "i C~", (8, 8), C), *SVD_BLOCKS_N2]
 # The seeded N = 4 star of scripts/bench_sweep.py (d = 32), below the block floor
@@ -792,7 +793,7 @@ STAR_N4_GAMMAS = tuple(float(g) for g in 1.0 + 0.3 * np.random.default_rng(4).un
 STAR_N5_GAMMAS = tuple(float(g) for g in 1.0 + 0.3 * np.random.default_rng(5).uniform(0.0, 1.0, 5))
 STAR_N5_ARGS = ["--n", "5", "--omega0", "1.0", "--omega", "1.3", "--gammas", ",".join(map(repr, STAR_N5_GAMMAS))]
 BLOCKS_N5 = [(2, 1, 1), (2, 6, 6), (2, 15, 15), (1, 20, 20)]
-SVD_BLOCKS_N5 = [("svd", "other", (20, 64, 1), F), ("svd", "other", (12, 64, 2), F), ("svd", "other", (1, 64, 20), F)]
+SVD_BLOCKS_N5 = [("svd", "other", (20, 64, 1), F), ("svd", "other", (12, 64, 2), F)]
 SECTORS_N5 = [*[("eigh", "h_i", shape, F) for shape in BLOCKS_N5], ("eigh", "h_a", (2, 2), F),
               ("eigh", "h_b", (32, 32), F), *[("eigvalsh", "i C~", shape, C) for shape in BLOCKS_N5], *SVD_BLOCKS_N5]
 
@@ -823,10 +824,11 @@ class TestFactorizationLedger:
          [*SECTORS_N2, ("eigvalsh", "rho", (8, 8), C), ("eigh", "H", (8, 8), F)]),
         (["mixed", "{star}", "--samples", "2", "--steps", "5"], [*SECTORS_N2, ("eigh", "H", (8, 8), F)]),
         # the seeded N = 4 star (d = 32) samples twelve of its 32 dimensions: the sector
-        # factors take no factorization of their own
+        # factors take no factorization of their own, and the twelve-dimensional
+        # whole-kernel cluster no SVD
         (["mixed", "{star4}", "--samples", "3"],
          [("eigh", "h_i", (32, 32), F), ("eigh", "h_a", (2, 2), F), ("eigh", "h_b", (16, 16), F),
-          ("eigvalsh", "i C~", (32, 32), C), ("svd", "other", (10, 32, 2), F), ("svd", "other", (1, 32, 12), F),
+          ("eigvalsh", "i C~", (32, 32), C), ("svd", "other", (10, 32, 2), F),
           ("eigh", "H", (32, 32), F)]),
         (["spin-star", *STAR_N2_ARGS, "--check-all"],
          # spectral norms: claim 1 and claim 3 residuals, then claim 4's per-block

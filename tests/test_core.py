@@ -482,19 +482,21 @@ class TestEmptinessCertificate:
         p = SpinStarParams(5, 1.0, 0.7, (1.0, 1.37, 1.74, 2.11, 2.48))
         sys_ = build_spin_star(p)
         c_eig = core._commutator(sys_)  # the commutator in the coupling eigenbasis
-        matrices = []
-        original = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: matrices.extend(
-            np.array(a).reshape(-1, *a.shape[-2:])) or original(a, *args, **kw))
+        matrices = record_svd_blocks(monkeypatch)
         dec = ife_sectors(sys_)
         clusters = core._coupling_clusters(sys_)
         assert len(clusters) > 1
-        # each cluster's d x m block is factorized exactly once, however the calls batch them
-        assert len(matrices) == len(clusters)
         scale = max(1.0, float(core._commutator_values(sys_)[0]))
-        for _, (lo, hi) in clusters:
+        cutoff = core._kernel_cutoff(sys_, np.array([alpha for alpha, _ in clusters]), DEFAULT_REL_TOL)
+        above = [np.linalg.norm(c_eig[:, lo:hi] / scale) > cut for (_, (lo, hi)), cut in zip(clusters, cutoff)]
+        # only the alpha = 0 cluster, the whole sector, is within its cutoff
+        assert above.count(False) == 1
+        # each block above its cutoff is factorized exactly once, however the calls batch
+        # them, and the block within it not at all
+        assert len(matrices) == sum(above)
+        for (_, (lo, hi)), factorized in zip(clusters, above):
             block = c_eig[:, lo:hi] / scale
-            assert sum(m.shape == block.shape and np.array_equal(m, block) for m in matrices) == 1
+            assert sum(m.shape == block.shape and np.array_equal(m, block) for m in matrices) == factorized
         assert dec.alphas == pytest.approx((0.0,), abs=1e-12)
         assert dec.sectors[0].dimension == 2 * comb(5, 2)
 
@@ -1363,8 +1365,9 @@ class TestFrobeniusZeroTest:
     """``||C~||_F`` within the zero threshold settles ``is_zero`` with no eigensolve of ``i C~``.
 
     Every answer equals the reference that always runs ``eigvalsh(i C~)``
-    and takes one SVD per cluster (``helpers.per_cluster_sectors``), bit
-    for bit, also where the clusters' SVDs are batched by width.
+    and takes one SVD per cluster above its cutoff
+    (``helpers.per_cluster_sectors``), bit for bit, also where the
+    clusters' SVDs are batched by width.
     """
 
     @settings(max_examples=80, deadline=None, database=None)
@@ -1408,6 +1411,96 @@ class TestFrobeniusZeroTest:
         s = core._commutator_values(sys_)
         assert s is core._commutator_values(sys_)
         assert len(calls) == 4 and np.array_equal(calls[3], 1j * c_eig)
+
+
+def seeded_star(n):
+    """The seeded star of ``scripts/bench_sweep.py`` and the benchmark: ``omega = 1.3``, ``gammas`` from ``default_rng(n)``."""
+    gammas = tuple(float(g) for g in 1.0 + 0.3 * np.random.default_rng(n).uniform(0.0, 1.0, n))
+    return build_spin_star(SpinStarParams(n, 1.0, 1.3, gammas))
+
+
+def record_svd_blocks(monkeypatch) -> list:
+    """Every matrix ``numpy.linalg.svd`` factorizes, a batched call unstacked."""
+    matrices = []
+    original = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: matrices.extend(
+        np.array(a).reshape(-1, *a.shape[-2:])) or original(a, *args, **kw))
+    return matrices
+
+
+def whole_kernel_sectors(dec, sys_) -> list:
+    """The sectors that span their whole coupling cluster, each asserted to be its stored eigenvectors, bit for bit."""
+    v = core._coupling_eig(sys_)[1]
+    clusters = dict(core._coupling_clusters(sys_))
+    whole = []
+    for sector in dec.sectors:
+        lo, hi = clusters[sector.alpha]
+        if sector.dimension == hi - lo:
+            assert_same_bits(sector.basis, v[:, lo:hi])
+            whole.append(sector)
+    return whole
+
+
+def assert_block_supported(sectors, sys_):
+    """Every vector of ``sectors`` is nonzero on exactly one index set of ``core._partition``."""
+    label = np.empty(sys_.dim, dtype=int)
+    for k, block in enumerate(core._partition(sys_)):
+        label[block] = k
+    for sector in sectors:
+        assert all(np.unique(label[np.flatnonzero(column)]).size == 1 for column in sector.basis.T)
+
+
+class TestWholeKernelSectors:
+    """A cluster whose whole eigenspace is its sector keeps its own eigenvectors, with no SVD rotation.
+
+    A block of ``C~ / max(1, ||C||)`` with a Frobenius norm at or below the
+    cluster's cutoff has rank 0 with no SVD, and a block whose SVD finds
+    rank 0 is kept unrotated too, so on a split system each vector of such
+    a sector lies on one block of the partition.
+    """
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_star_sector_is_the_stored_eigenvectors(self, n, monkeypatch):
+        # N = 3 and 4 are below the block floor, one block; N = 5 and 6 split into N + 2
+        sys_ = seeded_star(n)
+        assert len(core._partition(sys_)) == (n + 2 if n >= 5 else 1)
+        matrices = record_svd_blocks(monkeypatch)
+        dec = ife_sectors(sys_)
+        assert dimensions(dec) == [2 * comb(n, n // 2)]
+        assert_block_supported(whole_kernel_sectors(dec, sys_), sys_)
+        # the whole cluster takes no SVD, and every other cluster one
+        assert len(matrices) == len(core._coupling_clusters(sys_)) - 1
+        assert all(m.shape[1] < dec.sectors[0].dimension for m in matrices)
+
+    def test_rank_zero_svd_keeps_the_stored_eigenvectors(self, star_system_n2, monkeypatch):
+        # at rel_tol = 1 the clusters at +-1.533 have singular values 0.92 (twice) below
+        # their cutoff 1, but Frobenius norms 1.30 above it: their SVDs find rank 0
+        sys_ = star_system_n2
+        clusters = core._coupling_clusters(sys_)
+        matrices = record_svd_blocks(monkeypatch)
+        dec = ife_sectors(sys_, rel_tol=1.0)
+        assert [m.shape for m in matrices] == [(8, 2), (8, 2)]
+        assert dimensions(dec) == [hi - lo for _, (lo, hi) in clusters] == [2, 4, 2]
+        assert len(whole_kernel_sectors(dec, sys_)) == 3
+        monkeypatch.undo()
+        assert_same_decomposition(dec, per_cluster_sectors(sys_, rel_tol=1.0)[2])
+
+    @pytest.mark.parametrize("family", ["commuting", "conjugated", "subspace_zero", "generic", "star"])
+    def test_families_keep_whole_kernels_unrotated(self, family):
+        for seed in range(10):
+            sys_ = family_system(family, DIM_PAIRS[seed % len(DIM_PAIRS)], np.random.default_rng(900 + seed))
+            whole_kernel_sectors(ife_sectors(sys_), sys_)
+
+    def test_split_systems_keep_whole_kernels_on_one_block(self):
+        whole = 0
+        for seed in range(20):
+            sys_ = permuted_block_system(*BLOCK_DIMS[seed % len(BLOCK_DIMS)], 3, seed % 2 == 0,
+                                         np.random.default_rng(950 + seed))
+            assert len(core._partition(sys_)) >= 3
+            sectors = whole_kernel_sectors(ife_sectors(sys_), sys_)
+            assert_block_supported(sectors, sys_)
+            whole += len(sectors)
+        assert whole > 0
 
 
 class TestCommutatorKernel:

@@ -284,6 +284,22 @@ class TestRandomIfeMixed:
         with pytest.raises(ValueError, match="weights must be finite"):
             random_ife_mixed(dec, [bad], 0)
 
+    @pytest.mark.parametrize("weights", [["0.5", 0.25, 0.25], [b"0.5", 0.25, 0.25], np.array(["0.5", "0.25", "0.25"]),
+                                         [0.5, 0.5, False], [np.True_, 0.0, 0.0], np.array([True, False, False]),
+                                         [1.0 + 0.0j, 0.0, 0.0]],
+                             ids=["str", "bytes", "str-array", "bool", "numpy-bool", "bool-array", "complex"])
+    def test_weights_must_be_real_numbers(self, diag_dec, weights):
+        # numpy would parse each string and read True as 1.0 and False as 0.0, so
+        # each of these sums to 1 and gave a unit-trace state
+        with pytest.raises(ValueError, match=r"weights must be real numbers, got"):
+            random_ife_mixed(diag_dec, weights, 0)
+
+    def test_integer_and_numpy_weights_give_the_bits_of_their_values(self, diag_dec):
+        for weights, same in (([0.5, 0.25, 0.25], [np.float64(0.5), np.float32(0.25), 0.25]),
+                              ([0.5, 0.25, 0.25], np.array([0.5, 0.25, 0.25])),
+                              ([1.0, 0.0, 0.0], [1, 0, np.int64(0)])):
+            assert np.array_equal(random_ife_mixed(diag_dec, same, 9), random_ife_mixed(diag_dec, weights, 9))
+
     @pytest.mark.parametrize("seed", [1.5, True, -1], ids=["float", "bool", "negative"])
     def test_seed_must_be_an_integer_at_least_zero(self, diag_dec, seed):
         # numpy would raise a TypeError for 1.5, take True as 1, and reject -1 without naming it
